@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -319,10 +319,7 @@ def _task_exponent(cfg: RunConfig, outdir: Path) -> int:
         seed=cfg.seed, driving=cfg.driving,
     )
     est, times, log_mean = estimate.fit_moment_window(ens)
-    pathwise = estimate.as_exponent(
-        sde, np.array(cfg.x0), cfg.trajectories, cfg.horizon, cfg.dt,
-        seed=cfg.seed, driving=cfg.driving,
-    )
+    pathwise = estimate.fit_pathwise(ens)
     emit_plot_data(
         [("exponent_fit.csv", ["t", "log_mean_moment"], [[t, v] for t, v in zip(times, log_mean)])],
         outdir,

@@ -9,13 +9,13 @@ streams, so every statistic is bitwise reproducible from (seed, parameters).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .models import LinearSde, Sde, SideSystem, VectorFieldSde
+from .models import LinearSde, Sde, SideSystem
 from .noise import NoisePlan
-from .simulate import euler_maruyama, exact_gbm, simulate_side
+from .simulate import _driving_increments, euler_maruyama, exact_gbm, simulate_side
 
 _WINDOW_MIN_POINTS = 10
 
@@ -95,11 +95,28 @@ class Ensemble:
         return self.moment_sum / self.trajectories
 
 
+def _noise_block(seed, trajs, m, dt, horizon, n_steps, driving) -> np.ndarray:
+    """Per-step noise of trajectories `trajs`, each from its own plan: (B, n_steps, m)."""
+    w = np.empty((len(trajs), n_steps, m))
+    for row, traj in enumerate(trajs):
+        w[row] = _driving_increments(NoisePlan(seed, traj, m, dt, horizon), dt, n_steps, driving)
+    return w
+
+
+def _linear_steps(f, gs, x, dt, w):
+    """Explicit steps x + dt x F^T + sum_j (x Gj^T) w_j of a (B, n) batch
+    under noise w of shape (B, N, m); yields the batch after each step."""
+    for k in range(w.shape[1]):
+        step = dt * (x @ f.T)
+        for j, g in enumerate(gs):
+            step = step + (x @ g.T) * w[:, k, j][:, None]
+        x = x + step
+        yield x
+
+
 def _ensemble_linear(
     sde: LinearSde, x0, p, trajectories, T, dt, seed, driving, batch_size
 ) -> Ensemble:
-    f = sde.drift_matrix
-    gs = sde.noise_matrices
     n, m = sde.dim, sde.noise_dim
     n_steps = int(round(T / dt))
     x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (n,))
@@ -112,25 +129,15 @@ def _ensemble_linear(
     for start in range(0, trajectories, batch_size):
         idx = range(start, min(start + batch_size, trajectories))
         b = len(idx)
-        w = np.empty((b, n_steps, m))
-        for row, traj in enumerate(idx):
-            plan = NoisePlan(seed, traj, m, dt, max(T, dt))
-            if driving == "xi":
-                w[row] = math.sqrt(dt) * plan.xi_block(n_steps)
-            else:
-                w[row] = plan.increments(plan.level_for(dt))[:n_steps]
+        w = _noise_block(seed, idx, m, dt, max(T, dt), n_steps, driving)
         x = np.tile(x0, (b, 1))
         nrm = np.linalg.norm(x, axis=1)
         moment_sum[0] += float(np.sum(nrm**p))
         batch_sup = nrm**2
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n_steps):
-                step = dt * (x @ f.T)
-                for j, g in enumerate(gs):
-                    step = step + (x @ g.T) * w[:, k, j][:, None]
-                x = x + step
+            for k, x in enumerate(_linear_steps(sde.drift_matrix, sde.noise_matrices, x, dt, w), 1):
                 nrm = np.linalg.norm(x, axis=1)
-                moment_sum[k + 1] += float(np.sum(nrm**p))
+                moment_sum[k] += float(np.sum(nrm**p))
                 np.maximum(batch_sup, nrm**2, out=batch_sup)
         sup_sq[start : start + b] = batch_sup
         with np.errstate(divide="ignore"):
@@ -247,6 +254,23 @@ def moment_exponent(
     return est
 
 
+def fit_pathwise(ens: Ensemble) -> ExponentEstimate:
+    """Ensemble mean of the pathwise rate (1/T) ln |z(T)| with its standard error.
+
+    T is the ensemble's final grid time.  Trajectories at exact zero are
+    counted separately rather than averaged at -inf.
+    """
+    T = float(ens.times[-1])
+    rates = ens.terminal_log / T
+    finite = np.isfinite(rates)
+    zeros = int(np.count_nonzero(~finite))
+    if zeros == ens.trajectories:
+        return ExponentEstimate(float("-inf"), 0.0, (0.0, T), 0.0, 0, zeros)
+    vals = rates[finite]
+    stderr = float(np.std(vals, ddof=1) / math.sqrt(vals.shape[0])) if vals.shape[0] > 1 else float("nan")
+    return ExponentEstimate(float(np.mean(vals)), 0.0, (0.0, T), stderr, int(vals.shape[0]), zeros)
+
+
 def as_exponent(
     system: Sde | SideSystem,
     z0,
@@ -259,24 +283,15 @@ def as_exponent(
     inner_substeps: int = 1,
     batch_size: int = 2048,
 ) -> ExponentEstimate:
-    """Ensemble mean of the pathwise rate (1/T) ln |z(T)| with its standard error.
+    """Pathwise exponent (see `fit_pathwise`) of a simulated ensemble.
 
     For a system certified pth-moment stable this estimate must come out
-    negative (moment stability implies pathwise stability); trajectories at
-    exact zero are counted separately rather than averaged at -inf.
+    negative (moment stability implies pathwise stability).
     """
-    ens = run_ensemble(
+    return fit_pathwise(run_ensemble(
         system, z0, 2.0, trajectories, T, dt,
         seed=seed, driving=driving, inner_substeps=inner_substeps, batch_size=batch_size,
-    )
-    rates = ens.terminal_log / T
-    finite = np.isfinite(rates)
-    zeros = int(np.count_nonzero(~finite))
-    if zeros == trajectories:
-        return ExponentEstimate(float("-inf"), 0.0, (0.0, T), 0.0, 0, zeros)
-    vals = rates[finite]
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(vals.shape[0])) if vals.shape[0] > 1 else float("nan")
-    return ExponentEstimate(float(np.mean(vals)), 0.0, (0.0, T), stderr, int(vals.shape[0]), zeros)
+    ))
 
 
 @dataclass(frozen=True)
@@ -313,16 +328,10 @@ def _fold(inc: np.ndarray, level: int) -> np.ndarray:
 def _em_level_paths(f, gs, x0, dt, w) -> np.ndarray:
     """Vectorized explicit paths: w is (B, N, m); returns (B, N+1, n)."""
     b, n_steps, _ = w.shape
-    n = f.shape[0]
-    out = np.empty((b, n_steps + 1, n))
-    x = np.tile(x0, (b, 1))
-    out[:, 0] = x
-    for k in range(n_steps):
-        step = dt * (x @ f.T)
-        for j, g in enumerate(gs):
-            step = step + (x @ g.T) * w[:, k, j][:, None]
-        x = x + step
-        out[:, k + 1] = x
+    out = np.empty((b, n_steps + 1, f.shape[0]))
+    out[:, 0] = x0
+    for k, x in enumerate(_linear_steps(f, gs, np.tile(x0, (b, 1)), dt, w), 1):
+        out[:, k] = x
     return out
 
 
@@ -380,9 +389,7 @@ def strong_error_sup(
     for start in range(0, trajectories, batch_size):
         idx = range(start, min(start + batch_size, trajectories))
         b = len(idx)
-        inc0 = np.empty((b, n_fine, m))
-        for row, traj in enumerate(idx):
-            inc0[row] = NoisePlan(seed, traj, m, delta, T).increments(0)
+        inc0 = _noise_block(seed, idx, m, delta, T, n_fine, "brownian")
 
         if scalar_linear:
             lam = float(f[0, 0])

@@ -9,12 +9,18 @@ by vectorizing to an n^2 x n^2 linear system via the Kronecker identity
 vec(A X B) = (A kron B^T) vec(X) for row-major vec.  The same operators,
 restricted to symmetric matrices (n(n+1)/2 coordinates), serve spectral
 questions such as the exact stepsize bound.
+
+The left-hand sides of the two certificate equations are also written once
+each by plain matrix products: `ct_form` (F^T P + P F + dt_bar F^T P F +
+sum Gj^T P Gj) and `dt_form` ((I + dt F)^T P (I + dt F) + dt sum Gj^T P Gj).
+They evaluate the solvers' residual gates, independently of the Kronecker
+path, and the quadratic forms of the certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -153,24 +159,55 @@ def ct_operator(f: np.ndarray, gs: Sequence[np.ndarray], dt_bar: float = 0.0,
     return vec_operator(terms, symmetric)
 
 
-def _solve_vectorized(op: np.ndarray, q: np.ndarray, rtol: float) -> np.ndarray:
+def ct_form(f: np.ndarray, gs: Sequence[np.ndarray], p: np.ndarray, dt_bar: float = 0.0) -> np.ndarray:
+    """F^T P + P F + dt_bar F^T P F + sum_j Gj^T P Gj by plain matrix products."""
+    m = f.T @ p + p @ f
+    if dt_bar:
+        m = m + dt_bar * (f.T @ p @ f)
+    for g in gs:
+        m = m + g.T @ p @ g
+    return m
+
+
+def dt_form(f: np.ndarray, gs: Sequence[np.ndarray], p: np.ndarray, dt: float) -> np.ndarray:
+    """(I + dt F)^T P (I + dt F) + dt sum_j Gj^T P Gj by plain matrix products."""
+    a = np.eye(f.shape[0]) + dt * f
+    m = a.T @ p @ a
+    for g in gs:
+        m = m + dt * (g.T @ p @ g)
+    return m
+
+
+def _coerce_equation(f, gs: Sequence, q) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    f = as_square(f, "f")
+    q = as_symmetric(q, "q")
+    if q.shape[0] != f.shape[0]:
+        raise ValueError("f and q dimensions differ")
+    gs = [as_square(g, "g") for g in gs]
+    if any(g.shape[0] != f.shape[0] for g in gs):
+        raise ValueError("diffusion matrix dimension differs from f")
+    return f, gs, q
+
+
+def _solve_gated(op: np.ndarray, lhs: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
+                 rtol: float) -> np.ndarray:
+    """Solve op vec(P) = -vec(Q) for symmetric P, then gate the residual
+    lhs(P) + Q of the defining equation, which lhs evaluates by plain matrix
+    products independent of the Kronecker path."""
     n = q.shape[0]
     try:
         vec = np.linalg.solve(op, -q.reshape(-1))
     except np.linalg.LinAlgError as exc:
         raise SingularOperator(f"vectorized Lyapunov operator is singular: {exc}") from exc
     p = symmetrize(vec.reshape(n, n))
-    return p
-
-
-def _residual_gate(residual: np.ndarray, q: np.ndarray, rtol: float) -> None:
-    res = float(np.linalg.norm(residual))
+    res = float(np.linalg.norm(lhs(p) + q))
     ref = max(float(np.linalg.norm(q)), np.finfo(float).tiny)
     if res > rtol * ref:
         raise SingularOperator(
             f"residual {res:.3e} exceeds {rtol:.1e} * ||Q||; "
             "operator is singular beyond tolerance (stability boundary)"
         )
+    return p
 
 
 def solve_ct_lyapunov(f, gs: Sequence, dt_bar: float, q, rtol: float = DEFAULT_RTOL) -> np.ndarray:
@@ -181,27 +218,10 @@ def solve_ct_lyapunov(f, gs: Sequence, dt_bar: float, q, rtol: float = DEFAULT_R
     Raises SingularOperator when the vectorized system is singular or the
     defining-equation residual exceeds rtol * ||Q||.
     """
-    f = as_square(f, "f")
-    q = as_symmetric(q, "q")
-    n = f.shape[0]
-    if q.shape[0] != n:
-        raise ValueError("f and q dimensions differ")
+    f, gs, q = _coerce_equation(f, gs, q)
     if dt_bar < 0:
         raise ValueError("dt_bar must be nonnegative")
-    gs = [as_square(g, "g") for g in gs]
-    for g in gs:
-        if g.shape[0] != n:
-            raise ValueError("diffusion matrix dimension differs from f")
-
-    p = _solve_vectorized(ct_operator(f, gs, dt_bar), q, rtol)
-
-    # independent of the kron path: plain matrix products
-    ft = f.T
-    lhs = ft @ p + p @ f + dt_bar * (ft @ p @ f)
-    for g in gs:
-        lhs += g.T @ p @ g
-    _residual_gate(lhs + q, q, rtol)
-    return p
+    return _solve_gated(ct_operator(f, gs, dt_bar), lambda p: ct_form(f, gs, p, dt_bar), q, rtol)
 
 
 def solve_dt_lyapunov(f, gs: Sequence, dt: float, q, rtol: float = DEFAULT_RTOL) -> np.ndarray:
@@ -210,22 +230,10 @@ def solve_dt_lyapunov(f, gs: Sequence, dt: float, q, rtol: float = DEFAULT_RTOL)
     The one-step mean-square equation of the explicit scheme at stepsize dt.
     Raises SingularOperator at the stability boundary.
     """
-    f = as_square(f, "f")
-    q = as_symmetric(q, "q")
-    n = f.shape[0]
-    if q.shape[0] != n:
-        raise ValueError("f and q dimensions differ")
+    f, gs, q = _coerce_equation(f, gs, q)
     if dt <= 0:
         raise ValueError("dt must be positive")
-    gs = [as_square(g, "g") for g in gs]
-
-    eye = np.eye(n)
+    eye = np.eye(f.shape[0])
     a = eye + dt * f
     op = vec_operator([(a, a), (eye, -eye), *((g, dt * g) for g in gs)])
-    p = _solve_vectorized(op, q, rtol)
-
-    lhs = a.T @ p @ a - p
-    for g in gs:
-        lhs += dt * (g.T @ p @ g)
-    _residual_gate(lhs + q, q, rtol)
-    return p
+    return _solve_gated(op, lambda p: dt_form(f, gs, p, dt) - p, q, rtol)

@@ -11,7 +11,7 @@ instead of clamping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
@@ -115,28 +115,13 @@ def euler_maruyama(
     plan: NoisePlan,
     driving: Driving = "xi",
 ) -> DiscretePath:
-    """Explicit one-step path X_{k+1} = X_k + f(X_k) dt + g(X_k) w_k.
+    """Explicit one-step path X_{k+1} = X_k + f(X_k) dt + g(X_k) w_k: the
+    theta = 0 member of `theta_method`.
 
     The per-step noise w_k is sqrt(dt) xi(k+1) by default, or the nested
     Brownian increment of matching stepsize when driving="brownian".
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if n_steps < 0:
-        raise ValueError("n_steps must be nonnegative")
-    if plan.noise_dim != sde.noise_dim:
-        raise ValueError("plan noise dimension does not match the system")
-    x = _as_vector(x0, sde.dim, "x0")
-    w = _driving_increments(plan, dt, n_steps, driving)
-    states = np.empty((n_steps + 1, sde.dim))
-    states[0] = x
-    for k in range(n_steps):
-        t = k * dt
-        x = x + dt * sde.drift(x, t) + sde.diffusion(x, t) @ w[k]
-        if not np.all(np.isfinite(x)):
-            raise NonFinite(f"state overflowed at step {k + 1}", step=k + 1)
-        states[k + 1] = x
-    return DiscretePath(dt, states)
+    return theta_method(sde, x0, dt, 0.0, n_steps, plan, driving)
 
 
 def theta_method(
@@ -153,46 +138,51 @@ def theta_method(
     """Drift-implicit family interpolating the explicit (theta=0) and fully
     implicit (theta=1) one-step schemes.
 
-    The implicit stage is solved by fixed-point iteration, valid under the
-    contraction condition theta * L * dt < 1.  An iteration that does not
-    settle within `max_iter` steps, or whose iterate leaves the finite
-    floats, raises NoConvergence.
+    Each step takes the explicit stage x + (1 - theta) dt f(x) + g(x) w; for
+    theta > 0 the implicit stage is solved by fixed-point iteration, valid
+    under the contraction condition theta * L * dt < 1.  An iteration that
+    does not settle within `max_iter` steps, or whose iterate leaves the
+    finite floats, raises NoConvergence; a state that overflows raises
+    NonFinite with the step index.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
-    if theta == 0.0:
-        return euler_maruyama(sde, x0, dt, n_steps, plan, driving)
     if dt <= 0:
         raise ValueError("dt must be positive")
-    lip = sde.lipschitz
-    if theta * lip * dt >= 1.0:
+    if n_steps < 0:
+        raise ValueError("n_steps must be nonnegative")
+    if plan.noise_dim != sde.noise_dim:
+        raise ValueError("plan noise dimension does not match the system")
+    if theta > 0.0 and theta * sde.lipschitz * dt >= 1.0:
         raise ContractionViolated(
-            f"theta * L * dt = {theta * lip * dt:.6g} >= 1; reduce the stepsize"
+            f"theta * L * dt = {theta * sde.lipschitz * dt:.6g} >= 1; reduce the stepsize"
         )
     x = _as_vector(x0, sde.dim, "x0")
     w = _driving_increments(plan, dt, n_steps, driving)
     states = np.empty((n_steps + 1, sde.dim))
     states[0] = x
-    for k in range(n_steps):
-        t = k * dt
-        explicit = x + ((1.0 - theta) * dt) * sde.drift(x, t) + sde.diffusion(x, t) @ w[k]
-        u = explicit.copy()
-        for _ in range(max_iter):
-            u_next = explicit + (theta * dt) * sde.drift(u, t + dt)
-            if not np.all(np.isfinite(u_next)):
-                raise NoConvergence(f"implicit stage diverged at step {k + 1}")
-            # max-abs norms cannot overflow for finite iterates, so a blown-up
-            # iterate can never pass the stopping test
-            change = np.abs(u_next - u).max(initial=0.0)
-            u = u_next
-            if change <= tol * (1.0 + np.abs(u).max(initial=0.0)):
-                break
-        else:
-            raise NoConvergence(f"implicit stage did not converge at step {k + 1}")
-        x = u
-        if not np.all(np.isfinite(x)):
-            raise NonFinite(f"state overflowed at step {k + 1}", step=k + 1)
-        states[k + 1] = x
+    # overflow is reported by NonFinite and NoConvergence below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            t = k * dt
+            x = x + ((1.0 - theta) * dt) * sde.drift(x, t) + sde.diffusion(x, t) @ w[k]
+            if theta > 0.0:
+                explicit = x
+                for _ in range(max_iter):
+                    u = explicit + (theta * dt) * sde.drift(x, t + dt)
+                    if not np.all(np.isfinite(u)):
+                        raise NoConvergence(f"implicit stage diverged at step {k + 1}")
+                    # max-abs norms cannot overflow for finite iterates, so a
+                    # blown-up iterate can never pass the stopping test
+                    change = np.abs(u - x).max(initial=0.0)
+                    x = u
+                    if change <= tol * (1.0 + np.abs(x).max(initial=0.0)):
+                        break
+                else:
+                    raise NoConvergence(f"implicit stage did not converge at step {k + 1}")
+            if not np.all(np.isfinite(x)):
+                raise NonFinite(f"state overflowed at step {k + 1}", step=k + 1)
+            states[k + 1] = x
     return DiscretePath(dt, states)
 
 
@@ -311,7 +301,6 @@ def simulate_cps(
     plan: NoisePlan,
     inner_substeps: int = 32,
     impulse_driving: Driving = "xi",
-    coupled_y: bool = False,
 ) -> CpsTrajectory:
     """Integrate the coupled exact/numerical hybrid system on [0, T].
 
@@ -319,9 +308,9 @@ def simulate_cps(
     [k dt, (k+1) dt); y starts at 0, and x(t) - y(t) is piecewise constant,
     equal to the one-step iterate X_k driven by the same impulse draws.
 
-    By default y is derived through that identity (numerically exact); with
-    coupled_y=True y is integrated as its own block sharing x's increments,
-    retained for cross-validation.  With impulse_driving="brownian" the jump
+    y is derived through that identity, which is numerically exact; the same
+    system integrated block by block is `simulate_side(make_cps(sde, dt), ...)`
+    with xi-driven jumps.  With impulse_driving="brownian" the jump
     consumes the nested Brownian increment instead of sqrt(dt) xi(k+1), which
     requires the plan's finest grid to match the substep grid and
     inner_substeps to be a power of two.
@@ -358,37 +347,25 @@ def simulate_cps(
     flags = [0]
     impulses: list[ImpulseRecord] = []
     sqrt_h = math.sqrt(h)
-    slot = 0
+    draws = plan.standard_normals(n_intervals * inner_substeps)
     step_index = 0
     for k in range(n_intervals):
         t_k = k * dt
-        draws = plan.standard_normals(slot + inner_substeps)[slot : slot + inner_substeps]
-        slot += inner_substeps
         for j in range(inner_substeps):
             t = t_k + j * h
-            w = sqrt_h * draws[j]
-            dx = h * sde.drift(x, t) + sde.diffusion(x, t) @ w
-            x = x + dx
+            w = sqrt_h * draws[step_index]
+            x = x + (h * sde.drift(x, t) + sde.diffusion(x, t) @ w)
             step_index += 1
             if not np.all(np.isfinite(x)):
                 raise NonFinite(f"state overflowed at substep {step_index}", step=step_index)
-            y = (y + dx) if coupled_y else (x - cyber.states[k])
+            y = x - cyber.states[k]
             times.append((k + 1) * dt if j == inner_substeps - 1 else t_k + (j + 1) * h)
             xs.append(x.copy())
             ys.append(y.copy())
             flags.append(0)
         # jump of the difference block at t_{k+1}
         pre = np.concatenate([x, y])
-        if coupled_y:
-            held = x - y  # X_k held on the interval
-            if impulse_driving == "xi":
-                w_imp = math.sqrt(dt) * plan.xi(k + 1)
-            else:
-                level = plan.level_for(dt)
-                w_imp = plan.increments(level)[k]
-            y = y - dt * sde.drift(held, t_k) - sde.diffusion(held, t_k) @ w_imp
-        else:
-            y = x - cyber.states[k + 1]
+        y = x - cyber.states[k + 1]
         times.append((k + 1) * dt)
         xs.append(x.copy())
         ys.append(y.copy())
@@ -518,11 +495,6 @@ def trajectory_rows(traj: HybridTrajectory) -> tuple[list[str], list[list[float]
     if with_view:
         header += [f"X_{i+1}" for i in range(n)]
     header.append("impulse_flag")
-    rows = []
-    for i in range(traj.samples):
-        row = [float(traj.times[i])] + list(map(float, traj.x[i])) + list(map(float, traj.y[i]))
-        if with_view:
-            row += list(map(float, traj.x[i] - traj.y[i]))
-        row.append(float(traj.impulse_flag[i]))
-        rows.append(row)
-    return header, rows
+    view = [traj.x - traj.y] if with_view else []
+    columns = [traj.times[:, None], traj.x, traj.y, *view, traj.impulse_flag[:, None]]
+    return header, np.hstack(columns).tolist()

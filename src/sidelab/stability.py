@@ -22,8 +22,10 @@ import numpy as np
 from .errors import NotLinear, NotPositiveDefinite, SingularOperator
 from .matrix_kernels import (
     as_symmetric,
+    ct_form,
     ct_operator,
     decay_rate,
+    dt_form,
     is_positive_definite,
     pencil_top,
     solve_ct_lyapunov,
@@ -74,20 +76,31 @@ class StabilityCertificate:
 
 def ct_quadratic_form(sde: LinearSde, p: np.ndarray, dt_bar: float = 0.0) -> np.ndarray:
     """F^T P + P F + sum_j Gj^T P Gj + dt_bar F^T P F."""
-    f = sde.drift_matrix
-    m = f.T @ p + p @ f + dt_bar * (f.T @ p @ f)
-    for g in sde.noise_matrices:
-        m = m + g.T @ p @ g
-    return symmetrize(m)
+    return symmetrize(ct_form(sde.drift_matrix, sde.noise_matrices, p, dt_bar))
 
 
 def dt_quadratic_form(sde: LinearSde, p: np.ndarray, dt: float) -> np.ndarray:
     """(I + dt F)^T P (I + dt F) + dt sum_j Gj^T P Gj."""
-    a = np.eye(sde.dim) + dt * sde.drift_matrix
-    m = a.T @ p @ a
-    for g in sde.noise_matrices:
-        m = m + dt * (g.T @ p @ g)
-    return symmetrize(m)
+    return symmetrize(dt_form(sde.drift_matrix, sde.noise_matrices, p, dt))
+
+
+def _certificate(sde: LinearSde, param: float, solve: Callable, form: Callable) -> StabilityCertificate:
+    """Solve the defining equation with Q = I, gate the candidate P > 0, and
+    require the decay rate of form(P) relative to P to be positive; a
+    singular boundary maps to infeasible."""
+    try:
+        p = solve(sde.drift_matrix, sde.noise_matrices, param, np.eye(sde.dim))
+    except SingularOperator as exc:
+        return StabilityCertificate(False, None, 0.0, param, f"boundary: {exc}")
+    gate = is_positive_definite(p)
+    if not gate:
+        return StabilityCertificate(
+            False, None, gate.lambda_min, param, "candidate P is not positive definite"
+        )
+    margin = decay_rate(form(p), p)
+    if margin <= STRICT_SLACK:
+        return StabilityCertificate(False, None, margin, param, "margin not positive")
+    return StabilityCertificate(True, p, margin, param)
 
 
 def cp_lyapunov_feasible(sde: LinearSde, dt_bar: float) -> StabilityCertificate:
@@ -100,20 +113,7 @@ def cp_lyapunov_feasible(sde: LinearSde, dt_bar: float) -> StabilityCertificate:
     """
     if dt_bar < 0:
         raise ValueError("dt_bar must be nonnegative")
-    gs = list(sde.noise_matrices)
-    try:
-        p = solve_ct_lyapunov(sde.drift_matrix, gs, dt_bar, np.eye(sde.dim))
-    except SingularOperator as exc:
-        return StabilityCertificate(False, None, 0.0, dt_bar, f"boundary: {exc}")
-    gate = is_positive_definite(p)
-    if not gate:
-        return StabilityCertificate(
-            False, None, gate.lambda_min, dt_bar, "candidate P is not positive definite"
-        )
-    margin = decay_rate(ct_quadratic_form(sde, p, dt_bar), p)
-    if margin <= STRICT_SLACK:
-        return StabilityCertificate(False, None, margin, dt_bar, "margin not positive")
-    return StabilityCertificate(True, p, margin, dt_bar)
+    return _certificate(sde, dt_bar, solve_ct_lyapunov, lambda p: ct_quadratic_form(sde, p, dt_bar))
 
 
 def lyapunov_ito_feasible(sde: LinearSde) -> StabilityCertificate:
@@ -129,20 +129,7 @@ def discrete_ms_stable(sde: LinearSde, dt: float) -> StabilityCertificate:
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    gs = list(sde.noise_matrices)
-    try:
-        p = solve_dt_lyapunov(sde.drift_matrix, gs, dt, np.eye(sde.dim))
-    except SingularOperator as exc:
-        return StabilityCertificate(False, None, 0.0, dt, f"boundary: {exc}")
-    gate = is_positive_definite(p)
-    if not gate:
-        return StabilityCertificate(
-            False, None, gate.lambda_min, dt, "candidate P is not positive definite"
-        )
-    margin = decay_rate(dt_quadratic_form(sde, p, dt) - p, p)
-    if margin <= STRICT_SLACK:
-        return StabilityCertificate(False, None, margin, dt, "margin not positive")
-    return StabilityCertificate(True, p, margin, dt)
+    return _certificate(sde, dt, solve_dt_lyapunov, lambda p: dt_quadratic_form(sde, p, dt) - p)
 
 
 def scalar_max_stepsize(lam: float, mu: float) -> float | None:
@@ -375,10 +362,7 @@ def quadratic_condition_constants(
     s = float(split)
 
     # x-generator: F'P + PF + sum Gj'P Gj
-    m_lv = maps.f.T @ p + p @ maps.f
-    for g in maps.gs:
-        m_lv = m_lv + g.T @ p @ g
-    m_lv = symmetrize(m_lv)
+    m_lv = symmetrize(ct_form(maps.f, maps.gs, p))
     if growth:
         alpha = max(pencil_top(m_lv, p), _POSITIVE_FLOOR)
     else:
@@ -394,21 +378,15 @@ def quadratic_condition_constants(
     alpha_cross = max(pencil_top(symmetrize(m_ax), p), _POSITIVE_FLOOR)
     alpha_self = max(pencil_top(symmetrize(m_ay), p_tilde), _POSITIVE_FLOOR)
 
-    # x-jump second moment: (I + A)'P(I + A) + sum Hj'P Hj
-    ix = np.eye(side.n) + maps.a_jx
-    m_b = ix.T @ p @ ix
-    for h in maps.h_jx:
-        m_b = m_b + h.T @ p @ h
-    beta = max(pencil_top(symmetrize(m_b), p), _POSITIVE_FLOOR)
+    # x-jump second moment: (I + A)'P(I + A) + sum Hj'P Hj, the unit-step
+    # one-step form
+    beta = max(pencil_top(symmetrize(dt_form(maps.a_jx, maps.h_jx, p, 1.0)), p), _POSITIVE_FLOOR)
 
     # y-jump second moment, split likewise
-    iy = np.eye(side.q) + maps.b_jy
     m_bx = maps.a_jy.T @ p_tilde @ maps.a_jy
     for c in maps.c_jy:
         m_bx = m_bx + c.T @ p_tilde @ c
-    m_by = iy.T @ p_tilde @ iy
-    for d in maps.d_jy:
-        m_by = m_by + d.T @ p_tilde @ d
+    m_by = dt_form(maps.b_jy, maps.d_jy, p_tilde, 1.0)
     beta_cross = max((1.0 + s) * pencil_top(symmetrize(m_bx), p), _POSITIVE_FLOOR)
     beta_self = max((1.0 + 1.0 / s) * pencil_top(symmetrize(m_by), p_tilde), _POSITIVE_FLOOR)
 

@@ -7,6 +7,7 @@ from sidelab.estimate import (
     as_exponent,
     finite_time_second_moment_bound,
     fit_moment_window,
+    fit_pathwise,
     moment_exponent,
     run_ensemble,
     scalar_onestep_factor,
@@ -104,6 +105,11 @@ class TestAsExponent:
             assert lyapunov_ito_feasible(sde).feasible
             est = as_exponent(sde, [1.0], 400, 4.0, 2e-3, seed=seed)
             assert est.slope + 3.0 * est.stderr < 0.0
+
+
+    def test_fit_pathwise_ignores_moment_order(self):
+        ens = run_ensemble(GBM, [1.0], 3.0, 50, 1.0, 0.01, seed=2)
+        assert fit_pathwise(ens) == as_exponent(GBM, [1.0], 50, 1.0, 0.01, seed=2)
 
 
 class TestEnsemble:

@@ -150,6 +150,17 @@ class TestDiscreteSolver:
             assert np.array_equal(p, p.T)
 
 
+@pytest.mark.parametrize("solve", [solve_ct_lyapunov, solve_dt_lyapunov])
+class TestSolverInputs:
+    def test_rejects_mis_sized_noise(self, solve):
+        with pytest.raises(ValueError, match="diffusion matrix dimension differs from f"):
+            solve(-np.eye(2), [np.eye(3)], 0.1, np.eye(2))
+
+    def test_rejects_mis_sized_q(self, solve):
+        with pytest.raises(ValueError, match="f and q dimensions differ"):
+            solve(-np.eye(2), [], 0.1, np.eye(3))
+
+
 class TestPositiveDefinite:
     def test_identity(self):
         report = is_positive_definite(np.eye(3), tol=1e-10)

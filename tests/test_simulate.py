@@ -98,6 +98,19 @@ class TestThetaMethod:
             theta_method(sde, [1.0], 1.0, 1.0, 2, plan_for(1.0, 2.0, m=0))
 
 
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+    def test_rejects_wrong_plan_width(self, theta):
+        sde = LinearSde.scalar(-1.0, 0.5)
+        with pytest.raises(ValueError, match="plan noise dimension does not match the system"):
+            theta_method(sde, [1.0], 0.1, theta, 5, plan_for(0.1, 1.0, m=2))
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+    def test_rejects_negative_step_count(self, theta):
+        sde = LinearSde.scalar(-1.0, 0.5)
+        with pytest.raises(ValueError, match="n_steps must be nonnegative"):
+            theta_method(sde, [1.0], 0.1, theta, -1, plan_for(0.1, 1.0))
+
+
 class TestStepProcess:
     def test_right_continuity_and_holds(self):
         path = DiscretePath(0.5, np.arange(4.0).reshape(4, 1))
@@ -192,17 +205,19 @@ class TestSimulateCps:
                 assert gap <= 1e-12 * (1.0 + np.abs(xk).max())
 
     def test_coupled_mode_agrees(self):
+        # the same system integrated block by block as a hybrid system
         sde = LinearSde(
             np.array([[-1.0, 0.2], [0.0, -0.5]]),
             (np.array([[0.3, 0.0], [0.0, 0.3]]),),
         )
-        a = simulate_cps(sde, [1.0, -1.0], 0.25, 1.0, plan_for(0.03125, 1.0, seed=2), 8)
-        b = simulate_cps(
-            sde, [1.0, -1.0], 0.25, 1.0, plan_for(0.03125, 1.0, seed=2), 8, coupled_y=True
-        )
-        scale = 1.0 + np.abs(a.hybrid.y).max()
-        assert np.abs(a.hybrid.y - b.hybrid.y).max() <= 1e-12 * scale
-        assert np.array_equal(a.hybrid.x, b.hybrid.x)
+        plan = plan_for(0.03125, 1.0, seed=2)
+        a = simulate_cps(sde, [1.0, -1.0], 0.25, 1.0, plan, 8).hybrid
+        b = simulate_side(make_cps(sde, 0.25), [1.0, -1.0, 0.0, 0.0], 8, 1.0, plan)
+        scale = 1.0 + np.abs(a.y).max()
+        assert np.abs(a.y - b.y).max() <= 1e-12 * scale
+        assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.impulse_flag, b.impulse_flag)
 
     def test_brownian_impulse_mode_nests(self):
         sde = LinearSde.scalar(-1.0, 0.5)
@@ -286,3 +301,6 @@ class TestTrajectoryRows:
         assert len(rows) == run.hybrid.samples == 4 * 4 + 4 + 1
         flags = [r[-1] for r in rows]
         assert sum(flags) == 4
+        assert all(type(v) is float for r in rows for v in r)
+        view = np.array([r[3] for r in rows])
+        assert np.array_equal(view, run.hybrid.x[:, 0] - run.hybrid.y[:, 0])
