@@ -164,24 +164,12 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def _require_task_keys(cfg: RunConfig) -> None:
-    def need(cond, key):
-        if cond:
-            raise ConfigError(f"missing key '{key}' in [numeric] for task '{cfg.task}'")
-
-    if cfg.task == "cps-demo":
-        if cfg.kind != "controller":
-            raise ConfigError("task 'cps-demo' needs [system] kind = controller (keys a, kp)")
-        need(cfg.dt is None, "dt")
-        need(cfg.horizon is None, "t")
-    elif cfg.task == "simulate":
-        need(cfg.dt is None, "dt")
-        need(cfg.horizon is None, "t")
-    elif cfg.task in ("exponent",):
-        need(cfg.dt is None, "dt")
-        need(cfg.horizon is None, "t")
-    elif cfg.task == "converge":
-        need(cfg.horizon is None, "t")
-        need(cfg.dt is None, "dt")
+    if cfg.task == "cps-demo" and cfg.kind != "controller":
+        raise ConfigError("task 'cps-demo' needs [system] kind = controller (keys a, kp)")
+    if cfg.task in ("simulate", "exponent", "converge", "cps-demo"):
+        for key, value in (("dt", cfg.dt), ("t", cfg.horizon)):
+            if value is None:
+                raise ConfigError(f"missing key '{key}' in [numeric] for task '{cfg.task}'")
     # analyze and max-stepsize need only the system block
 
 
@@ -443,6 +431,9 @@ def main(argv=None) -> int:
         )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,6 +19,11 @@ from .simulate import _driving_increments, euler_maruyama, exact_gbm, simulate_s
 
 _WINDOW_MIN_POINTS = 10
 
+# Trajectories per vectorized batch.  A batch is summed as one block, so these
+# sizes fix the summation order: changing them changes results in the last bits.
+_ENSEMBLE_BATCH = 2048
+_SUP_BATCH = 512
+
 
 def scalar_onestep_factor(lam: float, mu: float, dt: float) -> float:
     """Exact one-step mean-square amplification (1 + lam dt)^2 + mu^2 dt.
@@ -114,9 +119,7 @@ def _linear_steps(f, gs, x, dt, w):
         yield x
 
 
-def _ensemble_linear(
-    sde: LinearSde, x0, p, trajectories, T, dt, seed, driving, batch_size
-) -> Ensemble:
+def _ensemble_linear(sde: LinearSde, x0, p, trajectories, T, dt, seed, driving) -> Ensemble:
     n, m = sde.dim, sde.noise_dim
     n_steps = int(round(T / dt))
     x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (n,))
@@ -126,8 +129,8 @@ def _ensemble_linear(
     sup_sq = np.empty(trajectories)
     terminal_log = np.empty(trajectories)
 
-    for start in range(0, trajectories, batch_size):
-        idx = range(start, min(start + batch_size, trajectories))
+    for start in range(0, trajectories, _ENSEMBLE_BATCH):
+        idx = range(start, min(start + _ENSEMBLE_BATCH, trajectories))
         b = len(idx)
         w = _noise_block(seed, idx, m, dt, max(T, dt), n_steps, driving)
         x = np.tile(x0, (b, 1))
@@ -187,7 +190,6 @@ def run_ensemble(
     seed: int = 0,
     driving: str = "xi",
     inner_substeps: int = 1,
-    batch_size: int = 2048,
 ) -> Ensemble:
     """Simulate `trajectories` paths on a shared grid and accumulate their
     |z|^p statistics in fixed trajectory order."""
@@ -196,7 +198,7 @@ def run_ensemble(
     if p <= 0:
         raise ValueError("p must be positive")
     if isinstance(system, LinearSde):
-        return _ensemble_linear(system, z0, p, trajectories, T, dt, seed, driving, batch_size)
+        return _ensemble_linear(system, z0, p, trajectories, T, dt, seed, driving)
     return _ensemble_looped(system, z0, p, trajectories, T, dt, seed, driving, inner_substeps)
 
 
@@ -240,7 +242,6 @@ def moment_exponent(
     driving: str = "xi",
     window: tuple[float, float] | None = None,
     inner_substeps: int = 1,
-    batch_size: int = 2048,
 ) -> ExponentEstimate:
     """Tail-window regression slope of ln(sample mean |z(t)|^p) against t.
 
@@ -248,7 +249,7 @@ def moment_exponent(
     """
     ens = run_ensemble(
         system, z0, p, trajectories, T, dt,
-        seed=seed, driving=driving, inner_substeps=inner_substeps, batch_size=batch_size,
+        seed=seed, driving=driving, inner_substeps=inner_substeps,
     )
     est, _, _ = fit_moment_window(ens, window)
     return est
@@ -281,7 +282,6 @@ def as_exponent(
     seed: int = 0,
     driving: str = "xi",
     inner_substeps: int = 1,
-    batch_size: int = 2048,
 ) -> ExponentEstimate:
     """Pathwise exponent (see `fit_pathwise`) of a simulated ensemble.
 
@@ -290,7 +290,7 @@ def as_exponent(
     """
     return fit_pathwise(run_ensemble(
         system, z0, 2.0, trajectories, T, dt,
-        seed=seed, driving=driving, inner_substeps=inner_substeps, batch_size=batch_size,
+        seed=seed, driving=driving, inner_substeps=inner_substeps,
     ))
 
 
@@ -344,7 +344,6 @@ def strong_error_sup(
     *,
     delta: float,
     seed: int = 0,
-    batch_size: int = 512,
 ) -> ConvergenceStudy:
     """Strong sup-error of the explicit scheme per nested grid level.
 
@@ -386,8 +385,8 @@ def strong_error_sup(
     err_sumsq = {l: 0.0 for l in levels}
     sup_ref_sum = 0.0
 
-    for start in range(0, trajectories, batch_size):
-        idx = range(start, min(start + batch_size, trajectories))
+    for start in range(0, trajectories, _SUP_BATCH):
+        idx = range(start, min(start + _SUP_BATCH, trajectories))
         b = len(idx)
         inc0 = _noise_block(seed, idx, m, delta, T, n_fine, "brownian")
 

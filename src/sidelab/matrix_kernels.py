@@ -1,20 +1,20 @@
 """Dense matrix primitives and the Lyapunov-type solvers behind every certificate.
 
 Matrices are plain float64 NumPy arrays: a general matrix is any finite 2-d
-array, a symmetric one is validated (and re-symmetrized after floating-point
-solves) by the helpers here.  Everything is a pure function of its inputs and
-safe to call concurrently.  Systems are small (n up to a few tens), so all
-solvers are dense; the continuous and discrete Lyapunov equations are solved
-by vectorizing to an n^2 x n^2 linear system via the Kronecker identity
-vec(A X B) = (A kron B^T) vec(X) for row-major vec.  The same operators,
-restricted to symmetric matrices (n(n+1)/2 coordinates), serve spectral
-questions such as the exact stepsize bound.
+array, a symmetric one is validated (and symmetrized) by the helpers here.
+Everything is a pure function of its inputs and safe to call concurrently.
+Systems are small (n up to a few tens), so all solvers are dense.  Every
+certificate operator P -> sum_t A_t^T P B_t maps symmetric matrices to
+symmetric matrices, so it is built once, restricted to them: the unknown is
+the upper triangle of P (n(n+1)/2 coordinates), and one matrix of that size
+serves the continuous and discrete Lyapunov solvers and spectral questions
+such as the exact stepsize bound.
 
 The left-hand sides of the two certificate equations are also written once
 each by plain matrix products: `ct_form` (F^T P + P F + dt_bar F^T P F +
 sum Gj^T P Gj) and `dt_form` ((I + dt F)^T P (I + dt F) + dt sum Gj^T P Gj).
-They evaluate the solvers' residual gates, independently of the Kronecker
-path, and the quadratic forms of the certificates.
+They evaluate the solvers' residual gates, independently of the vectorized
+operator, and the quadratic forms of the certificates.
 """
 
 from __future__ import annotations
@@ -122,41 +122,31 @@ def decay_rate(m, p) -> float:
     return -pencil_top(m, p)
 
 
-def vec_operator(terms: Sequence[tuple[np.ndarray, np.ndarray]], symmetric: bool = False) -> np.ndarray:
-    """Matrix of the linear map P -> sum_t A_t^T P B_t on n x n matrices.
+def vec_operator(terms: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Matrix of the linear map P -> sum_t A_t^T P B_t on symmetric n x n P.
 
-    By default it acts on row-major vec(P), where it is sum_t A_t^T kron B_t^T.
-    With symmetric=True the map must send symmetric P to symmetric images; it
-    is then restricted to symmetric P, whose coordinates are the upper
-    triangle P[i, j], i <= j, in np.triu_indices order.  The resulting
+    The map must send symmetric P to symmetric images.  Coordinates are the
+    upper triangle P[i, j], i <= j, in np.triu_indices order; the resulting
     n(n+1)/2 square matrix has the map's eigenvalues on symmetric matrices.
     """
-    if not symmetric:
-        op = np.kron(terms[0][0].T, terms[0][1].T)
-        for a, b in terms[1:]:
-            op += np.kron(a.T, b.T)
-        return op
-    # column (k, l) is the image of E_kl + E_lk (of E_kk on the diagonal),
-    # row (i, j) its entry; (A^T E_kl B)[i, j] = A[k, i] B[l, j]
+    # (A^T E_kl B)[i, j] = A[k, i] B[l, j]: gather the triangle rows (i, j)
+    # of every term into one (rows, k, l) array; column (k, l) is the image
+    # of E_kl + E_lk, halved back to the single term E_kk on the diagonal
     i, j = np.triu_indices(terms[0][0].shape[0])
-    off = i != j
-    op = np.zeros((i.size, i.size))
-    for a, b in terms:
-        at, bt = a.T, b.T
-        op += at[np.ix_(i, i)] * bt[np.ix_(j, j)]
-        op[:, off] += at[np.ix_(i, j[off])] * bt[np.ix_(j, i[off])]
+    op = sum(a.T[i, :, None] * b.T[j, None, :] for a, b in terms)
+    op = op[:, i, j] + op[:, j, i]
+    op[:, i == j] *= 0.5
     return op
 
 
-def ct_operator(f: np.ndarray, gs: Sequence[np.ndarray], dt_bar: float = 0.0,
-                symmetric: bool = False) -> np.ndarray:
+def ct_operator(f: np.ndarray, gs: Sequence[np.ndarray], dt_bar: float = 0.0) -> np.ndarray:
     """Matrix of P -> F^T P + P F + sum_j Gj^T P Gj + dt_bar F^T P F (see vec_operator)."""
     eye = np.eye(f.shape[0])
     terms = [(f, eye), (eye, f)]
     if dt_bar:
         terms.append((f, dt_bar * f))
     terms += [(g, g) for g in gs]
-    return vec_operator(terms, symmetric)
+    return vec_operator(terms)
 
 
 def ct_form(f: np.ndarray, gs: Sequence[np.ndarray], p: np.ndarray, dt_bar: float = 0.0) -> np.ndarray:
@@ -191,15 +181,18 @@ def _coerce_equation(f, gs: Sequence, q) -> tuple[np.ndarray, list[np.ndarray], 
 
 def _solve_gated(op: np.ndarray, lhs: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
                  rtol: float) -> np.ndarray:
-    """Solve op vec(P) = -vec(Q) for symmetric P, then gate the residual
+    """Solve op p = -Q[triu] for the upper triangle p of P (op from
+    vec_operator), mirror it into the lower one, then gate the residual
     lhs(P) + Q of the defining equation, which lhs evaluates by plain matrix
-    products independent of the Kronecker path."""
-    n = q.shape[0]
+    products independent of the vectorized operator."""
+    i, j = np.triu_indices(q.shape[0])
     try:
-        vec = np.linalg.solve(op, -q.reshape(-1))
+        tri = np.linalg.solve(op, -q[i, j])
     except np.linalg.LinAlgError as exc:
         raise SingularOperator(f"vectorized Lyapunov operator is singular: {exc}") from exc
-    p = symmetrize(vec.reshape(n, n))
+    p = np.empty_like(q)
+    p[i, j] = tri
+    p[j, i] = tri
     res = float(np.linalg.norm(lhs(p) + q))
     ref = max(float(np.linalg.norm(q)), np.finfo(float).tiny)
     if res > rtol * ref:

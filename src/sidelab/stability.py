@@ -160,8 +160,8 @@ def max_stepsize(sde: LinearSde, tol: float = 1e-6) -> float | None:
     if not cp_lyapunov_feasible(sde, 0.0).feasible:
         return None
     f = sde.drift_matrix
-    l0 = ct_operator(f, sde.noise_matrices, symmetric=True)
-    k = vec_operator([(f, f)], symmetric=True)
+    l0 = ct_operator(f, sde.noise_matrices)
+    k = vec_operator([(f, f)])
     return 1.0 / float(np.abs(np.linalg.eigvals(np.linalg.solve(l0, k))).max())
 
 

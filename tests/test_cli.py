@@ -118,6 +118,27 @@ class TestExitCodes:
     def test_missing_file_is_two(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.ini")]) == 2
 
+    @pytest.mark.parametrize(
+        "task, numeric, flags",
+        [
+            ("exponent", "dt = 0.05\nt = 1.0\ntrajectories = 1\n", []),
+            ("exponent", "dt = 0.05\nt = 1.0\n", ["--trajectories", "1"]),
+            ("exponent", "dt = 0.05\nt = 1.0\np = -1\ntrajectories = 8\n", []),
+            ("simulate", "dt = -0.1\nt = 1.0\n", []),
+            ("simulate", "x0 = 1 2\ndt = 0.5\nt = 1.0\n", []),
+        ],
+    )
+    def test_invalid_numeric_input_is_two(self, tmp_path, capsys, task, numeric, flags):
+        # the library's ValueError is invalid input, not a crash
+        cfg = write(
+            tmp_path,
+            "v.ini",
+            f"[system]\nkind = scalar\nlambda = -1\nmu = 0.5\n\n[task]\nname = {task}\n\n"
+            f"[numeric]\n{numeric}\n[output]\ndir = {tmp_path / 'o'}\n",
+        )
+        assert main(["--config", cfg, *flags]) == 2
+        assert "invalid input" in capsys.readouterr().err
+
     def test_task_override(self, tmp_path):
         cfg = write(tmp_path, "a.ini", SCALAR_ANALYZE.format(dt_bar=0.4, out=tmp_path / "o"))
         assert main(["max-stepsize", "--config", cfg]) == 0

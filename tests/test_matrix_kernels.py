@@ -34,6 +34,14 @@ def dt_residual(f, gs, dt, p, q):
     return lhs + np.asarray(q, dtype=float)
 
 
+def full_space_solve(terms, q):
+    """Solve sum_t A_t^T P B_t = -Q on all n x n matrices: row-major vec with
+    np.kron, an oracle independent of the solvers' symmetric coordinates."""
+    op = sum(np.kron(np.asarray(a, dtype=float).T, np.asarray(b, dtype=float).T) for a, b in terms)
+    n = q.shape[0]
+    return np.linalg.solve(op, -q.reshape(-1)).reshape(n, n)
+
+
 class TestKron:
     def test_identity_factor_gives_block_diagonal(self):
         b = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -114,6 +122,10 @@ class TestContinuousSolver:
             res = np.linalg.norm(ct_residual(f, gs, dt_bar, p, q))
             assert res <= 1e-9 * np.linalg.norm(q)
             assert np.array_equal(p, p.T)
+            eye = np.eye(n)
+            terms = [(f, eye), (eye, f), (f, dt_bar * f), *((g, g) for g in gs)]
+            p_full = full_space_solve(terms, q)
+            assert np.linalg.norm(p - p_full) <= 1e-9 * np.linalg.norm(p_full)
 
 
 class TestDiscreteSolver:
@@ -148,6 +160,10 @@ class TestDiscreteSolver:
             res = np.linalg.norm(dt_residual(f, gs, dt, p, q))
             assert res <= 1e-9 * np.linalg.norm(q)
             assert np.array_equal(p, p.T)
+            eye = np.eye(n)
+            a = eye + dt * f
+            p_full = full_space_solve([(a, a), (eye, -eye), *((g, dt * g) for g in gs)], q)
+            assert np.linalg.norm(p - p_full) <= 1e-9 * np.linalg.norm(p_full)
 
 
 @pytest.mark.parametrize("solve", [solve_ct_lyapunov, solve_dt_lyapunov])
