@@ -20,7 +20,6 @@ from .matrix_kernels import (
     solve_dt_lyapunov,
 )
 from .models import (
-    CpsSystem,
     ImpulseMaps,
     ImpulseSchedule,
     LinearSde,
@@ -67,7 +66,7 @@ __all__ = [
     "ConvergenceStudy", "Ensemble", "ExponentEstimate", "as_exponent", "moment_exponent",
     "scalar_onestep_factor", "strong_error_sup",
     "decay_rate", "is_positive_definite", "kron", "solve_ct_lyapunov", "solve_dt_lyapunov",
-    "CpsSystem", "ImpulseMaps", "ImpulseSchedule", "LinearSde", "QuadraticLyapunov",
+    "ImpulseMaps", "ImpulseSchedule", "LinearSde", "QuadraticLyapunov",
     "SideSystem", "VectorFieldSde", "compact_form", "make_cps", "validate",
     "NoisePlan",
     "DiscretePath", "HybridTrajectory", "CpsTrajectory", "euler_maruyama", "exact_gbm",

@@ -53,9 +53,5 @@ class StepsizeTooLarge(ToolkitError):
     """The controller demo stepsize violates its admissibility bound."""
 
 
-class DegenerateEnsemble(ToolkitError):
-    """Every trajectory in an ensemble sits at exact zero."""
-
-
 class ConfigError(ToolkitError):
     """A run configuration is malformed; message names the key or line."""

@@ -4,6 +4,11 @@ strong-convergence order study of the explicit scheme.
 Trajectories are simulated in fixed index order, vectorized over batches for
 linear systems, with all draws taken from per-trajectory counter-based
 streams, so every statistic is bitwise reproducible from (seed, parameters).
+
+The convergence study streams each batch over fixed chunks of the finest
+grid, so its memory is O(_SUP_BATCH * max(_CHUNK, coarsest stride) * n) for
+any horizon.  The batch sizes fix the summation order; the chunk size does
+not enter any result.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import LinearSde, Sde, SideSystem
-from .noise import NoisePlan
+from .noise import _BROWNIAN_STREAM, NoisePlan, _generator, _standard_normals
 from .simulate import _driving_increments, euler_maruyama, exact_gbm, simulate_side
 
 _WINDOW_MIN_POINTS = 10
@@ -23,6 +28,10 @@ _WINDOW_MIN_POINTS = 10
 # sizes fix the summation order: changing them changes results in the last bits.
 _ENSEMBLE_BATCH = 2048
 _SUP_BATCH = 512
+
+# Finest steps per chunk of the convergence study, rounded up to a multiple of
+# the coarsest stride.  It bounds memory only: no result depends on it.
+_CHUNK = 512
 
 
 def scalar_onestep_factor(lam: float, mu: float, dt: float) -> float:
@@ -319,20 +328,15 @@ class ConvergenceStudy:
         return header, rows
 
 
-def _fold(inc: np.ndarray, level: int) -> np.ndarray:
-    for _ in range(level):
-        inc = inc[:, 0::2] + inc[:, 1::2]
-    return inc
-
-
-def _em_level_paths(f, gs, x0, dt, w) -> np.ndarray:
-    """Vectorized explicit paths: w is (B, N, m); returns (B, N+1, n)."""
-    b, n_steps, _ = w.shape
-    out = np.empty((b, n_steps + 1, f.shape[0]))
-    out[:, 0] = x0
-    for k, x in enumerate(_linear_steps(f, gs, np.tile(x0, (b, 1)), dt, w), 1):
+def _em_chunk(f, gs, x, dt, w) -> tuple[np.ndarray, np.ndarray]:
+    """Explicit steps of a (B, n) batch from x under noise w of shape (B, N, m),
+    N >= 1: returns the (B, N+1, n) states, x first, and the last state as
+    stepped, to start the next chunk from."""
+    out = np.empty((w.shape[0], w.shape[1] + 1, x.shape[1]))
+    out[:, 0] = x
+    for k, x in enumerate(_linear_steps(f, gs, x, dt, w), 1):
         out[:, k] = x
-    return out
+    return out, x
 
 
 def strong_error_sup(
@@ -358,6 +362,14 @@ def strong_error_sup(
     points inside its intervals and the dominant within-interval mismatch is
     invisible.  Use levels >= 1, i.e. pick delta at least one dyadic level
     below the smallest stepsize under study.
+
+    The finest grid is walked in chunks of `_CHUNK` steps, rounded up to a
+    multiple of the coarsest stride, carrying per trajectory only the last
+    state of each level and of the reference and the running sups.  Memory is
+    O(_SUP_BATCH * max(_CHUNK, coarsest stride) * n), whatever the horizon.
+    The chunk size changes no bit of the result: maxima do not depend on
+    order, the sums keep their `_SUP_BATCH` grouping, and the Brownian
+    partial sum and the level states are carried across chunks in sequence.
     """
     levels = sorted(set(int(l) for l in levels))
     if len(levels) < 2:
@@ -375,11 +387,16 @@ def strong_error_sup(
     n, m = sde.dim, sde.noise_dim
     f = sde.drift_matrix
     gs = sde.noise_matrices
+    if scalar_linear:
+        lam = float(f[0, 0])
+        mu = float(gs[0][0, 0]) if m else 0.0
     x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (n,))
     probe = NoisePlan(seed, 0, m, delta, T)
     n_fine = probe.finest_steps
     for level in levels:
         probe.level_steps(level)  # raises GridMismatch if not nested
+    coarsest = 1 << levels[-1]
+    chunk = -(-_CHUNK // coarsest) * coarsest
 
     err_sum = {l: 0.0 for l in levels}
     err_sumsq = {l: 0.0 for l in levels}
@@ -388,32 +405,48 @@ def strong_error_sup(
     for start in range(0, trajectories, _SUP_BATCH):
         idx = range(start, min(start + _SUP_BATCH, trajectories))
         b = len(idx)
-        inc0 = _noise_block(seed, idx, m, delta, T, n_fine, "brownian")
+        gens = [_generator(seed, traj, _BROWNIAN_STREAM) for traj in idx]
+        # the states a chunk starts from: reference, Brownian value, each level
+        ref_x = np.tile(x0, (b, 1))
+        b_sum = np.zeros(b)
+        xs = dict.fromkeys(levels, ref_x)
+        sup_ref = np.zeros(b)
+        err = {l: np.zeros(b) for l in levels}
 
-        if scalar_linear:
-            lam = float(f[0, 0])
-            mu = float(gs[0][0, 0]) if m else 0.0
-            times_f = np.arange(n_fine + 1) * delta
-            b_path = np.zeros((b, n_fine + 1))
-            if m:
-                b_path[:, 1:] = np.cumsum(inc0[:, :, 0], axis=1)
-            ref = exact_gbm(lam, mu, float(x0[0]), np.tile(times_f, (b, 1)), b_path)
-            ref = ref[:, :, None]
-        else:
-            ref = _em_level_paths(f, gs, x0, delta, inc0)
-        sup_ref_sum += float(np.sum(np.max(np.sum(ref**2, axis=2), axis=1)))
+        for s in range(0, n_fine, chunk):
+            c = min(chunk, n_fine - s)
+            inc = _standard_normals(gens, c, m) * np.sqrt(delta)
+            # ref holds fine indices s .. s + c, both ends included
+            if scalar_linear:
+                if m:
+                    # the carried sum in front keeps cumsum's sequential additions
+                    b_path = np.cumsum(np.concatenate([b_sum[:, None], inc[:, :, 0]], axis=1), axis=1)
+                    b_sum = b_path[:, -1]
+                else:
+                    b_path = np.zeros((b, c + 1))
+                times = np.arange(s, s + c + 1) * delta
+                ref = exact_gbm(lam, mu, float(x0[0]), np.broadcast_to(times, b_path.shape), b_path)
+                ref = ref[:, :, None]
+            else:
+                ref, ref_x = _em_chunk(f, gs, ref_x, delta, inc)
+            np.maximum(sup_ref, np.max(np.sum(ref**2, axis=2), axis=1), out=sup_ref)
+
+            w, folded = inc, 0
+            for level in levels:
+                for _ in range(level - folded):
+                    w = w[:, 0::2] + w[:, 1::2]
+                folded = level
+                stride = 1 << level
+                path, xs[level] = _em_chunk(f, gs, xs[level], delta * stride, w)
+                # right-continuous step extension: fine index i sees level index i // stride
+                diff = ref[:, :-1].reshape(b, -1, stride, n) - path[:, :-1, None]
+                np.maximum(err[level], np.max(np.sum(diff**2, axis=3), axis=(1, 2)), out=err[level])
 
         for level in levels:
-            stride = 1 << level
-            dt_l = delta * stride
-            w = _fold(inc0, level)
-            path = _em_level_paths(f, gs, x0, dt_l, w)
-            # right-continuous step extension on the fine grid
-            fine = np.repeat(path[:, :-1], stride, axis=1)
-            fine = np.concatenate([fine, path[:, -1:]], axis=1)
-            err = np.max(np.sum((ref - fine) ** 2, axis=2), axis=1)
-            err_sum[level] += float(np.sum(err))
-            err_sumsq[level] += float(np.sum(err**2))
+            np.maximum(err[level], np.sum((ref[:, -1] - xs[level]) ** 2, axis=1), out=err[level])
+            err_sum[level] += float(np.sum(err[level]))
+            err_sumsq[level] += float(np.sum(err[level] ** 2))
+        sup_ref_sum += float(np.sum(sup_ref))
 
     records = []
     for level in levels:

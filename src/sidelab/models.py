@@ -226,25 +226,6 @@ class SideSystem:
 
 
 @dataclass(frozen=True)
-class CpsSystem:
-    """An SDE paired with the stepsize of its explicit discretization.
-
-    The coupled hybrid system it induces (difference process jumping at
-    t_k = k * stepsize) is materialized by `make_cps`.
-    """
-
-    base: Sde
-    stepsize: float
-
-    def __post_init__(self):
-        if self.stepsize <= 0:
-            raise ValueError("stepsize must be positive")
-
-    def to_side(self) -> SideSystem:
-        return make_cps(self.base, self.stepsize)
-
-
-@dataclass(frozen=True)
 class QuadraticLyapunov:
     """Quadratic certificate V(x) = x^T P x with P > 0 enforced at construction."""
 

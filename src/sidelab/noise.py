@@ -26,14 +26,26 @@ _IMPULSE_STREAM = 1
 _GRID_RTOL = 1e-9
 
 
-def _standard_normals(seed: int, trajectory: int, stream: int, count: int, width: int) -> np.ndarray:
-    """Raw N(0,1) draws for slots [0, count) of one (trajectory, stream) pair."""
+def _generator(seed: int, trajectory: int, stream: int) -> np.random.Generator:
+    """The Philox generator of one (trajectory, stream) pair, at slot 0."""
     key = np.array(
         [np.uint64(seed), (np.uint64(trajectory) << np.uint64(1)) | np.uint64(stream)],
         dtype=np.uint64,
     )
-    gen = np.random.Generator(np.random.Philox(key=key))
-    words = gen.integers(1 << 64, size=(count, width), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _standard_normals(gens, count: int, width: int) -> np.ndarray:
+    """N(0,1) draws for the next `count` slots of each generator in `gens`,
+    shape (len(gens), count, width).
+
+    Each slot takes `width` consecutive 64-bit words, and a generator resumes
+    where its last call stopped, so reading a stream in pieces gives the same
+    draws bit for bit as reading it at once.
+    """
+    words = np.empty((len(gens), count, width), dtype=np.uint64)
+    for row, gen in enumerate(gens):
+        words[row] = gen.integers(1 << 64, size=(count, width), dtype=np.uint64)
     # map to the open interval (0, 1); the half-step keeps 0 and 1 unreachable
     u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     return ndtri(u)
@@ -87,7 +99,8 @@ class NoisePlan:
             size = 64
             while size < count:
                 size *= 2
-            cache = _standard_normals(self.seed, self.trajectory, stream, size, self.noise_dim)
+            gen = _generator(self.seed, self.trajectory, stream)
+            cache = _standard_normals([gen], size, self.noise_dim)[0]
             setattr(self, attr, cache)
         return cache
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,25 @@ class TestArtifacts:
         lines = (out / "errors.csv").read_text().strip().splitlines()
         assert lines[0] == "level,dt,error,stderr"
         assert len(lines) == 1 + 4
+
+    def test_converge_artifacts_are_pinned(self, tmp_path):
+        # digests of the whole-array study's output; the streamed study, which
+        # walks these 1280 finest steps in chunks, must write the same bytes
+        out = tmp_path / "o"
+        cfg = write(
+            tmp_path,
+            "g.ini",
+            "[system]\nkind = scalar\nlambda = -1\nmu = 0.5\n\n[task]\nname = converge\n\n"
+            f"[numeric]\nx0 = 1\ndt = 0.0625\nt = 2.5\nlevels = 5\ntrajectories = 64\nseed = 3\n\n"
+            f"[output]\ndir = {out}\n",
+        )
+        assert main(["--config", cfg]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("errors.csv", "report.txt")}
+        assert digests == {
+            "errors.csv": "79cdab7aee1055b00cd7353db9f9713aa98f7486003998cda89c2d299ed27d98",
+            "report.txt": "05be85b870ac734ec9c5162fbb359d761b3179f3cdef4ac753ba7eb9ac657807",
+        }
 
     def test_exponent_fit_has_window_rows(self, tmp_path):
         out = tmp_path / "o"

@@ -1,8 +1,12 @@
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sidelab import estimate
+from sidelab.errors import GridMismatch
 from sidelab.estimate import (
     as_exponent,
     finite_time_second_moment_bound,
@@ -14,6 +18,8 @@ from sidelab.estimate import (
     strong_error_sup,
 )
 from sidelab.models import LinearSde, make_cps
+from sidelab.noise import NoisePlan
+from sidelab.simulate import exact_gbm
 from sidelab.stability import discrete_ms_stable, lyapunov_ito_feasible
 
 GBM = LinearSde.scalar(-1.0, 0.5)
@@ -176,3 +182,142 @@ class TestStrongError:
         header, rows = study.csv_rows()
         assert header == ["level", "dt", "error", "stderr"]
         assert len(rows) == 4
+
+
+# ------------------------------------------------------- whole-array oracle
+# The convergence study as it was before it streamed over time chunks: every
+# batch holds its full (B, n_fine + 1, n) paths.  The chunked study must give
+# the same ConvergenceStudy bit for bit.
+
+def _fold(inc, level):
+    for _ in range(level):
+        inc = inc[:, 0::2] + inc[:, 1::2]
+    return inc
+
+
+def _em_level_paths(f, gs, x0, dt, w):
+    """Vectorized explicit paths: w is (B, N, m); returns (B, N+1, n)."""
+    b, n_steps, _ = w.shape
+    out = np.empty((b, n_steps + 1, f.shape[0]))
+    out[:, 0] = x0
+    for k, x in enumerate(estimate._linear_steps(f, gs, np.tile(x0, (b, 1)), dt, w), 1):
+        out[:, k] = x
+    return out
+
+
+def whole_array_study(sde, x0, T, levels, trajectories, *, delta, seed=0):
+    levels = sorted(set(int(l) for l in levels))
+    n, m = sde.dim, sde.noise_dim
+    f, gs = sde.drift_matrix, sde.noise_matrices
+    x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (n,))
+    n_fine = NoisePlan(seed, 0, m, delta, T).finest_steps
+    err_sum = {l: 0.0 for l in levels}
+    err_sumsq = {l: 0.0 for l in levels}
+    sup_ref_sum = 0.0
+    for start in range(0, trajectories, estimate._SUP_BATCH):
+        idx = range(start, min(start + estimate._SUP_BATCH, trajectories))
+        b = len(idx)
+        inc0 = estimate._noise_block(seed, idx, m, delta, T, n_fine, "brownian")
+        if n == 1 and m <= 1:
+            lam = float(f[0, 0])
+            mu = float(gs[0][0, 0]) if m else 0.0
+            times_f = np.arange(n_fine + 1) * delta
+            b_path = np.zeros((b, n_fine + 1))
+            if m:
+                b_path[:, 1:] = np.cumsum(inc0[:, :, 0], axis=1)
+            ref = exact_gbm(lam, mu, float(x0[0]), np.tile(times_f, (b, 1)), b_path)[:, :, None]
+        else:
+            ref = _em_level_paths(f, gs, x0, delta, inc0)
+        sup_ref_sum += float(np.sum(np.max(np.sum(ref**2, axis=2), axis=1)))
+        for level in levels:
+            stride = 1 << level
+            path = _em_level_paths(f, gs, x0, delta * stride, _fold(inc0, level))
+            fine = np.repeat(path[:, :-1], stride, axis=1)
+            fine = np.concatenate([fine, path[:, -1:]], axis=1)
+            err = np.max(np.sum((ref - fine) ** 2, axis=2), axis=1)
+            err_sum[level] += float(np.sum(err))
+            err_sumsq[level] += float(np.sum(err**2))
+    records = []
+    for level in levels:
+        mean = err_sum[level] / trajectories
+        var = max(err_sumsq[level] / trajectories - mean**2, 0.0)
+        records.append(estimate.LevelError(level, delta * (1 << level), mean, math.sqrt(var / trajectories)))
+    fit = [(math.log(r.dt), math.log(r.error)) for r in records if r.error > 0.0]
+    if len(fit) >= 2:
+        slope, intercept, _ = estimate._ols(np.array([a for a, _ in fit]), np.array([b for _, b in fit]))
+    else:
+        slope, intercept = float("nan"), float("nan")
+    return estimate.ConvergenceStudy(tuple(records), slope, intercept, sup_ref_sum / trajectories)
+
+
+TWO_NOISE_2D = LinearSde(
+    np.array([[-1.0, 0.5], [0.2, -2.0]]),
+    (np.array([[0.3, 0.0], [0.1, 0.2]]), np.array([[0.0, 0.2], [-0.1, 0.1]])),
+)
+
+# (system, x0, T, levels, trajectories, delta, seed); _CHUNK is 512 finest steps
+PARITY_CASES = {
+    "scalar-gbm": (GBM, [1.0], 1.0, range(1, 5), 100, 2.0**-10, 5),
+    # at dt = 1/16 the explicit step is unstable (1 + lam dt = -1.5), so that
+    # level's sup error sits at the final grid point
+    "noise-free-scalar": (LinearSde(np.array([[-40.0]])), [1.0], 1.0, range(1, 7), 20, 2.0**-10, 0),
+    "2d-two-noises": (TWO_NOISE_2D, [1.0, -1.0], 1.0, range(2, 6), 40, 2.0**-10, 4),
+    "levels-1-3-4": (TWO_NOISE_2D, [0.5, 2.0], 1.0, [1, 3, 4], 30, 2.0**-10, 6),
+    "two-batches": (GBM, [1.0], 2.0, range(1, 4), 600, 2.0**-9, 1),
+    "n_fine-not-chunk-multiple": (GBM, [1.0], 2.5, range(1, 6), 64, 2.0**-9, 3),
+    "coarsest-stride-above-chunk": (GBM, [1.0], 1.0, range(8, 11), 30, 2.0**-12, 3),
+}
+
+
+def _study_bytes(study):
+    # pickle compares floats bit for bit, NaN included
+    return pickle.dumps(study)
+
+
+class TestStreamedStudyParity:
+    @pytest.mark.parametrize("case", PARITY_CASES.values(), ids=PARITY_CASES.keys())
+    def test_bitwise_equal_to_whole_array_study(self, case):
+        sde, x0, T, levels, trajectories, delta, seed = case
+        streamed = strong_error_sup(sde, x0, T, levels, trajectories, delta=delta, seed=seed)
+        oracle = whole_array_study(sde, x0, T, levels, trajectories, delta=delta, seed=seed)
+        assert _study_bytes(streamed) == _study_bytes(oracle)
+
+    def test_case_shapes(self):
+        # the cases cover what their names say
+        chunk = estimate._CHUNK
+        _, _, T, levels, _, delta, _ = PARITY_CASES["n_fine-not-chunk-multiple"]
+        assert round(T / delta) % chunk != 0
+        _, _, _, levels, _, _, _ = PARITY_CASES["coarsest-stride-above-chunk"]
+        assert 1 << max(levels) > chunk
+        assert PARITY_CASES["two-batches"][4] > estimate._SUP_BATCH
+        assert PARITY_CASES["noise-free-scalar"][0].noise_dim == 0
+        assert len(PARITY_CASES["2d-two-noises"][0].noise_matrices) == 2
+
+    @pytest.mark.parametrize("chunk", ["coarsest-stride", "n_fine"])
+    def test_chunk_size_changes_no_bit(self, monkeypatch, chunk):
+        sde, x0, T, levels, trajectories, delta = TWO_NOISE_2D, [1.0, -1.0], 1.0, range(2, 6), 40, 2.0**-10
+        value = 1 << max(levels) if chunk == "coarsest-stride" else round(T / delta)
+        oracle = whole_array_study(sde, x0, T, levels, trajectories, delta=delta, seed=8)
+        monkeypatch.setattr(estimate, "_CHUNK", value)
+        streamed = strong_error_sup(sde, x0, T, levels, trajectories, delta=delta, seed=8)
+        assert _study_bytes(streamed) == _study_bytes(oracle)
+
+    def test_level_that_does_not_nest(self):
+        # 6 finest steps: level 2 (stride 4) does not divide them
+        with pytest.raises(GridMismatch):
+            strong_error_sup(GBM, [1.0], 0.75, [1, 2], 10, delta=0.125)
+
+
+class TestStreamedStudyMemory:
+    @staticmethod
+    def _peak(T):
+        tracemalloc.start()
+        try:
+            strong_error_sup(GBM, [1.0], T, range(1, 5), 64, delta=2.0**-10)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_horizon(self):
+        # the whole-array study held full paths: 3.5 MiB at T = 1, 14 MiB at T = 4
+        assert self._peak(4.0) <= 1.1 * self._peak(1.0)

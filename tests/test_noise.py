@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidelab.errors import GridMismatch
-from sidelab.noise import NoisePlan
+from sidelab.noise import _BROWNIAN_STREAM, NoisePlan, _generator, _standard_normals
 
 
 def make_plan(seed=0, traj=0, m=2, delta=0.25, horizon=16.0):
@@ -112,3 +112,22 @@ class TestDeterminism:
     def test_xi_index_starts_at_one(self):
         with pytest.raises(ValueError):
             make_plan().xi(0)
+
+
+class TestChunkedDraws:
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_chunks_equal_slices_of_increments(self, width):
+        # Philox makes 4 words per block; chunks must resume inside a block
+        plan = NoisePlan(17, 5, width, 2.0**-6, 1.0)  # 64 finest steps
+        whole = plan.increments(0)
+        gens = [_generator(17, traj, _BROWNIAN_STREAM) for traj in (4, 5)]
+        counts = (1, 2, 3, 5, 9, 44)
+        offsets = np.cumsum(counts[:-1]) * width
+        assert np.count_nonzero(offsets % 4) >= 3
+        start = 0
+        for count in counts:
+            chunk = _standard_normals(gens, count, width) * np.sqrt(plan.delta)
+            assert chunk.shape == (2, count, width)
+            assert np.array_equal(chunk[1], whole[start : start + count])
+            start += count
+        assert start == plan.finest_steps
