@@ -16,8 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, ValidationFailed
+from .errors import NotLinear, NotPositiveDefinite, ValidationFailed
 from .matrix_kernels import as_square, as_symmetric, is_positive_definite
+
+_LINEARITY_RTOL = 1e-8
 
 
 def _as_vector(x, dim: int | None = None, name: str = "x") -> np.ndarray:
@@ -331,9 +333,10 @@ class CompactForm:
 
     def diffusion(self, z, t: float = 0.0) -> np.ndarray:
         x, y = self.side.split(z)
+        m = self.side.noise_dim
         gx = np.asarray(self.side.diffusion_x(x, t), dtype=float)
         gy = np.asarray(self.side.diffusion_y(x, y, t), dtype=float)
-        return np.vstack([gx.reshape(self.side.n, -1), gy.reshape(self.side.q, -1)])
+        return np.concatenate([gx.reshape(self.side.n, m), gy.reshape(self.side.q, m)])
 
     def jump(self, z, k: int) -> np.ndarray:
         x, y = self.side.split(z)
@@ -343,14 +346,65 @@ class CompactForm:
 
     def jump_gain(self, z, k: int) -> np.ndarray:
         x, y = self.side.split(z)
+        m = self.side.noise_dim
         gx = np.asarray(self.side.jumps.jump_x_gain(x, k), dtype=float)
         gy = np.asarray(self.side.jumps.jump_y_gain(x, y, k), dtype=float)
-        return np.vstack([gx.reshape(self.side.n, -1), gy.reshape(self.side.q, -1)])
+        return np.concatenate([gx.reshape(self.side.n, m), gy.reshape(self.side.q, m)])
 
 
 def compact_form(side: SideSystem) -> CompactForm:
     """Assemble the stacked z = (x, y) evaluators of a hybrid system."""
     return CompactForm(side)
+
+
+@dataclass(frozen=True)
+class LinearCompactForm:
+    """Matrices of a linear hybrid system over z = (x, y), each (n+q)-square.
+
+    dz = drift z dt + sum_j noise[j] z dB_j between impulses, and at each
+    impulse z -> z + jump z + sum_j jump_gains[j] z xi_j.  Rows and columns
+    split as z does, [:n] for x and [n:] for y: drift[:n, :n] is the x-drift
+    F, drift[n:, :n] and drift[n:, n:] are the x- and y-parts of drift_y, and
+    the x rows of every matrix have zero y columns.
+    """
+
+    drift: np.ndarray
+    noise: tuple[np.ndarray, ...]
+    jump: np.ndarray
+    jump_gains: tuple[np.ndarray, ...]
+
+
+def linear_compact_form(side: SideSystem, seed: int = 0) -> LinearCompactForm:
+    """Probe the stacked evaluators of a linear hybrid system for its matrices.
+
+    Basis probes at (t, k) = (0, 1) recover each matrix; random probes at two
+    other (t, k) pairs then verify linearity and time/index invariance of all
+    four evaluators, raising NotLinear on failure.
+    """
+    cf = compact_form(side)
+    eye = np.eye(side.dim)
+    drift = np.column_stack([cf.drift(e, 0.0) for e in eye])
+    jump = np.column_stack([cf.jump(e, 1) for e in eye])
+    # (dim, m, dim) stacks of gain columns; slice j is the matrix of column j
+    noise = np.stack([cf.diffusion(e, 0.0) for e in eye], axis=-1)
+    gains = np.stack([cf.jump_gain(e, 1) for e in eye], axis=-1)
+    rng = np.random.default_rng(seed)
+    for t, k in ((0.7, 2), (2.3, 3)):
+        for _ in range(3):
+            v = rng.uniform(-2.0, 2.0, side.dim)
+            for label, got, want in (
+                ("drift", cf.drift(v, t), drift @ v),
+                ("diffusion", cf.diffusion(v, t), noise @ v),
+                ("jump", cf.jump(v, k), jump @ v),
+                ("jump_gain", cf.jump_gain(v, k), gains @ v),
+            ):
+                scale = 1.0 + float(np.abs(want).max(initial=0.0))
+                if np.abs(got - want).max(initial=0.0) > _LINEARITY_RTOL * scale:
+                    raise NotLinear(f"{label} of the compact form failed the linearity probe")
+    m = side.noise_dim
+    return LinearCompactForm(
+        drift, tuple(noise[:, j] for j in range(m)), jump, tuple(gains[:, j] for j in range(m))
+    )
 
 
 @dataclass(frozen=True)

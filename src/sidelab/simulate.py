@@ -24,7 +24,7 @@ from .errors import (
     OutOfRange,
     StepsizeTooLarge,
 )
-from .models import Sde, SideSystem, _as_vector
+from .models import Sde, SideSystem, _as_vector, compact_form
 from .noise import NoisePlan
 
 Driving = Literal["xi", "brownian"]
@@ -67,8 +67,8 @@ class HybridTrajectory:
     """
 
     times: np.ndarray          # (S,)
-    x: np.ndarray              # (S, n)
-    y: np.ndarray              # (S, q)
+    x: np.ndarray              # (S, n), the first columns of one (S, n+q) state array
+    y: np.ndarray              # (S, q), its last columns
     impulse_flag: np.ndarray   # (S,) 0/1
     impulses: tuple[ImpulseRecord, ...]
 
@@ -210,6 +210,25 @@ def step_process(path: DiscretePath) -> Callable[[float], np.ndarray]:
     return at
 
 
+def _substeps(drift, diffusion, z, t_k, h, draws, out, step: int) -> np.ndarray:
+    """The explicit substep z + (h f(z, t) + g(z, t) @ (sqrt(h) xi)) from t_k,
+    one per row of `draws`.
+
+    Writes each state into a row of `out` and returns the last; `step` is the
+    global index of the substep before the first, reported by NonFinite.
+    """
+    sqrt_h = math.sqrt(h)
+    # overflow is reported by NonFinite below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(draws.shape[0]):
+            t = t_k + j * h
+            z = z + (h * drift(z, t) + diffusion(z, t) @ (sqrt_h * draws[j]))
+            if not np.all(np.isfinite(z)):
+                raise NonFinite(f"state overflowed at substep {step + j + 1}", step=step + j + 1)
+            out[j] = z
+    return z
+
+
 def simulate_side(
     side: SideSystem,
     z0,
@@ -220,10 +239,15 @@ def simulate_side(
     """Integrate a hybrid system on [0, T].
 
     Each impulse interval is covered by `inner_substeps` explicit substeps of
-    the continuous flow (both blocks driven by the same Brownian draws); at
+    the stacked flow dz = F(z, t) dt + G(z, t) dB (see `compact_form`); at
     every impulse time within the horizon the left limit is recorded, the
-    jump maps are applied with a fresh impulse draw, and the post value is
+    jump z + H_F(z, k) + H_G(z, k) xi(k) is applied, and the post value is
     recorded at the same time.
+
+    The schedule is walked up to the horizon first, so the Brownian normals
+    and the impulse draws are each taken from the plan in one block.  With
+    m >= 2 noise dimensions the stacked (n+q) x m products may round in the
+    last bit differently from separate x- and y-block products.
     """
     if inner_substeps < 1:
         raise ValueError("inner_substeps must be >= 1")
@@ -231,66 +255,43 @@ def simulate_side(
         raise ValueError("T must be positive")
     if plan.noise_dim != side.noise_dim:
         raise ValueError("plan noise dimension does not match the system")
-    z0 = _as_vector(z0, side.dim, "z0")
-    x, y = z0[: side.n].copy(), z0[side.n :].copy()
-
-    times = [0.0]
-    xs = [x.copy()]
-    ys = [y.copy()]
-    flags = [0]
-    impulses: list[ImpulseRecord] = []
-
-    slot = 0
-    step_index = 0
-    k = 0
-    t_k = side.schedule.time(0)
+    z = _as_vector(z0, side.dim, "z0")
     horizon_tol = _TIME_RTOL * max(1.0, T)
-    while t_k < T - horizon_tol:
-        t_next = side.schedule.time(k + 1)
-        if t_next <= t_k:
+    knots = [side.schedule.time(0)]
+    while knots[-1] < T - horizon_tol:
+        knots.append(side.schedule.time(len(knots)))
+        if knots[-1] <= knots[-2]:
             raise ValueError("impulse schedule is not strictly increasing")
-        end = min(t_next, T)
-        h = (end - t_k) / inner_substeps
-        draws = plan.standard_normals(slot + inner_substeps)[slot : slot + inner_substeps]
-        slot += inner_substeps
-        sqrt_h = math.sqrt(h)
-        for j in range(inner_substeps):
-            t = t_k + j * h
-            w = sqrt_h * draws[j]
-            dx = h * side.drift_x(x, t) + side.diffusion_x(x, t) @ w
-            dy = h * side.drift_y(x, y, t) + side.diffusion_y(x, y, t) @ w
-            x = x + dx
-            y = y + dy
-            step_index += 1
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-                raise NonFinite(f"state overflowed at substep {step_index}", step=step_index)
-            times.append(end if j == inner_substeps - 1 else t_k + (j + 1) * h)
-            xs.append(x.copy())
-            ys.append(y.copy())
-            flags.append(0)
-        if t_next <= T + horizon_tol:
-            xi = plan.xi(k + 1)
-            pre = np.concatenate([x, y])
-            x = x + side.jumps.jump_x(x, k + 1) + side.jumps.jump_x_gain(x, k + 1) @ xi
-            y = y + side.jumps.jump_y(pre[: side.n], pre[side.n :], k + 1) \
-                + side.jumps.jump_y_gain(pre[: side.n], pre[side.n :], k + 1) @ xi
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-                raise NonFinite(f"state overflowed at impulse {k + 1}", step=step_index)
-            times.append(t_next)
-            xs.append(x.copy())
-            ys.append(y.copy())
-            flags.append(1)
-            impulses.append(ImpulseRecord(k + 1, t_next, pre, np.concatenate([x, y])))
-        k += 1
-        t_k = side.schedule.time(k)
+    # only the last interval may end past the horizon, without its jump
+    s, intervals = inner_substeps, len(knots) - 1
+    jumps = intervals - (knots[-1] > T + horizon_tol)
+    draws = plan.standard_normals(intervals * s)
+    xis = plan.xi_block(jumps)
+    cf = compact_form(side)
 
-    return HybridTrajectory(
-        times=np.asarray(times),
-        x=np.asarray(xs).reshape(len(times), side.n),
-        y=np.asarray(ys).reshape(len(times), side.q),
-        impulse_flag=np.asarray(flags, dtype=np.uint8),
-        impulses=tuple(impulses),
-    )
+    states = np.empty((1 + intervals * s + jumps, side.dim))
+    times = np.empty(states.shape[0])
+    flags = np.zeros(states.shape[0], dtype=np.uint8)
+    states[0], times[0] = z, 0.0
+    impulses = []
+    for k in range(intervals):
+        t_k, t_next = knots[k], knots[k + 1]
+        end = min(t_next, T)
+        h = (end - t_k) / s
+        row = 1 + k * (s + 1)
+        z = _substeps(cf.drift, cf.diffusion, z, t_k, h, draws[k * s : (k + 1) * s],
+                      states[row : row + s], k * s)
+        times[row : row + s] = t_k + np.arange(1, s + 1) * h
+        times[row + s - 1] = end
+        if k < jumps:
+            with np.errstate(over="ignore", invalid="ignore"):
+                z = z + cf.jump(z, k + 1) + cf.jump_gain(z, k + 1) @ xis[k]
+            if not np.all(np.isfinite(z)):
+                raise NonFinite(f"state overflowed at impulse {k + 1}", step=(k + 1) * s)
+            states[row + s], times[row + s], flags[row + s] = z, t_next, 1
+            impulses.append(ImpulseRecord(k + 1, t_next, states[row + s - 1], states[row + s]))
+
+    return HybridTrajectory(times, states[:, : side.n], states[:, side.n :], flags, tuple(impulses))
 
 
 def simulate_cps(
@@ -327,57 +328,43 @@ def simulate_cps(
     if plan.noise_dim != sde.noise_dim:
         raise ValueError("plan noise dimension does not match the system")
 
-    h = dt / inner_substeps
+    s = inner_substeps
+    h = dt / s
     if impulse_driving == "brownian":
         if abs(h - plan.delta) > _TIME_RTOL * max(h, 1.0):
             raise GridMismatch(
                 "brownian impulse mode requires the substep grid to equal the plan's finest grid"
             )
-        if inner_substeps & (inner_substeps - 1):
+        if s & (s - 1):
             raise GridMismatch("brownian impulse mode requires power-of-two inner_substeps")
 
     # the one-step recursion, bitwise identical to the standalone scheme
     cyber = euler_maruyama(sde, x0, dt, n_intervals, plan, driving=impulse_driving)
 
-    x = _as_vector(x0, sde.dim, "x0")
-    y = np.zeros(sde.dim)
-    times = [0.0]
-    xs = [x.copy()]
-    ys = [y.copy()]
-    flags = [0]
-    impulses: list[ImpulseRecord] = []
-    sqrt_h = math.sqrt(h)
-    draws = plan.standard_normals(n_intervals * inner_substeps)
-    step_index = 0
+    # rows: the start, then per interval s substeps and the post-impulse
+    # sample, which repeats x and moves only y
+    n = sde.dim
+    states = np.empty((1 + n_intervals * (s + 1), 2 * n))
+    x = states[0, :n] = _as_vector(x0, n, "x0")
+    body = states[1:].reshape(n_intervals, s + 1, 2 * n)
+    draws = plan.standard_normals(n_intervals * s)
     for k in range(n_intervals):
-        t_k = k * dt
-        for j in range(inner_substeps):
-            t = t_k + j * h
-            w = sqrt_h * draws[step_index]
-            x = x + (h * sde.drift(x, t) + sde.diffusion(x, t) @ w)
-            step_index += 1
-            if not np.all(np.isfinite(x)):
-                raise NonFinite(f"state overflowed at substep {step_index}", step=step_index)
-            y = x - cyber.states[k]
-            times.append((k + 1) * dt if j == inner_substeps - 1 else t_k + (j + 1) * h)
-            xs.append(x.copy())
-            ys.append(y.copy())
-            flags.append(0)
-        # jump of the difference block at t_{k+1}
-        pre = np.concatenate([x, y])
-        y = x - cyber.states[k + 1]
-        times.append((k + 1) * dt)
-        xs.append(x.copy())
-        ys.append(y.copy())
-        flags.append(1)
-        impulses.append(ImpulseRecord(k + 1, (k + 1) * dt, pre, np.concatenate([x, y])))
+        x = _substeps(sde.drift, sde.diffusion, x, k * dt, h, draws[k * s : (k + 1) * s],
+                      body[k, :s, :n], k * s)
+        body[k, s, :n] = x
+    states[:, n:] = states[:, :n] - cyber.states[np.arange(states.shape[0]) // (s + 1)]
 
+    # the last substep and the impulse both sit at (k + 1) dt exactly
+    grid = (np.arange(n_intervals) * dt)[:, None] + np.arange(1, s + 2) * h
+    grid[:, s - 1 :] = (np.arange(1, n_intervals + 1) * dt)[:, None]
+    flags = np.zeros(states.shape[0], dtype=np.uint8)
+    flags[s + 1 :: s + 1] = 1
+    impulses = tuple(
+        ImpulseRecord(k + 1, (k + 1) * dt, states[r - 1], states[r])
+        for k, r in enumerate(range(s + 1, states.shape[0], s + 1))
+    )
     hybrid = HybridTrajectory(
-        times=np.asarray(times),
-        x=np.asarray(xs),
-        y=np.asarray(ys),
-        impulse_flag=np.asarray(flags, dtype=np.uint8),
-        impulses=tuple(impulses),
+        np.concatenate([[0.0], grid.ravel()]), states[:, :n], states[:, n:], flags, impulses
     )
     return CpsTrajectory(hybrid=hybrid, cyber=cyber)
 

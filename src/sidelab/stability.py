@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NotLinear, NotPositiveDefinite, SingularOperator
+from .errors import NotPositiveDefinite, SingularOperator
 from .matrix_kernels import (
     as_symmetric,
     ct_form,
@@ -33,15 +33,13 @@ from .matrix_kernels import (
     symmetrize,
     vec_operator,
 )
-from .models import LinearSde, SideSystem
+from .models import LinearSde, SideSystem, linear_compact_form
 
 #: Absolute slack applied to every strict inequality at a boundary.
 STRICT_SLACK = 1e-12
 
 #: Floor applied to constants the theorems require to be positive.
 _POSITIVE_FLOOR = 1e-12
-
-_LINEARITY_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -200,36 +198,6 @@ class ConditionConstants:
             raise ValueError("need 0 < dt_under <= dt_over")
 
 
-def _columns(values: list[np.ndarray]) -> np.ndarray:
-    return np.column_stack([np.atleast_1d(np.asarray(v, dtype=float)) for v in values])
-
-
-def _extract_vector_map(fn: Callable, dim_in: int, out_dim: int) -> np.ndarray:
-    if dim_in == 0:
-        return np.zeros((out_dim, 0))
-    eye = np.eye(dim_in)
-    return _columns([fn(eye[i]) for i in range(dim_in)]).reshape(out_dim, dim_in)
-
-
-def _extract_gain_maps(fn: Callable, dim_in: int, out_dim: int, width: int) -> list[np.ndarray]:
-    """Recover the matrices M_j of a map x -> [M_1 x, ..., M_m x] (columns)."""
-    if dim_in == 0:
-        return [np.zeros((out_dim, 0)) for _ in range(width)]
-    eye = np.eye(dim_in)
-    probes = [np.asarray(fn(eye[i]), dtype=float).reshape(out_dim, width) for i in range(dim_in)]
-    return [_columns([probes[i][:, j] for i in range(dim_in)]) for j in range(width)]
-
-
-def _linearity_check(fn: Callable, matrices, dim_in: int, label: str, rng) -> None:
-    for _ in range(3):
-        v = rng.uniform(-2.0, 2.0, dim_in)
-        got = np.asarray(fn(v), dtype=float)
-        want = matrices(v)
-        scale = 1.0 + float(np.abs(want).max(initial=0.0))
-        if np.abs(got - want).max(initial=0.0) > _LINEARITY_RTOL * scale:
-            raise NotLinear(f"{label} failed the linearity probe")
-
-
 def _gate_pd(p, name: str) -> np.ndarray:
     p = as_symmetric(p, name)
     report = is_positive_definite(p)
@@ -238,98 +206,6 @@ def _gate_pd(p, name: str) -> np.ndarray:
             f"{name} is not positive definite (lambda_min={report.lambda_min:.6g})"
         )
     return p
-
-
-@dataclass(frozen=True)
-class _LinearSideMaps:
-    """Matrices of a linear hybrid system recovered from its evaluators."""
-
-    f: np.ndarray
-    gs: list[np.ndarray]
-    a_y: np.ndarray          # drift_y x-part
-    b_y: np.ndarray          # drift_y y-part
-    c_y: list[np.ndarray]    # diffusion_y x-parts
-    d_y: list[np.ndarray]    # diffusion_y y-parts
-    a_jx: np.ndarray         # jump_x
-    h_jx: list[np.ndarray]   # jump_x_gain
-    a_jy: np.ndarray         # jump_y x-part
-    b_jy: np.ndarray         # jump_y y-part
-    c_jy: list[np.ndarray]   # jump_y_gain x-parts
-    d_jy: list[np.ndarray]   # jump_y_gain y-parts
-
-
-def extract_linear_maps(side: SideSystem, seed: int = 0) -> _LinearSideMaps:
-    """Probe the evaluators of a linear hybrid system for their matrices.
-
-    Basis probes recover each matrix; random probes then verify linearity
-    (and time/index invariance), raising NotLinear on failure.
-    """
-    n, q, m = side.n, side.q, side.noise_dim
-    rng = np.random.default_rng(seed)
-    zq = np.zeros(q)
-    zn = np.zeros(n)
-
-    f = _extract_vector_map(lambda x: side.drift_x(x, 0.0), n, n)
-    gs = _extract_gain_maps(lambda x: side.diffusion_x(x, 0.0), n, n, m)
-    a_y = _extract_vector_map(lambda x: side.drift_y(x, zq, 0.0), n, q)
-    b_y = _extract_vector_map(lambda y: side.drift_y(zn, y, 0.0), q, q)
-    c_y = _extract_gain_maps(lambda x: side.diffusion_y(x, zq, 0.0), n, q, m)
-    d_y = _extract_gain_maps(lambda y: side.diffusion_y(zn, y, 0.0), q, q, m)
-    a_jx = _extract_vector_map(lambda x: side.jumps.jump_x(x, 1), n, n)
-    h_jx = _extract_gain_maps(lambda x: side.jumps.jump_x_gain(x, 1), n, n, m)
-    a_jy = _extract_vector_map(lambda x: side.jumps.jump_y(x, zq, 1), n, q)
-    b_jy = _extract_vector_map(lambda y: side.jumps.jump_y(zn, y, 1), q, q)
-    c_jy = _extract_gain_maps(lambda x: side.jumps.jump_y_gain(x, zq, 1), n, q, m)
-    d_jy = _extract_gain_maps(lambda y: side.jumps.jump_y_gain(zn, y, 1), q, q, m)
-
-    for t, k in ((0.7, 2), (2.3, 3)):
-        _linearity_check(lambda x: side.drift_x(x, t), lambda x: f @ x, n, "drift_x", rng)
-        _linearity_check(
-            lambda x: side.diffusion_x(x, t),
-            lambda x: _columns([g @ x for g in gs]).reshape(n, m) if m else np.zeros((n, 0)),
-            n, "diffusion_x", rng,
-        )
-        _linearity_check(
-            lambda x: side.jumps.jump_x(x, k), lambda x: a_jx @ x, n, "jump_x", rng
-        )
-
-        def joint(v):
-            return side.drift_y(v[:n], v[n:], t)
-
-        def joint_mat(v):
-            return a_y @ v[:n] + b_y @ v[n:]
-
-        _linearity_check(joint, joint_mat, n + q, "drift_y", rng)
-
-        def joint_diff(v):
-            return side.diffusion_y(v[:n], v[n:], t)
-
-        def joint_diff_mat(v):
-            if not m:
-                return np.zeros((q, 0))
-            return _columns([c_y[j] @ v[:n] + d_y[j] @ v[n:] for j in range(m)])
-
-        _linearity_check(joint_diff, joint_diff_mat, n + q, "diffusion_y", rng)
-
-        def joint_jump(v):
-            return side.jumps.jump_y(v[:n], v[n:], k)
-
-        def joint_jump_mat(v):
-            return a_jy @ v[:n] + b_jy @ v[n:]
-
-        _linearity_check(joint_jump, joint_jump_mat, n + q, "jump_y", rng)
-
-        def joint_gain(v):
-            return side.jumps.jump_y_gain(v[:n], v[n:], k)
-
-        def joint_gain_mat(v):
-            if not m:
-                return np.zeros((q, 0))
-            return _columns([c_jy[j] @ v[:n] + d_jy[j] @ v[n:] for j in range(m)])
-
-        _linearity_check(joint_gain, joint_gain_mat, n + q, "jump_y_gain", rng)
-
-    return _LinearSideMaps(f, gs, a_y, b_y, c_y, d_y, a_jx, h_jx, a_jy, b_jy, c_jy, d_jy)
 
 
 def quadratic_condition_constants(
@@ -352,41 +228,47 @@ def quadratic_condition_constants(
     With growth=False, `alpha` is the decay rate of the x-generator
     (positive when the continuous block is stable); with growth=True it is
     the growth rate bound (positive constant, floored), as consumed by the
-    impulse-stabilized test.
+    impulse-stabilized test.  The matrices are blocks of
+    `linear_compact_form(side, seed)`, which raises NotLinear for a
+    nonlinear, time-dependent or index-dependent evaluator.
     """
     if split <= 0:
         raise ValueError("split must be positive")
     p = _gate_pd(p, "p")
     p_tilde = _gate_pd(p_tilde, "p_tilde")
-    maps = extract_linear_maps(side, seed=seed)
+    lin = linear_compact_form(side, seed=seed)
+    n = side.n
     s = float(split)
 
     # x-generator: F'P + PF + sum Gj'P Gj
-    m_lv = symmetrize(ct_form(maps.f, maps.gs, p))
+    m_lv = symmetrize(ct_form(lin.drift[:n, :n], [g[:n, :n] for g in lin.noise], p))
     if growth:
         alpha = max(pencil_top(m_lv, p), _POSITIVE_FLOOR)
     else:
         alpha = decay_rate(m_lv, p)
 
     # coupled generator, split into x- and y-weighted forms
-    m_ax = s * (maps.a_y.T @ p_tilde @ maps.a_y)
-    for c in maps.c_y:
-        m_ax = m_ax + (1.0 + s) * (c.T @ p_tilde @ c)
-    m_ay = p_tilde @ maps.b_y + maps.b_y.T @ p_tilde + (1.0 / s) * p_tilde
-    for d in maps.d_y:
-        m_ay = m_ay + (1.0 + 1.0 / s) * (d.T @ p_tilde @ d)
+    a_y, b_y = lin.drift[n:, :n], lin.drift[n:, n:]
+    m_ax = s * (a_y.T @ p_tilde @ a_y)
+    for g in lin.noise:
+        m_ax = m_ax + (1.0 + s) * (g[n:, :n].T @ p_tilde @ g[n:, :n])
+    m_ay = p_tilde @ b_y + b_y.T @ p_tilde + (1.0 / s) * p_tilde
+    for g in lin.noise:
+        m_ay = m_ay + (1.0 + 1.0 / s) * (g[n:, n:].T @ p_tilde @ g[n:, n:])
     alpha_cross = max(pencil_top(symmetrize(m_ax), p), _POSITIVE_FLOOR)
     alpha_self = max(pencil_top(symmetrize(m_ay), p_tilde), _POSITIVE_FLOOR)
 
     # x-jump second moment: (I + A)'P(I + A) + sum Hj'P Hj, the unit-step
     # one-step form
-    beta = max(pencil_top(symmetrize(dt_form(maps.a_jx, maps.h_jx, p, 1.0)), p), _POSITIVE_FLOOR)
+    h_x = [g[:n, :n] for g in lin.jump_gains]
+    beta = max(pencil_top(symmetrize(dt_form(lin.jump[:n, :n], h_x, p, 1.0)), p), _POSITIVE_FLOOR)
 
     # y-jump second moment, split likewise
-    m_bx = maps.a_jy.T @ p_tilde @ maps.a_jy
-    for c in maps.c_jy:
-        m_bx = m_bx + c.T @ p_tilde @ c
-    m_by = dt_form(maps.b_jy, maps.d_jy, p_tilde, 1.0)
+    a_jy = lin.jump[n:, :n]
+    m_bx = a_jy.T @ p_tilde @ a_jy
+    for g in lin.jump_gains:
+        m_bx = m_bx + g[n:, :n].T @ p_tilde @ g[n:, :n]
+    m_by = dt_form(lin.jump[n:, n:], [g[n:, n:] for g in lin.jump_gains], p_tilde, 1.0)
     beta_cross = max((1.0 + s) * pencil_top(symmetrize(m_bx), p), _POSITIVE_FLOOR)
     beta_self = max((1.0 + 1.0 / s) * pencil_top(symmetrize(m_by), p_tilde), _POSITIVE_FLOOR)
 
@@ -413,7 +295,7 @@ def impulse_second_moment(side: SideSystem, p_tilde, x, y, k: int = 1) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     mean = y + np.asarray(side.jumps.jump_y(x, y, k), dtype=float)
-    gain = np.asarray(side.jumps.jump_y_gain(x, y, k), dtype=float).reshape(side.q, -1)
+    gain = np.asarray(side.jumps.jump_y_gain(x, y, k), dtype=float).reshape(side.q, side.noise_dim)
     return float(mean @ p_tilde @ mean + np.trace(gain.T @ p_tilde @ gain))
 
 

@@ -1,8 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sidelab
 from sidelab.cli import RunConfig, dump_config, emit_plot_data, load_config, main, run
 from sidelab.errors import ConfigError
 
@@ -141,6 +146,23 @@ class TestExitCodes:
         assert main(["--config", cfg, *flags]) == 2
         assert "invalid input" in capsys.readouterr().err
 
+    def test_overflow_is_reported_without_warnings(self, tmp_path):
+        cfg = write(
+            tmp_path,
+            "o.ini",
+            "[system]\nkind = scalar\nlambda = 1e6\nmu = 0.5\n\n[task]\nname = simulate\n\n"
+            f"[numeric]\nx0 = 1\ndt = 0.5\nt = 4\nsubsteps = 32\n\n[output]\ndir = {tmp_path / 'o'}\n",
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from sidelab.cli import main; sys.exit(main())",
+             "--config", cfg],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(sidelab.__file__).parents[1])},
+        )
+        assert done.returncode == 1
+        assert done.stderr == ""
+        assert "diverged: state overflowed at substep 74" in done.stdout
+
     def test_task_override(self, tmp_path):
         cfg = write(tmp_path, "a.ini", SCALAR_ANALYZE.format(dt_bar=0.4, out=tmp_path / "o"))
         assert main(["max-stepsize", "--config", cfg]) == 0
@@ -218,6 +240,28 @@ class TestArtifacts:
             "errors.csv": "79cdab7aee1055b00cd7353db9f9713aa98f7486003998cda89c2d299ed27d98",
             "report.txt": "05be85b870ac734ec9c5162fbb359d761b3179f3cdef4ac753ba7eb9ac657807",
         }
+        # digests of the per-step-list hybrid integrator's output, on a 2-d
+        # system with two noise matrices; the preallocated loop must match
+        pinned = {
+            "xi": ("59e360f0a103ecbafc6955e15eca1644523460e82002c377bea5cc4a6621e477",
+                   "329ca147de3a82fbb085cfe4bce9f02f513812ba1eeaea7c232ce4f25e91abe3"),
+            "brownian": ("9419f73890f4d21bec873c271a4c05e11c90061c8652f37696f9f7220712df71",
+                         "665a09b78f1c77438b2e7629177548573321ee65ca27833f6d5df8b5617910cb"),
+        }
+        for driving, want in pinned.items():
+            out = tmp_path / driving
+            cfg = write(
+                tmp_path,
+                f"{driving}.ini",
+                "[system]\nkind = linear\nf = -1 0.3 ; 0.2 -2\ng1 = 0.4 0 ; 0.1 0.2\n"
+                "g2 = 0.1 0.3 ; 0 0.2\n\n[task]\nname = simulate\n\n"
+                f"[numeric]\nx0 = 1 -0.5\ndt = 0.25\nt = 2\nsubsteps = 8\nseed = 3\n"
+                f"driving = {driving}\n\n[output]\ndir = {out}\n",
+            )
+            assert main(["--config", cfg]) == 0
+            got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in ("trajectory.csv", "report.txt"))
+            assert got == want, driving
 
     def test_exponent_fit_has_window_rows(self, tmp_path):
         out = tmp_path / "o"

@@ -5,18 +5,19 @@ import pytest
 
 from sidelab.errors import NotPositiveDefinite, ValidationFailed
 from sidelab.models import (
-    ImpulseMaps,
     ImpulseSchedule,
     LinearSde,
     QuadraticLyapunov,
     SideSystem,
     VectorFieldSde,
     compact_form,
+    linear_compact_form,
     make_cps,
     validate,
 )
 from sidelab.noise import NoisePlan
 from sidelab.simulate import simulate_side
+from side_blocks import random_blocks, side_from_blocks, stacked_as_x
 
 
 class TestLinearSde:
@@ -149,30 +150,48 @@ class TestCompactForm:
             (np.array([[0.4, 0.0], [0.1, 0.2]]),),
         )
         side = make_cps(sde, 0.5)
-        cf = compact_form(side)
-        wrapper = SideSystem(
-            n=side.dim,
-            q=0,
-            noise_dim=side.noise_dim,
-            drift_x=cf.drift,
-            diffusion_x=cf.diffusion,
-            drift_y=lambda x, y, t: np.zeros(0),
-            diffusion_y=lambda x, y, t: np.zeros((0, side.noise_dim)),
-            jumps=ImpulseMaps(
-                jump_x=cf.jump,
-                jump_x_gain=cf.jump_gain,
-                jump_y=lambda x, y, k: np.zeros(0),
-                jump_y_gain=lambda x, y, k: np.zeros((0, side.noise_dim)),
-            ),
-            schedule=side.schedule,
-            lipschitz_x=side.lipschitz_x,
-            lipschitz_y=side.lipschitz_y,
-        )
+        wrapper = stacked_as_x(side)
         z0 = np.array([1.0, -0.5, 0.0, 0.0])
         a = simulate_side(side, z0, 4, 2.0, NoisePlan(3, 0, side.noise_dim, 0.125, 2.0))
         b = simulate_side(wrapper, z0, 4, 2.0, NoisePlan(3, 0, side.noise_dim, 0.125, 2.0))
         assert np.array_equal(np.hstack([a.x, a.y]), b.x)
         assert np.array_equal(a.times, b.times)
+
+    def test_gain_shapes_without_y_block(self):
+        sde = LinearSde(
+            np.array([[-1.0, 0.3], [0.0, -2.0]]),
+            (np.array([[0.4, 0.0], [0.1, 0.2]]),),
+        )
+        cf = compact_form(stacked_as_x(make_cps(sde, 0.5)))
+        z = np.array([1.0, -0.5, 0.2, 0.1])
+        assert cf.diffusion(z, 0.0).shape == (4, 1)
+        assert cf.jump_gain(z, 1).shape == (4, 1)
+        assert cf.select_y(z).shape == (0,)
+
+
+class TestLinearCompactForm:
+    @pytest.mark.parametrize("n, q, m", [(2, 3, 2), (1, 1, 1), (3, 0, 1), (2, 2, 0)])
+    def test_recovers_known_blocks(self, n, q, m):
+        drift, noise, jump, gains = random_blocks(np.random.default_rng(n + q + m), n, q, m)
+        side = side_from_blocks(n, drift, noise, jump, gains, ImpulseSchedule.equal_gaps(0.5))
+        lin = linear_compact_form(side)
+        assert np.array_equal(lin.drift, drift)
+        assert np.array_equal(lin.jump, jump)
+        assert len(lin.noise) == len(lin.jump_gains) == m
+        for got, want in zip(lin.noise + lin.jump_gains, noise + gains):
+            assert np.array_equal(got, want)
+
+    def test_cps_blocks(self):
+        f = np.array([[-1.0, 0.3], [0.2, -2.0]])
+        g = np.array([[0.4, 0.0], [0.1, 0.2]])
+        dt = 0.25
+        lin = linear_compact_form(make_cps(LinearSde(f, (g,)), dt))
+        zero = np.zeros((2, 2))
+        assert np.array_equal(lin.drift, np.block([[f, zero], [f, zero]]))
+        assert np.array_equal(lin.noise[0], np.block([[g, zero], [g, zero]]))
+        assert np.array_equal(lin.jump, np.block([[zero, zero], [-dt * f, dt * f]]))
+        s = math.sqrt(dt)
+        assert np.array_equal(lin.jump_gains[0], np.block([[zero, zero], [-s * g, s * g]]))
 
 
 class TestValidate:

@@ -10,7 +10,7 @@ from sidelab.errors import (
     OutOfRange,
     StepsizeTooLarge,
 )
-from sidelab.models import LinearSde, VectorFieldSde, make_cps
+from sidelab.models import ImpulseSchedule, LinearSde, VectorFieldSde, make_cps
 from sidelab.noise import NoisePlan
 from sidelab.simulate import (
     DiscretePath,
@@ -23,6 +23,7 @@ from sidelab.simulate import (
     theta_method,
     trajectory_rows,
 )
+from side_blocks import random_blocks, side_from_blocks, stacked_as_x
 
 
 def plan_for(dt, T, m=1, seed=0, traj=0):
@@ -182,6 +183,141 @@ class TestSimulateSide:
             mask = traj.impulse_flag == 0
             gaps.append(np.abs(np.diff(traj.x[mask, 0])).max())
         assert gaps[1] < gaps[0] and gaps[2] < gaps[1]
+
+
+def looped_side(side, z0, inner_substeps, T, plan):
+    """Oracle: the split-evaluator integrator with per-step lists, which
+    draws each interval's normals and each impulse draw as it reaches them."""
+    z0 = np.asarray(z0, dtype=float)
+    x, y = z0[: side.n].copy(), z0[side.n :].copy()
+    times, xs, ys, flags, impulses = [0.0], [x.copy()], [y.copy()], [0], []
+    slot = step_index = k = 0
+    t_k = side.schedule.time(0)
+    horizon_tol = 1e-9 * max(1.0, T)
+    while t_k < T - horizon_tol:
+        t_next = side.schedule.time(k + 1)
+        end = min(t_next, T)
+        h = (end - t_k) / inner_substeps
+        draws = plan.standard_normals(slot + inner_substeps)[slot : slot + inner_substeps]
+        slot += inner_substeps
+        for j in range(inner_substeps):
+            t = t_k + j * h
+            w = math.sqrt(h) * draws[j]
+            dx = h * side.drift_x(x, t) + side.diffusion_x(x, t) @ w
+            dy = h * side.drift_y(x, y, t) + side.diffusion_y(x, y, t) @ w
+            x, y = x + dx, y + dy
+            step_index += 1
+            times.append(end if j == inner_substeps - 1 else t_k + (j + 1) * h)
+            xs.append(x.copy())
+            ys.append(y.copy())
+            flags.append(0)
+        if t_next <= T + horizon_tol:
+            xi = plan.xi(k + 1)
+            pre = np.concatenate([x, y])
+            x = x + side.jumps.jump_x(x, k + 1) + side.jumps.jump_x_gain(x, k + 1) @ xi
+            y = y + side.jumps.jump_y(pre[: side.n], pre[side.n :], k + 1) \
+                + side.jumps.jump_y_gain(pre[: side.n], pre[side.n :], k + 1) @ xi
+            times.append(t_next)
+            xs.append(x.copy())
+            ys.append(y.copy())
+            flags.append(1)
+            impulses.append((k + 1, t_next, pre, np.concatenate([x, y])))
+        k += 1
+        t_k = side.schedule.time(k)
+    n = len(times)
+    return (np.asarray(times), np.asarray(xs).reshape(n, side.n),
+            np.asarray(ys).reshape(n, side.q), np.asarray(flags, dtype=np.uint8), impulses)
+
+
+def oracle_case(name):
+    """(system, z0, inner_substeps, T) of one oracle comparison."""
+    rng = np.random.default_rng(11)
+    every_quarter = ImpulseSchedule.equal_gaps(0.25)
+    if name == "scalar-cps":
+        return make_cps(LinearSde.scalar(-1.0, 0.5), 0.5), [1.0, 0.0], 4, 2.0
+    if name == "n2-q3-m2":
+        return side_from_blocks(2, *random_blocks(rng, 2, 3, 2), every_quarter), np.ones(5), 4, 2.0
+    if name == "m0":
+        return side_from_blocks(2, *random_blocks(rng, 2, 2, 0), every_quarter), np.ones(4), 4, 2.0
+    if name == "q0":
+        side = side_from_blocks(2, *random_blocks(rng, 2, 3, 1), every_quarter)
+        return stacked_as_x(side), np.ones(5), 4, 2.0
+    if name == "non-uniform":
+        # gaps 0.3 + 0.1 (sin(k + 1) - sin(k)) lie in [0.1, 0.5]
+        schedule = ImpulseSchedule(lambda k: 0.3 * k + 0.1 * math.sin(k), 0.1, 0.5)
+        return side_from_blocks(1, *random_blocks(rng, 1, 2, 1), schedule), np.ones(3), 5, 3.0
+    if name == "horizon-inside-interval":
+        return side_from_blocks(2, *random_blocks(rng, 2, 2, 1), every_quarter), np.ones(4), 3, 1.9
+    raise KeyError(name)
+
+
+class TestSimulateSideOracle:
+    @pytest.mark.parametrize(
+        "name", ["scalar-cps", "n2-q3-m2", "m0", "q0", "non-uniform", "horizon-inside-interval"]
+    )
+    def test_matches_looped_integrator(self, name):
+        side, z0, substeps, T = oracle_case(name)
+        got = simulate_side(side, z0, substeps, T, NoisePlan(4, 0, side.noise_dim, T, T))
+        times, xs, ys, flags, impulses = looped_side(
+            side, z0, substeps, T, NoisePlan(4, 0, side.noise_dim, T, T)
+        )
+        assert np.array_equal(got.times, times)
+        assert np.array_equal(got.impulse_flag, flags)
+        assert [(r.k, r.time) for r in got.impulses] == [rec[:2] for rec in impulses]
+        pairs = [(got.x, xs), (got.y, ys)]
+        pairs += [(r.pre, rec[2]) for r, rec in zip(got.impulses, impulses)]
+        pairs += [(r.post, rec[3]) for r, rec in zip(got.impulses, impulses)]
+        for a, b in pairs:
+            assert a.shape == b.shape
+            if side.noise_dim <= 1:
+                assert np.array_equal(a, b)
+            else:
+                # one stacked (n+q) x m product may round apart from two split ones
+                assert np.all(np.abs(a - b) <= 1e-14 * np.maximum(1.0, np.abs(b)))
+
+    def test_horizon_inside_interval_drops_last_jump(self):
+        side, z0, substeps, T = oracle_case("horizon-inside-interval")
+        traj = simulate_side(side, z0, substeps, T, NoisePlan(4, 0, side.noise_dim, T, T))
+        assert len(traj.impulses) == 7 and traj.times[-1] == T
+        assert traj.samples == 1 + 8 * substeps + 7
+
+    def test_jump_overflow_reports_impulse_without_warnings(self):
+        blocks = (-np.eye(2), [], np.array([[0.0, 0.0], [1e300, 0.0]]), [])
+        side = side_from_blocks(1, *blocks, ImpulseSchedule.equal_gaps(0.5))
+        with pytest.raises(NonFinite, match="at impulse 1$") as err:
+            simulate_side(side, [1e10, 0.0], 4, 2.0, plan_for(2.0, 2.0, m=0))
+        assert err.value.step == 4
+
+    def test_impulse_rows_share_one_time(self):
+        # t_k + s h can miss t_{k+1} in the last bit (11 * (0.1 / 11) != 0.1);
+        # the left limit and the post-impulse sample both sit at t_{k+1} exactly
+        sde = LinearSde.scalar(-1.0, 0.5)
+        plan = plan_for(0.1 / 11, 2.0)
+        for traj in (simulate_cps(sde, [1.0], 0.1, 2.0, plan, 11).hybrid,
+                     simulate_side(make_cps(sde, 0.1), [1.0, 0.0], 11, 2.0, plan)):
+            rows = np.flatnonzero(traj.impulse_flag)
+            assert rows.size == 20
+            assert np.array_equal(traj.times[rows - 1], traj.times[rows])
+            assert np.array_equal(traj.times[rows], [r.time for r in traj.impulses])
+            assert np.array_equal(traj.times[rows], (np.arange(20) + 1) * 0.1)
+
+    def test_non_increasing_schedule_rejected(self):
+        # t_2 = 0.25 falls back below t_1 = 0.5
+        schedule = ImpulseSchedule(lambda k: 0.5 * k if k < 2 else 0.25, 0.25, 0.5)
+        side = side_from_blocks(1, -np.eye(2), [], np.zeros((2, 2)), [], schedule)
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            simulate_side(side, [1.0, 0.0], 4, 2.0, plan_for(2.0, 2.0, m=0))
+
+    def test_overflow_step_without_warnings(self):
+        # under error::RuntimeWarning an overflow warning would fail this first
+        sde = LinearSde.scalar(1e6, 0.5)
+        plan = plan_for(0.5 / 32, 4.0)
+        with pytest.raises(NonFinite, match="at substep 74$") as err:
+            simulate_cps(sde, [1.0], 0.5, 4.0, plan, 32)
+        assert err.value.step == 74
+        with pytest.raises(NonFinite, match="at substep 74$") as err:
+            simulate_side(make_cps(sde, 0.5), [1.0, 0.0], 32, 4.0, plan)
+        assert err.value.step == 74
 
 
 class TestSimulateCps:

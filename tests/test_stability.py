@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sidelab.errors import NotLinear, NotPositiveDefinite
-from sidelab.models import LinearSde, SideSystem, make_cps
+from sidelab.models import ImpulseMaps, LinearSde, SideSystem, make_cps
 from sidelab.stability import (
     ConditionConstants,
     check_thm1,
@@ -191,18 +191,39 @@ class TestConditionConstants:
             mc = np.mean(np.einsum("ij,jk,ik->i", post, p_tilde, post))
             assert mc == pytest.approx(exact, rel=0.01)
 
-    def test_nonlinear_rejected(self):
+    @pytest.mark.parametrize(
+        "name, bent",
+        [
+            ("drift_x", lambda x, t: -x * np.abs(x)),
+            ("diffusion_x", lambda x, t: (0.5 * x * np.abs(x)).reshape(1, 1)),
+            ("drift_y", lambda x, y, t: x - y * np.abs(y)),
+            ("diffusion_y", lambda x, y, t: (0.5 * x * np.abs(y)).reshape(1, 1)),
+            ("jump_x", lambda x, k: 0.3 * x * np.abs(x)),
+            ("jump_x_gain", lambda x, k: (0.3 * x * np.abs(x)).reshape(1, 1)),
+            ("jump_y", lambda x, y, k: 0.3 * y * np.abs(x)),
+            ("jump_y_gain", lambda x, y, k: (0.3 * y * np.abs(y)).reshape(1, 1)),
+            ("drift_x", lambda x, t: -(1.0 + t) * x),  # time-dependent
+            ("jump_y", lambda x, y, k: -0.1 * k * y),  # index-dependent
+        ],
+        ids=[
+            "drift_x", "diffusion_x", "drift_y", "diffusion_y", "jump_x", "jump_x_gain",
+            "jump_y", "jump_y_gain", "time_dependent_drift", "index_dependent_jump",
+        ],
+    )
+    def test_nonlinear_rejected(self, name, bent):
         side = make_cps(LinearSde.scalar(-1.0, 0.5), 0.5)
+        fields = {
+            "drift_x": side.drift_x, "diffusion_x": side.diffusion_x,
+            "drift_y": side.drift_y, "diffusion_y": side.diffusion_y,
+        }
+        maps = {
+            "jump_x": side.jumps.jump_x, "jump_x_gain": side.jumps.jump_x_gain,
+            "jump_y": side.jumps.jump_y, "jump_y_gain": side.jumps.jump_y_gain,
+        }
+        (fields if name in fields else maps)[name] = bent
         bad = SideSystem(
-            n=1, q=1, noise_dim=1,
-            drift_x=lambda x, t: -x * np.abs(x),
-            diffusion_x=side.diffusion_x,
-            drift_y=side.drift_y,
-            diffusion_y=side.diffusion_y,
-            jumps=side.jumps,
-            schedule=side.schedule,
-            lipschitz_x=10.0,
-            lipschitz_y=10.0,
+            n=1, q=1, noise_dim=1, **fields, jumps=ImpulseMaps(**maps),
+            schedule=side.schedule, lipschitz_x=10.0, lipschitz_y=10.0,
         )
         with pytest.raises(NotLinear):
             quadratic_condition_constants(bad, [[1.0]], [[1.0]])
