@@ -57,6 +57,7 @@ from .stability import (
     max_stepsize,
     quadratic_condition_constants,
     scalar_max_stepsize,
+    stepsize_certificate,
 )
 
 __version__ = "0.1.0"
@@ -74,5 +75,5 @@ __all__ = [
     "ConditionConstants", "StabilityCertificate", "check_thm1", "check_thm2", "check_thm4",
     "check_thm5", "check_thm6", "cp_lyapunov_feasible", "discrete_ms_stable",
     "lyapunov_ito_feasible", "max_stepsize", "quadratic_condition_constants",
-    "scalar_max_stepsize",
+    "scalar_max_stepsize", "stepsize_certificate",
 ]

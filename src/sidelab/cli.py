@@ -257,14 +257,13 @@ def _task_analyze(cfg: RunConfig, outdir: Path) -> int:
 
 def _task_max_stepsize(cfg: RunConfig, outdir: Path) -> int:
     sde = cfg.system()
-    bound = stability.max_stepsize(sde, cfg.tol)
+    bound, cert = stability.stepsize_certificate(sde, cfg.tol)
     lines = ["task: max-stepsize"]
     if bound is None:
         lines.append("verdict: infeasible (unstable base system)")
         code = 1
     else:
         lines.append(f"max stepsize: {_fmt(bound)} (tol {_fmt(cfg.tol)})")
-        cert = stability.cp_lyapunov_feasible(sde, 0.0)
         lines.append(cert.report())
         _write_report(outdir, "certificate.txt", cert.report())
         code = 0

@@ -38,7 +38,9 @@ class ContractionViolated(ToolkitError):
 
 
 class NoConvergence(ToolkitError):
-    """The implicit fixed-point iteration stalled."""
+    """An iteration did not converge: the implicit fixed-point iteration
+    stalled, or the Arnoldi iteration of the stepsize bound ran out of
+    restarts."""
 
 
 class OutOfRange(ToolkitError):

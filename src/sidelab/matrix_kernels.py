@@ -3,12 +3,14 @@
 Matrices are plain float64 NumPy arrays: a general matrix is any finite 2-d
 array, a symmetric one is validated (and symmetrized) by the helpers here.
 Everything is a pure function of its inputs and safe to call concurrently.
-Systems are small (n up to a few tens), so all solvers are dense.  Every
-certificate operator P -> sum_t A_t^T P B_t maps symmetric matrices to
+Every certificate operator P -> sum_t A_t^T P B_t maps symmetric matrices to
 symmetric matrices, so it is built once, restricted to them: the unknown is
-the upper triangle of P (n(n+1)/2 coordinates), and one matrix of that size
-serves the continuous and discrete Lyapunov solvers and spectral questions
-such as the exact stepsize bound.
+the upper triangle of P (n(n+1)/2 coordinates).  That matrix is LU-factored
+once (`lu_factors`), and the factors serve every question asked of it: the
+continuous and discrete Lyapunov solves (`solve_gated`) and the exact
+stepsize bound (`ct_stepsize_bound`), whose dominant eigenvalue is found by
+Arnoldi iteration (ARPACK) on the factored operator rather than by a dense
+eigendecomposition.
 
 The left-hand sides of the two certificate equations are also written once
 each by plain matrix products: `ct_form` (F^T P + P F + dt_bar F^T P F +
@@ -19,13 +21,14 @@ operator, and the quadratic forms of the certificates.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .errors import NotPositiveDefinite, SingularOperator
+from .errors import NoConvergence, NotPositiveDefinite, SingularOperator
 
 #: Default relative residual tolerance for the equation solvers.
 DEFAULT_RTOL = 1e-9
@@ -179,17 +182,34 @@ def _coerce_equation(f, gs: Sequence, q) -> tuple[np.ndarray, list[np.ndarray], 
     return f, gs, q
 
 
-def _solve_gated(op: np.ndarray, lhs: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
-                 rtol: float) -> np.ndarray:
-    """Solve op p = -Q[triu] for the upper triangle p of P (op from
-    vec_operator), mirror it into the lower one, then gate the residual
+def lu_factors(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LU factors of an operator matrix from vec_operator (scipy.linalg.lu_factor).
+
+    An exactly singular matrix is factored too, with a zero pivot on the
+    diagonal of U, which solve_gated refuses; LAPACK's warning about that
+    pivot is therefore silenced here.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        return scipy.linalg.lu_factor(op)
+
+
+def solve_gated(factors: tuple[np.ndarray, np.ndarray], lhs: Callable[[np.ndarray], np.ndarray],
+                q: np.ndarray, rtol: float = DEFAULT_RTOL) -> np.ndarray:
+    """Solve op p = -Q[triu] for the upper triangle p of P, with op given by
+    its lu_factors, mirror p into the lower triangle, then gate the residual
     lhs(P) + Q of the defining equation, which lhs evaluates by plain matrix
-    products independent of the vectorized operator."""
+    products independent of the vectorized operator.  Raises
+    SingularOperator at a zero pivot or when the residual exceeds
+    rtol * ||Q||."""
+    lu = factors[0]
+    zero = np.flatnonzero(np.diagonal(lu) == 0.0)
+    if zero.size:
+        raise SingularOperator(
+            f"vectorized Lyapunov operator is singular: pivot {zero[0] + 1} of {len(lu)} is zero"
+        )
     i, j = np.triu_indices(q.shape[0])
-    try:
-        tri = np.linalg.solve(op, -q[i, j])
-    except np.linalg.LinAlgError as exc:
-        raise SingularOperator(f"vectorized Lyapunov operator is singular: {exc}") from exc
+    tri = scipy.linalg.lu_solve(factors, -q[i, j])
     p = np.empty_like(q)
     p[i, j] = tri
     p[j, i] = tri
@@ -203,6 +223,46 @@ def _solve_gated(op: np.ndarray, lhs: Callable[[np.ndarray], np.ndarray], q: np.
     return p
 
 
+def ct_stepsize_bound(factors: tuple[np.ndarray, np.ndarray], f: np.ndarray, p: np.ndarray) -> float:
+    """1 / rho(L0^{-1} K) for K: P -> F^T P F, given the lu_factors of L0.
+
+    L0 must be the stable operator ct_operator(f, gs) and p a positive
+    definite solution of L0(P) = -Q, so that -L0^{-1} K preserves the cone
+    of positive semidefinite matrices and p lies inside it.  ARPACK (eigs,
+    k = 1, started at the triangle of p) finds the dominant eigenvalue of
+    v -> L0^{-1} K v on the triangle coordinates, applying K as F^T P F on
+    the unpacked matrix.  With n = 1 there is one coordinate, and the
+    eigenvalue is the exact ratio (L0^{-1} K v) / v.  Raises NoConvergence
+    when the Arnoldi iteration does not converge.
+    """
+    # imported here, not with the module: scipy.sparse.linalg adds about
+    # 35 ms to `import sidelab`, which every task would pay and only this
+    # bound needs
+    import scipy.sparse.linalg
+
+    n = f.shape[0]
+    i, j = np.triu_indices(n)
+    s = np.empty((n, n))
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        s[i, j] = v
+        s[j, i] = v
+        return scipy.linalg.lu_solve(factors, (f.T @ s @ f)[i, j], check_finite=False)
+
+    v0 = p[i, j]
+    if i.size == 1:
+        return abs(v0[0] / matvec(v0)[0])
+    op = scipy.sparse.linalg.LinearOperator((i.size, i.size), matvec=matvec, dtype=float)
+    try:
+        lam = scipy.sparse.linalg.eigs(op, k=1, which="LM", v0=v0, return_eigenvectors=False)[0]
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        raise NoConvergence(
+            f"Arnoldi iteration for the stepsize bound did not converge on the "
+            f"{i.size}-coordinate operator of a {n}-dimensional system"
+        ) from exc
+    return 1.0 / abs(lam)
+
+
 def solve_ct_lyapunov(f, gs: Sequence, dt_bar: float, q, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """Solve F^T P + P F + sum_j Gj^T P Gj + dt_bar F^T P F = -Q for symmetric P.
 
@@ -214,7 +274,7 @@ def solve_ct_lyapunov(f, gs: Sequence, dt_bar: float, q, rtol: float = DEFAULT_R
     f, gs, q = _coerce_equation(f, gs, q)
     if dt_bar < 0:
         raise ValueError("dt_bar must be nonnegative")
-    return _solve_gated(ct_operator(f, gs, dt_bar), lambda p: ct_form(f, gs, p, dt_bar), q, rtol)
+    return solve_gated(lu_factors(ct_operator(f, gs, dt_bar)), lambda p: ct_form(f, gs, p, dt_bar), q, rtol)
 
 
 def solve_dt_lyapunov(f, gs: Sequence, dt: float, q, rtol: float = DEFAULT_RTOL) -> np.ndarray:
@@ -229,4 +289,4 @@ def solve_dt_lyapunov(f, gs: Sequence, dt: float, q, rtol: float = DEFAULT_RTOL)
     eye = np.eye(f.shape[0])
     a = eye + dt * f
     op = vec_operator([(a, a), (eye, -eye), *((g, dt * g) for g in gs)])
-    return _solve_gated(op, lambda p: dt_form(f, gs, p, dt) - p, q, rtol)
+    return solve_gated(lu_factors(op), lambda p: dt_form(f, gs, p, dt) - p, q, rtol)

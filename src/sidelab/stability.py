@@ -24,14 +24,16 @@ from .matrix_kernels import (
     as_symmetric,
     ct_form,
     ct_operator,
+    ct_stepsize_bound,
     decay_rate,
     dt_form,
     is_positive_definite,
+    lu_factors,
     pencil_top,
     solve_ct_lyapunov,
     solve_dt_lyapunov,
+    solve_gated,
     symmetrize,
-    vec_operator,
 )
 from .models import LinearSde, SideSystem, linear_compact_form
 
@@ -82,12 +84,12 @@ def dt_quadratic_form(sde: LinearSde, p: np.ndarray, dt: float) -> np.ndarray:
     return symmetrize(dt_form(sde.drift_matrix, sde.noise_matrices, p, dt))
 
 
-def _certificate(sde: LinearSde, param: float, solve: Callable, form: Callable) -> StabilityCertificate:
-    """Solve the defining equation with Q = I, gate the candidate P > 0, and
-    require the decay rate of form(P) relative to P to be positive; a
-    singular boundary maps to infeasible."""
+def _certificate(param: float, solve: Callable[[], np.ndarray], form: Callable) -> StabilityCertificate:
+    """Solve the defining equation with Q = I (solve()), gate the candidate
+    P > 0, and require the decay rate of form(P) relative to P to be
+    positive; a singular boundary maps to infeasible."""
     try:
-        p = solve(sde.drift_matrix, sde.noise_matrices, param, np.eye(sde.dim))
+        p = solve()
     except SingularOperator as exc:
         return StabilityCertificate(False, None, 0.0, param, f"boundary: {exc}")
     gate = is_positive_definite(p)
@@ -111,7 +113,9 @@ def cp_lyapunov_feasible(sde: LinearSde, dt_bar: float) -> StabilityCertificate:
     """
     if dt_bar < 0:
         raise ValueError("dt_bar must be nonnegative")
-    return _certificate(sde, dt_bar, solve_ct_lyapunov, lambda p: ct_quadratic_form(sde, p, dt_bar))
+    f, gs = sde.drift_matrix, sde.noise_matrices
+    return _certificate(dt_bar, lambda: solve_ct_lyapunov(f, gs, dt_bar, np.eye(sde.dim)),
+                        lambda p: ct_quadratic_form(sde, p, dt_bar))
 
 
 def lyapunov_ito_feasible(sde: LinearSde) -> StabilityCertificate:
@@ -127,7 +131,9 @@ def discrete_ms_stable(sde: LinearSde, dt: float) -> StabilityCertificate:
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return _certificate(sde, dt, solve_dt_lyapunov, lambda p: dt_quadratic_form(sde, p, dt) - p)
+    f, gs = sde.drift_matrix, sde.noise_matrices
+    return _certificate(dt, lambda: solve_dt_lyapunov(f, gs, dt, np.eye(sde.dim)),
+                        lambda p: dt_quadratic_form(sde, p, dt) - p)
 
 
 def scalar_max_stepsize(lam: float, mu: float) -> float | None:
@@ -142,25 +148,43 @@ def scalar_max_stepsize(lam: float, mu: float) -> float | None:
     return -drift_margin / (lam * lam)
 
 
+def stepsize_certificate(sde: LinearSde, tol: float = 1e-6) -> tuple[float | None, StabilityCertificate]:
+    """The bound of `max_stepsize` together with the dt_bar = 0 certificate.
+
+    L0 is built and LU-factored once; the factors solve the certificate
+    (the same solve, residual gate, P > 0 gate and margin as
+    `cp_lyapunov_feasible(sde, 0.0)`) and then drive the Arnoldi iteration
+    for the bound, started at the certificate's P.  Returns (None, cert)
+    when the certificate is infeasible.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    f, gs = sde.drift_matrix, sde.noise_matrices
+    factors = lu_factors(ct_operator(f, gs))
+    cert = _certificate(0.0, lambda: solve_gated(factors, lambda p: ct_form(f, gs, p), np.eye(sde.dim)),
+                        lambda p: ct_quadratic_form(sde, p))
+    if not cert.feasible:
+        return None, cert
+    return ct_stepsize_bound(factors, f, cert.p), cert
+
+
 def max_stepsize(sde: LinearSde, tol: float = 1e-6) -> float | None:
     """Supremum stepsize with the cyber-physical inequality feasible.
 
     With L0: P -> F^T P + P F + sum Gj^T P Gj and K: P -> F^T P F, the
     operator L0 + dt_bar K is stable iff L0 is stable and
     dt_bar * rho(L0^{-1} K) < 1 (Damm, LNCIS 297, 2004), so the bound is
-    1 / rho(L0^{-1} K): one eigenvalue problem on symmetric matrices, where
-    the dominant eigenvector of this cone-preserving map lies.  The bound is
-    exact to round-off, so any positive `tol` is met.  Returns None when even
-    dt_bar = 0 is infeasible.
+    1 / rho(L0^{-1} K), an eigenvalue problem on symmetric matrices.  Only
+    the dominant eigenvalue is needed: Arnoldi iteration (ARPACK, k = 1)
+    finds it through one LU of L0, the one that also solves the dt_bar = 0
+    certificate.  It starts at that certificate's P, which lies inside the
+    cone of positive semidefinite matrices that -L0^{-1} K preserves.  For
+    n = 1 the operator has one coordinate, and the bound is its exact
+    ratio.  The bound is exact to round-off, so any positive `tol` is met.
+    Returns None when even dt_bar = 0 is infeasible; raises NoConvergence
+    when the Arnoldi iteration does not converge.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if not cp_lyapunov_feasible(sde, 0.0).feasible:
-        return None
-    f = sde.drift_matrix
-    l0 = ct_operator(f, sde.noise_matrices)
-    k = vec_operator([(f, f)])
-    return 1.0 / float(np.abs(np.linalg.eigvals(np.linalg.solve(l0, k))).max())
+    return stepsize_certificate(sde, tol)[0]
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 import sidelab
 from sidelab.cli import RunConfig, dump_config, emit_plot_data, load_config, main, run
@@ -33,6 +35,32 @@ dt_bar = {dt_bar}
 [output]
 dir = {out}
 """
+
+LINEAR = """
+[system]
+kind = linear
+f = {f}
+{noise}
+
+[task]
+name = {task}
+
+[output]
+dir = {out}
+"""
+
+STABLE = {"f": "-1 0.5 ; 0.2 -2", "noise": "g1 = 0.3 0.1 ; 0 0.2"}
+
+
+def run_cli(cfg):
+    """Run the CLI in a fresh interpreter; returns the finished process."""
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from sidelab.cli import main; sys.exit(main())",
+         "--config", cfg],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(sidelab.__file__).parents[1])},
+    )
+
 
 SIMULATE = """
 [system]
@@ -153,15 +181,47 @@ class TestExitCodes:
             "[system]\nkind = scalar\nlambda = 1e6\nmu = 0.5\n\n[task]\nname = simulate\n\n"
             f"[numeric]\nx0 = 1\ndt = 0.5\nt = 4\nsubsteps = 32\n\n[output]\ndir = {tmp_path / 'o'}\n",
         )
-        done = subprocess.run(
-            [sys.executable, "-c", "import sys; from sidelab.cli import main; sys.exit(main())",
-             "--config", cfg],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(Path(sidelab.__file__).parents[1])},
-        )
+        done = run_cli(cfg)
         assert done.returncode == 1
         assert done.stderr == ""
         assert "diverged: state overflowed at substep 74" in done.stdout
+
+    def test_singular_operator_is_a_boundary_without_warnings(self, tmp_path):
+        cfg = write(tmp_path, "z.ini", LINEAR.format(f="0 0 ; 0 0", noise="", task="analyze", out=tmp_path / "o"))
+        done = run_cli(cfg)
+        assert done.returncode == 1
+        assert done.stderr == ""
+        assert "verdict: infeasible" in done.stdout and "boundary" in done.stdout
+
+    def test_arnoldi_no_convergence_is_an_error(self, tmp_path, capsys, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", stalled)
+        cfg = write(tmp_path, "s.ini", LINEAR.format(**STABLE, task="max-stepsize", out=tmp_path / "o"))
+        assert main(["--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "3-coordinate operator" in err
+        assert "Traceback" not in err
+
+    def test_max_stepsize_builds_and_factors_l0_once(self, tmp_path, capsys, monkeypatch):
+        calls = {"ct_operator": 0, "lu_factor": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        build = sidelab.matrix_kernels.ct_operator
+        for module in (sidelab.matrix_kernels, sidelab.stability):
+            monkeypatch.setattr(module, "ct_operator", counted("ct_operator", build))
+        monkeypatch.setattr(scipy.linalg, "lu_factor", counted("lu_factor", scipy.linalg.lu_factor))
+        cfg = write(tmp_path, "s.ini", LINEAR.format(**STABLE, task="max-stepsize", out=tmp_path / "o"))
+        assert main(["--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "max stepsize: " in out and "verdict: feasible" in out
+        assert calls == {"ct_operator": 1, "lu_factor": 1}
 
     def test_task_override(self, tmp_path):
         cfg = write(tmp_path, "a.ini", SCALAR_ANALYZE.format(dt_bar=0.4, out=tmp_path / "o"))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,6 +177,13 @@ class TestSolverInputs:
     def test_rejects_mis_sized_q(self, solve):
         with pytest.raises(ValueError, match="f and q dimensions differ"):
             solve(-np.eye(2), [], 0.1, np.eye(3))
+
+    def test_zero_drift_is_singular_without_warning(self, solve):
+        # both operators vanish at F = 0; the zero pivot is refused, not warned about
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularOperator, match="pivot 1 of 3 is zero"):
+                solve(np.zeros((2, 2)), [], 0.1, np.eye(2))
 
 
 class TestPositiveDefinite:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sidelab.errors import NotLinear, NotPositiveDefinite
+from sidelab.matrix_kernels import ct_operator, vec_operator
 from sidelab.models import ImpulseMaps, LinearSde, SideSystem, make_cps
 from sidelab.stability import (
     ConditionConstants,
@@ -19,14 +20,15 @@ from sidelab.stability import (
     max_stepsize,
     quadratic_condition_constants,
     scalar_max_stepsize,
+    stepsize_certificate,
 )
 
 SCALAR = LinearSde.scalar(-4.0, 1.0)
 
 
-def random_stable_sde(rng, n_max=3, m_max=2):
+def random_stable_sde(rng, n_max=3, m_max=2, n_min=1):
     """Shift the drift until the identity certifies mean-square stability."""
-    n = int(rng.integers(1, n_max + 1))
+    n = int(rng.integers(n_min, n_max + 1))
     m = int(rng.integers(0, m_max + 1))
     a = rng.normal(size=(n, n))
     gs = tuple(0.3 * rng.normal(size=(n, n)) for _ in range(m))
@@ -45,6 +47,27 @@ def random_unstable_sde(rng, n_max=3, m_max=2):
     gs = tuple(0.3 * rng.normal(size=(n, n)) for _ in range(m))
     shift = -float(np.linalg.eigvals(a).real.min()) + 0.3
     return LinearSde(a + shift * np.eye(n), gs)
+
+
+def dense_stepsize(sde):
+    """Oracle: 1 / rho(L0^{-1} K) from every eigenvalue of the dense matrix."""
+    f = sde.drift_matrix
+    l0 = ct_operator(f, sde.noise_matrices)
+    k = vec_operator([(f, f)])
+    return 1.0 / float(np.abs(np.linalg.eigvals(np.linalg.solve(l0, k))).max())
+
+
+def certify_style_sde(rng, n):
+    """A stable n-d system with two noise terms, rescaled by F -> 4^j F,
+    G -> 2^j G (exact in floating point) so that its bound lies in [0.25, 1)."""
+    f = -np.eye(n) + rng.standard_normal((n, n)) / (2.0 * math.sqrt(n))
+    gs = [rng.uniform(0.2, 0.5) * rng.standard_normal((n, n)) / math.sqrt(n) for _ in range(2)]
+    j = math.floor(math.log(dense_stepsize(LinearSde(f, tuple(gs))), 4.0)) + 1
+    return LinearSde(f * 4.0**j, tuple(g * 2.0**j for g in gs))
+
+
+def abscissa(sde, dt_bar):
+    return float(np.linalg.eigvals(ct_operator(sde.drift_matrix, sde.noise_matrices, dt_bar)).real.max())
 
 
 class TestLyapunovIto:
@@ -127,6 +150,43 @@ class TestMaxStepsize:
                 l0 += np.kron(g.T, g.T)
             rho = np.abs(np.linalg.eigvals(np.linalg.solve(l0, np.kron(f.T, f.T)))).max()
             assert max_stepsize(sde) == pytest.approx(1.0 / rho, rel=1e-10)
+
+    def test_matches_dense_oracle_n1_to_8(self):
+        rng = np.random.default_rng(29)
+        for n in range(1, 9):
+            for _ in range(3):
+                sde = random_stable_sde(rng, n_max=n, n_min=n)
+                assert max_stepsize(sde) == pytest.approx(dense_stepsize(sde), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [20, 30])
+    def test_matches_dense_oracle_certify_scale(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(2):
+            sde = certify_style_sde(rng, n)
+            assert max_stepsize(sde) == pytest.approx(dense_stepsize(sde), rel=1e-12)
+
+    def test_bound_is_the_operator_threshold(self):
+        # L0 + dt_bar K is stable just below the bound and unstable just above
+        rng = np.random.default_rng(31)
+        systems = [random_stable_sde(rng, n_max=n, n_min=n) for n in range(1, 9)]
+        systems += [certify_style_sde(rng, 20), certify_style_sde(rng, 30)]
+        for sde in systems:
+            bound = max_stepsize(sde)
+            assert abscissa(sde, 0.999 * bound) < 0.0 < abscissa(sde, 1.001 * bound)
+
+    def test_certificate_is_the_dt_bar_zero_certificate(self):
+        rng = np.random.default_rng(37)
+        for sde in [random_stable_sde(rng) for _ in range(5)] + [random_unstable_sde(rng) for _ in range(5)]:
+            bound, cert = stepsize_certificate(sde)
+            ref = cp_lyapunov_feasible(sde, 0.0)
+            assert (bound is None) == (not ref.feasible) == (not cert.feasible)
+            assert (cert.margin, cert.dt_bar, cert.detail) == (ref.margin, ref.dt_bar, ref.detail)
+            if ref.feasible:
+                assert np.array_equal(cert.p, ref.p)
+
+    def test_rejects_nonpositive_tol(self):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            max_stepsize(SCALAR, tol=0.0)
 
 
 class TestScalarMaxStepsize:
