@@ -398,6 +398,8 @@ def run(config_path: str | Path, overrides: dict | None = None) -> int:
         cfg.trajectories = int(overrides["trajectories"])
     if overrides.get("out") is not None:
         cfg.outdir = str(overrides["out"])
+    if cfg.task in ("simulate", "exponent", "converge"):
+        simulate.whole_steps(cfg.horizon, cfg.dt)
     outdir = Path(cfg.outdir)
     if overrides.get("dump_config"):
         outdir.mkdir(parents=True, exist_ok=True)

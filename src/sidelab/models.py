@@ -20,9 +20,15 @@ from .errors import NotLinear, NotPositiveDefinite, ValidationFailed
 from .matrix_kernels import as_square, as_symmetric, is_positive_definite
 
 _LINEARITY_RTOL = 1e-8
+_FLOAT64 = np.dtype(np.float64)
 
 
 def _as_vector(x, dim: int | None = None, name: str = "x") -> np.ndarray:
+    # a native float64 vector of the right length is returned as is: the
+    # conversion below would return this same object
+    if (type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == 1
+            and (dim is None or x.shape[0] == dim)):
+        return x
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.ndim != 1:
         raise ValueError(f"{name} must be a vector, got shape {v.shape}")
@@ -77,9 +83,10 @@ class LinearSde:
 
     def diffusion(self, x, t: float = 0.0) -> np.ndarray:
         x = _as_vector(x, self.dim)
-        if not self.noise_matrices:
-            return np.zeros((self.dim, 0))
-        return np.column_stack([g @ x for g in self.noise_matrices])
+        g = np.empty((self.dim, len(self.noise_matrices)))
+        for j, g_j in enumerate(self.noise_matrices):
+            g[:, j] = g_j @ x
+        return g
 
 
 @dataclass(frozen=True)

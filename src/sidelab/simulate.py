@@ -186,6 +186,21 @@ def theta_method(
     return DiscretePath(dt, states)
 
 
+def whole_steps(T: float, dt: float) -> int:
+    """The number of steps of size dt that make up the horizon T.
+
+    Raises ValueError unless dt > 0 and T is a positive whole multiple of dt
+    within a relative 1e-9.
+    """
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    ratio = T / dt
+    steps = int(round(ratio)) if math.isfinite(ratio) else 0
+    if steps < 1 or abs(steps * dt - T) > _TIME_RTOL * max(1.0, T):
+        raise ValueError(f"horizon t={T!r} is not a whole number of steps dt={dt!r}")
+    return steps
+
+
 def step_process(path: DiscretePath) -> Callable[[float], np.ndarray]:
     """Right-continuous step extension X(t) = X_k on [k dt, (k+1) dt).
 
@@ -216,16 +231,29 @@ def _substeps(drift, diffusion, z, t_k, h, draws, out, step: int) -> np.ndarray:
 
     Writes each state into a row of `out` and returns the last; `step` is the
     global index of the substep before the first, reported by NonFinite.
+
+    Finiteness is checked once, after the block: NonFinite names the first
+    substep whose state overflowed.  Until then the evaluators may see
+    non-finite states for the rest of the block, under the errstate below;
+    an evaluator that raises on such a state also reports that NonFinite.
     """
-    sqrt_h = math.sqrt(h)
+    w = math.sqrt(h) * draws
+    written = out
     # overflow is reported by NonFinite below
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(draws.shape[0]):
-            t = t_k + j * h
-            z = z + (h * drift(z, t) + diffusion(z, t) @ (sqrt_h * draws[j]))
-            if not np.all(np.isfinite(z)):
-                raise NonFinite(f"state overflowed at substep {step + j + 1}", step=step + j + 1)
-            out[j] = z
+        try:
+            for j in range(w.shape[0]):
+                t = t_k + j * h
+                z = z + (h * drift(z, t) + diffusion(z, t) @ w[j])
+                out[j] = z
+        except Exception:
+            written = out[:j]
+            if np.isfinite(written).all():
+                raise
+    bad = np.flatnonzero(~np.isfinite(written).all(axis=1))
+    if bad.size:
+        first = step + int(bad[0]) + 1
+        raise NonFinite(f"state overflowed at substep {first}", step=first)
     return z
 
 
@@ -318,13 +346,9 @@ def simulate_cps(
 
     T must be a whole number of impulse intervals.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    n_intervals = whole_steps(T, dt)
     if inner_substeps < 1:
         raise ValueError("inner_substeps must be >= 1")
-    n_intervals = int(round(T / dt))
-    if n_intervals < 1 or abs(n_intervals * dt - T) > _TIME_RTOL * max(1.0, T):
-        raise ValueError("T must be a whole number of impulse intervals k * dt")
     if plan.noise_dim != sde.noise_dim:
         raise ValueError("plan noise dimension does not match the system")
 

@@ -161,6 +161,13 @@ class TestExitCodes:
             ("exponent", "dt = 0.05\nt = 1.0\np = -1\ntrajectories = 8\n", []),
             ("simulate", "dt = -0.1\nt = 1.0\n", []),
             ("simulate", "x0 = 1 2\ndt = 0.5\nt = 1.0\n", []),
+            # horizons that are not a whole number of steps dt
+            ("simulate", "dt = 0.2\nt = 0.5\nsubsteps = 2\n", []),
+            ("simulate", "dt = 0.3\nt = 1.0\nsubsteps = 10\n", []),
+            ("simulate", "dt = 2.0\nt = 1.0\n", []),
+            ("exponent", "dt = 0.3\nt = 1.0\n", []),
+            ("converge", "dt = 0.3\nt = 1.0\n", []),
+            ("converge", "dt = 0.125\nt = 1.05\ntrajectories = 8\nlevels = 2\n", []),
         ],
     )
     def test_invalid_numeric_input_is_two(self, tmp_path, capsys, task, numeric, flags):

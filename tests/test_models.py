@@ -10,6 +10,7 @@ from sidelab.models import (
     QuadraticLyapunov,
     SideSystem,
     VectorFieldSde,
+    _as_vector,
     compact_form,
     linear_compact_form,
     make_cps,
@@ -39,6 +40,64 @@ class TestLinearSde:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             LinearSde(np.eye(2), (np.eye(3),))
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_diffusion_is_bitwise_the_column_stack(self, n, m):
+        rng = np.random.default_rng(10 * n + m)
+        gs = tuple(rng.normal(size=(n, n)) for _ in range(m))
+        sde = LinearSde(-np.eye(n), gs)
+        for x in (rng.normal(size=n), rng.normal(size=2 * n)[::2]):
+            got = sde.diffusion(x)
+            want = np.column_stack([g @ x for g in gs]) if m else np.zeros((n, 0))
+            assert got.shape == (n, m) and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+            w = rng.normal(size=m)
+            assert (got @ w).tobytes() == (want @ w).tobytes()
+
+
+class TestAsVector:
+    @pytest.mark.parametrize(
+        "x",
+        [np.arange(3.0), np.arange(6.0)[::2], np.arange(9.0).reshape(3, 3)[:, 1], np.eye(3) @ np.ones(3)],
+    )
+    def test_float64_vector_is_returned_as_is(self, x):
+        assert _as_vector(x, 3) is x
+        assert _as_vector(x) is x
+
+    @pytest.mark.parametrize(
+        "x, want",
+        [
+            ([1, 2, 3], [1.0, 2.0, 3.0]),
+            (2, [2.0]),
+            (np.float64(2.5), [2.5]),
+            (np.array(2.5), [2.5]),
+            (np.arange(3, dtype=np.float32), [0.0, 1.0, 2.0]),
+            (np.arange(3, dtype=np.int64), [0.0, 1.0, 2.0]),
+            (np.arange(3.0).astype(">f8"), [0.0, 1.0, 2.0]),
+            (np.ma.masked_array([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0]),
+        ],
+    )
+    def test_other_inputs_convert(self, x, want):
+        v = _as_vector(x, len(want))
+        assert type(v) is np.ndarray and v.dtype == np.float64 and v.dtype.isnative
+        assert v.tolist() == want
+        assert v.tobytes() == np.atleast_1d(np.asarray(x, dtype=float)).tobytes()
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            (np.ones((3, 1)), "z must be a vector, got shape (3, 1)"),
+            (np.ones((1, 3)), "z must be a vector, got shape (1, 3)"),
+            (np.ones(2), "z must have length 3, got 2"),
+            ([1.0, 2.0, 3.0, 4.0], "z must have length 3, got 4"),
+            (np.ones(6)[::3], "z must have length 3, got 2"),
+        ],
+    )
+    def test_bad_shapes_raise(self, x, message):
+        with pytest.raises(ValueError) as err:
+            _as_vector(x, 3, "z")
+        assert str(err.value) == message
 
 
 class TestVectorFieldSde:

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sidelab.errors import (
     ContractionViolated,
@@ -318,6 +320,58 @@ class TestSimulateSideOracle:
         with pytest.raises(NonFinite, match="at substep 74$") as err:
             simulate_side(make_cps(sde, 0.5), [1.0, 0.0], 32, 4.0, plan)
         assert err.value.step == 74
+
+    @pytest.mark.parametrize("s", [16, 30, 31])
+    def test_overflow_step_anywhere_in_an_interval(self, s):
+        # x grows by 1e10 per substep from 1, so it is first inf at substep 31:
+        # inside the second interval (s = 16), its first substep (s = 30), or
+        # the last substep of the first (s = 31)
+        sde = LinearSde.scalar((1e10 - 1.0) * s, 0.0)
+        runs = (lambda: simulate_cps(sde, [1.0], 1.0, 2.0, plan_for(1.0 / s, 2.0), s),
+                lambda: simulate_side(make_cps(sde, 1.0), [1.0, 0.0], s, 2.0, plan_for(2.0, 2.0)))
+        for run in runs:
+            with pytest.raises(NonFinite, match="at substep 31$") as err:
+                run()
+            assert err.value.step == 31
+
+    def test_vector_field_overflow_without_warnings(self):
+        # the substeps after the overflow evaluate np.sin at inf and nan,
+        # which warns unless the integrator's errstate covers them
+        sde = VectorFieldSde(1, 1, lambda x, t: 3e4 * x + 0.1 * np.sin(x),
+                             lambda x, t: 0.5 * np.tanh(x).reshape(1, 1), 4e4)
+        plan = plan_for(0.25 / 16, 4.0, seed=1)
+        for run in (lambda: simulate_cps(sde, [1.0], 0.25, 4.0, plan, 16),
+                    lambda: simulate_side(make_cps(sde, 0.25), [1.0, 0.0], 16, 4.0, plan)):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                with pytest.raises(NonFinite, match="at substep 115$") as err:
+                    run()
+            assert err.value.step == 115
+            assert seen == []
+
+    def test_evaluator_error_after_overflow_reports_the_overflow(self):
+        def system(fail_after):
+            # scipy.linalg.solve refuses a non-finite right-hand side
+            def drift(x, t):
+                if t > fail_after:
+                    raise RuntimeError("drift failed")
+                return 3e4 * scipy.linalg.solve(np.eye(1), x)
+
+            return VectorFieldSde(1, 1, drift, lambda x, t: 0.5 * np.tanh(x).reshape(1, 1), 4e4)
+
+        plan = plan_for(0.25 / 16, 4.0, seed=1)
+        sde = system(math.inf)
+        with pytest.raises(NonFinite, match="at substep 115$") as err:
+            simulate_cps(sde, [1.0], 0.25, 4.0, plan, 16)
+        assert err.value.step == 115
+        with pytest.raises(NonFinite, match="at substep 115$"):
+            simulate_side(make_cps(sde, 0.25), [1.0, 0.0], 16, 4.0, plan)
+        # an error on a finite state is the evaluator's own
+        sde = system(1.5)
+        with pytest.raises(RuntimeError, match="drift failed"):
+            simulate_cps(sde, [1.0], 0.25, 4.0, plan, 16)
+        with pytest.raises(RuntimeError, match="drift failed"):
+            simulate_side(make_cps(sde, 0.25), [1.0, 0.0], 16, 4.0, plan)
 
 
 class TestSimulateCps:
