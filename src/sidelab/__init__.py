@@ -15,7 +15,6 @@ from .estimate import (
 from .matrix_kernels import (
     decay_rate,
     is_positive_definite,
-    kron,
     solve_ct_lyapunov,
     solve_dt_lyapunov,
 )
@@ -66,7 +65,7 @@ __all__ = [
     "cli", "errors", "estimate", "matrix_kernels", "models", "noise", "simulate", "stability",
     "ConvergenceStudy", "Ensemble", "ExponentEstimate", "as_exponent", "moment_exponent",
     "scalar_onestep_factor", "strong_error_sup",
-    "decay_rate", "is_positive_definite", "kron", "solve_ct_lyapunov", "solve_dt_lyapunov",
+    "decay_rate", "is_positive_definite", "solve_ct_lyapunov", "solve_dt_lyapunov",
     "ImpulseMaps", "ImpulseSchedule", "LinearSde", "QuadraticLyapunov",
     "SideSystem", "VectorFieldSde", "compact_form", "make_cps", "validate",
     "NoisePlan",

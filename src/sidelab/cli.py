@@ -50,7 +50,6 @@ class RunConfig:
     trajectories: int = 1000
     seed: int = 0
     substeps: int | None = None   # simulate: inner substeps (32); converge: observation refinement (2)
-    tol: float = 1e-6
     levels: int = 6
     driving: str = "xi"
     outdir: str = "out"
@@ -152,7 +151,6 @@ def load_config(path: str | Path) -> RunConfig:
     cfg.trajectories = _get(numeric, "trajectories", int, default=1000, name="numeric")
     cfg.seed = _get(numeric, "seed", int, default=0, name="numeric")
     cfg.substeps = _get(numeric, "substeps", int, default=None, name="numeric")
-    cfg.tol = _get(numeric, "tol", float, default=1e-6, name="numeric")
     cfg.levels = _get(numeric, "levels", int, default=6, name="numeric")
     cfg.driving = _get(numeric, "driving", str, default="xi", name="numeric").strip()
     if cfg.driving not in ("xi", "brownian"):
@@ -196,7 +194,6 @@ def dump_config(cfg: RunConfig, path: str | Path) -> None:
         "p": repr(cfg.p),
         "trajectories": str(cfg.trajectories),
         "seed": str(cfg.seed),
-        "tol": repr(cfg.tol),
         "levels": str(cfg.levels),
         "driving": cfg.driving,
     }
@@ -257,13 +254,13 @@ def _task_analyze(cfg: RunConfig, outdir: Path) -> int:
 
 def _task_max_stepsize(cfg: RunConfig, outdir: Path) -> int:
     sde = cfg.system()
-    bound, cert = stability.stepsize_certificate(sde, cfg.tol)
+    bound, cert = stability.stepsize_certificate(sde)
     lines = ["task: max-stepsize"]
     if bound is None:
         lines.append("verdict: infeasible (unstable base system)")
         code = 1
     else:
-        lines.append(f"max stepsize: {_fmt(bound)} (tol {_fmt(cfg.tol)})")
+        lines.append(f"max stepsize: {_fmt(bound)}")
         lines.append(cert.report())
         _write_report(outdir, "certificate.txt", cert.report())
         code = 0

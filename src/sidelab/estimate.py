@@ -20,7 +20,7 @@ import numpy as np
 
 from .models import LinearSde, Sde, SideSystem
 from .noise import _BROWNIAN_STREAM, NoisePlan, _generator, _standard_normals
-from .simulate import _driving_increments, euler_maruyama, exact_gbm, simulate_side
+from .simulate import _driving_increments, euler_maruyama, exact_gbm, simulate_side, whole_steps
 
 _WINDOW_MIN_POINTS = 10
 
@@ -130,7 +130,7 @@ def _linear_steps(f, gs, x, dt, w):
 
 def _ensemble_linear(sde: LinearSde, x0, p, trajectories, T, dt, seed, driving) -> Ensemble:
     n, m = sde.dim, sde.noise_dim
-    n_steps = int(round(T / dt))
+    n_steps = whole_steps(T, dt)
     x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (n,))
     times = np.arange(n_steps + 1) * dt
 
@@ -141,7 +141,7 @@ def _ensemble_linear(sde: LinearSde, x0, p, trajectories, T, dt, seed, driving) 
     for start in range(0, trajectories, _ENSEMBLE_BATCH):
         idx = range(start, min(start + _ENSEMBLE_BATCH, trajectories))
         b = len(idx)
-        w = _noise_block(seed, idx, m, dt, max(T, dt), n_steps, driving)
+        w = _noise_block(seed, idx, m, dt, T, n_steps, driving)
         x = np.tile(x0, (b, 1))
         nrm = np.linalg.norm(x, axis=1)
         moment_sum[0] += float(np.sum(nrm**p))
@@ -165,6 +165,8 @@ def _ensemble_looped(
     moment_sum = None
     sup_sq = np.empty(trajectories)
     terminal_log = np.empty(trajectories)
+    if not isinstance(system, SideSystem):  # a hybrid run takes its grid from the schedule
+        n_steps = whole_steps(T, dt)
     for traj in range(trajectories):
         if isinstance(system, SideSystem):
             plan = NoisePlan(seed, traj, system.noise_dim, T, T)
@@ -172,8 +174,7 @@ def _ensemble_looped(
             grid = hybrid.times
             states = hybrid.z()
         else:
-            n_steps = int(round(T / dt))
-            plan = NoisePlan(seed, traj, system.noise_dim, dt, max(T, dt))
+            plan = NoisePlan(seed, traj, system.noise_dim, dt, T)
             path = euler_maruyama(system, z0, dt, n_steps, plan, driving)
             grid = path.times
             states = path.states
@@ -211,19 +212,17 @@ def run_ensemble(
     return _ensemble_looped(system, z0, p, trajectories, T, dt, seed, driving, inner_substeps)
 
 
-def fit_moment_window(
-    ens: Ensemble, window: tuple[float, float] | None = None
-) -> tuple[ExponentEstimate, np.ndarray, np.ndarray]:
+def fit_moment_window(ens: Ensemble) -> tuple[ExponentEstimate, np.ndarray, np.ndarray]:
     """Regress ln(mean moment) on the tail window; returns the fitted series too.
 
-    The default window is the second half of the grid and must contain at
-    least 10 points.  A window mean of exact zero makes the log undefined:
+    The window is the second half of the grid and must contain at least 10
+    points.  A window mean of exact zero makes the log undefined:
     the exponent is then reported as -inf with every trajectory flagged.
     """
     T = float(ens.times[-1])
-    lo, hi = window if window is not None else (T / 2.0, T)
-    if not lo < hi:
-        raise ValueError("fit window must satisfy t_a < T")
+    if not T > 0:
+        raise ValueError("fit window needs a positive final grid time")
+    lo, hi = T / 2.0, T
     mask = (ens.times >= lo - 1e-12) & (ens.times <= hi + 1e-12)
     points = int(np.count_nonzero(mask))
     if points < _WINDOW_MIN_POINTS:
@@ -249,7 +248,6 @@ def moment_exponent(
     *,
     seed: int = 0,
     driving: str = "xi",
-    window: tuple[float, float] | None = None,
     inner_substeps: int = 1,
 ) -> ExponentEstimate:
     """Tail-window regression slope of ln(sample mean |z(t)|^p) against t.
@@ -260,7 +258,7 @@ def moment_exponent(
         system, z0, p, trajectories, T, dt,
         seed=seed, driving=driving, inner_substeps=inner_substeps,
     )
-    est, _, _ = fit_moment_window(ens, window)
+    est, _, _ = fit_moment_window(ens)
     return est
 
 
@@ -391,8 +389,8 @@ def strong_error_sup(
         lam = float(f[0, 0])
         mu = float(gs[0][0, 0]) if m else 0.0
     x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (n,))
+    n_fine = whole_steps(T, delta)
     probe = NoisePlan(seed, 0, m, delta, T)
-    n_fine = probe.finest_steps
     for level in levels:
         probe.level_steps(level)  # raises GridMismatch if not nested
     coarsest = 1 << levels[-1]

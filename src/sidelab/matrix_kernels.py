@@ -30,7 +30,7 @@ import scipy.linalg
 
 from .errors import NoConvergence, NotPositiveDefinite, SingularOperator
 
-#: Default relative residual tolerance for the equation solvers.
+#: Relative residual tolerance of the equation solvers' gate.
 DEFAULT_RTOL = 1e-9
 
 #: Scale factor for the default positive-definiteness tolerance.
@@ -54,11 +54,11 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def as_symmetric(a, name: str = "matrix", rtol: float = 1e-8) -> np.ndarray:
-    """Validate symmetry up to roundoff and return the symmetrized matrix."""
+def as_symmetric(a, name: str = "matrix") -> np.ndarray:
+    """Validate symmetry to a relative 1e-8 and return the symmetrized matrix."""
     m = as_square(a, name)
     scale = 1.0 + np.abs(m).max(initial=0.0)
-    if np.abs(m - m.T).max(initial=0.0) > rtol * scale:
+    if np.abs(m - m.T).max(initial=0.0) > 1e-8 * scale:
         raise ValueError(f"{name} is not symmetric")
     return symmetrize(m)
 
@@ -66,14 +66,6 @@ def as_symmetric(a, name: str = "matrix", rtol: float = 1e-8) -> np.ndarray:
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """(A + A^T) / 2; exact symmetry since IEEE addition commutes."""
     return (a + a.T) / 2.0
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two finite matrices.
-
-    Result has shape (a.rows * b.rows, a.cols * b.cols).
-    """
-    return np.kron(as_matrix(a, "a"), as_matrix(b, "b"))
 
 
 @dataclass(frozen=True)
@@ -195,13 +187,13 @@ def lu_factors(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve_gated(factors: tuple[np.ndarray, np.ndarray], lhs: Callable[[np.ndarray], np.ndarray],
-                q: np.ndarray, rtol: float = DEFAULT_RTOL) -> np.ndarray:
+                q: np.ndarray) -> np.ndarray:
     """Solve op p = -Q[triu] for the upper triangle p of P, with op given by
     its lu_factors, mirror p into the lower triangle, then gate the residual
     lhs(P) + Q of the defining equation, which lhs evaluates by plain matrix
     products independent of the vectorized operator.  Raises
     SingularOperator at a zero pivot or when the residual exceeds
-    rtol * ||Q||."""
+    DEFAULT_RTOL * ||Q||."""
     lu = factors[0]
     zero = np.flatnonzero(np.diagonal(lu) == 0.0)
     if zero.size:
@@ -215,9 +207,9 @@ def solve_gated(factors: tuple[np.ndarray, np.ndarray], lhs: Callable[[np.ndarra
     p[j, i] = tri
     res = float(np.linalg.norm(lhs(p) + q))
     ref = max(float(np.linalg.norm(q)), np.finfo(float).tiny)
-    if res > rtol * ref:
+    if res > DEFAULT_RTOL * ref:
         raise SingularOperator(
-            f"residual {res:.3e} exceeds {rtol:.1e} * ||Q||; "
+            f"residual {res:.3e} exceeds {DEFAULT_RTOL:.1e} * ||Q||; "
             "operator is singular beyond tolerance (stability boundary)"
         )
     return p
@@ -263,21 +255,21 @@ def ct_stepsize_bound(factors: tuple[np.ndarray, np.ndarray], f: np.ndarray, p: 
     return 1.0 / abs(lam)
 
 
-def solve_ct_lyapunov(f, gs: Sequence, dt_bar: float, q, rtol: float = DEFAULT_RTOL) -> np.ndarray:
+def solve_ct_lyapunov(f, gs: Sequence, dt_bar: float, q) -> np.ndarray:
     """Solve F^T P + P F + sum_j Gj^T P Gj + dt_bar F^T P F = -Q for symmetric P.
 
     With dt_bar = 0 this is the classical continuous-time equation; dt_bar > 0
     adds the quadratic drift term certifying the discretization as well.
     Raises SingularOperator when the vectorized system is singular or the
-    defining-equation residual exceeds rtol * ||Q||.
+    defining-equation residual exceeds DEFAULT_RTOL * ||Q||.
     """
     f, gs, q = _coerce_equation(f, gs, q)
     if dt_bar < 0:
         raise ValueError("dt_bar must be nonnegative")
-    return solve_gated(lu_factors(ct_operator(f, gs, dt_bar)), lambda p: ct_form(f, gs, p, dt_bar), q, rtol)
+    return solve_gated(lu_factors(ct_operator(f, gs, dt_bar)), lambda p: ct_form(f, gs, p, dt_bar), q)
 
 
-def solve_dt_lyapunov(f, gs: Sequence, dt: float, q, rtol: float = DEFAULT_RTOL) -> np.ndarray:
+def solve_dt_lyapunov(f, gs: Sequence, dt: float, q) -> np.ndarray:
     """Solve (I + dt F)^T P (I + dt F) + dt sum_j Gj^T P Gj - P = -Q for symmetric P.
 
     The one-step mean-square equation of the explicit scheme at stepsize dt.
@@ -289,4 +281,4 @@ def solve_dt_lyapunov(f, gs: Sequence, dt: float, q, rtol: float = DEFAULT_RTOL)
     eye = np.eye(f.shape[0])
     a = eye + dt * f
     op = vec_operator([(a, a), (eye, -eye), *((g, dt * g) for g in gs)])
-    return solve_gated(lu_factors(op), lambda p: dt_form(f, gs, p, dt) - p, q, rtol)
+    return solve_gated(lu_factors(op), lambda p: dt_form(f, gs, p, dt) - p, q)

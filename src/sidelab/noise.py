@@ -13,7 +13,7 @@ convergence studies) and one for the impulse draws consumed at jump times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -51,9 +51,14 @@ def _standard_normals(gens, count: int, width: int) -> np.ndarray:
     return ndtri(u)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoisePlan:
     """Deterministic, refinable source of Brownian increments and impulse draws.
+
+    A plan holds only its inputs.  Every read draws exactly the slots it
+    returns from a fresh generator at slot 0, so repeated reads agree bit for
+    bit and generate no draw that the caller does not receive; a caller that
+    needs a stream twice reads it twice.
 
     Parameters
     ----------
@@ -72,8 +77,6 @@ class NoisePlan:
     noise_dim: int
     delta: float
     horizon: float
-    _brownian: np.ndarray | None = field(default=None, init=False, repr=False)
-    _impulse: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.noise_dim < 0:
@@ -92,23 +95,14 @@ class NoisePlan:
     def finest_steps(self) -> int:
         return int(round(self.horizon / self.delta))
 
-    def _cached(self, stream: int, count: int) -> np.ndarray:
-        attr = "_brownian" if stream == _BROWNIAN_STREAM else "_impulse"
-        cache = getattr(self, attr)
-        if cache is None or cache.shape[0] < count:
-            size = 64
-            while size < count:
-                size *= 2
-            gen = _generator(self.seed, self.trajectory, stream)
-            cache = _standard_normals([gen], size, self.noise_dim)[0]
-            setattr(self, attr, cache)
-        return cache
+    def _draws(self, stream: int, count: int) -> np.ndarray:
+        if count < 0:
+            raise ValueError("count must be nonnegative")
+        return _standard_normals([_generator(self.seed, self.trajectory, stream)], count, self.noise_dim)[0]
 
     def standard_normals(self, count: int) -> np.ndarray:
         """Raw N(0,1) draws from the Brownian stream, shape (count, m)."""
-        if count < 0:
-            raise ValueError("count must be nonnegative")
-        return self._cached(_BROWNIAN_STREAM, count)[:count]
+        return self._draws(_BROWNIAN_STREAM, count)
 
     def level_steps(self, level: int) -> int:
         """Number of increments at level `level`; GridMismatch if not nested."""
@@ -162,10 +156,8 @@ class NoisePlan:
         """
         if k < 1:
             raise ValueError("impulse index k starts at 1")
-        return self._cached(_IMPULSE_STREAM, k)[k - 1].copy()
+        return self.xi_block(k)[k - 1]
 
     def xi_block(self, count: int) -> np.ndarray:
         """Rows xi(1) .. xi(count), shape (count, m)."""
-        if count < 0:
-            raise ValueError("count must be nonnegative")
-        return self._cached(_IMPULSE_STREAM, count)[:count].copy()
+        return self._draws(_IMPULSE_STREAM, count)

@@ -31,6 +31,13 @@ Driving = Literal["xi", "brownian"]
 
 _TIME_RTOL = 1e-9
 
+# stopping rule of the implicit stage's fixed-point iteration
+_FIXED_POINT_TOL = 1e-12
+_FIXED_POINT_MAX_ITER = 100
+
+# plant samples per update interval of the scalar controller demo
+_DEMO_SAMPLES = 16
+
 
 @dataclass(frozen=True)
 class DiscretePath:
@@ -132,8 +139,6 @@ def theta_method(
     n_steps: int,
     plan: NoisePlan,
     driving: Driving = "xi",
-    tol: float = 1e-12,
-    max_iter: int = 100,
 ) -> DiscretePath:
     """Drift-implicit family interpolating the explicit (theta=0) and fully
     implicit (theta=1) one-step schemes.
@@ -141,9 +146,9 @@ def theta_method(
     Each step takes the explicit stage x + (1 - theta) dt f(x) + g(x) w; for
     theta > 0 the implicit stage is solved by fixed-point iteration, valid
     under the contraction condition theta * L * dt < 1.  An iteration that
-    does not settle within `max_iter` steps, or whose iterate leaves the
-    finite floats, raises NoConvergence; a state that overflows raises
-    NonFinite with the step index.
+    does not settle within _FIXED_POINT_MAX_ITER steps, or whose iterate
+    leaves the finite floats, raises NoConvergence; a state that overflows
+    raises NonFinite with the step index.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
@@ -168,7 +173,7 @@ def theta_method(
             x = x + ((1.0 - theta) * dt) * sde.drift(x, t) + sde.diffusion(x, t) @ w[k]
             if theta > 0.0:
                 explicit = x
-                for _ in range(max_iter):
+                for _ in range(_FIXED_POINT_MAX_ITER):
                     u = explicit + (theta * dt) * sde.drift(x, t + dt)
                     if not np.all(np.isfinite(u)):
                         raise NoConvergence(f"implicit stage diverged at step {k + 1}")
@@ -176,7 +181,7 @@ def theta_method(
                     # blown-up iterate can never pass the stopping test
                     change = np.abs(u - x).max(initial=0.0)
                     x = u
-                    if change <= tol * (1.0 + np.abs(x).max(initial=0.0)):
+                    if change <= _FIXED_POINT_TOL * (1.0 + np.abs(x).max(initial=0.0)):
                         break
                 else:
                     raise NoConvergence(f"implicit stage did not converge at step {k + 1}")
@@ -434,7 +439,6 @@ def simulate_scalar_cps_demo(
     x0: float,
     dt: float,
     T: float,
-    samples_per_interval: int = 16,
 ) -> ScalarCpsDemo:
     """Unstable scalar plant xdot = a x stabilized by the sampled feedback
     u = -k_p X(t), with X held constant between updates.
@@ -460,7 +464,7 @@ def simulate_scalar_cps_demo(
     cyber = x0 * factor ** np.arange(n_intervals + 1)
 
     ratio = k_p / a
-    offsets = np.linspace(0.0, dt, samples_per_interval + 1)[1:]
+    offsets = np.linspace(0.0, dt, _DEMO_SAMPLES + 1)[1:]
     shape = ratio + (1.0 - ratio) * np.exp(a * offsets)  # x(t_k + s) / X_k
     times = [0.0]
     xvals = [x0]

@@ -43,6 +43,9 @@ STRICT_SLACK = 1e-12
 #: Floor applied to constants the theorems require to be positive.
 _POSITIVE_FLOOR = 1e-12
 
+#: Thm 5 reports alpha_bar <= (1 - _THM5_EPS) / dt_bar, keeping alpha_bar dt_bar < 1.
+_THM5_EPS = 0.01
+
 
 @dataclass(frozen=True)
 class StabilityCertificate:
@@ -148,7 +151,7 @@ def scalar_max_stepsize(lam: float, mu: float) -> float | None:
     return -drift_margin / (lam * lam)
 
 
-def stepsize_certificate(sde: LinearSde, tol: float = 1e-6) -> tuple[float | None, StabilityCertificate]:
+def stepsize_certificate(sde: LinearSde) -> tuple[float | None, StabilityCertificate]:
     """The bound of `max_stepsize` together with the dt_bar = 0 certificate.
 
     L0 is built and LU-factored once; the factors solve the certificate
@@ -157,8 +160,6 @@ def stepsize_certificate(sde: LinearSde, tol: float = 1e-6) -> tuple[float | Non
     for the bound, started at the certificate's P.  Returns (None, cert)
     when the certificate is infeasible.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     f, gs = sde.drift_matrix, sde.noise_matrices
     factors = lu_factors(ct_operator(f, gs))
     cert = _certificate(0.0, lambda: solve_gated(factors, lambda p: ct_form(f, gs, p), np.eye(sde.dim)),
@@ -168,7 +169,7 @@ def stepsize_certificate(sde: LinearSde, tol: float = 1e-6) -> tuple[float | Non
     return ct_stepsize_bound(factors, f, cert.p), cert
 
 
-def max_stepsize(sde: LinearSde, tol: float = 1e-6) -> float | None:
+def max_stepsize(sde: LinearSde) -> float | None:
     """Supremum stepsize with the cyber-physical inequality feasible.
 
     With L0: P -> F^T P + P F + sum Gj^T P Gj and K: P -> F^T P F, the
@@ -180,11 +181,11 @@ def max_stepsize(sde: LinearSde, tol: float = 1e-6) -> float | None:
     certificate.  It starts at that certificate's P, which lies inside the
     cone of positive semidefinite matrices that -L0^{-1} K preserves.  For
     n = 1 the operator has one coordinate, and the bound is its exact
-    ratio.  The bound is exact to round-off, so any positive `tol` is met.
+    ratio.  The bound is exact to round-off, with no tolerance to choose.
     Returns None when even dt_bar = 0 is infeasible; raises NoConvergence
     when the Arnoldi iteration does not converge.
     """
-    return stepsize_certificate(sde, tol)[0]
+    return stepsize_certificate(sde)[0]
 
 
 @dataclass(frozen=True)
@@ -238,7 +239,6 @@ def quadratic_condition_constants(
     p_tilde,
     split: float = 1.0,
     growth: bool = False,
-    seed: int = 0,
 ) -> ConditionConstants:
     """Exact condition constants of a linear hybrid system for V = x'Px, W = y'Qy.
 
@@ -253,14 +253,14 @@ def quadratic_condition_constants(
     (positive when the continuous block is stable); with growth=True it is
     the growth rate bound (positive constant, floored), as consumed by the
     impulse-stabilized test.  The matrices are blocks of
-    `linear_compact_form(side, seed)`, which raises NotLinear for a
+    `linear_compact_form(side)`, which raises NotLinear for a
     nonlinear, time-dependent or index-dependent evaluator.
     """
     if split <= 0:
         raise ValueError("split must be positive")
     p = _gate_pd(p, "p")
     p_tilde = _gate_pd(p_tilde, "p_tilde")
-    lin = linear_compact_form(side, seed=seed)
+    lin = linear_compact_form(side)
     n = side.n
     s = float(split)
 
@@ -323,26 +323,26 @@ def impulse_second_moment(side: SideSystem, p_tilde, x, y, k: int = 1) -> float:
     return float(mean @ p_tilde @ mean + np.trace(gain.T @ p_tilde @ gain))
 
 
-def check_thm1(c: ConditionConstants, slack: float = STRICT_SLACK) -> bool:
+def check_thm1(c: ConditionConstants) -> bool:
     """Interval test for a stabilizing continuous block with possibly
     destabilizing jumps:
 
         ln(beta) / alpha < dt_under <= dt_over < -ln(beta_self) / alpha_self,
 
-    all strict as stated; requires alpha > 0.
+    all strict as stated (each by STRICT_SLACK); requires alpha > 0.
     """
     if c.alpha <= 0:
         raise ValueError("check_thm1 needs alpha > 0 (stable continuous block)")
     lower = math.log(c.beta) / c.alpha
     upper = -math.log(c.beta_self) / c.alpha_self
     return (
-        c.dt_under - lower > slack
+        c.dt_under - lower > STRICT_SLACK
         and c.dt_under <= c.dt_over
-        and upper - c.dt_over > slack
+        and upper - c.dt_over > STRICT_SLACK
     )
 
 
-def check_thm2(c: ConditionConstants, slack: float = STRICT_SLACK) -> bool:
+def check_thm2(c: ConditionConstants) -> bool:
     """Interval test for stabilizing jumps against a growing continuous block:
 
         dt_over < min(-ln(beta) / alpha, -ln(beta_self) / alpha_self),
@@ -352,7 +352,7 @@ def check_thm2(c: ConditionConstants, slack: float = STRICT_SLACK) -> bool:
     if c.alpha <= 0:
         raise ValueError("check_thm2 needs alpha > 0 (growth-rate convention)")
     upper = min(-math.log(c.beta) / c.alpha, -math.log(c.beta_self) / c.alpha_self)
-    return upper - c.dt_over > slack
+    return upper - c.dt_over > STRICT_SLACK
 
 
 @dataclass(frozen=True)
@@ -378,7 +378,6 @@ def check_thm4(
     p,
     dt: float,
     split: float | None = None,
-    slack: float = STRICT_SLACK,
 ) -> Thm4Check:
     """Does the coupled exact/numerical system inherit stability at stepsize dt?
 
@@ -403,10 +402,10 @@ def check_thm4(
         alpha_self = 1.0 / split
         beta_self = max((1.0 + 1.0 / split) * d, _POSITIVE_FLOOR)
         bound = -math.log(beta_self) / alpha_self
-        passed = alpha > slack and bound - dt > slack
+        passed = alpha > STRICT_SLACK and bound - dt > STRICT_SLACK
         return Thm4Check(passed, alpha, d, alpha_self, beta_self, bound)
 
-    if alpha <= slack or d >= 1.0 - slack:
+    if alpha <= STRICT_SLACK or d >= 1.0 - STRICT_SLACK:
         beta_self = max((1.0 + d) / 2.0, _POSITIVE_FLOOR)
         return Thm4Check(False, alpha, d, float("nan"), beta_self, float("-inf") if beta_self >= 1 else 0.0)
     beta_self = max((1.0 + d) / 2.0, _POSITIVE_FLOOR)
@@ -424,12 +423,12 @@ class Thm5Check:
     alpha_bar: float
 
 
-def check_thm5(sde: LinearSde, p, dt_bar: float, eps: float = 0.01) -> Thm5Check:
+def check_thm5(sde: LinearSde, p, dt_bar: float) -> Thm5Check:
     """Test L V(x) + dt_bar V(F x) <= -alpha_bar V(x) with alpha_bar dt_bar < 1.
 
     For linear systems the margin is exact: the decay rate of
     F'P + PF + sum Gj'P Gj + dt_bar F'P F relative to P.  The reported
-    alpha_bar is min(margin, (1 - eps) / dt_bar) so the side constraint
+    alpha_bar is min(margin, (1 - _THM5_EPS) / dt_bar) so the side constraint
     alpha_bar * dt_bar < 1 always holds when the margin is positive.
     """
     if dt_bar < 0:
@@ -438,7 +437,7 @@ def check_thm5(sde: LinearSde, p, dt_bar: float, eps: float = 0.01) -> Thm5Check
     margin = decay_rate(ct_quadratic_form(sde, p, dt_bar), p)
     passed = margin > STRICT_SLACK
     if dt_bar > 0:
-        alpha_bar = min(margin, (1.0 - eps) / dt_bar)
+        alpha_bar = min(margin, (1.0 - _THM5_EPS) / dt_bar)
     else:
         alpha_bar = margin
     return Thm5Check(passed, margin, alpha_bar)

@@ -73,7 +73,7 @@ def seeded_unstable_sde(rng):
 def test_criterion_1_scalar_bound_equivalence():
     with criterion(1, "scalar stepsize bound equivalence", limit_s=1.0):
         sde = LinearSde.scalar(-4.0, 1.0)
-        bound = max_stepsize(sde, tol=1e-7)
+        bound = max_stepsize(sde)
         assert abs(bound - 0.4375) <= 1e-6
         assert discrete_ms_stable(sde, 0.43).feasible
         assert not discrete_ms_stable(sde, 0.44).feasible
@@ -87,7 +87,7 @@ def test_criterion_2_equivalence_chain():
         for _ in range(50):
             sde = seeded_stable_sde(rng)
             assert lyapunov_ito_feasible(sde).feasible
-            bound = max_stepsize(sde, tol=1e-6)
+            bound = max_stepsize(sde)
             assert bound is not None and bound > 0.0
             dt = 0.99 * bound
             assert discrete_ms_stable(sde, dt).feasible
@@ -99,7 +99,7 @@ def test_criterion_2_equivalence_chain():
         for _ in range(10):
             sde = seeded_unstable_sde(rng_bad)
             assert not lyapunov_ito_feasible(sde).feasible
-            assert max_stepsize(sde, tol=1e-5) is None
+            assert max_stepsize(sde) is None
             eye = np.eye(sde.dim)
             for dt in (0.05, 0.3):
                 assert not discrete_ms_stable(sde, dt).feasible

@@ -235,6 +235,18 @@ class TestExitCodes:
         assert main(["max-stepsize", "--config", cfg]) == 0
         report = (tmp_path / "o" / "report.txt").read_text()
         assert "max stepsize" in report and "0.4375" in report
+        assert report.splitlines()[1] == "max stepsize: 0.4375"
+
+    def test_python_dash_m_runs_without_warnings(self, tmp_path):
+        cfg = write(tmp_path, "s.ini", SIMULATE.format(seed=1, out=tmp_path / "o"))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "sidelab", "--config", cfg],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(sidelab.__file__).parents[1])},
+        )
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert "task: simulate" in done.stdout
 
     def test_cps_demo_stepsize_too_large_is_one(self, tmp_path):
         cfg = write(

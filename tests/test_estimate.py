@@ -17,7 +17,7 @@ from sidelab.estimate import (
     scalar_onestep_factor,
     strong_error_sup,
 )
-from sidelab.models import LinearSde, make_cps
+from sidelab.models import LinearSde, VectorFieldSde, make_cps
 from sidelab.noise import NoisePlan
 from sidelab.simulate import exact_gbm
 from sidelab.stability import discrete_ms_stable, lyapunov_ito_feasible
@@ -123,6 +123,13 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             run_ensemble(GBM, [1.0], 2.0, 1, 1.0, 0.1)
 
+    @pytest.mark.parametrize("system", [GBM, VectorFieldSde(1, 1, GBM.drift, GBM.diffusion, GBM.lipschitz)],
+                             ids=["linear", "vector_field"])
+    def test_horizon_must_be_whole_steps(self, system):
+        # the rule, and the error, of simulate_cps and the CLI
+        with pytest.raises(ValueError, match="not a whole number of steps"):
+            run_ensemble(system, [1.0], 2.0, 8, 1.0, 0.3)
+
     def test_moment_window_fit_returns_series(self):
         ens = run_ensemble(GBM, [1.0], 2.0, 100, 2.0, 0.05, seed=2)
         est, times, log_mean = fit_moment_window(ens)
@@ -171,6 +178,10 @@ class TestStrongError:
     def test_level_zero_rejected(self):
         with pytest.raises(ValueError, match="observation"):
             strong_error_sup(GBM, [1.0], 1.0, range(0, 4), 50, delta=2.0**-8, seed=0)
+
+    def test_horizon_must_be_whole_steps(self):
+        with pytest.raises(ValueError, match="not a whole number of steps"):
+            strong_error_sup(GBM, [1.0], 1.0, [1, 2], 8, delta=0.3)
 
     def test_reproducible_bitwise(self):
         a = strong_error_sup(GBM, [1.0], 1.0, range(1, 5), 100, delta=2.0**-8, seed=5)

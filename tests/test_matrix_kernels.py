@@ -9,7 +9,6 @@ from sidelab.errors import NotPositiveDefinite, SingularOperator
 from sidelab.matrix_kernels import (
     decay_rate,
     is_positive_definite,
-    kron,
     pencil_top,
     solve_ct_lyapunov,
     solve_dt_lyapunov,
@@ -42,51 +41,6 @@ def full_space_solve(terms, q):
     op = sum(np.kron(np.asarray(a, dtype=float).T, np.asarray(b, dtype=float).T) for a, b in terms)
     n = q.shape[0]
     return np.linalg.solve(op, -q.reshape(-1)).reshape(n, n)
-
-
-class TestKron:
-    def test_identity_factor_gives_block_diagonal(self):
-        b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = kron(np.eye(2), b)
-        expected = np.zeros((4, 4))
-        expected[:2, :2] = b
-        expected[2:, 2:] = b
-        assert np.array_equal(out, expected)
-
-    def test_scalar_factor(self):
-        b = np.array([[1.0, -2.0], [0.5, 3.0]])
-        assert np.array_equal(kron([[2.0]], b), 2.0 * b)
-
-    def test_nilpotent_with_identity(self):
-        out = kron([[0.0, 1.0], [0.0, 0.0]], np.eye(2))
-        expected = np.array(
-            [
-                [0.0, 0.0, 1.0, 0.0],
-                [0.0, 0.0, 0.0, 1.0],
-                [0.0, 0.0, 0.0, 0.0],
-                [0.0, 0.0, 0.0, 0.0],
-            ]
-        )
-        assert np.array_equal(out, expected)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            kron([[np.nan]], np.eye(2))
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.floats(-5, 5, allow_nan=False),
-        st.integers(1, 3),
-        st.integers(1, 3),
-        st.integers(0, 2**32 - 1),
-    )
-    def test_bilinear_in_scalar(self, alpha, n, m, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(n, m))
-        b = rng.normal(size=(m, n))
-        left = kron(alpha * a, b)
-        right = alpha * kron(a, b)
-        assert np.allclose(left, right, rtol=0, atol=1e-12 * (1 + np.abs(right).max()))
 
 
 class TestContinuousSolver:

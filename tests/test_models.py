@@ -183,8 +183,6 @@ class TestCompactForm:
         z = np.array([1.0, 0.2])
         assert cf.drift(z, 0.0)[0] == pytest.approx(side.drift_x(z[:1], 0.0)[0])
         assert cf.drift(z, 0.0)[1] == pytest.approx(side.drift_y(z[:1], z[1:], 0.0)[0])
-        assert np.array_equal(cf.select_x(z), z[:1])
-        assert np.array_equal(cf.select_y(z), z[1:])
 
     def test_origin_vanishes(self):
         side = make_cps(LinearSde.scalar(-2.0, 1.0), 0.25)
@@ -225,7 +223,6 @@ class TestCompactForm:
         z = np.array([1.0, -0.5, 0.2, 0.1])
         assert cf.diffusion(z, 0.0).shape == (4, 1)
         assert cf.jump_gain(z, 1).shape == (4, 1)
-        assert cf.select_y(z).shape == (0,)
 
 
 class TestLinearCompactForm:

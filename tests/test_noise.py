@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sidelab import noise
 from sidelab.errors import GridMismatch
-from sidelab.noise import _BROWNIAN_STREAM, NoisePlan, _generator, _standard_normals
+from sidelab.models import LinearSde, make_cps
+from sidelab.noise import _BROWNIAN_STREAM, _IMPULSE_STREAM, NoisePlan, _generator, _standard_normals
+from sidelab.simulate import simulate_side
 
 
 def make_plan(seed=0, traj=0, m=2, delta=0.25, horizon=16.0):
@@ -131,3 +134,46 @@ class TestChunkedDraws:
             assert np.array_equal(chunk[1], whole[start : start + count])
             start += count
         assert start == plan.finest_steps
+
+
+def count_generated(monkeypatch):
+    """Count the normals `noise._standard_normals` generates from now on."""
+    generated = [0]
+
+    def counted(gens, count, width):
+        out = _standard_normals(gens, count, width)
+        generated[0] += out.size
+        return out
+
+    monkeypatch.setattr(noise, "_standard_normals", counted)
+    return generated
+
+
+class TestDrawBudget:
+    def test_hybrid_run_generates_only_what_it_uses(self, monkeypatch):
+        f = np.array([[-2.0, 0.3, 0.0], [0.1, -1.5, 0.2], [0.0, -0.2, -1.8]])
+        gs = (0.3 * np.eye(3), np.array([[0.0, 0.2, 0.0], [0.1, 0.0, 0.0], [0.0, 0.0, 0.2]]))
+        dt, intervals, substeps = 2e-3, 500, 32
+        side = make_cps(LinearSde(f, gs), dt)
+        plan = NoisePlan(4, 0, 2, dt, intervals * dt)
+        generated = count_generated(monkeypatch)
+        traj = simulate_side(side, [1.0, -0.5, 0.25, 0.0, 0.0, 0.0], substeps, intervals * dt, plan)
+        jumps = len(traj.impulses)
+        assert (traj.samples - 1 - jumps, jumps) == (16_000, 500)
+        assert generated[0] == (16_000 + 500) * 2
+
+    @pytest.mark.parametrize("count", [65, 1025])
+    def test_reads_just_past_a_power_of_two(self, monkeypatch, count):
+        plan = make_plan(seed=3, traj=2)
+        generated = count_generated(monkeypatch)
+        for read, stream in ((plan.standard_normals, _BROWNIAN_STREAM), (plan.xi_block, _IMPULSE_STREAM)):
+            fresh = _standard_normals([_generator(3, 2, stream)], count, plan.noise_dim)[0]
+            before = generated[0]
+            assert np.array_equal(read(count), fresh)
+            assert generated[0] - before == count * plan.noise_dim
+
+    def test_xi_is_a_row_of_the_block(self):
+        plan = make_plan(seed=6)
+        block = plan.xi_block(70)
+        for k in (1, 2, 64, 65, 70):
+            assert np.array_equal(plan.xi(k), block[k - 1])

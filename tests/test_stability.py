@@ -5,7 +5,7 @@ import pytest
 
 from sidelab.errors import NotLinear, NotPositiveDefinite
 from sidelab.matrix_kernels import ct_operator, vec_operator
-from sidelab.models import ImpulseMaps, LinearSde, SideSystem, make_cps
+from sidelab.models import ImpulseMaps, ImpulseSchedule, LinearSde, SideSystem, make_cps
 from sidelab.stability import (
     ConditionConstants,
     check_thm1,
@@ -22,6 +22,8 @@ from sidelab.stability import (
     scalar_max_stepsize,
     stepsize_certificate,
 )
+
+from side_blocks import side_from_blocks
 
 SCALAR = LinearSde.scalar(-4.0, 1.0)
 
@@ -116,11 +118,11 @@ class TestCpLyapunov:
 
 class TestMaxStepsize:
     def test_scalar_closed_form(self):
-        got = max_stepsize(SCALAR, tol=1e-7)
+        got = max_stepsize(SCALAR)
         assert got == pytest.approx(7.0 / 16.0, abs=1e-12)
 
     def test_noise_free_identity(self):
-        got = max_stepsize(LinearSde(-np.eye(2)), tol=1e-6)
+        got = max_stepsize(LinearSde(-np.eye(2)))
         assert got == pytest.approx(2.0, abs=1e-5)
 
     def test_unstable_returns_none(self):
@@ -132,7 +134,7 @@ class TestMaxStepsize:
             lam = float(rng.uniform(-5.0, -0.5))
             mu = float(rng.uniform(0.0, 1.5))
             closed = scalar_max_stepsize(lam, mu)
-            numeric = max_stepsize(LinearSde.scalar(lam, mu), tol=1e-6)
+            numeric = max_stepsize(LinearSde.scalar(lam, mu))
             if closed is None:
                 assert numeric is None
             else:
@@ -183,10 +185,6 @@ class TestMaxStepsize:
             assert (cert.margin, cert.dt_bar, cert.detail) == (ref.margin, ref.dt_bar, ref.detail)
             if ref.feasible:
                 assert np.array_equal(cert.p, ref.p)
-
-    def test_rejects_nonpositive_tol(self):
-        with pytest.raises(ValueError, match="tol must be positive"):
-            max_stepsize(SCALAR, tol=0.0)
 
 
 class TestScalarMaxStepsize:
@@ -287,6 +285,23 @@ class TestConditionConstants:
         )
         with pytest.raises(NotLinear):
             quadratic_condition_constants(bad, [[1.0]], [[1.0]])
+
+    def test_growth_convention_on_a_thm2_system(self):
+        # growing flow (lambda = mu = 0.5: 2 lambda + mu^2 = 1.25) against an
+        # x-jump that halves x (beta = 0.25); the y-block only jumps, by 1/4
+        drift = np.diag([0.5, 0.0])
+        noise = [np.diag([0.5, 0.0])]
+        jump = np.diag([-0.5, -0.75])
+        upper = -math.log(0.25) / 1.25  # min with -ln(beta_self) / alpha_self = ln 8
+        for dt_over, passed in ((1.0, True), (1.2, False)):
+            side = side_from_blocks(1, drift, noise, jump, [np.zeros((2, 2))],
+                                    ImpulseSchedule.equal_gaps(dt_over))
+            c = quadratic_condition_constants(side, [[1.0]], [[1.0]], growth=True)
+            assert c.alpha == 2 * 0.5 + 0.5**2
+            assert c.beta == pytest.approx(0.25, rel=1e-14)
+            assert (c.alpha_self, c.beta_self) == pytest.approx((1.0, 0.125), rel=1e-14)
+            assert (dt_over < upper) is passed
+            assert check_thm2(c) is passed
 
     def test_requires_positive_definite_weights(self):
         side = make_cps(SCALAR, 0.4)
@@ -408,7 +423,7 @@ class TestEquivalenceChain:
         for _ in range(50):
             sde = random_stable_sde(rng)
             assert lyapunov_ito_feasible(sde).feasible
-            bound = max_stepsize(sde, tol=1e-6)
+            bound = max_stepsize(sde)
             assert bound is not None and bound > 0
             for frac in (0.25, 0.5, 0.99):
                 dt = frac * bound
@@ -422,7 +437,7 @@ class TestEquivalenceChain:
         rng = np.random.default_rng(321)
         for _ in range(25):
             sde = random_stable_sde(rng)
-            bound = max_stepsize(sde, tol=1e-6)
+            bound = max_stepsize(sde)
             dt = 0.5 * bound
             cert = discrete_ms_stable(sde, dt)
             assert cert.feasible
@@ -439,7 +454,7 @@ class TestEquivalenceChain:
         for _ in range(10):
             sde = random_unstable_sde(rng)
             assert not lyapunov_ito_feasible(sde).feasible
-            assert max_stepsize(sde, tol=1e-5) is None
+            assert max_stepsize(sde) is None
             eye = np.eye(sde.dim)
             for dt in (0.01, 0.1, 0.5):
                 assert not discrete_ms_stable(sde, dt).feasible
