@@ -2,6 +2,9 @@
 
 Config files are flat INI: bracketed sections [system], [task], [numeric],
 [output], one key = value per line, matrix rows inline separated by ';'.
+[system] must name its `kind` (scalar, linear or controller) and give that
+kind's keys; every [numeric] and [output] key is optional and defaults to its
+RunConfig field.
 Exit codes: 0 stable/feasible or simulation completed, 1 certified
 infeasible/unstable, 2 invalid input.  All numeric output in reports is
 printed with 12 significant digits; CSV cells use full-precision repr so
@@ -37,7 +40,7 @@ class RunConfig:
     task: str
     kind: str                       # scalar | linear | controller
     lam: float | None = None
-    mu: float | None = None
+    mu: float = 0.0
     a: float | None = None
     kp: float | None = None
     drift: tuple[tuple[float, ...], ...] | None = None
@@ -56,33 +59,64 @@ class RunConfig:
 
     def system(self) -> LinearSde:
         if self.kind == "scalar":
-            return LinearSde.scalar(self.lam, self.mu if self.mu is not None else 0.0)
+            return LinearSde.scalar(self.lam, self.mu)
         if self.kind == "linear":
             return LinearSde(np.array(self.drift), tuple(np.array(g) for g in self.noises))
         raise ConfigError(f"task '{self.task}' needs a scalar or linear system, got '{self.kind}'")
 
 
-def _parse_matrix(text: str, key: str) -> tuple[tuple[float, ...], ...]:
-    try:
-        rows = tuple(
-            tuple(float(v) for v in row.split()) for row in text.split(";") if row.strip()
-        )
-    except ValueError as exc:
-        raise ConfigError(f"key '{key}': cannot parse matrix entry ({exc})") from exc
+def _parse_vector(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split())
+
+
+def _parse_matrix(text: str) -> tuple[tuple[float, ...], ...]:
+    rows = tuple(_parse_vector(row) for row in text.split(";") if row.strip())
     if not rows or len({len(r) for r in rows}) != 1:
-        raise ConfigError(f"key '{key}': matrix rows have inconsistent lengths")
+        raise ValueError("matrix rows have inconsistent lengths")
     return rows
 
 
-def _get(section, key, cast, default=None, required=False, name=""):
+def _format(value) -> str:
+    """Inverse of the parsers: rows joined by ' ; ', entries by ' '."""
+    if isinstance(value, tuple):
+        return (" ; " if value and isinstance(value[0], tuple) else " ").join(_format(v) for v in value)
+    return str(value)
+
+
+#: [system] keys of each kind: key -> (RunConfig field, parser, required).
+#: A linear system also reads its noise matrices g1, g2, ... into `noises`.
+_SYSTEM = {
+    "scalar": {"lambda": ("lam", float, True), "mu": ("mu", float, False)},
+    "linear": {"f": ("drift", _parse_matrix, True)},
+    "controller": {"a": ("a", float, True), "kp": ("kp", float, True)},
+}
+
+#: Optional keys of [numeric] and [output]: key -> (RunConfig field, parser),
+#: in dump order.  An absent key leaves the RunConfig default.
+_NUMERIC = {
+    "numeric": {
+        "x0": ("x0", _parse_vector),
+        "dt_bar": ("dt_bar", float),
+        "p": ("p", float),
+        "trajectories": ("trajectories", int),
+        "seed": ("seed", int),
+        "levels": ("levels", int),
+        "driving": ("driving", str),
+        "substeps": ("substeps", int),
+        "dt": ("dt", float),
+        "t": ("horizon", float),
+    },
+    "output": {"dir": ("outdir", str)},
+}
+
+
+def _get(section, key: str, parse, name: str):
     if key not in section:
-        if required:
-            raise ConfigError(f"missing key '{key}' in [{name}]")
-        return default
+        raise ConfigError(f"missing key '{key}' in [{name}]")
     raw = section[key]
     try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
+        return parse(raw)
+    except ValueError as exc:
         raise ConfigError(f"key '{key}' in [{name}]: bad value {raw!r} ({exc})") from exc
 
 
@@ -100,62 +134,30 @@ def load_config(path: str | Path) -> RunConfig:
     for required_section in ("system", "task"):
         if not parser.has_section(required_section):
             raise ConfigError(f"missing section [{required_section}]")
-    system = parser["system"]
-    task = _get(parser["task"], "name", str, required=True, name="task").strip()
+    task = _get(parser["task"], "name", str, "task")
     if task not in TASKS:
         raise ConfigError(f"key 'name' in [task]: unknown task {task!r}, expected one of {TASKS}")
-    numeric = parser["numeric"] if parser.has_section("numeric") else {}
-    output = parser["output"] if parser.has_section("output") else {}
-
-    kind = _get(system, "kind", str, default=None, name="system")
-    if kind is None:
-        if "lambda" in system:
-            kind = "scalar"
-        elif "a" in system:
-            kind = "controller"
-        elif "f" in system:
-            kind = "linear"
-        else:
-            raise ConfigError("missing key 'kind' in [system]")
-    kind = kind.strip()
-
-    cfg = RunConfig(task=task, kind=kind)
-    if kind == "scalar":
-        cfg.lam = _get(system, "lambda", float, required=True, name="system")
-        cfg.mu = _get(system, "mu", float, default=0.0, name="system")
-    elif kind == "linear":
-        raw_f = _get(system, "f", str, required=True, name="system")
-        cfg.drift = _parse_matrix(raw_f, "f")
-        noises = []
-        j = 1
-        while f"g{j}" in system:
-            noises.append(_parse_matrix(system[f"g{j}"], f"g{j}"))
-            j += 1
-        cfg.noises = tuple(noises)
-    elif kind == "controller":
-        cfg.a = _get(system, "a", float, required=True, name="system")
-        cfg.kp = _get(system, "kp", float, required=True, name="system")
-    else:
+    system = parser["system"]
+    kind = _get(system, "kind", str, "system")
+    if kind not in _SYSTEM:
         raise ConfigError(f"key 'kind' in [system]: unknown kind {kind!r}")
 
-    x0_raw = _get(numeric, "x0", str, default=None, name="numeric")
-    if x0_raw is not None:
-        try:
-            cfg.x0 = tuple(float(v) for v in x0_raw.split())
-        except ValueError as exc:
-            raise ConfigError(f"key 'x0' in [numeric]: bad value ({exc})") from exc
-    cfg.dt = _get(numeric, "dt", float, default=None, name="numeric")
-    cfg.dt_bar = _get(numeric, "dt_bar", float, default=0.0, name="numeric")
-    cfg.horizon = _get(numeric, "t", float, default=None, name="numeric")
-    cfg.p = _get(numeric, "p", float, default=2.0, name="numeric")
-    cfg.trajectories = _get(numeric, "trajectories", int, default=1000, name="numeric")
-    cfg.seed = _get(numeric, "seed", int, default=0, name="numeric")
-    cfg.substeps = _get(numeric, "substeps", int, default=None, name="numeric")
-    cfg.levels = _get(numeric, "levels", int, default=6, name="numeric")
-    cfg.driving = _get(numeric, "driving", str, default="xi", name="numeric").strip()
+    cfg = RunConfig(task=task, kind=kind)
+    for key, (field, parse, required) in _SYSTEM[kind].items():
+        if required or key in system:
+            setattr(cfg, field, _get(system, key, parse, "system"))
+    if kind == "linear":
+        noises = []
+        while f"g{len(noises) + 1}" in system:
+            noises.append(_get(system, f"g{len(noises) + 1}", _parse_matrix, "system"))
+        cfg.noises = tuple(noises)
+    for name, keys in _NUMERIC.items():
+        section = parser[name] if parser.has_section(name) else {}
+        for key, (field, parse) in keys.items():
+            if key in section:
+                setattr(cfg, field, _get(section, key, parse, name))
     if cfg.driving not in ("xi", "brownian"):
         raise ConfigError(f"key 'driving' in [numeric]: expected xi or brownian, got {cfg.driving!r}")
-    cfg.outdir = _get(output, "dir", str, default="out", name="output").strip()
 
     _require_task_keys(cfg)
     return cfg
@@ -174,37 +176,16 @@ def _require_task_keys(cfg: RunConfig) -> None:
 def dump_config(cfg: RunConfig, path: str | Path) -> None:
     """Write a config that reloads to an identical RunConfig."""
     parser = configparser.ConfigParser()
-    parser["system"] = {}
-    sys_sec = parser["system"]
-    sys_sec["kind"] = cfg.kind
-    if cfg.kind == "scalar":
-        sys_sec["lambda"] = repr(cfg.lam)
-        sys_sec["mu"] = repr(cfg.mu)
-    elif cfg.kind == "linear":
-        sys_sec["f"] = " ; ".join(" ".join(repr(v) for v in row) for row in cfg.drift)
-        for j, g in enumerate(cfg.noises, start=1):
-            sys_sec[f"g{j}"] = " ; ".join(" ".join(repr(v) for v in row) for row in g)
-    else:
-        sys_sec["a"] = repr(cfg.a)
-        sys_sec["kp"] = repr(cfg.kp)
+
+    def present(keys):
+        return {key: _format(value) for key, (field, *_) in keys.items()
+                if (value := getattr(cfg, field)) is not None}
+
+    parser["system"] = {"kind": cfg.kind, **present(_SYSTEM[cfg.kind])}
+    parser["system"].update({f"g{j}": _format(g) for j, g in enumerate(cfg.noises, start=1)})
     parser["task"] = {"name": cfg.task}
-    num = {
-        "x0": " ".join(repr(v) for v in cfg.x0),
-        "dt_bar": repr(cfg.dt_bar),
-        "p": repr(cfg.p),
-        "trajectories": str(cfg.trajectories),
-        "seed": str(cfg.seed),
-        "levels": str(cfg.levels),
-        "driving": cfg.driving,
-    }
-    if cfg.substeps is not None:
-        num["substeps"] = str(cfg.substeps)
-    if cfg.dt is not None:
-        num["dt"] = repr(cfg.dt)
-    if cfg.horizon is not None:
-        num["t"] = repr(cfg.horizon)
-    parser["numeric"] = num
-    parser["output"] = {"dir": cfg.outdir}
+    for name, keys in _NUMERIC.items():
+        parser[name] = present(keys)
     with open(path, "w") as fh:
         parser.write(fh)
 
@@ -234,6 +215,13 @@ def _write_report(outdir: Path, name: str, text: str) -> None:
     (outdir / name).write_text(text + "\n")
 
 
+def _report(outdir: Path, lines: list[str]) -> None:
+    """Write report.txt and print the same text."""
+    text = "\n".join(lines)
+    _write_report(outdir, "report.txt", text)
+    print(text)
+
+
 def _task_analyze(cfg: RunConfig, outdir: Path) -> int:
     sde = cfg.system()
     cert = stability.cp_lyapunov_feasible(sde, cfg.dt_bar)
@@ -247,8 +235,7 @@ def _task_analyze(cfg: RunConfig, outdir: Path) -> int:
             "scalar closed-form stepsize bound: "
             + (_fmt(bound) if bound is not None else "infeasible")
         )
-    _write_report(outdir, "report.txt", "\n".join(lines))
-    print("\n".join(lines))
+    _report(outdir, lines)
     return 0 if cert.feasible else 1
 
 
@@ -264,8 +251,7 @@ def _task_max_stepsize(cfg: RunConfig, outdir: Path) -> int:
         lines.append(cert.report())
         _write_report(outdir, "certificate.txt", cert.report())
         code = 0
-    _write_report(outdir, "report.txt", "\n".join(lines))
-    print("\n".join(lines))
+    _report(outdir, lines)
     return code
 
 
@@ -291,8 +277,7 @@ def _task_simulate(cfg: RunConfig, outdir: Path) -> int:
         f"impulses: {len(run.hybrid.impulses)}",
         "final iterate: " + " ".join(_fmt(v) for v in final),
     ]
-    _write_report(outdir, "report.txt", "\n".join(lines))
-    print("\n".join(lines))
+    _report(outdir, lines)
     return 0
 
 
@@ -316,8 +301,7 @@ def _task_exponent(cfg: RunConfig, outdir: Path) -> int:
         "pathwise exponent:",
         pathwise.report(),
     ]
-    _write_report(outdir, "report.txt", "\n".join(lines))
-    print("\n".join(lines))
+    _report(outdir, lines)
     return 0 if est.slope < 0 else 1
 
 
@@ -342,8 +326,7 @@ def _task_converge(cfg: RunConfig, outdir: Path) -> int:
     lines = ["task: converge", f"fitted order (log error vs log dt): {_fmt(study.slope)}"]
     for r in study.records:
         lines.append(f"level {r.level}: dt {_fmt(r.dt)} error {_fmt(r.error)} stderr {_fmt(r.stderr)}")
-    _write_report(outdir, "report.txt", "\n".join(lines))
-    print("\n".join(lines))
+    _report(outdir, lines)
     return 0
 
 
@@ -365,8 +348,7 @@ def _task_cps_demo(cfg: RunConfig, outdir: Path) -> int:
         f"first-interval decay bound: {v.decay_bound_ok}",
         f"sign preserved: {v.same_sign}",
     ]
-    _write_report(outdir, "report.txt", "\n".join(lines))
-    print("\n".join(lines))
+    _report(outdir, lines)
     return 0 if v else 1
 
 
@@ -389,12 +371,10 @@ def run(config_path: str | Path, overrides: dict | None = None) -> int:
             raise ConfigError(f"unknown task {overrides['task']!r}")
         cfg.task = overrides["task"]
         _require_task_keys(cfg)
-    if overrides.get("seed") is not None:
-        cfg.seed = int(overrides["seed"])
-    if overrides.get("trajectories") is not None:
-        cfg.trajectories = int(overrides["trajectories"])
-    if overrides.get("out") is not None:
-        cfg.outdir = str(overrides["out"])
+    for key, field, cast in (("seed", "seed", int), ("trajectories", "trajectories", int),
+                             ("out", "outdir", str)):
+        if overrides.get(key) is not None:
+            setattr(cfg, field, cast(overrides[key]))
     if cfg.task in ("simulate", "exponent", "converge"):
         simulate.whole_steps(cfg.horizon, cfg.dt)
     outdir = Path(cfg.outdir)
@@ -417,16 +397,7 @@ def main(argv=None) -> int:
     parser.add_argument("--dump-config", action="store_true", help="write the parsed config back out")
     args = parser.parse_args(argv)
     try:
-        return run(
-            args.config,
-            {
-                "task": args.task,
-                "seed": args.seed,
-                "trajectories": args.trajectories,
-                "out": args.out,
-                "dump_config": args.dump_config,
-            },
-        )
+        return run(args.config, vars(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

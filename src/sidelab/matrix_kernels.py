@@ -95,6 +95,17 @@ def is_positive_definite(p, tol: float | None = None) -> PdReport:
     return PdReport(lam_min > tol, lam_min, float(tol))
 
 
+def gate_pd(p, name: str) -> np.ndarray:
+    """Symmetrized P, or NotPositiveDefinite naming it when P fails the gate."""
+    p = as_symmetric(p, name)
+    report = is_positive_definite(p)
+    if not report:
+        raise NotPositiveDefinite(
+            f"{name} is not positive definite (lambda_min={report.lambda_min:.6g})"
+        )
+    return p
+
+
 def pencil_top(m, p) -> float:
     """Largest eigenvalue of the P-weighted pencil of M.
 
@@ -102,12 +113,7 @@ def pencil_top(m, p) -> float:
     M <= c P.  Raises NotPositiveDefinite when P fails the gate.
     """
     m = as_symmetric(m, "m")
-    p = as_symmetric(p, "p")
-    report = is_positive_definite(p)
-    if not report:
-        raise NotPositiveDefinite(
-            f"pencil weight is not positive definite (lambda_min={report.lambda_min:.6g})"
-        )
+    p = gate_pd(p, "pencil weight")
     eigs = scipy.linalg.eigh(m, p, eigvals_only=True)
     return float(eigs[-1])
 

@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NotLinear, NotPositiveDefinite, ValidationFailed
-from .matrix_kernels import as_square, as_symmetric, is_positive_definite
+from .errors import NotLinear, ValidationFailed
+from .matrix_kernels import as_square, gate_pd
 
 _LINEARITY_RTOL = 1e-8
 _FLOAT64 = np.dtype(np.float64)
@@ -128,19 +128,6 @@ class VectorFieldSde:
 Sde = LinearSde | VectorFieldSde
 
 
-def _zero_jump(dim: int, width: int):
-    base = np.zeros(dim)
-    gain = np.zeros((dim, width))
-
-    def jump(*args):
-        return base.copy()
-
-    def jump_gain(*args):
-        return gain.copy()
-
-    return jump, jump_gain
-
-
 @dataclass(frozen=True)
 class ImpulseMaps:
     """Jump maps applied at impulse times.
@@ -158,12 +145,6 @@ class ImpulseMaps:
     jump_x_gain: Callable[[np.ndarray, int], np.ndarray]
     jump_y: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
     jump_y_gain: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
-
-    @staticmethod
-    def zero(n: int, q: int, m: int) -> "ImpulseMaps":
-        jx, jxg = _zero_jump(n, m)
-        jy, jyg = _zero_jump(q, m)
-        return ImpulseMaps(jx, jxg, lambda x, y, k: jy(), lambda x, y, k: jyg())
 
 
 @dataclass(frozen=True)
@@ -241,13 +222,7 @@ class QuadraticLyapunov:
     p: np.ndarray
 
     def __post_init__(self):
-        p = as_symmetric(self.p, "p")
-        report = is_positive_definite(p)
-        if not report:
-            raise NotPositiveDefinite(
-                f"P is not positive definite (lambda_min={report.lambda_min:.6g})"
-            )
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", gate_pd(self.p, "P"))
 
     def value(self, x) -> float:
         x = _as_vector(x, self.p.shape[0])
@@ -291,10 +266,9 @@ def make_cps(sde: Sde, dt: float) -> SideSystem:
     def jump_y_gain(x, y, k):
         return -sqrt_dt * sde.diffusion(x - y, 0.0)
 
-    zero_x, zero_x_gain = _zero_jump(n, m)
     jumps = ImpulseMaps(
-        jump_x=lambda x, k: zero_x(),
-        jump_x_gain=lambda x, k: zero_x_gain(),
+        jump_x=lambda x, k: np.zeros(n),
+        jump_x_gain=lambda x, k: np.zeros((n, m)),
         jump_y=jump_y,
         jump_y_gain=jump_y_gain,
     )

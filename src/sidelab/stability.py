@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, SingularOperator
+from .errors import SingularOperator
 from .matrix_kernels import (
     as_symmetric,
     ct_form,
@@ -27,6 +27,7 @@ from .matrix_kernels import (
     ct_stepsize_bound,
     decay_rate,
     dt_form,
+    gate_pd,
     is_positive_definite,
     lu_factors,
     pencil_top,
@@ -223,16 +224,6 @@ class ConditionConstants:
             raise ValueError("need 0 < dt_under <= dt_over")
 
 
-def _gate_pd(p, name: str) -> np.ndarray:
-    p = as_symmetric(p, name)
-    report = is_positive_definite(p)
-    if not report:
-        raise NotPositiveDefinite(
-            f"{name} is not positive definite (lambda_min={report.lambda_min:.6g})"
-        )
-    return p
-
-
 def quadratic_condition_constants(
     side: SideSystem,
     p,
@@ -258,8 +249,8 @@ def quadratic_condition_constants(
     """
     if split <= 0:
         raise ValueError("split must be positive")
-    p = _gate_pd(p, "p")
-    p_tilde = _gate_pd(p_tilde, "p_tilde")
+    p = gate_pd(p, "p")
+    p_tilde = gate_pd(p_tilde, "p_tilde")
     lin = linear_compact_form(side)
     n = side.n
     s = float(split)
@@ -392,7 +383,7 @@ def check_thm4(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    p = _gate_pd(p, "p")
+    p = gate_pd(p, "p")
     alpha = decay_rate(ct_quadratic_form(sde, p, 0.0), p)
     d = pencil_top(dt_quadratic_form(sde, p, dt), p)
 
@@ -433,7 +424,7 @@ def check_thm5(sde: LinearSde, p, dt_bar: float) -> Thm5Check:
     """
     if dt_bar < 0:
         raise ValueError("dt_bar must be nonnegative")
-    p = _gate_pd(p, "p")
+    p = gate_pd(p, "p")
     margin = decay_rate(ct_quadratic_form(sde, p, dt_bar), p)
     passed = margin > STRICT_SLACK
     if dt_bar > 0:
@@ -461,7 +452,7 @@ def check_thm6(sde: LinearSde, p, dt_bar: float) -> Thm6Check:
     """
     if dt_bar <= 0:
         raise ValueError("dt_bar must be positive")
-    p = _gate_pd(p, "p")
+    p = gate_pd(p, "p")
     c_bar = pencil_top(dt_quadratic_form(sde, p, dt_bar), p)
     passed = 1.0 - c_bar > STRICT_SLACK
     return Thm6Check(passed, c_bar, (1.0 - c_bar) / dt_bar)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -10,6 +11,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 import sidelab
+from sidelab import cli
 from sidelab.cli import RunConfig, dump_config, emit_plot_data, load_config, main, run
 from sidelab.errors import ConfigError
 
@@ -129,6 +131,34 @@ class TestConfigParsing:
         dumped = tmp_path / "dumped.ini"
         dump_config(cfg, dumped)
         assert load_config(dumped) == cfg
+
+    # every [numeric] and [output] key set to a value other than its default
+    NUMERIC = dict(x0=(0.5, -2.0), dt=0.25, dt_bar=0.125, horizon=3.0, p=3.0, trajectories=17,
+                   seed=9, substeps=4, levels=3, driving="brownian", outdir="elsewhere")
+
+    @pytest.mark.parametrize("system", [
+        dict(kind="scalar", lam=-1.5),
+        dict(kind="linear", drift=((-1.0, 0.5), (0.25, -2.0)),
+             noises=(((0.3, 0.1), (0.0, 0.2)), ((0.1, 0.0), (-0.4, 0.2)))),
+        dict(kind="controller", a=1.0, kp=2.0),
+    ])
+    def test_dump_load_round_trip_per_kind(self, tmp_path, system):
+        cfg = RunConfig(task="simulate", **system, **self.NUMERIC)
+        dump_config(cfg, tmp_path / "c.ini")
+        assert load_config(tmp_path / "c.ini") == cfg
+
+    def test_every_field_has_one_key(self):
+        # g1, g2, ... of a linear system fill `noises`; every other field is one table key
+        fields = [spec[0] for keys in cli._SYSTEM.values() for spec in keys.values()]
+        fields += [spec[0] for keys in cli._NUMERIC.values() for spec in keys.values()]
+        assert sorted(fields + ["noises"]) == sorted(
+            f.name for f in dataclasses.fields(RunConfig) if f.name not in ("task", "kind")
+        )
+
+    def test_missing_kind_is_two(self, tmp_path, capsys):
+        cfg = write(tmp_path, "k.ini", "[system]\nlambda = -1\n\n[task]\nname = analyze\n")
+        assert main(["--config", cfg]) == 2
+        assert "'kind'" in capsys.readouterr().err
 
 
 class TestExitCodes:
