@@ -300,6 +300,7 @@ def _task_exponent(cfg: RunConfig, outdir: Path) -> int:
         est.report(),
         "pathwise exponent:",
         pathwise.report(),
+        f"diverged trajectories: {ens.diverged}",
     ]
     _report(outdir, lines)
     return 0 if est.slope < 0 else 1

@@ -2,25 +2,26 @@
 strong-convergence order study of the explicit scheme.
 
 Trajectories are simulated in fixed index order, vectorized over batches for
-linear systems, with all draws taken from per-trajectory counter-based
-streams, so every statistic is bitwise reproducible from (seed, parameters).
+linear systems, with all draws from per-trajectory counter-based streams, so
+every statistic is bitwise reproducible from (seed, parameters).  Batches are
+time-major: (n, B) states, (steps, m, B) draws, (steps + 1, n, B) chunk paths.
 
-The convergence study streams each batch over fixed chunks of the finest
-grid, so its memory is O(_SUP_BATCH * max(_CHUNK, coarsest stride) * n) for
-any horizon.  The batch sizes fix the summation order; the chunk size does
-not enter any result.
+Both linear kernels, the moment ensemble and the convergence study, stream each
+batch over chunks of time, so memory is O(batch * chunk draws) at any horizon.
+Batch sizes fix the summation order; chunk sizes enter no result.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .models import LinearSde, Sde, SideSystem
-from .noise import _BROWNIAN_STREAM, NoisePlan, _generator, _standard_normals
-from .simulate import _driving_increments, euler_maruyama, exact_gbm, simulate_side, whole_steps
+from .noise import _BROWNIAN_STREAM, _IMPULSE_STREAM, NoisePlan, _generator, _standard_normals
+from .simulate import euler_maruyama, exact_gbm, simulate_side, whole_steps
 
 _WINDOW_MIN_POINTS = 10
 
@@ -30,8 +31,10 @@ _ENSEMBLE_BATCH = 2048
 _SUP_BATCH = 512
 
 # Finest steps per chunk of the convergence study, rounded up to a multiple of
-# the coarsest stride.  It bounds memory only: no result depends on it.
+# the coarsest stride, and draws per chunk of an ensemble batch.  They bound
+# memory only: no result depends on them.
 _CHUNK = 512
+_ENSEMBLE_DRAWS = 1 << 18
 
 
 def scalar_onestep_factor(lam: float, mu: float, dt: float) -> float:
@@ -108,27 +111,33 @@ class Ensemble:
     def moment_mean(self) -> np.ndarray:
         return self.moment_sum / self.trajectories
 
-
-def _noise_block(seed, trajs, m, dt, horizon, n_steps, driving) -> np.ndarray:
-    """Per-step noise of trajectories `trajs`, each from its own plan: (B, n_steps, m)."""
-    w = np.empty((len(trajs), n_steps, m))
-    for row, traj in enumerate(trajs):
-        w[row] = _driving_increments(NoisePlan(seed, traj, m, dt, horizon), dt, n_steps, driving)
-    return w
+    @property
+    def diverged(self) -> int:
+        """Trajectories whose sup |z|^2 is not finite (overflowed or NaN)."""
+        return int(np.count_nonzero(~np.isfinite(self.sup_sq)))
 
 
 def _linear_steps(f, gs, x, dt, w):
-    """Explicit steps x + dt x F^T + sum_j (x Gj^T) w_j of a (B, n) batch
-    under noise w of shape (B, N, m); yields the batch after each step."""
-    for k in range(w.shape[1]):
-        step = dt * (x @ f.T)
-        for j, g in enumerate(gs):
-            step = step + (x @ g.T) * w[:, k, j][:, None]
+    """Explicit steps x + dt F x + sum_j (Gj x) w_j of an (n, B) batch under
+    noise w of shape (N, m, B); yields the batch after each step."""
+    for w_k in w:
+        step = dt * (f @ x)
+        for g, w_kj in zip(gs, w_k):
+            step += (g @ x) * w_kj
         x = x + step
         yield x
 
 
+def _sumsq(x):
+    """Squared norms over the coordinate axis -2 of a (..., n, B) batch,
+    summed in coordinate order."""
+    return sum((x[..., i, :] ** 2 for i in range(1, x.shape[-2])), x[..., 0, :] ** 2)
+
+
 def _ensemble_linear(sde: LinearSde, x0, p, trajectories, T, dt, seed, driving) -> Ensemble:
+    streams = {"xi": _IMPULSE_STREAM, "brownian": _BROWNIAN_STREAM}
+    if driving not in streams:
+        raise ValueError(f"unknown driving mode {driving!r}")
     n, m = sde.dim, sde.noise_dim
     n_steps = whole_steps(T, dt)
     x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (n,))
@@ -139,21 +148,26 @@ def _ensemble_linear(sde: LinearSde, x0, p, trajectories, T, dt, seed, driving) 
     terminal_log = np.empty(trajectories)
 
     for start in range(0, trajectories, _ENSEMBLE_BATCH):
-        idx = range(start, min(start + _ENSEMBLE_BATCH, trajectories))
-        b = len(idx)
-        w = _noise_block(seed, idx, m, dt, T, n_steps, driving)
-        x = np.tile(x0, (b, 1))
-        nrm = np.linalg.norm(x, axis=1)
+        b = min(_ENSEMBLE_BATCH, trajectories - start)
+        gens = [_generator(seed, traj, streams[driving]) for traj in range(start, start + b)]
+        chunk = max(1, _ENSEMBLE_DRAWS // (max(m, 1) * b))
+        x = np.repeat(x0[:, None], b, axis=1)
+        nrm = np.sqrt(_sumsq(x))
         moment_sum[0] += float(np.sum(nrm**p))
         batch_sup = nrm**2
+        norms = np.empty((chunk, b))  # row k: the norms after step s + k + 1
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, x in enumerate(_linear_steps(sde.drift_matrix, sde.noise_matrices, x, dt, w), 1):
-                nrm = np.linalg.norm(x, axis=1)
-                moment_sum[k] += float(np.sum(nrm**p))
-                np.maximum(batch_sup, nrm**2, out=batch_sup)
+            for s in range(0, n_steps, chunk):
+                c = min(chunk, n_steps - s)
+                w = _standard_normals(gens, c, m)
+                w *= math.sqrt(dt)
+                for k, x in enumerate(_linear_steps(sde.drift_matrix, sde.noise_matrices, x, dt, w)):
+                    np.sqrt(_sumsq(x), out=norms[k])
+                moment_sum[s + 1 : s + c + 1] += np.sum(norms[:c] ** p, axis=1)
+                np.maximum(batch_sup, np.max(norms[:c] ** 2, axis=0), out=batch_sup)
         sup_sq[start : start + b] = batch_sup
         with np.errstate(divide="ignore"):
-            terminal_log[start : start + b] = np.log(nrm)
+            terminal_log[start : start + b] = np.log(norms[c - 1])
 
     return Ensemble(times, p, trajectories, moment_sum, sup_sq, terminal_log)
 
@@ -327,13 +341,13 @@ class ConvergenceStudy:
 
 
 def _em_chunk(f, gs, x, dt, w) -> tuple[np.ndarray, np.ndarray]:
-    """Explicit steps of a (B, n) batch from x under noise w of shape (B, N, m),
-    N >= 1: returns the (B, N+1, n) states, x first, and the last state as
-    stepped, to start the next chunk from."""
-    out = np.empty((w.shape[0], w.shape[1] + 1, x.shape[1]))
-    out[:, 0] = x
+    """Explicit steps of an (n, B) batch from x under noise w of shape
+    (N, m, B), N >= 1: returns the (N+1, n, B) states, x first, and the last
+    state as stepped, to start the next chunk from."""
+    out = np.empty((w.shape[0] + 1,) + x.shape)
+    out[0] = x
     for k, x in enumerate(_linear_steps(f, gs, x, dt, w), 1):
-        out[:, k] = x
+        out[k] = x
     return out, x
 
 
@@ -405,7 +419,7 @@ def strong_error_sup(
         b = len(idx)
         gens = [_generator(seed, traj, _BROWNIAN_STREAM) for traj in idx]
         # the states a chunk starts from: reference, Brownian value, each level
-        ref_x = np.tile(x0, (b, 1))
+        ref_x = np.repeat(x0[:, None], b, axis=1)
         b_sum = np.zeros(b)
         xs = dict.fromkeys(levels, ref_x)
         sup_ref = np.zeros(b)
@@ -413,35 +427,36 @@ def strong_error_sup(
 
         for s in range(0, n_fine, chunk):
             c = min(chunk, n_fine - s)
-            inc = _standard_normals(gens, c, m) * np.sqrt(delta)
+            inc = _standard_normals(gens, c, m)
+            inc *= np.sqrt(delta)
             # ref holds fine indices s .. s + c, both ends included
             if scalar_linear:
                 if m:
-                    # the carried sum in front keeps cumsum's sequential additions
-                    b_path = np.cumsum(np.concatenate([b_sum[:, None], inc[:, :, 0]], axis=1), axis=1)
-                    b_sum = b_path[:, -1]
+                    # the carried sum in front, then cumsum's sequential additions a row at a time
+                    b_path = np.array(list(accumulate(inc[:, 0], initial=b_sum)))
+                    b_sum = b_path[-1]
                 else:
-                    b_path = np.zeros((b, c + 1))
+                    b_path = np.zeros((c + 1, b))
                 times = np.arange(s, s + c + 1) * delta
-                ref = exact_gbm(lam, mu, float(x0[0]), np.broadcast_to(times, b_path.shape), b_path)
-                ref = ref[:, :, None]
+                ref = exact_gbm(lam, mu, float(x0[0]), np.broadcast_to(times[:, None], b_path.shape), b_path)
+                ref = ref[:, None]
             else:
                 ref, ref_x = _em_chunk(f, gs, ref_x, delta, inc)
-            np.maximum(sup_ref, np.max(np.sum(ref**2, axis=2), axis=1), out=sup_ref)
+            np.maximum(sup_ref, np.max(_sumsq(ref), axis=0), out=sup_ref)
 
             w, folded = inc, 0
             for level in levels:
                 for _ in range(level - folded):
-                    w = w[:, 0::2] + w[:, 1::2]
+                    w = w[0::2] + w[1::2]
                 folded = level
                 stride = 1 << level
                 path, xs[level] = _em_chunk(f, gs, xs[level], delta * stride, w)
                 # right-continuous step extension: fine index i sees level index i // stride
-                diff = ref[:, :-1].reshape(b, -1, stride, n) - path[:, :-1, None]
-                np.maximum(err[level], np.max(np.sum(diff**2, axis=3), axis=(1, 2)), out=err[level])
+                diff = ref[:-1].reshape(-1, stride, n, b) - path[:-1, None]
+                np.maximum(err[level], np.max(_sumsq(diff).reshape(-1, b), axis=0), out=err[level])
 
         for level in levels:
-            np.maximum(err[level], np.sum((ref[:, -1] - xs[level]) ** 2, axis=1), out=err[level])
+            np.maximum(err[level], _sumsq(ref[-1] - xs[level]), out=err[level])
             err_sum[level] += float(np.sum(err[level]))
             err_sumsq[level] += float(np.sum(err[level] ** 2))
         sup_ref_sum += float(np.sum(sup_ref))

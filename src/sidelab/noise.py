@@ -2,9 +2,9 @@
 
 Every draw is counter-based: a pure function of (seed, trajectory, stream,
 slot), realized with a Philox generator keyed by seed and trajectory/stream
-and with normal variates produced by inverse-CDF of the raw 64-bit counter
-output.  No rejection sampling anywhere, so trajectories can be generated in
-any order, in parallel, or regenerated from scratch and always agree bitwise.
+and with normal variates produced by inverse-CDF of its raw 64-bit words.
+Nothing is rejection-sampled, so trajectories agree bitwise in any order or
+batch.  A batched read is time-major: (slots, width, generators).
 
 Two independent streams are kept per trajectory: one for Brownian-motion
 increments on the finest grid (refinable by dyadic coarsening for
@@ -37,18 +37,23 @@ def _generator(seed: int, trajectory: int, stream: int) -> np.random.Generator:
 
 def _standard_normals(gens, count: int, width: int) -> np.ndarray:
     """N(0,1) draws for the next `count` slots of each generator in `gens`,
-    shape (len(gens), count, width).
+    shape (count, width, len(gens)): time-major, each coordinate contiguous
+    over the generators.
 
     Each slot takes `width` consecutive 64-bit words, and a generator resumes
     where its last call stopped, so reading a stream in pieces gives the same
-    draws bit for bit as reading it at once.
+    draws bit for bit as reading it at once.  The raw words are those of
+    `gen.integers(1 << 64, dtype=np.uint64)`, read without its per-call cost.
     """
-    words = np.empty((len(gens), count, width), dtype=np.uint64)
-    for row, gen in enumerate(gens):
-        words[row] = gen.integers(1 << 64, size=(count, width), dtype=np.uint64)
+    words = np.empty((count * width, len(gens)), dtype=np.uint64)
+    for col, gen in enumerate(gens):
+        words[:, col] = gen.bit_generator.random_raw(count * width)
     # map to the open interval (0, 1); the half-step keeps 0 and 1 unreachable
-    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+    words >>= np.uint64(11)
+    u = words.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return ndtri(u, out=u).reshape(count, width, len(gens))
 
 
 @dataclass(frozen=True)
@@ -98,7 +103,7 @@ class NoisePlan:
     def _draws(self, stream: int, count: int) -> np.ndarray:
         if count < 0:
             raise ValueError("count must be nonnegative")
-        return _standard_normals([_generator(self.seed, self.trajectory, stream)], count, self.noise_dim)[0]
+        return _standard_normals([_generator(self.seed, self.trajectory, stream)], count, self.noise_dim)[:, :, 0]
 
     def standard_normals(self, count: int) -> np.ndarray:
         """Raw N(0,1) draws from the Brownian stream, shape (count, m)."""

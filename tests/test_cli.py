@@ -386,6 +386,26 @@ class TestArtifacts:
         assert lines[0] == "t,log_mean_moment"
         assert len(lines) - 1 >= 10
 
+    @pytest.mark.parametrize("system, numeric, code, diverged, digest", [
+        ("kind = linear\nf = -1 0.3 ; 0.2 -2\ng1 = 0.4 0 ; 0.1 0.2\ng2 = 0.1 0.3 ; 0 0.2\n",
+         "x0 = 1 -0.5\ndt = 0.01\nt = 1.0\ntrajectories = 300\nseed = 4\ndriving = brownian\n", 0, 0,
+         "73d550958815f388c20d76cf92ba7815ec3300664c974d63db0cabf51be6fd2e"),
+        # |1 + 50 dt| = 26 per step: every path overflows long before t = 200
+        ("kind = scalar\nlambda = 50\nmu = 3\n",
+         "x0 = 1\ndt = 0.5\nt = 200\ntrajectories = 4\nseed = 1\n", 1, 4,
+         "56f04963410f0156bcbcdf13d1e41f90dd60ec8d48942f940cc1d50186a00514"),
+    ], ids=["stable", "overflowing"])
+    def test_exponent_report_ends_with_diverged_count(self, tmp_path, system, numeric, code, diverged, digest):
+        # the digest is of the report as it was before the diverged line: the
+        # other lines must not change
+        out = tmp_path / "o"
+        cfg = write(tmp_path, "e.ini", f"[system]\n{system}\n[task]\nname = exponent\n\n"
+                    f"[numeric]\n{numeric}\n[output]\ndir = {out}\n")
+        assert main(["--config", cfg]) == code
+        *lines, last = (out / "report.txt").read_text().splitlines()
+        assert last == f"diverged trajectories: {diverged}"
+        assert hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest() == digest
+
     def test_run_api_overrides(self, tmp_path):
         out = tmp_path / "alt"
         cfg = write(tmp_path, "s.ini", SIMULATE.format(seed=1, out=tmp_path / "orig"))

@@ -195,7 +195,56 @@ class TestStrongError:
         assert len(rows) == 4
 
 
-# ------------------------------------------------------- whole-array oracle
+# ------------------------------------------------------- row-major oracles
+# The kernels as they were before the batches went time-major: each batch is
+# a (B, n) state stepped under per-trajectory NoisePlan draws of shape
+# (B, N, m).  They share no kernel or draw routine with `estimate`.
+
+def _row_major_steps(f, gs, x, dt, w):
+    """Explicit steps x + dt x F^T + sum_j (x Gj^T) w_j of a (B, n) batch
+    under noise w of shape (B, N, m); yields the batch after each step."""
+    for k in range(w.shape[1]):
+        step = dt * (x @ f.T)
+        for j, g in enumerate(gs):
+            step = step + (x @ g.T) * w[:, k, j][:, None]
+        x = x + step
+        yield x
+
+
+def _plan_noise(seed, trajs, m, dt, T, driving):
+    """Per-step noise of each trajectory from its own plan: (B, N, m)."""
+    plans = [NoisePlan(seed, traj, m, dt, T) for traj in trajs]
+    if driving == "xi":
+        return np.stack([math.sqrt(dt) * plan.xi_block(plan.finest_steps) for plan in plans])
+    return np.stack([plan.increments(0) for plan in plans])
+
+
+def row_major_ensemble(sde, x0, p, trajectories, T, dt, *, seed=0, driving="xi"):
+    n, m = sde.dim, sde.noise_dim
+    n_steps = NoisePlan(seed, 0, m, dt, T).finest_steps
+    x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (n,))
+    moment_sum = np.zeros(n_steps + 1)
+    sup_sq = np.empty(trajectories)
+    terminal_log = np.empty(trajectories)
+    for start in range(0, trajectories, estimate._ENSEMBLE_BATCH):
+        idx = range(start, min(start + estimate._ENSEMBLE_BATCH, trajectories))
+        b = len(idx)
+        w = _plan_noise(seed, idx, m, dt, T, driving)
+        x = np.tile(x0, (b, 1))
+        nrm = np.linalg.norm(x, axis=1)
+        moment_sum[0] += float(np.sum(nrm**p))
+        batch_sup = nrm**2
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, x in enumerate(_row_major_steps(sde.drift_matrix, sde.noise_matrices, x, dt, w), 1):
+                nrm = np.linalg.norm(x, axis=1)
+                moment_sum[k] += float(np.sum(nrm**p))
+                np.maximum(batch_sup, nrm**2, out=batch_sup)
+        sup_sq[start : start + b] = batch_sup
+        with np.errstate(divide="ignore"):
+            terminal_log[start : start + b] = np.log(nrm)
+    return estimate.Ensemble(np.arange(n_steps + 1) * dt, p, trajectories, moment_sum, sup_sq, terminal_log)
+
+
 # The convergence study as it was before it streamed over time chunks: every
 # batch holds its full (B, n_fine + 1, n) paths.  The chunked study must give
 # the same ConvergenceStudy bit for bit.
@@ -211,7 +260,7 @@ def _em_level_paths(f, gs, x0, dt, w):
     b, n_steps, _ = w.shape
     out = np.empty((b, n_steps + 1, f.shape[0]))
     out[:, 0] = x0
-    for k, x in enumerate(estimate._linear_steps(f, gs, np.tile(x0, (b, 1)), dt, w), 1):
+    for k, x in enumerate(_row_major_steps(f, gs, np.tile(x0, (b, 1)), dt, w), 1):
         out[:, k] = x
     return out
 
@@ -228,7 +277,7 @@ def whole_array_study(sde, x0, T, levels, trajectories, *, delta, seed=0):
     for start in range(0, trajectories, estimate._SUP_BATCH):
         idx = range(start, min(start + estimate._SUP_BATCH, trajectories))
         b = len(idx)
-        inc0 = estimate._noise_block(seed, idx, m, delta, T, n_fine, "brownian")
+        inc0 = _plan_noise(seed, idx, m, delta, T, "brownian")
         if n == 1 and m <= 1:
             lam = float(f[0, 0])
             mu = float(gs[0][0, 0]) if m else 0.0
@@ -332,3 +381,90 @@ class TestStreamedStudyMemory:
     def test_peak_does_not_grow_with_horizon(self):
         # the whole-array study held full paths: 3.5 MiB at T = 1, 14 MiB at T = 4
         assert self._peak(4.0) <= 1.1 * self._peak(1.0)
+
+
+# ------------------------------------------------------- time-major ensemble
+# `run_ensemble` on a LinearSde steps (n, B) states under streamed (N, m, B)
+# draws; the row-major oracle above must give the same Ensemble bit for bit.
+
+SYS3 = LinearSde(
+    np.array([[-2.0, 0.3, 0.0], [0.1, -1.5, 0.2], [0.0, -0.2, -1.8]]),
+    (0.3 * np.eye(3), np.array([[0.0, 0.2, 0.0], [0.1, 0.0, 0.0], [0.0, 0.0, 0.2]])),
+)
+X3 = [1.0, -0.5, 0.25]
+OVERFLOWING = LinearSde.scalar(50.0, 3.0)  # |1 + 50 dt| = 26 per step at dt = 0.5
+
+# (system, x0, p, trajectories, T, dt, seed, driving)
+ENSEMBLE_CASES = {
+    "xi": (SYS3, X3, 2.0, 300, 1.0, 1e-2, 1, "xi"),
+    "brownian": (SYS3, X3, 2.0, 300, 1.0, 1e-2, 2, "brownian"),
+    "two-batches": (SYS3, X3, 2.0, 2100, 0.1, 1e-3, 3, "xi"),
+    "steps-not-chunk-multiple": (SYS3, X3, 2.0, 1024, 0.3, 1e-3, 4, "brownian"),
+    "no-noise": (LinearSde(SYS3.drift_matrix), X3, 2.0, 20, 1.0, 1e-2, 5, "xi"),
+    "p1": (GBM, [1.0], 1.0, 200, 1.0, 1e-2, 6, "xi"),
+    "p3": (SYS3, X3, 3.0, 100, 1.0, 1e-2, 7, "brownian"),
+    "zero-start": (GBM, [0.0], 2.0, 50, 1.0, 1e-2, 8, "xi"),
+    "overflow": (OVERFLOWING, [1.0], 2.0, 8, 200.0, 0.5, 9, "xi"),
+}
+
+
+def _chunk_steps(m, b):
+    return max(1, estimate._ENSEMBLE_DRAWS // (max(m, 1) * b))
+
+
+class TestTimeMajorEnsembleParity:
+    @pytest.mark.parametrize("case", ENSEMBLE_CASES.values(), ids=ENSEMBLE_CASES.keys())
+    def test_bitwise_equal_to_row_major_ensemble(self, case):
+        sde, x0, p, trajectories, T, dt, seed, driving = case
+        got = run_ensemble(sde, x0, p, trajectories, T, dt, seed=seed, driving=driving)
+        want = row_major_ensemble(sde, x0, p, trajectories, T, dt, seed=seed, driving=driving)
+        assert pickle.dumps(got) == pickle.dumps(want)
+
+    def test_case_shapes(self):
+        # the cases cover what their names say
+        assert ENSEMBLE_CASES["two-batches"][3] > estimate._ENSEMBLE_BATCH
+        sde, _, _, trajectories, T, dt, _, _ = ENSEMBLE_CASES["steps-not-chunk-multiple"]
+        chunk = _chunk_steps(sde.noise_dim, trajectories)
+        assert chunk < round(T / dt) and round(T / dt) % chunk != 0
+        assert ENSEMBLE_CASES["no-noise"][0].noise_dim == 0
+        assert not np.any(ENSEMBLE_CASES["zero-start"][1])
+        sde, x0, p, trajectories, T, dt, seed, driving = ENSEMBLE_CASES["overflow"]
+        assert run_ensemble(sde, x0, p, trajectories, T, dt, seed=seed).diverged == trajectories
+
+    @pytest.mark.parametrize("draws", [1, 7 * 2 * 40])
+    def test_chunk_size_changes_no_bit(self, monkeypatch, draws):
+        # chunks of 1 and of 7 steps for 40 paths of 2 noises
+        want = row_major_ensemble(SYS3, X3, 2.0, 40, 0.5, 1e-2, seed=10)
+        monkeypatch.setattr(estimate, "_ENSEMBLE_DRAWS", draws)
+        got = run_ensemble(SYS3, X3, 2.0, 40, 0.5, 1e-2, seed=10)
+        assert pickle.dumps(got) == pickle.dumps(want)
+
+    def test_unknown_driving_rejected(self):
+        with pytest.raises(ValueError, match="unknown driving"):
+            run_ensemble(GBM, [1.0], 2.0, 8, 1.0, 0.1, driving="ito")
+
+
+class TestDivergedTrajectories:
+    def test_overflow_is_counted(self):
+        ens = run_ensemble(OVERFLOWING, [1.0], 2.0, 6, 200.0, 0.5, seed=1)
+        assert ens.diverged == 6
+        assert not np.any(np.isfinite(ens.sup_sq))
+
+    def test_stable_system_has_none(self):
+        assert run_ensemble(SYS3, X3, 2.0, 64, 1.0, 1e-2, seed=1).diverged == 0
+
+
+class TestEnsembleMemory:
+    @staticmethod
+    def _peak(T):
+        tracemalloc.start()
+        try:
+            run_ensemble(SYS3, X3, 2.0, 1024, T, 1e-3, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_horizon(self):
+        # drawing each batch's whole (B, N, m) noise block before stepping
+        # peaked at 31.4 MiB at T = 2 and 125.5 MiB at T = 8
+        assert self._peak(8.0) <= 1.1 * self._peak(2.0)

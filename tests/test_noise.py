@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from sidelab import noise
 from sidelab.errors import GridMismatch
@@ -130,10 +131,39 @@ class TestChunkedDraws:
         start = 0
         for count in counts:
             chunk = _standard_normals(gens, count, width) * np.sqrt(plan.delta)
-            assert chunk.shape == (2, count, width)
-            assert np.array_equal(chunk[1], whole[start : start + count])
+            assert chunk.shape == (count, width, 2)  # time-major: (slots, width, generators)
+            assert np.array_equal(chunk[:, :, 1], whole[start : start + count])
             start += count
         assert start == plan.finest_steps
+
+
+class TestPinnedDraws:
+    """The draws are the documented map of each stream's 64-bit words, read in
+    `gen.integers(1 << 64, dtype=np.uint64)` order."""
+
+    COUNTS = (1, 2, 3, 5, 9, 44)
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_raw_words_equal_integers_words(self, width):
+        # Philox makes 4 words per block; split reads must resume inside a block
+        offsets = np.cumsum(self.COUNTS[:-1]) * width
+        assert np.count_nonzero(offsets % 4) >= 3
+        raw, ints = _generator(11, 3, _BROWNIAN_STREAM), _generator(11, 3, _BROWNIAN_STREAM)
+        for count in self.COUNTS:
+            words = ints.integers(1 << 64, size=count * width, dtype=np.uint64)
+            assert np.array_equal(raw.bit_generator.random_raw(count * width), words)
+
+    @pytest.mark.parametrize("width", [0, 1, 2, 3])
+    def test_normals_are_the_map_of_integers_words(self, width):
+        trajs = (0, 1, 7)
+        gens = [_generator(11, traj, _IMPULSE_STREAM) for traj in trajs]
+        refs = [_generator(11, traj, _IMPULSE_STREAM) for traj in trajs]
+        for count in self.COUNTS:
+            got = _standard_normals(gens, count, width)
+            for col, ref in enumerate(refs):
+                words = ref.integers(1 << 64, size=(count, width), dtype=np.uint64)
+                want = ndtri(((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+                assert np.array_equal(got[:, :, col], want)
 
 
 def count_generated(monkeypatch):
@@ -167,7 +197,7 @@ class TestDrawBudget:
         plan = make_plan(seed=3, traj=2)
         generated = count_generated(monkeypatch)
         for read, stream in ((plan.standard_normals, _BROWNIAN_STREAM), (plan.xi_block, _IMPULSE_STREAM)):
-            fresh = _standard_normals([_generator(3, 2, stream)], count, plan.noise_dim)[0]
+            fresh = _standard_normals([_generator(3, 2, stream)], count, plan.noise_dim)[:, :, 0]
             before = generated[0]
             assert np.array_equal(read(count), fresh)
             assert generated[0] - before == count * plan.noise_dim
