@@ -72,7 +72,8 @@ class ExponentEstimate:
     `slope` is the estimated exponent (of ln E|z|^p against t for moment
     estimates, or the ensemble mean pathwise rate); trajectories sitting at
     exact zero contribute rate -inf and are counted separately instead of
-    being averaged.
+    being averaged.  A pathwise estimate with a diverged trajectory has
+    slope +inf and stderr NaN, and `points` counts only the finite rates.
     """
 
     slope: float
@@ -253,66 +254,46 @@ def fit_moment_window(ens: Ensemble) -> tuple[ExponentEstimate, np.ndarray, np.n
 
 
 def moment_exponent(
-    system: Sde | SideSystem,
-    z0,
-    p: float,
-    trajectories: int,
-    T: float,
-    dt: float,
-    *,
-    seed: int = 0,
-    driving: str = "xi",
-    inner_substeps: int = 1,
+    system: Sde | SideSystem, z0, p: float, trajectories: int, T: float, dt: float, **options
 ) -> ExponentEstimate:
     """Tail-window regression slope of ln(sample mean |z(t)|^p) against t.
 
     A clearly negative slope signals pth-moment exponential stability.
+    `options` are the keyword options of `run_ensemble`.
     """
-    ens = run_ensemble(
-        system, z0, p, trajectories, T, dt,
-        seed=seed, driving=driving, inner_substeps=inner_substeps,
-    )
-    est, _, _ = fit_moment_window(ens)
-    return est
+    return fit_moment_window(run_ensemble(system, z0, p, trajectories, T, dt, **options))[0]
 
 
 def fit_pathwise(ens: Ensemble) -> ExponentEstimate:
     """Ensemble mean of the pathwise rate (1/T) ln |z(T)| with its standard error.
 
     T is the ensemble's final grid time.  Trajectories at exact zero are
-    counted separately rather than averaged at -inf.
+    counted separately rather than averaged at -inf.  A diverged trajectory
+    (terminal log NaN or +inf) makes the exponent +inf with a NaN stderr;
+    `points` then counts the finite rates.
     """
     T = float(ens.times[-1])
     rates = ens.terminal_log / T
-    finite = np.isfinite(rates)
-    zeros = int(np.count_nonzero(~finite))
+    vals = rates[np.isfinite(rates)]
+    zeros = int(np.count_nonzero(rates == -np.inf))
     if zeros == ens.trajectories:
         return ExponentEstimate(float("-inf"), 0.0, (0.0, T), 0.0, 0, zeros)
-    vals = rates[finite]
+    if vals.shape[0] + zeros < ens.trajectories:
+        return ExponentEstimate(float("inf"), 0.0, (0.0, T), float("nan"), int(vals.shape[0]), zeros)
     stderr = float(np.std(vals, ddof=1) / math.sqrt(vals.shape[0])) if vals.shape[0] > 1 else float("nan")
     return ExponentEstimate(float(np.mean(vals)), 0.0, (0.0, T), stderr, int(vals.shape[0]), zeros)
 
 
 def as_exponent(
-    system: Sde | SideSystem,
-    z0,
-    trajectories: int,
-    T: float,
-    dt: float,
-    *,
-    seed: int = 0,
-    driving: str = "xi",
-    inner_substeps: int = 1,
+    system: Sde | SideSystem, z0, trajectories: int, T: float, dt: float, **options
 ) -> ExponentEstimate:
     """Pathwise exponent (see `fit_pathwise`) of a simulated ensemble.
 
     For a system certified pth-moment stable this estimate must come out
-    negative (moment stability implies pathwise stability).
+    negative (moment stability implies pathwise stability).  `options` are
+    the keyword options of `run_ensemble`.
     """
-    return fit_pathwise(run_ensemble(
-        system, z0, 2.0, trajectories, T, dt,
-        seed=seed, driving=driving, inner_substeps=inner_substeps,
-    ))
+    return fit_pathwise(run_ensemble(system, z0, 2.0, trajectories, T, dt, **options))
 
 
 @dataclass(frozen=True)
@@ -351,6 +332,7 @@ def _em_chunk(f, gs, x, dt, w) -> tuple[np.ndarray, np.ndarray]:
     return out, x
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def strong_error_sup(
     sde: Sde,
     x0,

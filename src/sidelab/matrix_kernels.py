@@ -37,18 +37,13 @@ DEFAULT_RTOL = 1e-9
 DEFAULT_PD_SCALE = 1e-10
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-d float array."""
+def as_square(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a finite square 2-d float array."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-d, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} has non-finite entries")
-    return m
-
-
-def as_square(a, name: str = "matrix") -> np.ndarray:
-    m = as_matrix(a, name)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     return m

@@ -423,66 +423,53 @@ def validate(
     origin_norm: dict[str, float] = {}
     declared: dict[str, float] = {}
 
-    def check_origin(name, value):
-        norm = float(np.abs(np.asarray(value, dtype=float)).max(initial=0.0))
+    # rows (name, evaluator of (x, y, t, k), declared constant, whether the
+    # (x, y) distance applies), in the order the origins are checked
+    hybrid = isinstance(system, SideSystem)
+    if hybrid:
+        s, j = system, system.jumps
+        n, q, lx, ly = s.n, s.q, s.lipschitz_x, s.lipschitz_y
+        rows = [
+            ("drift_x", lambda x, y, t, k: s.drift_x(x, t), lx, False),
+            ("diffusion_x", lambda x, y, t, k: s.diffusion_x(x, t), lx, False),
+            ("drift_y", lambda x, y, t, k: s.drift_y(x, y, t), ly, True),
+            ("diffusion_y", lambda x, y, t, k: s.diffusion_y(x, y, t), ly, True),
+            ("jump_x", lambda x, y, t, k: j.jump_x(x, k), lx, False),
+            ("jump_x_gain", lambda x, y, t, k: j.jump_x_gain(x, k), lx, False),
+            ("jump_y", lambda x, y, t, k: j.jump_y(x, y, k), ly, True),
+            ("jump_y_gain", lambda x, y, t, k: j.jump_y_gain(x, y, k), ly, True),
+        ]
+    else:
+        sde, n, q = system, system.dim, 0
+        rows = [
+            ("drift", lambda x, y, t, k: sde.drift(x, t), sde.lipschitz, False),
+            ("diffusion", lambda x, y, t, k: sde.diffusion(x, t), sde.lipschitz, False),
+        ]
+
+    for name, fn, _, _ in rows:
+        norm = float(np.abs(np.asarray(fn(np.zeros(n), np.zeros(q), 0.0, 1), dtype=float)).max(initial=0.0))
         origin_norm[name] = norm
         if norm > 0.0:
             raise ValidationFailed(f"{name}(0) = {norm:.6g} != 0: origin is not an equilibrium")
 
-    def check_ratio(name, bound, ratio, a, b):
-        max_ratio[name] = max(max_ratio.get(name, 0.0), ratio)
-        declared[name] = bound
-        if ratio > bound * (1.0 + slack):
-            raise ValidationFailed(
-                f"{name} violates its Lipschitz declaration: ratio {ratio:.6g} > {bound:.6g} "
-                f"between {np.asarray(a).tolist()} and {np.asarray(b).tolist()}"
-            )
-
-    if isinstance(system, SideSystem):
-        n, q, side = system.n, system.q, system
-        zeros_x, zeros_y = np.zeros(n), np.zeros(q)
-        check_origin("drift_x", side.drift_x(zeros_x, 0.0))
-        check_origin("diffusion_x", side.diffusion_x(zeros_x, 0.0))
-        check_origin("drift_y", side.drift_y(zeros_x, zeros_y, 0.0))
-        check_origin("diffusion_y", side.diffusion_y(zeros_x, zeros_y, 0.0))
-        check_origin("jump_x", side.jumps.jump_x(zeros_x, 1))
-        check_origin("jump_x_gain", side.jumps.jump_x_gain(zeros_x, 1))
-        check_origin("jump_y", side.jumps.jump_y(zeros_x, zeros_y, 1))
-        check_origin("jump_y_gain", side.jumps.jump_y_gain(zeros_x, zeros_y, 1))
-        for _ in range(pairs):
-            xa, xb = rng.uniform(-box, box, (2, n))
-            ya, yb = rng.uniform(-box, box, (2, max(q, 1)))[:, :q]
-            t = rng.uniform(0.0, 10.0)
-            k = int(rng.integers(1, 10))
-            dx = float(np.linalg.norm(xa - xb))
-            dxy = max(dx, float(np.linalg.norm(ya - yb)))
-            for name, val in (
-                ("drift_x", side.drift_x(xa, t) - side.drift_x(xb, t)),
-                ("diffusion_x", side.diffusion_x(xa, t) - side.diffusion_x(xb, t)),
-                ("jump_x", side.jumps.jump_x(xa, k) - side.jumps.jump_x(xb, k)),
-                ("jump_x_gain", side.jumps.jump_x_gain(xa, k) - side.jumps.jump_x_gain(xb, k)),
-            ):
-                check_ratio(name, side.lipschitz_x, _pair_ratio(val, dx), xa, xb)
-            for name, val in (
-                ("drift_y", side.drift_y(xa, ya, t) - side.drift_y(xb, yb, t)),
-                ("diffusion_y", side.diffusion_y(xa, ya, t) - side.diffusion_y(xb, yb, t)),
-                ("jump_y", side.jumps.jump_y(xa, ya, k) - side.jumps.jump_y(xb, yb, k)),
-                ("jump_y_gain", side.jumps.jump_y_gain(xa, ya, k) - side.jumps.jump_y_gain(xb, yb, k)),
-            ):
-                check_ratio(name, side.lipschitz_y, _pair_ratio(val, dxy), (xa, ya), (xb, yb))
-    else:
-        sde = system
-        zeros = np.zeros(sde.dim)
-        check_origin("drift", sde.drift(zeros, 0.0))
-        check_origin("diffusion", sde.diffusion(zeros, 0.0))
-        bound = sde.lipschitz
-        for _ in range(pairs):
-            a, b = rng.uniform(-box, box, (2, sde.dim))
-            t = rng.uniform(0.0, 10.0)
-            d = float(np.linalg.norm(a - b))
-            check_ratio("drift", bound, _pair_ratio(sde.drift(a, t) - sde.drift(b, t), d), a, b)
-            check_ratio(
-                "diffusion", bound, _pair_ratio(sde.diffusion(a, t) - sde.diffusion(b, t), d), a, b
-            )
+    rows.sort(key=lambda row: row[3])  # the x-maps first, as each pair checks them
+    for _ in range(pairs):
+        # an SDE draws no y and no impulse index
+        xa, xb = rng.uniform(-box, box, (2, n))
+        ya, yb = rng.uniform(-box, box, (2, max(q, 1)))[:, :q] if hybrid else (None, None)
+        t = rng.uniform(0.0, 10.0)
+        k = int(rng.integers(1, 10)) if hybrid else None
+        dx = float(np.linalg.norm(xa - xb))
+        dxy = max(dx, float(np.linalg.norm(ya - yb))) if hybrid else dx
+        for name, fn, bound, joint in rows:
+            a, b, dist = ((xa, ya), (xb, yb), dxy) if joint else (xa, xb, dx)
+            ratio = _pair_ratio(fn(xa, ya, t, k) - fn(xb, yb, t, k), dist)
+            max_ratio[name] = max(max_ratio.get(name, 0.0), ratio)
+            declared[name] = bound
+            if ratio > bound * (1.0 + slack):
+                raise ValidationFailed(
+                    f"{name} violates its Lipschitz declaration: ratio {ratio:.6g} > {bound:.6g} "
+                    f"between {np.asarray(a).tolist()} and {np.asarray(b).tolist()}"
+                )
 
     return ValidationReport(max_ratio, origin_norm, declared, pairs)

@@ -466,13 +466,8 @@ def simulate_scalar_cps_demo(
     ratio = k_p / a
     offsets = np.linspace(0.0, dt, _DEMO_SAMPLES + 1)[1:]
     shape = ratio + (1.0 - ratio) * np.exp(a * offsets)  # x(t_k + s) / X_k
-    times = [0.0]
-    xvals = [x0]
-    for k in range(n_intervals):
-        times.extend(k * dt + offsets)
-        xvals.extend(cyber[k] * shape)
-    times = np.asarray(times)
-    xvals = np.asarray(xvals)
+    times = np.concatenate([[0.0], ((np.arange(n_intervals) * dt)[:, None] + offsets).ravel()])
+    xvals = np.concatenate([[x0], (cyber[:-1, None] * shape).ravel()])
 
     abs_cyber = np.abs(cyber)
     if x0 == 0.0:

@@ -78,16 +78,6 @@ class StabilityCertificate:
         return "\n".join(lines)
 
 
-def ct_quadratic_form(sde: LinearSde, p: np.ndarray, dt_bar: float = 0.0) -> np.ndarray:
-    """F^T P + P F + sum_j Gj^T P Gj + dt_bar F^T P F."""
-    return symmetrize(ct_form(sde.drift_matrix, sde.noise_matrices, p, dt_bar))
-
-
-def dt_quadratic_form(sde: LinearSde, p: np.ndarray, dt: float) -> np.ndarray:
-    """(I + dt F)^T P (I + dt F) + dt sum_j Gj^T P Gj."""
-    return symmetrize(dt_form(sde.drift_matrix, sde.noise_matrices, p, dt))
-
-
 def _certificate(param: float, solve: Callable[[], np.ndarray], form: Callable) -> StabilityCertificate:
     """Solve the defining equation with Q = I (solve()), gate the candidate
     P > 0, and require the decay rate of form(P) relative to P to be
@@ -119,7 +109,7 @@ def cp_lyapunov_feasible(sde: LinearSde, dt_bar: float) -> StabilityCertificate:
         raise ValueError("dt_bar must be nonnegative")
     f, gs = sde.drift_matrix, sde.noise_matrices
     return _certificate(dt_bar, lambda: solve_ct_lyapunov(f, gs, dt_bar, np.eye(sde.dim)),
-                        lambda p: ct_quadratic_form(sde, p, dt_bar))
+                        lambda p: ct_form(f, gs, p, dt_bar))
 
 
 def lyapunov_ito_feasible(sde: LinearSde) -> StabilityCertificate:
@@ -137,7 +127,7 @@ def discrete_ms_stable(sde: LinearSde, dt: float) -> StabilityCertificate:
         raise ValueError("dt must be positive")
     f, gs = sde.drift_matrix, sde.noise_matrices
     return _certificate(dt, lambda: solve_dt_lyapunov(f, gs, dt, np.eye(sde.dim)),
-                        lambda p: dt_quadratic_form(sde, p, dt) - p)
+                        lambda p: symmetrize(dt_form(f, gs, p, dt)) - p)
 
 
 def scalar_max_stepsize(lam: float, mu: float) -> float | None:
@@ -164,7 +154,7 @@ def stepsize_certificate(sde: LinearSde) -> tuple[float | None, StabilityCertifi
     f, gs = sde.drift_matrix, sde.noise_matrices
     factors = lu_factors(ct_operator(f, gs))
     cert = _certificate(0.0, lambda: solve_gated(factors, lambda p: ct_form(f, gs, p), np.eye(sde.dim)),
-                        lambda p: ct_quadratic_form(sde, p))
+                        lambda p: ct_form(f, gs, p))
     if not cert.feasible:
         return None, cert
     return ct_stepsize_bound(factors, f, cert.p), cert
@@ -256,7 +246,7 @@ def quadratic_condition_constants(
     s = float(split)
 
     # x-generator: F'P + PF + sum Gj'P Gj
-    m_lv = symmetrize(ct_form(lin.drift[:n, :n], [g[:n, :n] for g in lin.noise], p))
+    m_lv = ct_form(lin.drift[:n, :n], [g[:n, :n] for g in lin.noise], p)
     if growth:
         alpha = max(pencil_top(m_lv, p), _POSITIVE_FLOOR)
     else:
@@ -270,13 +260,13 @@ def quadratic_condition_constants(
     m_ay = p_tilde @ b_y + b_y.T @ p_tilde + (1.0 / s) * p_tilde
     for g in lin.noise:
         m_ay = m_ay + (1.0 + 1.0 / s) * (g[n:, n:].T @ p_tilde @ g[n:, n:])
-    alpha_cross = max(pencil_top(symmetrize(m_ax), p), _POSITIVE_FLOOR)
-    alpha_self = max(pencil_top(symmetrize(m_ay), p_tilde), _POSITIVE_FLOOR)
+    alpha_cross = max(pencil_top(m_ax, p), _POSITIVE_FLOOR)
+    alpha_self = max(pencil_top(m_ay, p_tilde), _POSITIVE_FLOOR)
 
     # x-jump second moment: (I + A)'P(I + A) + sum Hj'P Hj, the unit-step
     # one-step form
     h_x = [g[:n, :n] for g in lin.jump_gains]
-    beta = max(pencil_top(symmetrize(dt_form(lin.jump[:n, :n], h_x, p, 1.0)), p), _POSITIVE_FLOOR)
+    beta = max(pencil_top(dt_form(lin.jump[:n, :n], h_x, p, 1.0), p), _POSITIVE_FLOOR)
 
     # y-jump second moment, split likewise
     a_jy = lin.jump[n:, :n]
@@ -284,8 +274,8 @@ def quadratic_condition_constants(
     for g in lin.jump_gains:
         m_bx = m_bx + g[n:, :n].T @ p_tilde @ g[n:, :n]
     m_by = dt_form(lin.jump[n:, n:], [g[n:, n:] for g in lin.jump_gains], p_tilde, 1.0)
-    beta_cross = max((1.0 + s) * pencil_top(symmetrize(m_bx), p), _POSITIVE_FLOOR)
-    beta_self = max((1.0 + 1.0 / s) * pencil_top(symmetrize(m_by), p_tilde), _POSITIVE_FLOOR)
+    beta_cross = max((1.0 + s) * pencil_top(m_bx, p), _POSITIVE_FLOOR)
+    beta_self = max((1.0 + 1.0 / s) * pencil_top(m_by, p_tilde), _POSITIVE_FLOOR)
 
     return ConditionConstants(
         alpha=alpha,
@@ -384,8 +374,9 @@ def check_thm4(
     if dt <= 0:
         raise ValueError("dt must be positive")
     p = gate_pd(p, "p")
-    alpha = decay_rate(ct_quadratic_form(sde, p, 0.0), p)
-    d = pencil_top(dt_quadratic_form(sde, p, dt), p)
+    f, gs = sde.drift_matrix, sde.noise_matrices
+    alpha = decay_rate(ct_form(f, gs, p), p)
+    d = pencil_top(dt_form(f, gs, p, dt), p)
 
     if split is not None:
         if split <= 0:
@@ -396,10 +387,9 @@ def check_thm4(
         passed = alpha > STRICT_SLACK and bound - dt > STRICT_SLACK
         return Thm4Check(passed, alpha, d, alpha_self, beta_self, bound)
 
-    if alpha <= STRICT_SLACK or d >= 1.0 - STRICT_SLACK:
-        beta_self = max((1.0 + d) / 2.0, _POSITIVE_FLOOR)
-        return Thm4Check(False, alpha, d, float("nan"), beta_self, float("-inf") if beta_self >= 1 else 0.0)
     beta_self = max((1.0 + d) / 2.0, _POSITIVE_FLOOR)
+    if alpha <= STRICT_SLACK or d >= 1.0 - STRICT_SLACK:
+        return Thm4Check(False, alpha, d, float("nan"), beta_self, float("-inf") if beta_self >= 1 else 0.0)
     alpha_self = -math.log(beta_self) / (2.0 * dt)
     bound = -math.log(beta_self) / alpha_self  # = 2 dt by construction
     return Thm4Check(True, alpha, d, alpha_self, beta_self, bound)
@@ -425,7 +415,7 @@ def check_thm5(sde: LinearSde, p, dt_bar: float) -> Thm5Check:
     if dt_bar < 0:
         raise ValueError("dt_bar must be nonnegative")
     p = gate_pd(p, "p")
-    margin = decay_rate(ct_quadratic_form(sde, p, dt_bar), p)
+    margin = decay_rate(ct_form(sde.drift_matrix, sde.noise_matrices, p, dt_bar), p)
     passed = margin > STRICT_SLACK
     if dt_bar > 0:
         alpha_bar = min(margin, (1.0 - _THM5_EPS) / dt_bar)
@@ -453,6 +443,6 @@ def check_thm6(sde: LinearSde, p, dt_bar: float) -> Thm6Check:
     if dt_bar <= 0:
         raise ValueError("dt_bar must be positive")
     p = gate_pd(p, "p")
-    c_bar = pencil_top(dt_quadratic_form(sde, p, dt_bar), p)
+    c_bar = pencil_top(dt_form(sde.drift_matrix, sde.noise_matrices, p, dt_bar), p)
     passed = 1.0 - c_bar > STRICT_SLACK
     return Thm6Check(passed, c_bar, (1.0 - c_bar) / dt_bar)

@@ -393,11 +393,13 @@ class TestArtifacts:
         # |1 + 50 dt| = 26 per step: every path overflows long before t = 200
         ("kind = scalar\nlambda = 50\nmu = 3\n",
          "x0 = 1\ndt = 0.5\nt = 200\ntrajectories = 4\nseed = 1\n", 1, 4,
-         "56f04963410f0156bcbcdf13d1e41f90dd60ec8d48942f940cc1d50186a00514"),
+         "827074887f9a895954bedf54861d89f98ab4dbc363c4cba3b2407189a9c2facb"),
     ], ids=["stable", "overflowing"])
     def test_exponent_report_ends_with_diverged_count(self, tmp_path, system, numeric, code, diverged, digest):
-        # the digest is of the report as it was before the diverged line: the
-        # other lines must not change
+        # the digest is of the report without its diverged line: the other
+        # lines must not change (the overflowing case's pathwise section
+        # reported -inf with 4 zero trajectories until overflow counted as
+        # divergence)
         out = tmp_path / "o"
         cfg = write(tmp_path, "e.ini", f"[system]\n{system}\n[task]\nname = exponent\n\n"
                     f"[numeric]\n{numeric}\n[output]\ndir = {out}\n")
@@ -405,6 +407,9 @@ class TestArtifacts:
         *lines, last = (out / "report.txt").read_text().splitlines()
         assert last == f"diverged trajectories: {diverged}"
         assert hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest() == digest
+        if diverged:
+            pathwise = lines[lines.index("pathwise exponent:"):]
+            assert "exponent: inf" in pathwise and "zero trajectories: 0" in pathwise
 
     def test_run_api_overrides(self, tmp_path):
         out = tmp_path / "alt"

@@ -1,6 +1,7 @@
 import math
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from sidelab import estimate
 from sidelab.errors import GridMismatch
 from sidelab.estimate import (
+    Ensemble,
     as_exponent,
     finite_time_second_moment_bound,
     fit_moment_window,
@@ -103,7 +105,7 @@ class TestAsExponent:
 
     def test_zero_start(self):
         est = as_exponent(GBM, [0.0], 64, 1.0, 0.01, seed=0)
-        assert est.slope == -math.inf and est.zero_trajectories == 64
+        assert est.slope == -math.inf and est.zero_trajectories == 64 and est.points == 0
 
     def test_certified_stable_is_negative_at_three_sigma(self):
         for lam, mu, seed in ((-1.0, 0.5, 4), (-2.0, 1.0, 5), (-0.8, 0.3, 6)):
@@ -116,6 +118,30 @@ class TestAsExponent:
     def test_fit_pathwise_ignores_moment_order(self):
         ens = run_ensemble(GBM, [1.0], 3.0, 50, 1.0, 0.01, seed=2)
         assert fit_pathwise(ens) == as_exponent(GBM, [1.0], 50, 1.0, 0.01, seed=2)
+
+
+class TestFrontDoors:
+    SIDE = make_cps(LinearSde.scalar(-1.0, 0.2), 0.1)
+
+    def test_moment_exponent_forwards_options(self):
+        got = moment_exponent(self.SIDE, [1.0, 0.0], 2.0, 8, 2.0, 0.1, seed=2, inner_substeps=4)
+        ens = run_ensemble(self.SIDE, [1.0, 0.0], 2.0, 8, 2.0, 0.1, seed=2, inner_substeps=4)
+        assert pickle.dumps(got) == pickle.dumps(fit_moment_window(ens)[0])
+
+    def test_as_exponent_forwards_options(self):
+        got = as_exponent(GBM, [1.0], 16, 1.0, 0.01, seed=5, driving="brownian")
+        ens = run_ensemble(GBM, [1.0], 2.0, 16, 1.0, 0.01, seed=5, driving="brownian")
+        assert pickle.dumps(got) == pickle.dumps(fit_pathwise(ens))
+
+    @pytest.mark.parametrize("front_door, args", [
+        (moment_exponent, (GBM, [1.0], 2.0, 8, 1.0, 0.05)),
+        (as_exponent, (GBM, [1.0], 8, 1.0, 0.05)),
+    ], ids=["moment_exponent", "as_exponent"])
+    def test_unknown_or_positional_option_rejected(self, front_door, args):
+        with pytest.raises(TypeError, match="seeds"):
+            front_door(*args, seeds=1)
+        with pytest.raises(TypeError):
+            front_door(*args, 1)
 
 
 class TestEnsemble:
@@ -452,6 +478,28 @@ class TestDivergedTrajectories:
 
     def test_stable_system_has_none(self):
         assert run_ensemble(SYS3, X3, 2.0, 64, 1.0, 1e-2, seed=1).diverged == 0
+
+    def test_overflow_is_not_pathwise_decay(self):
+        # every path overflows: no rate is finite, and none is an exact zero
+        est = fit_pathwise(run_ensemble(OVERFLOWING, [1.0], 2.0, 4, 200.0, 0.5, seed=1))
+        assert est.slope == math.inf and math.isnan(est.stderr)
+        assert est.points == 0 and est.zero_trajectories == 0
+
+    def test_one_diverged_trajectory_makes_the_rate_infinite(self):
+        log = np.array([-1.0, np.nan, -np.inf, 2.0, np.inf])
+        ens = Ensemble(np.array([0.0, 2.0]), 2.0, 5, np.ones(2), np.ones(5), log)
+        est = fit_pathwise(ens)
+        assert est.slope == math.inf and math.isnan(est.stderr)
+        assert est.points == 2 and est.zero_trajectories == 1
+
+    def test_overflowing_study_is_warning_free(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            study = strong_error_sup(OVERFLOWING, [1.0], 40.0, range(1, 4), 4, delta=0.125)
+        assert [r.error for r in study.records] == [math.inf] * 3
+        assert all(math.isnan(r.stderr) for r in study.records)
+        assert math.isnan(study.slope) and math.isnan(study.intercept)
+        assert study.sup_state_sq == math.inf
 
 
 class TestEnsembleMemory:

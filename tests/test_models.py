@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -250,6 +251,27 @@ class TestLinearCompactForm:
         assert np.array_equal(lin.jump_gains[0], np.block([[zero, zero], [-s * g, s * g]]))
 
 
+# a SideSystem's evaluators in the order validate probes their origins
+EVALUATORS = ["drift_x", "diffusion_x", "drift_y", "diffusion_y",
+              "jump_x", "jump_x_gain", "jump_y", "jump_y_gain"]
+CPS = make_cps(LinearSde(np.array([[-1.0, 0.3], [0.2, -2.0]]), (np.array([[0.4, 0.0], [0.1, 0.2]]),)), 0.25)
+
+
+def with_map(side, name, wrap):
+    """`side` with the evaluator `name` replaced by wrap(evaluator)."""
+    if name.startswith("jump"):
+        return replace(side, jumps=replace(side.jumps, **{name: wrap(getattr(side.jumps, name))}))
+    return replace(side, **{name: wrap(getattr(side, name))})
+
+
+def shifted(fn):
+    return lambda *args: np.asarray(fn(*args)) + 0.5
+
+
+def scaled(fn):
+    return lambda *args: 10.0 * np.asarray(fn(*args))
+
+
 class TestValidate:
     def test_linear_system_passes(self):
         sde = LinearSde(np.array([[0.0, 3.0], [0.0, 0.0]]))
@@ -287,6 +309,30 @@ class TestValidate:
         )
         with pytest.raises(ValidationFailed, match="origin"):
             validate(bad, pairs=10, seed=0)
+
+    @pytest.mark.parametrize("name", EVALUATORS)
+    def test_each_evaluator_origin_is_checked(self, name):
+        with pytest.raises(ValidationFailed, match=rf"^{name}\(0\) = 0.5 != 0: origin"):
+            validate(with_map(CPS, name, shifted), pairs=10, seed=0)
+
+    def test_y_map_lipschitz_violation_is_named(self):
+        with pytest.raises(ValidationFailed, match="^jump_y_gain violates its Lipschitz declaration"):
+            validate(with_map(CPS, "jump_y_gain", scaled), pairs=50, seed=2)
+
+    def test_first_broken_origin_is_named(self):
+        bad = with_map(with_map(CPS, "jump_x", shifted), "drift_y", shifted)
+        with pytest.raises(ValidationFailed, match=r"^drift_y\(0\)"):
+            validate(bad, pairs=10, seed=0)
+
+    def test_report_key_order(self):
+        report = validate(CPS, pairs=20, seed=3)
+        ratio_order = ["drift_x", "diffusion_x", "jump_x", "jump_x_gain",
+                       "drift_y", "diffusion_y", "jump_y", "jump_y_gain"]
+        assert list(report.max_ratio) == ratio_order
+        assert list(report.declared) == ratio_order
+        assert list(report.origin_norm) == EVALUATORS
+        sde_report = validate(LinearSde.scalar(-1.0, 0.5), pairs=20, seed=3)
+        assert list(sde_report.max_ratio) == list(sde_report.origin_norm) == ["drift", "diffusion"]
 
 
 class TestQuadraticLyapunov:

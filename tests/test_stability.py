@@ -115,6 +115,18 @@ class TestCpLyapunov:
             # once infeasible, stays infeasible
             assert all(a or not b for a, b in zip(verdicts, verdicts[1:]))
 
+    def test_margin_is_thm5_margin_bitwise(self):
+        rng = np.random.default_rng(21)
+        feasible = 0
+        for _ in range(10):
+            sde = random_stable_sde(rng)
+            for dt_bar in (0.0, 0.05, 0.2):
+                cert = cp_lyapunov_feasible(sde, dt_bar)
+                if cert.feasible:
+                    feasible += 1
+                    assert cert.margin == check_thm5(sde, cert.p, dt_bar).margin
+        assert feasible >= 10
+
 
 class TestMaxStepsize:
     def test_scalar_closed_form(self):
