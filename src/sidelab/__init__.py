@@ -61,18 +61,3 @@ from .stability import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "cli", "errors", "estimate", "matrix_kernels", "models", "noise", "simulate", "stability",
-    "ConvergenceStudy", "Ensemble", "ExponentEstimate", "as_exponent", "moment_exponent",
-    "scalar_onestep_factor", "strong_error_sup",
-    "decay_rate", "is_positive_definite", "solve_ct_lyapunov", "solve_dt_lyapunov",
-    "ImpulseMaps", "ImpulseSchedule", "LinearSde", "QuadraticLyapunov",
-    "SideSystem", "VectorFieldSde", "compact_form", "make_cps", "validate",
-    "NoisePlan",
-    "DiscretePath", "HybridTrajectory", "CpsTrajectory", "euler_maruyama", "exact_gbm",
-    "simulate_cps", "simulate_scalar_cps_demo", "simulate_side", "step_process", "theta_method",
-    "ConditionConstants", "StabilityCertificate", "check_thm1", "check_thm2", "check_thm4",
-    "check_thm5", "check_thm6", "cp_lyapunov_feasible", "discrete_ms_stable",
-    "lyapunov_ito_feasible", "max_stepsize", "quadratic_condition_constants",
-    "scalar_max_stepsize", "stepsize_certificate",
-]

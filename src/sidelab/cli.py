@@ -26,8 +26,6 @@ from .errors import ConfigError, NonFinite, StepsizeTooLarge, ToolkitError
 from .models import LinearSde
 from .noise import NoisePlan
 
-TASKS = ("simulate", "analyze", "max-stepsize", "exponent", "converge", "cps-demo")
-
 
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
@@ -164,8 +162,11 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def _require_task_keys(cfg: RunConfig) -> None:
-    if cfg.task == "cps-demo" and cfg.kind != "controller":
-        raise ConfigError("task 'cps-demo' needs [system] kind = controller (keys a, kp)")
+    if cfg.task == "cps-demo":
+        if cfg.kind != "controller":
+            raise ConfigError("task 'cps-demo' needs [system] kind = controller (keys a, kp)")
+        if len(cfg.x0) != 1:
+            raise ConfigError(f"key 'x0' in [numeric]: task 'cps-demo' takes one value, got {len(cfg.x0)}")
     if cfg.task in ("simulate", "exponent", "converge", "cps-demo"):
         for key, value in (("dt", cfg.dt), ("t", cfg.horizon)):
             if value is None:
@@ -227,10 +228,8 @@ def _task_analyze(cfg: RunConfig, outdir: Path) -> int:
     cert = stability.cp_lyapunov_feasible(sde, cfg.dt_bar)
     _write_report(outdir, "certificate.txt", cert.report())
     lines = [f"task: analyze", f"dt_bar: {_fmt(cfg.dt_bar)}", cert.report()]
-    if sde.dim == 1 and sde.noise_dim <= 1:
-        lam = float(sde.drift_matrix[0, 0])
-        mu = float(sde.noise_matrices[0][0, 0]) if sde.noise_dim else 0.0
-        bound = stability.scalar_max_stepsize(lam, mu)
+    if (scalar := sde.scalar_coefficients) is not None:
+        bound = stability.scalar_max_stepsize(*scalar)
         lines.append(
             "scalar closed-form stepsize bound: "
             + (_fmt(bound) if bound is not None else "infeasible")
@@ -354,13 +353,14 @@ def _task_cps_demo(cfg: RunConfig, outdir: Path) -> int:
 
 
 _DISPATCH = {
+    "simulate": _task_simulate,
     "analyze": _task_analyze,
     "max-stepsize": _task_max_stepsize,
-    "simulate": _task_simulate,
     "exponent": _task_exponent,
     "converge": _task_converge,
     "cps-demo": _task_cps_demo,
 }
+TASKS = tuple(_DISPATCH)
 
 
 def run(config_path: str | Path, overrides: dict | None = None) -> int:

@@ -19,7 +19,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .models import LinearSde, Sde, SideSystem
+from .models import LinearSde, Sde, SideSystem, _as_vector
 from .noise import _BROWNIAN_STREAM, _IMPULSE_STREAM, NoisePlan, _generator, _standard_normals
 from .simulate import euler_maruyama, exact_gbm, simulate_side, whole_steps
 
@@ -141,7 +141,7 @@ def _ensemble_linear(sde: LinearSde, x0, p, trajectories, T, dt, seed, driving) 
         raise ValueError(f"unknown driving mode {driving!r}")
     n, m = sde.dim, sde.noise_dim
     n_steps = whole_steps(T, dt)
-    x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (n,))
+    x0 = _as_vector(x0, n, "x0")
     times = np.arange(n_steps + 1) * dt
 
     moment_sum = np.zeros(n_steps + 1)
@@ -176,27 +176,24 @@ def _ensemble_linear(sde: LinearSde, x0, p, trajectories, T, dt, seed, driving) 
 def _ensemble_looped(
     system, z0, p, trajectories, T, dt, seed, driving, inner_substeps
 ) -> Ensemble:
-    times = None
-    moment_sum = None
+    # path(traj) -> (grid, states) of one trajectory; a hybrid run takes its grid from the schedule
+    if isinstance(system, SideSystem):
+        def path(traj):
+            hybrid = simulate_side(system, z0, inner_substeps, T, NoisePlan(seed, traj, system.noise_dim, T, T))
+            return hybrid.times, hybrid.z()
+    else:
+        n_steps = whole_steps(T, dt)
+
+        def path(traj):
+            em = euler_maruyama(system, z0, dt, n_steps, NoisePlan(seed, traj, system.noise_dim, dt, T), driving)
+            return em.times, em.states
+
+    moment_sum = 0.0  # the first trajectory's moments make it an array on the grid
     sup_sq = np.empty(trajectories)
     terminal_log = np.empty(trajectories)
-    if not isinstance(system, SideSystem):  # a hybrid run takes its grid from the schedule
-        n_steps = whole_steps(T, dt)
     for traj in range(trajectories):
-        if isinstance(system, SideSystem):
-            plan = NoisePlan(seed, traj, system.noise_dim, T, T)
-            hybrid = simulate_side(system, z0, inner_substeps, T, plan)
-            grid = hybrid.times
-            states = hybrid.z()
-        else:
-            plan = NoisePlan(seed, traj, system.noise_dim, dt, T)
-            path = euler_maruyama(system, z0, dt, n_steps, plan, driving)
-            grid = path.times
-            states = path.states
+        times, states = path(traj)
         nrm = np.linalg.norm(states, axis=1)
-        if times is None:
-            times = grid
-            moment_sum = np.zeros(grid.shape[0])
         moment_sum += nrm**p
         sup_sq[traj] = float(np.max(nrm**2))
         with np.errstate(divide="ignore"):
@@ -376,15 +373,11 @@ def strong_error_sup(
         raise ValueError("need at least 2 trajectories")
     if not isinstance(sde, LinearSde):
         raise ValueError("convergence studies support linear systems only")
-    scalar_linear = sde.dim == 1 and sde.noise_dim <= 1
+    scalar = sde.scalar_coefficients  # (lam, mu) of the closed-form reference
 
     n, m = sde.dim, sde.noise_dim
-    f = sde.drift_matrix
-    gs = sde.noise_matrices
-    if scalar_linear:
-        lam = float(f[0, 0])
-        mu = float(gs[0][0, 0]) if m else 0.0
-    x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (n,))
+    f, gs = sde.drift_matrix, sde.noise_matrices
+    x0 = _as_vector(x0, n, "x0")
     n_fine = whole_steps(T, delta)
     probe = NoisePlan(seed, 0, m, delta, T)
     for level in levels:
@@ -412,16 +405,12 @@ def strong_error_sup(
             inc = _standard_normals(gens, c, m)
             inc *= np.sqrt(delta)
             # ref holds fine indices s .. s + c, both ends included
-            if scalar_linear:
-                if m:
-                    # the carried sum in front, then cumsum's sequential additions a row at a time
-                    b_path = np.array(list(accumulate(inc[:, 0], initial=b_sum)))
-                    b_sum = b_path[-1]
-                else:
-                    b_path = np.zeros((c + 1, b))
+            if scalar:
+                # the carried sum in front, then cumsum's sequential additions a row at a time
+                b_path = np.array(list(accumulate(inc[:, 0] if m else np.zeros((c, b)), initial=b_sum)))
+                b_sum = b_path[-1]
                 times = np.arange(s, s + c + 1) * delta
-                ref = exact_gbm(lam, mu, float(x0[0]), np.broadcast_to(times[:, None], b_path.shape), b_path)
-                ref = ref[:, None]
+                ref = exact_gbm(*scalar, float(x0[0]), np.repeat(times[:, None], b, axis=1), b_path)[:, None]
             else:
                 ref, ref_x = _em_chunk(f, gs, ref_x, delta, inc)
             np.maximum(sup_ref, np.max(_sumsq(ref), axis=0), out=sup_ref)
@@ -439,16 +428,17 @@ def strong_error_sup(
 
         for level in levels:
             np.maximum(err[level], _sumsq(ref[-1] - xs[level]), out=err[level])
-            err_sum[level] += float(np.sum(err[level]))
-            err_sumsq[level] += float(np.sum(err[level] ** 2))
+            err_sum[level] += np.sum(err[level])
+            err_sumsq[level] += np.sum(err[level] ** 2)
         sup_ref_sum += float(np.sum(sup_ref))
 
+    # float64 sums, so `mean**2` above ~1e154 gives inf (stderr NaN) where a float's ** raises
     records = []
     for level in levels:
         mean = err_sum[level] / trajectories
         var = max(err_sumsq[level] / trajectories - mean**2, 0.0)
         stderr = math.sqrt(var / trajectories)
-        records.append(LevelError(level, delta * (1 << level), mean, stderr))
+        records.append(LevelError(level, delta * (1 << level), float(mean), stderr))
 
     fit = [(math.log(r.dt), math.log(r.error)) for r in records if r.error > 0.0]
     if len(fit) >= 2:

@@ -20,6 +20,7 @@ from .errors import NotLinear, ValidationFailed
 from .matrix_kernels import as_square, gate_pd
 
 _LINEARITY_RTOL = 1e-8
+_LIPSCHITZ_SLACK = 1e-6  # relative slack of `validate`'s ratio checks
 _FLOAT64 = np.dtype(np.float64)
 
 
@@ -68,6 +69,14 @@ class LinearSde:
     @property
     def noise_dim(self) -> int:
         return len(self.noise_matrices)
+
+    @property
+    def scalar_coefficients(self) -> tuple[float, float] | None:
+        """(lam, mu) of a 1-d system with at most one noise, the inverse of
+        `scalar` (mu = 0 without noise); None for any other system."""
+        if self.dim != 1 or self.noise_dim > 1:
+            return None
+        return float(self.drift_matrix[0, 0]), (float(self.noise_matrices[0][0, 0]) if self.noise_dim else 0.0)
 
     @property
     def lipschitz(self) -> float:
@@ -407,16 +416,15 @@ def validate(
     box: float = 10.0,
     pairs: int = 1000,
     seed: int = 0,
-    slack: float = 1e-6,
 ) -> ValidationReport:
     """Spot check Lipschitz declarations and the origin equilibrium.
 
     Samples `pairs` point pairs uniformly on [-box, box]^dim and compares the
-    observed increment ratios against the declared constants (with relative
-    `slack`), and probes every evaluator at the origin.  Raises
-    ValidationFailed naming the offending evaluator and sample pair; returns
-    the report when everything passes.  The check is probabilistic: it
-    catches gross misconfiguration, it does not prove the global property.
+    observed increment ratios against the declared constants, and probes
+    every evaluator at the origin.  Raises ValidationFailed naming the
+    offending evaluator and sample pair; returns the report when everything
+    passes.  The check is probabilistic: it catches gross misconfiguration,
+    it does not prove the global property.
     """
     rng = np.random.default_rng(seed)
     max_ratio: dict[str, float] = {}
@@ -462,14 +470,14 @@ def validate(
         dx = float(np.linalg.norm(xa - xb))
         dxy = max(dx, float(np.linalg.norm(ya - yb))) if hybrid else dx
         for name, fn, bound, joint in rows:
-            a, b, dist = ((xa, ya), (xb, yb), dxy) if joint else (xa, xb, dx)
-            ratio = _pair_ratio(fn(xa, ya, t, k) - fn(xb, yb, t, k), dist)
+            ratio = _pair_ratio(fn(xa, ya, t, k) - fn(xb, yb, t, k), dxy if joint else dx)
             max_ratio[name] = max(max_ratio.get(name, 0.0), ratio)
             declared[name] = bound
-            if ratio > bound * (1.0 + slack):
+            if ratio > bound * (1.0 + _LIPSCHITZ_SLACK):
+                a, b = ([xa.tolist(), ya.tolist()], [xb.tolist(), yb.tolist()]) if joint else (xa.tolist(), xb.tolist())
                 raise ValidationFailed(
                     f"{name} violates its Lipschitz declaration: ratio {ratio:.6g} > {bound:.6g} "
-                    f"between {np.asarray(a).tolist()} and {np.asarray(b).tolist()}"
+                    f"between {a} and {b}"
                 )
 
     return ValidationReport(max_ratio, origin_norm, declared, pairs)

@@ -211,6 +211,19 @@ class TestExitCodes:
         assert main(["--config", cfg, *flags]) == 2
         assert "invalid input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task", ["simulate", "exponent", "converge"])
+    def test_x0_of_the_wrong_length_is_two(self, tmp_path, capsys, task):
+        # no x0 key: the default (1,) does not fit a 2-d system, whatever the task
+        cfg = write(
+            tmp_path,
+            "x.ini",
+            f"[system]\nkind = linear\nf = {STABLE['f']}\n{STABLE['noise']}\n\n[task]\nname = {task}\n\n"
+            f"[numeric]\ndt = 0.25\nt = 1.0\ntrajectories = 8\nlevels = 2\n\n[output]\ndir = {tmp_path / 'o'}\n",
+        )
+        assert main(["--config", cfg]) == 2
+        assert capsys.readouterr().err == "invalid input: x0 must have length 2, got 1\n"
+        assert not (tmp_path / "o").exists()
+
     def test_overflow_is_reported_without_warnings(self, tmp_path):
         cfg = write(
             tmp_path,
@@ -286,6 +299,20 @@ class TestExitCodes:
             f"[numeric]\nx0 = 1\ndt = 0.8\nt = 5\n\n[output]\ndir = {tmp_path/'o'}\n",
         )
         assert main(["--config", cfg]) == 1
+
+    @pytest.mark.parametrize("x0", ["1 5", ""])
+    def test_cps_demo_takes_one_x0(self, tmp_path, capsys, x0):
+        cfg = write(
+            tmp_path,
+            "d.ini",
+            "[system]\nkind = controller\na = 1\nkp = 2\n\n[task]\nname = cps-demo\n\n"
+            f"[numeric]\nx0 = {x0}\ndt = 0.5\nt = 5\n\n[output]\ndir = {tmp_path/'o'}\n",
+        )
+        assert main(["--config", cfg]) == 2
+        count = len(x0.split())
+        assert capsys.readouterr().err == (
+            f"config error: key 'x0' in [numeric]: task 'cps-demo' takes one value, got {count}\n"
+        )
 
     def test_cps_demo_ok(self, tmp_path):
         cfg = write(
@@ -419,6 +446,38 @@ class TestArtifacts:
         assert (out / "config.ini").exists()
         reloaded = load_config(out / "config.ini")
         assert reloaded.seed == 5 and reloaded.outdir == str(out)
+
+
+class TestPublicNames:
+    # the names `sidelab.__all__` listed before the import block became the only list
+    NAMES = [
+        "cli", "errors", "estimate", "matrix_kernels", "models", "noise", "simulate", "stability",
+        "ConvergenceStudy", "Ensemble", "ExponentEstimate", "as_exponent", "moment_exponent",
+        "scalar_onestep_factor", "strong_error_sup",
+        "decay_rate", "is_positive_definite", "solve_ct_lyapunov", "solve_dt_lyapunov",
+        "ImpulseMaps", "ImpulseSchedule", "LinearSde", "QuadraticLyapunov",
+        "SideSystem", "VectorFieldSde", "compact_form", "make_cps", "validate",
+        "NoisePlan",
+        "DiscretePath", "HybridTrajectory", "CpsTrajectory", "euler_maruyama", "exact_gbm",
+        "simulate_cps", "simulate_scalar_cps_demo", "simulate_side", "step_process", "theta_method",
+        "ConditionConstants", "StabilityCertificate", "check_thm1", "check_thm2", "check_thm4",
+        "check_thm5", "check_thm6", "cp_lyapunov_feasible", "discrete_ms_stable",
+        "lyapunov_ito_feasible", "max_stepsize", "quadratic_condition_constants",
+        "scalar_max_stepsize", "stepsize_certificate",
+    ]
+
+    def test_package_exposes_every_public_name(self):
+        assert len(set(self.NAMES)) == 53
+        assert [name for name in self.NAMES if not hasattr(sidelab, name)] == []
+
+    def test_star_import_exposes_them(self):
+        namespace = {}
+        exec("from sidelab import *", namespace)
+        assert set(self.NAMES) <= set(namespace)
+
+    def test_tasks_keep_their_order(self):
+        # the order of the CLI's choices and of the unknown-task message
+        assert cli.TASKS == ("simulate", "analyze", "max-stepsize", "exponent", "converge", "cps-demo")
 
 
 class TestEmitPlotData:

@@ -156,6 +156,15 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="not a whole number of steps"):
             run_ensemble(system, [1.0], 2.0, 8, 1.0, 0.3)
 
+    @pytest.mark.parametrize("system", [
+        LinearSde(-np.eye(2)),
+        VectorFieldSde(2, 0, lambda x, t: -x, lambda x, t: np.zeros((2, 0)), 1.0),
+    ], ids=["linear", "vector_field"])
+    def test_x0_must_match_the_dimension(self, system):
+        # a 1-element x0 is not broadcast, by either kernel
+        with pytest.raises(ValueError, match=r"^x0 must have length 2, got 1$"):
+            run_ensemble(system, [1.0], 2.0, 8, 1.0, 0.1)
+
     def test_moment_window_fit_returns_series(self):
         ens = run_ensemble(GBM, [1.0], 2.0, 100, 2.0, 0.05, seed=2)
         est, times, log_mean = fit_moment_window(ens)
@@ -208,6 +217,10 @@ class TestStrongError:
     def test_horizon_must_be_whole_steps(self):
         with pytest.raises(ValueError, match="not a whole number of steps"):
             strong_error_sup(GBM, [1.0], 1.0, [1, 2], 8, delta=0.3)
+
+    def test_x0_must_match_the_dimension(self):
+        with pytest.raises(ValueError, match=r"^x0 must have length 2, got 1$"):
+            strong_error_sup(TWO_NOISE_2D, [1.0], 1.0, [1, 2], 8, delta=0.125)
 
     def test_reproducible_bitwise(self):
         a = strong_error_sup(GBM, [1.0], 1.0, range(1, 5), 100, delta=2.0**-8, seed=5)
@@ -500,6 +513,16 @@ class TestDivergedTrajectories:
         assert all(math.isnan(r.stderr) for r in study.records)
         assert math.isnan(study.slope) and math.isnan(study.intercept)
         assert study.sup_state_sq == math.inf
+
+    def test_finite_error_with_an_overflowing_square_is_warning_free(self):
+        # at T = 4 the mean sup errors are finite near 2.9e161, but their
+        # squares overflow: the error is kept and its stderr is NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            study = strong_error_sup(OVERFLOWING, [1.0], 4.0, range(1, 4), 4, delta=0.125)
+        assert all(type(r.error) is float and 1e161 < r.error < math.inf for r in study.records)
+        assert all(math.isnan(r.stderr) for r in study.records)
+        assert math.isfinite(study.slope) and math.isfinite(study.sup_state_sq)
 
 
 class TestEnsembleMemory:

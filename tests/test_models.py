@@ -23,6 +23,12 @@ from side_blocks import random_blocks, side_from_blocks, stacked_as_x
 
 
 class TestLinearSde:
+    def test_scalar_coefficients_invert_the_scalar_helper(self):
+        assert LinearSde.scalar(-4.0, 1.0).scalar_coefficients == (-4.0, 1.0)
+        assert LinearSde(np.array([[-2.0]])).scalar_coefficients == (-2.0, 0.0)
+        assert LinearSde(np.array([[-2.0]]), (np.eye(1), np.eye(1))).scalar_coefficients is None
+        assert LinearSde(-np.eye(2)).scalar_coefficients is None
+
     def test_scalar_helper(self):
         sde = LinearSde.scalar(-4.0, 1.0)
         assert sde.dim == 1 and sde.noise_dim == 1
@@ -323,6 +329,13 @@ class TestValidate:
         bad = with_map(with_map(CPS, "jump_x", shifted), "drift_y", shifted)
         with pytest.raises(ValidationFailed, match=r"^drift_y\(0\)"):
             validate(bad, pairs=10, seed=0)
+
+    def test_y_map_violation_with_q_not_n_is_named(self):
+        # each side of a joint pair is formatted on its own: [x, y] with len(y) != len(x)
+        side = side_from_blocks(2, *random_blocks(np.random.default_rng(5), 2, 1, 1), ImpulseSchedule.equal_gaps(0.5))
+        bad = with_map(side, "drift_y", lambda fn: lambda *args: 100.0 * np.asarray(fn(*args)))
+        with pytest.raises(ValidationFailed, match=r"^drift_y violates .* between \[\[\S+, \S+\], \[\S+\]\] and"):
+            validate(bad, pairs=50, seed=0)
 
     def test_report_key_order(self):
         report = validate(CPS, pairs=20, seed=3)
