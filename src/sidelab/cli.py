@@ -257,6 +257,10 @@ def _task_max_stepsize(cfg: RunConfig, outdir: Path) -> int:
 def _task_simulate(cfg: RunConfig, outdir: Path) -> int:
     sde = cfg.system()
     substeps = cfg.substeps if cfg.substeps is not None else 32
+    if substeps < 1:
+        raise ConfigError("key 'substeps' in [numeric]: simulate needs substeps >= 1")
+    if cfg.driving == "brownian" and substeps & (substeps - 1):
+        raise ConfigError("key 'substeps' in [numeric]: brownian driving needs a power of two")
     plan = NoisePlan(cfg.seed, 0, sde.noise_dim, cfg.dt / substeps, cfg.horizon)
     try:
         run = simulate.simulate_cps(

@@ -11,7 +11,7 @@ checks those contracts on sampled points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -43,19 +43,33 @@ class LinearSde:
     """Linear SDE dx = F x dt + sum_j Gj x dBj.
 
     `drift_matrix` is F (n x n); `noise_matrices` holds G_1 .. G_m, all n x n.
+
+    `stack` is the one owner of these matrices: a read-only C-ordered
+    (m+1, n, n) array [F, G_1, .., G_m], copied once here, of which
+    `drift_matrix` and `noise_matrices` are views.  `stack @ x` gives every
+    product F x, G_j x in one batched call, and numpy runs the same gemv on
+    each slice as on the matrix alone, so the bits are those of the separate
+    products.  The stack stays 3-d on purpose: row-stacked into one
+    (m+1) n x n matrix, gemv's blocking of the rows moves, and the products
+    can differ in the last bit (seen for n >= 9 with OpenBLAS 0.3.31 on
+    Haswell).
     """
 
     drift_matrix: np.ndarray
     noise_matrices: tuple[np.ndarray, ...] = ()
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         f = as_square(self.drift_matrix, "drift_matrix")
-        object.__setattr__(self, "drift_matrix", f)
-        gs = tuple(as_square(g, "noise matrix") for g in self.noise_matrices)
+        gs = [as_square(g, "noise matrix") for g in self.noise_matrices]
         for g in gs:
             if g.shape != f.shape:
                 raise ValueError("noise matrices must match the drift dimension")
-        object.__setattr__(self, "noise_matrices", gs)
+        stack = np.stack([f, *gs])
+        stack.flags.writeable = False
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "drift_matrix", stack[0])
+        object.__setattr__(self, "noise_matrices", tuple(stack[1:]))
 
     @staticmethod
     def scalar(lam: float, mu: float = 0.0) -> "LinearSde":
@@ -91,11 +105,8 @@ class LinearSde:
         return self.drift_matrix @ _as_vector(x, self.dim)
 
     def diffusion(self, x, t: float = 0.0) -> np.ndarray:
-        x = _as_vector(x, self.dim)
-        g = np.empty((self.dim, len(self.noise_matrices)))
-        for j, g_j in enumerate(self.noise_matrices):
-            g[:, j] = g_j @ x
-        return g
+        # column j is G_j x; the copy gives the C-ordered (n, m) array
+        return (self.stack[1:] @ _as_vector(x, self.dim)).T.copy()
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,11 @@ One trajectory is single-threaded; ensembles parallelize across trajectory
 indices with no shared state (see `estimate`).  Unstable regimes are expected
 outputs of this tool, so overflow aborts the trajectory with the step index
 instead of clamping.
+
+Both hybrid integrators step through `_substeps`; for a `LinearSde` each
+substep is one batched product with `LinearSde.stack`, the 3-d array
+[F, G_1, .., G_m] that owns the F/G_j products (3-d, not row-stacked, so it
+rounds as the separate products do).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .errors import (
     OutOfRange,
     StepsizeTooLarge,
 )
-from .models import Sde, SideSystem, _as_vector, compact_form
+from .models import CompactForm, LinearSde, Sde, SideSystem, _as_vector, compact_form
 from .noise import NoisePlan
 
 Driving = Literal["xi", "brownian"]
@@ -230,15 +235,39 @@ def step_process(path: DiscretePath) -> Callable[[float], np.ndarray]:
     return at
 
 
-def _substeps(drift, diffusion, z, t_k, h, draws, out, step: int) -> np.ndarray:
-    """The explicit substep z + (h f(z, t) + g(z, t) @ (sqrt(h) xi)) from t_k,
-    one per row of `draws`.
+def _increment(system: Sde | CompactForm) -> Callable:
+    """The substep increment (z, t, h, w) -> h f(z, t) + g(z, t) @ w.
+
+    A `LinearSde` takes both products from one batched `stack @ z` (see
+    `LinearSde`), with the bits of its `drift` and `diffusion`; any other
+    system calls its evaluators.
+    """
+    if isinstance(system, LinearSde):
+        stack = system.stack
+
+        def linear(z, t, h, w):
+            u = stack @ z
+            # C-ordered (n, m) as `diffusion` returns it, so `@ w` rounds alike
+            return h * u[0] + u[1:].T.copy() @ w
+
+        return linear
+    drift, diffusion = system.drift, system.diffusion
+    return lambda z, t, h, w: h * drift(z, t) + diffusion(z, t) @ w
+
+
+def _substeps(increment, z, t_k, h, draws, out, step: int) -> np.ndarray:
+    """The explicit substep z + increment(z, t, h, sqrt(h) xi) from t_k, one
+    per row of `draws`, with `increment` from `_increment`.
+
+    For a `LinearSde` the increment is one product with `LinearSde.stack`,
+    the one owner of the F/G_j products, kept 3-d because a row-stacked
+    matrix rounds differently from the evaluators (see `LinearSde`).
 
     Writes each state into a row of `out` and returns the last; `step` is the
     global index of the substep before the first, reported by NonFinite.
 
     Finiteness is checked once, after the block: NonFinite names the first
-    substep whose state overflowed.  Until then the evaluators may see
+    substep whose state overflowed.  Until then the increment may see
     non-finite states for the rest of the block, under the errstate below;
     an evaluator that raises on such a state also reports that NonFinite.
     """
@@ -249,7 +278,7 @@ def _substeps(drift, diffusion, z, t_k, h, draws, out, step: int) -> np.ndarray:
         try:
             for j in range(w.shape[0]):
                 t = t_k + j * h
-                z = z + (h * drift(z, t) + diffusion(z, t) @ w[j])
+                z = z + increment(z, t, h, w[j])
                 out[j] = z
         except Exception:
             written = out[:j]
@@ -301,6 +330,7 @@ def simulate_side(
     draws = plan.standard_normals(intervals * s)
     xis = plan.xi_block(jumps)
     cf = compact_form(side)
+    increment = _increment(cf)
 
     states = np.empty((1 + intervals * s + jumps, side.dim))
     times = np.empty(states.shape[0])
@@ -312,7 +342,7 @@ def simulate_side(
         end = min(t_next, T)
         h = (end - t_k) / s
         row = 1 + k * (s + 1)
-        z = _substeps(cf.drift, cf.diffusion, z, t_k, h, draws[k * s : (k + 1) * s],
+        z = _substeps(increment, z, t_k, h, draws[k * s : (k + 1) * s],
                       states[row : row + s], k * s)
         times[row : row + s] = t_k + np.arange(1, s + 1) * h
         times[row + s - 1] = end
@@ -377,8 +407,9 @@ def simulate_cps(
     x = states[0, :n] = _as_vector(x0, n, "x0")
     body = states[1:].reshape(n_intervals, s + 1, 2 * n)
     draws = plan.standard_normals(n_intervals * s)
+    increment = _increment(sde)
     for k in range(n_intervals):
-        x = _substeps(sde.drift, sde.diffusion, x, k * dt, h, draws[k * s : (k + 1) * s],
+        x = _substeps(increment, x, k * dt, h, draws[k * s : (k + 1) * s],
                       body[k, :s, :n], k * s)
         body[k, s, :n] = x
     states[:, n:] = states[:, :n] - cyber.states[np.arange(states.shape[0]) // (s + 1)]

@@ -224,6 +224,28 @@ class TestExitCodes:
         assert capsys.readouterr().err == "invalid input: x0 must have length 2, got 1\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "task, numeric",
+        [
+            ("simulate", "substeps = 0\n"),
+            ("simulate", "substeps = -2\n"),
+            ("simulate", "substeps = 6\ndriving = brownian\n"),
+            ("converge", "substeps = 1\n"),
+            ("converge", "substeps = 6\n"),
+        ],
+    )
+    def test_bad_substeps_is_named(self, tmp_path, capsys, task, numeric):
+        cfg = write(
+            tmp_path,
+            "s.ini",
+            f"[system]\nkind = scalar\nlambda = -1\nmu = 0.5\n\n[task]\nname = {task}\n\n"
+            f"[numeric]\ndt = 0.5\nt = 1.0\ntrajectories = 8\nlevels = 2\n{numeric}\n"
+            f"[output]\ndir = {tmp_path / 'o'}\n",
+        )
+        assert main(["--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: key 'substeps' in [numeric]: ")
+        assert not (tmp_path / "o").exists()
+
     def test_overflow_is_reported_without_warnings(self, tmp_path):
         cfg = write(
             tmp_path,

@@ -48,7 +48,18 @@ class TestLinearSde:
         with pytest.raises(ValueError):
             LinearSde(np.eye(2), (np.eye(3),))
 
-    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_matrices_are_a_read_only_copy(self):
+        # the caller's arrays are copied once into the stack, so changing
+        # them later does not change the system, and the stack cannot change
+        f, g = -np.eye(2), np.ones((2, 2))
+        sde = LinearSde(f, (g,))
+        f[0, 0], g[0, 0] = 5.0, 5.0
+        assert sde.stack.tolist() == [(-np.eye(2)).tolist(), np.ones((2, 2)).tolist()]
+        assert sde.drift_matrix.base is sde.stack and sde.noise_matrices[0].base is sde.stack
+        with pytest.raises(ValueError):
+            sde.drift_matrix[0, 0] = 1.0
+
+    @pytest.mark.parametrize("n", [1, 3, 9, 10, 13, 30])
     @pytest.mark.parametrize("m", [0, 1, 3])
     def test_diffusion_is_bitwise_the_column_stack(self, n, m):
         rng = np.random.default_rng(10 * n + m)

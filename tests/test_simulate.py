@@ -394,15 +394,26 @@ class TestSimulateCps:
                 gap = np.abs(run.hybrid.x[i] - run.hybrid.y[i] - xk).max()
                 assert gap <= 1e-12 * (1.0 + np.abs(xk).max())
 
-    def test_coupled_mode_agrees(self):
-        # the same system integrated block by block as a hybrid system
-        sde = LinearSde(
-            np.array([[-1.0, 0.2], [0.0, -0.5]]),
-            (np.array([[0.3, 0.0], [0.0, 0.3]]),),
-        )
-        plan = plan_for(0.03125, 1.0, seed=2)
-        a = simulate_cps(sde, [1.0, -1.0], 0.25, 1.0, plan, 8).hybrid
-        b = simulate_side(make_cps(sde, 0.25), [1.0, -1.0, 0.0, 0.0], 8, 1.0, plan)
+    @pytest.mark.parametrize("n, m", [(2, 1), (3, 2), (10, 3), (13, 2)])
+    def test_coupled_mode_agrees(self, n, m):
+        # the same system integrated block by block as a hybrid system: the
+        # batched linear increment against the evaluators, bit for bit in x
+        # also where a row-stacked [F; G_1; ..] product would round otherwise
+        if (n, m) == (2, 1):
+            sde = LinearSde(
+                np.array([[-1.0, 0.2], [0.0, -0.5]]),
+                (np.array([[0.3, 0.0], [0.0, 0.3]]),),
+            )
+        else:
+            rng = np.random.default_rng(100 * n + m)
+            sde = LinearSde(
+                -np.eye(n) + rng.normal(size=(n, n)) / (2 * n),
+                tuple(rng.normal(size=(n, n)) / (3 * n) for _ in range(m)),
+            )
+        x0 = np.linspace(1.0, -1.0, n)
+        plan = plan_for(0.03125, 1.0, seed=2, m=m)
+        a = simulate_cps(sde, x0, 0.25, 1.0, plan, 8).hybrid
+        b = simulate_side(make_cps(sde, 0.25), np.concatenate([x0, np.zeros(n)]), 8, 1.0, plan)
         scale = 1.0 + np.abs(a.y).max()
         assert np.abs(a.y - b.y).max() <= 1e-12 * scale
         assert np.array_equal(a.x, b.x)
