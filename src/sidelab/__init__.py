@@ -22,7 +22,6 @@ from .models import (
     ImpulseMaps,
     ImpulseSchedule,
     LinearSde,
-    QuadraticLyapunov,
     SideSystem,
     VectorFieldSde,
     compact_form,
@@ -39,8 +38,6 @@ from .simulate import (
     simulate_cps,
     simulate_scalar_cps_demo,
     simulate_side,
-    step_process,
-    theta_method,
 )
 from .stability import (
     ConditionConstants,

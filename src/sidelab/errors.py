@@ -33,18 +33,8 @@ class NonFinite(ToolkitError):
         self.step = step
 
 
-class ContractionViolated(ToolkitError):
-    """theta * L * dt >= 1, so the implicit solve has no contraction."""
-
-
 class NoConvergence(ToolkitError):
-    """An iteration did not converge: the implicit fixed-point iteration
-    stalled, or the Arnoldi iteration of the stepsize bound ran out of
-    restarts."""
-
-
-class OutOfRange(ToolkitError):
-    """A step process was queried outside its domain."""
+    """The Arnoldi iteration of the stepsize bound ran out of restarts."""
 
 
 class ValidationFailed(ToolkitError):

@@ -447,7 +447,3 @@ def strong_error_sup(
         slope, intercept = float("nan"), float("nan")
     return ConvergenceStudy(tuple(records), slope, intercept, sup_ref_sum / trajectories)
 
-
-def finite_time_second_moment_bound(x0_norm: float, lipschitz: float, T: float) -> float:
-    """Coarse a-priori bound (1 + 3 |x0|^2) e^{3 L T (T + 4)} on E sup |x(t)|^2."""
-    return (1.0 + 3.0 * x0_norm**2) * math.exp(3.0 * lipschitz * T * (T + 4.0))

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NotLinear, ValidationFailed
-from .matrix_kernels import as_square, gate_pd
+from .matrix_kernels import as_square
 
 _LINEARITY_RTOL = 1e-8
 _LIPSCHITZ_SLACK = 1e-6  # relative slack of `validate`'s ratio checks
@@ -38,11 +38,13 @@ def _as_vector(x, dim: int | None = None, name: str = "x") -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSde:
     """Linear SDE dx = F x dt + sum_j Gj x dBj.
 
     `drift_matrix` is F (n x n); `noise_matrices` holds G_1 .. G_m, all n x n.
+    Equality is identity, so a system compares and hashes without comparing
+    its arrays.
 
     `stack` is the one owner of these matrices: a read-only C-ordered
     (m+1, n, n) array [F, G_1, .., G_m], copied once here, of which
@@ -57,7 +59,7 @@ class LinearSde:
 
     drift_matrix: np.ndarray
     noise_matrices: tuple[np.ndarray, ...] = ()
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         f = as_square(self.drift_matrix, "drift_matrix")
@@ -233,30 +235,6 @@ class SideSystem:
     def split(self, z) -> tuple[np.ndarray, np.ndarray]:
         z = _as_vector(z, self.dim, "z")
         return z[: self.n], z[self.n :]
-
-
-@dataclass(frozen=True)
-class QuadraticLyapunov:
-    """Quadratic certificate V(x) = x^T P x with P > 0 enforced at construction."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", gate_pd(self.p, "P"))
-
-    def value(self, x) -> float:
-        x = _as_vector(x, self.p.shape[0])
-        return float(x @ self.p @ x)
-
-    @property
-    def lower(self) -> float:
-        """c1 with c1 |x|^2 <= V(x)."""
-        return float(np.linalg.eigvalsh(self.p)[0])
-
-    @property
-    def upper(self) -> float:
-        """c2 with V(x) <= c2 |x|^2."""
-        return float(np.linalg.eigvalsh(self.p)[-1])
 
 
 def make_cps(sde: Sde, dt: float) -> SideSystem:

@@ -27,7 +27,12 @@ _GRID_RTOL = 1e-9
 
 
 def _generator(seed: int, trajectory: int, stream: int) -> np.random.Generator:
-    """The Philox generator of one (trajectory, stream) pair, at slot 0."""
+    """The Philox generator of one (trajectory, stream) pair, at slot 0.
+
+    Raises ValueError for a seed outside [0, 2**64), the range of its key word.
+    """
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     key = np.array(
         [np.uint64(seed), (np.uint64(trajectory) << np.uint64(1)) | np.uint64(stream)],
         dtype=np.uint64,
@@ -144,14 +149,6 @@ class NoisePlan:
             out = out[0::2] + out[1::2]
         assert out.shape[0] == steps
         return out
-
-    def brownian_path(self, level: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Grid times and Brownian values B(t) at level `level`, B(0) = 0."""
-        inc = self.increments(level)
-        dt = self.delta * (1 << level)
-        times = np.arange(inc.shape[0] + 1) * dt
-        values = np.vstack([np.zeros((1, self.noise_dim)), np.cumsum(inc, axis=0)])
-        return times, values
 
     def xi(self, k: int) -> np.ndarray:
         """Impulse draw for jump k >= 1, an m-vector of standard normals.

@@ -1,4 +1,4 @@
-"""Time-stepping engines: explicit and theta one-step schemes, the hybrid
+"""Time-stepping engines: the explicit Euler-Maruyama scheme, the hybrid
 impulsive integrator, the coupled exact/numerical integrator, and closed-form
 oracles for scalar linear systems.
 
@@ -21,24 +21,13 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .errors import (
-    ContractionViolated,
-    GridMismatch,
-    NoConvergence,
-    NonFinite,
-    OutOfRange,
-    StepsizeTooLarge,
-)
+from .errors import GridMismatch, NonFinite, StepsizeTooLarge
 from .models import CompactForm, LinearSde, Sde, SideSystem, _as_vector, compact_form
 from .noise import NoisePlan
 
 Driving = Literal["xi", "brownian"]
 
 _TIME_RTOL = 1e-9
-
-# stopping rule of the implicit stage's fixed-point iteration
-_FIXED_POINT_TOL = 1e-12
-_FIXED_POINT_MAX_ITER = 100
 
 # plant samples per update interval of the scalar controller demo
 _DEMO_SAMPLES = 16
@@ -50,10 +39,6 @@ class DiscretePath:
 
     dt: float
     states: np.ndarray  # (N + 1, n)
-
-    @property
-    def steps(self) -> int:
-        return self.states.shape[0] - 1
 
     @property
     def times(self) -> np.ndarray:
@@ -99,10 +84,6 @@ class CpsTrajectory:
     hybrid: HybridTrajectory
     cyber: DiscretePath
 
-    def cyber_at(self, t: float) -> np.ndarray:
-        """Step-process view X(t) of the numerical iterates."""
-        return step_process(self.cyber)(t)
-
 
 def _driving_increments(plan: NoisePlan, dt: float, n_steps: int, driving: Driving) -> np.ndarray:
     """Per-step m-vector noise: sqrt(dt) * xi(k+1), or nested Brownian increments."""
@@ -127,69 +108,27 @@ def euler_maruyama(
     plan: NoisePlan,
     driving: Driving = "xi",
 ) -> DiscretePath:
-    """Explicit one-step path X_{k+1} = X_k + f(X_k) dt + g(X_k) w_k: the
-    theta = 0 member of `theta_method`.
+    """Explicit one-step path X_{k+1} = X_k + f(X_k) dt + g(X_k) w_k.
 
     The per-step noise w_k is sqrt(dt) xi(k+1) by default, or the nested
-    Brownian increment of matching stepsize when driving="brownian".
+    Brownian increment of matching stepsize when driving="brownian".  A state
+    that overflows raises NonFinite with the step index.
     """
-    return theta_method(sde, x0, dt, 0.0, n_steps, plan, driving)
-
-
-def theta_method(
-    sde: Sde,
-    x0,
-    dt: float,
-    theta: float,
-    n_steps: int,
-    plan: NoisePlan,
-    driving: Driving = "xi",
-) -> DiscretePath:
-    """Drift-implicit family interpolating the explicit (theta=0) and fully
-    implicit (theta=1) one-step schemes.
-
-    Each step takes the explicit stage x + (1 - theta) dt f(x) + g(x) w; for
-    theta > 0 the implicit stage is solved by fixed-point iteration, valid
-    under the contraction condition theta * L * dt < 1.  An iteration that
-    does not settle within _FIXED_POINT_MAX_ITER steps, or whose iterate
-    leaves the finite floats, raises NoConvergence; a state that overflows
-    raises NonFinite with the step index.
-    """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     if plan.noise_dim != sde.noise_dim:
         raise ValueError("plan noise dimension does not match the system")
-    if theta > 0.0 and theta * sde.lipschitz * dt >= 1.0:
-        raise ContractionViolated(
-            f"theta * L * dt = {theta * sde.lipschitz * dt:.6g} >= 1; reduce the stepsize"
-        )
     x = _as_vector(x0, sde.dim, "x0")
     w = _driving_increments(plan, dt, n_steps, driving)
     states = np.empty((n_steps + 1, sde.dim))
     states[0] = x
-    # overflow is reported by NonFinite and NoConvergence below
+    # overflow is reported by NonFinite below
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             t = k * dt
-            x = x + ((1.0 - theta) * dt) * sde.drift(x, t) + sde.diffusion(x, t) @ w[k]
-            if theta > 0.0:
-                explicit = x
-                for _ in range(_FIXED_POINT_MAX_ITER):
-                    u = explicit + (theta * dt) * sde.drift(x, t + dt)
-                    if not np.all(np.isfinite(u)):
-                        raise NoConvergence(f"implicit stage diverged at step {k + 1}")
-                    # max-abs norms cannot overflow for finite iterates, so a
-                    # blown-up iterate can never pass the stopping test
-                    change = np.abs(u - x).max(initial=0.0)
-                    x = u
-                    if change <= _FIXED_POINT_TOL * (1.0 + np.abs(x).max(initial=0.0)):
-                        break
-                else:
-                    raise NoConvergence(f"implicit stage did not converge at step {k + 1}")
+            x = x + dt * sde.drift(x, t) + sde.diffusion(x, t) @ w[k]
             if not np.all(np.isfinite(x)):
                 raise NonFinite(f"state overflowed at step {k + 1}", step=k + 1)
             states[k + 1] = x
@@ -209,30 +148,6 @@ def whole_steps(T: float, dt: float) -> int:
     if steps < 1 or abs(steps * dt - T) > _TIME_RTOL * max(1.0, T):
         raise ValueError(f"horizon t={T!r} is not a whole number of steps dt={dt!r}")
     return steps
-
-
-def step_process(path: DiscretePath) -> Callable[[float], np.ndarray]:
-    """Right-continuous step extension X(t) = X_k on [k dt, (k+1) dt).
-
-    Defined for t in [0, (N+1) dt); queries outside raise OutOfRange.
-    """
-    dt = path.dt
-    n = path.steps
-
-    def at(t: float) -> np.ndarray:
-        if t < 0:
-            raise OutOfRange(f"t={t!r} is below 0")
-        k = int(math.floor(t / dt))
-        # guard the floor against roundoff at grid points
-        if (k + 1) * dt <= t:
-            k += 1
-        elif k * dt > t:
-            k -= 1
-        if k > n:
-            raise OutOfRange(f"t={t!r} is beyond the path end {(n + 1) * dt!r}")
-        return path.states[k]
-
-    return at
 
 
 def _increment(system: Sde | CompactForm) -> Callable:

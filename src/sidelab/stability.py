@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import SingularOperator
 from .matrix_kernels import (
-    as_symmetric,
     ct_form,
     ct_operator,
     ct_stepsize_bound,
@@ -288,20 +287,6 @@ def quadratic_condition_constants(
         dt_over=side.schedule.dt_over,
         split=s,
     )
-
-
-def impulse_second_moment(side: SideSystem, p_tilde, x, y, k: int = 1) -> float:
-    """Exact E[(y + jump)' Q (y + jump)] over the impulse draw.
-
-    Valid for arbitrary jump maps: with mean part mu and gain matrix Gm,
-    the expectation is mu' Q mu + trace(Gm' Q Gm).
-    """
-    p_tilde = as_symmetric(p_tilde, "p_tilde")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    mean = y + np.asarray(side.jumps.jump_y(x, y, k), dtype=float)
-    gain = np.asarray(side.jumps.jump_y_gain(x, y, k), dtype=float).reshape(side.q, side.noise_dim)
-    return float(mean @ p_tilde @ mean + np.trace(gain.T @ p_tilde @ gain))
 
 
 def check_thm1(c: ConditionConstants) -> bool:

@@ -198,6 +198,13 @@ class TestExitCodes:
             ("exponent", "dt = 0.3\nt = 1.0\n", []),
             ("converge", "dt = 0.3\nt = 1.0\n", []),
             ("converge", "dt = 0.125\nt = 1.05\ntrajectories = 8\nlevels = 2\n", []),
+            # seeds outside [0, 2**64), the range of the generator key
+            ("simulate", "dt = 0.5\nt = 1.0\nseed = -1\n", []),
+            ("exponent", "dt = 0.05\nt = 1.0\ntrajectories = 8\nseed = -1\n", []),
+            ("converge", "dt = 0.125\nt = 1.0\ntrajectories = 8\nlevels = 2\nseed = -1\n", []),
+            ("simulate", "dt = 0.5\nt = 1.0\n", ["--seed", str(2**64)]),
+            ("exponent", "dt = 0.05\nt = 1.0\ntrajectories = 8\n", ["--seed", str(2**64)]),
+            ("converge", "dt = 0.125\nt = 1.0\ntrajectories = 8\nlevels = 2\n", ["--seed", str(2**64)]),
         ],
     )
     def test_invalid_numeric_input_is_two(self, tmp_path, capsys, task, numeric, flags):
@@ -477,11 +484,11 @@ class TestPublicNames:
         "ConvergenceStudy", "Ensemble", "ExponentEstimate", "as_exponent", "moment_exponent",
         "scalar_onestep_factor", "strong_error_sup",
         "decay_rate", "is_positive_definite", "solve_ct_lyapunov", "solve_dt_lyapunov",
-        "ImpulseMaps", "ImpulseSchedule", "LinearSde", "QuadraticLyapunov",
-        "SideSystem", "VectorFieldSde", "compact_form", "make_cps", "validate",
+        "ImpulseMaps", "ImpulseSchedule", "LinearSde", "SideSystem",
+        "VectorFieldSde", "compact_form", "make_cps", "validate",
         "NoisePlan",
         "DiscretePath", "HybridTrajectory", "CpsTrajectory", "euler_maruyama", "exact_gbm",
-        "simulate_cps", "simulate_scalar_cps_demo", "simulate_side", "step_process", "theta_method",
+        "simulate_cps", "simulate_scalar_cps_demo", "simulate_side",
         "ConditionConstants", "StabilityCertificate", "check_thm1", "check_thm2", "check_thm4",
         "check_thm5", "check_thm6", "cp_lyapunov_feasible", "discrete_ms_stable",
         "lyapunov_ito_feasible", "max_stepsize", "quadratic_condition_constants",
@@ -489,7 +496,7 @@ class TestPublicNames:
     ]
 
     def test_package_exposes_every_public_name(self):
-        assert len(set(self.NAMES)) == 53
+        assert len(set(self.NAMES)) == 50
         assert [name for name in self.NAMES if not hasattr(sidelab, name)] == []
 
     def test_star_import_exposes_them(self):

@@ -4,11 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sidelab.errors import NotPositiveDefinite, ValidationFailed
+from sidelab.errors import ValidationFailed
 from sidelab.models import (
     ImpulseSchedule,
     LinearSde,
-    QuadraticLyapunov,
     SideSystem,
     VectorFieldSde,
     _as_vector,
@@ -58,6 +57,14 @@ class TestLinearSde:
         assert sde.drift_matrix.base is sde.stack and sde.noise_matrices[0].base is sde.stack
         with pytest.raises(ValueError):
             sde.drift_matrix[0, 0] = 1.0
+
+    def test_equality_is_identity_and_hashable(self):
+        # comparing the arrays field by field would raise on a 2-d system
+        a = LinearSde(-np.eye(2), (np.ones((2, 2)),))
+        b = LinearSde(-np.eye(2), (np.ones((2, 2)),))
+        assert a != b and not a == b
+        assert a == a
+        assert {a: 1, b: 2}[a] == 1
 
     @pytest.mark.parametrize("n", [1, 3, 9, 10, 13, 30])
     @pytest.mark.parametrize("m", [0, 1, 3])
@@ -357,15 +364,3 @@ class TestValidate:
         assert list(report.origin_norm) == EVALUATORS
         sde_report = validate(LinearSde.scalar(-1.0, 0.5), pairs=20, seed=3)
         assert list(sde_report.max_ratio) == list(sde_report.origin_norm) == ["drift", "diffusion"]
-
-
-class TestQuadraticLyapunov:
-    def test_requires_positive_definite(self):
-        with pytest.raises(NotPositiveDefinite):
-            QuadraticLyapunov(np.diag([1.0, -0.1]))
-
-    def test_bounds(self):
-        v = QuadraticLyapunov(np.diag([1.0, 4.0]))
-        assert v.lower == pytest.approx(1.0)
-        assert v.upper == pytest.approx(4.0)
-        assert v.value([1.0, 1.0]) == pytest.approx(5.0)

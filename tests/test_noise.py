@@ -76,12 +76,6 @@ class TestNesting:
                 folded = folded[0::2] + folded[1::2]
             assert np.array_equal(folded, full)
 
-    def test_brownian_path_starts_at_zero(self):
-        plan = make_plan(seed=1)
-        times, values = plan.brownian_path(0)
-        assert times[0] == 0.0 and np.all(values[0] == 0.0)
-        assert np.allclose(np.diff(values, axis=0), plan.increments(0))
-
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 100), st.integers(1, 3))
     def test_nesting_property(self, seed, traj, level):

@@ -5,24 +5,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sidelab.errors import (
-    ContractionViolated,
-    NoConvergence,
-    NonFinite,
-    OutOfRange,
-    StepsizeTooLarge,
-)
+from sidelab.errors import NonFinite, StepsizeTooLarge
 from sidelab.models import ImpulseSchedule, LinearSde, VectorFieldSde, make_cps
 from sidelab.noise import NoisePlan
 from sidelab.simulate import (
-    DiscretePath,
     euler_maruyama,
     exact_gbm,
     simulate_cps,
     simulate_scalar_cps_demo,
     simulate_side,
-    step_process,
-    theta_method,
     trajectory_rows,
 )
 from side_blocks import random_blocks, side_from_blocks, stacked_as_x
@@ -67,69 +58,20 @@ class TestEulerMaruyama:
 
 
 class TestThetaMethod:
-    def test_theta_zero_is_bitwise_euler(self):
-        sde = LinearSde.scalar(-1.0, 0.5)
-        a = euler_maruyama(sde, [1.0], 0.1, 30, plan_for(0.1, 3.0, seed=4))
-        b = theta_method(sde, [1.0], 0.1, 0.0, 30, plan_for(0.1, 3.0, seed=4))
-        assert np.array_equal(a.states, b.states)
+    """Input checks of `euler_maruyama`, the explicit (theta = 0) one-step
+    scheme, at several noise intensities mu: they hold before any arithmetic."""
 
-    def test_fully_implicit_deterministic(self):
-        sde = LinearSde.scalar(-1.0, 0.0)
-        path = theta_method(sde, [1.0], 0.5, 1.0, 5, plan_for(0.5, 2.5))
-        assert np.allclose(path.states.ravel(), (1.0 / 1.5) ** np.arange(6), rtol=1e-9)
-
-    def test_midpoint_deterministic(self):
-        # (1 - 0.25) / (1 + 0.25) = 0.6 per step
-        sde = LinearSde.scalar(-1.0, 0.0)
-        path = theta_method(sde, [1.0], 0.5, 0.5, 4, plan_for(0.5, 2.0))
-        assert np.allclose(path.states.ravel(), 0.6 ** np.arange(5), rtol=1e-9)
-
-    def test_contraction_violated(self):
-        sde = LinearSde.scalar(-4.0, 0.0)
-        with pytest.raises(ContractionViolated):
-            theta_method(sde, [1.0], 0.5, 1.0, 4, plan_for(0.5, 2.0))
-
-    def test_no_convergence_with_understated_lipschitz(self):
-        sde = VectorFieldSde(
-            dim=1,
-            noise_dim=0,
-            drift_fn=lambda x, t: -40.0 * x,
-            diffusion_fn=lambda x, t: np.zeros((1, 0)),
-            lipschitz=0.1,  # understated on purpose: the iteration map is not contracting
-        )
-        with pytest.raises(NoConvergence):
-            theta_method(sde, [1.0], 1.0, 1.0, 2, plan_for(1.0, 2.0, m=0))
-
-
-    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
-    def test_rejects_wrong_plan_width(self, theta):
-        sde = LinearSde.scalar(-1.0, 0.5)
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+    def test_rejects_wrong_plan_width(self, mu):
+        sde = LinearSde.scalar(-1.0, mu)
         with pytest.raises(ValueError, match="plan noise dimension does not match the system"):
-            theta_method(sde, [1.0], 0.1, theta, 5, plan_for(0.1, 1.0, m=2))
+            euler_maruyama(sde, [1.0], 0.1, 5, plan_for(0.1, 1.0, m=2))
 
-    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
-    def test_rejects_negative_step_count(self, theta):
-        sde = LinearSde.scalar(-1.0, 0.5)
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+    def test_rejects_negative_step_count(self, mu):
+        sde = LinearSde.scalar(-1.0, mu)
         with pytest.raises(ValueError, match="n_steps must be nonnegative"):
-            theta_method(sde, [1.0], 0.1, theta, -1, plan_for(0.1, 1.0))
-
-
-class TestStepProcess:
-    def test_right_continuity_and_holds(self):
-        path = DiscretePath(0.5, np.arange(4.0).reshape(4, 1))
-        at = step_process(path)
-        assert at(0.5)[0] == 1.0
-        assert at(1.0 - 1e-12)[0] == 1.0
-        assert at(0.0)[0] == 0.0
-
-    def test_out_of_range(self):
-        path = DiscretePath(0.5, np.arange(4.0).reshape(4, 1))
-        at = step_process(path)
-        with pytest.raises(OutOfRange):
-            at(-1e-9)
-        with pytest.raises(OutOfRange):
-            at(2.0)  # beyond [0, 4 * 0.5)
-        assert at(1.999999)[0] == 3.0
+            euler_maruyama(sde, [1.0], 0.1, -1, plan_for(0.1, 1.0))
 
 
 class TestSimulateSide:
@@ -433,10 +375,6 @@ class TestSimulateCps:
         run = simulate_cps(LinearSde.scalar(-1.0, 0.5), [0.0], 0.5, 1.0, plan_for(0.0625, 1.0))
         assert np.all(run.hybrid.x == 0.0) and np.all(run.hybrid.y == 0.0)
 
-    def test_cyber_view(self):
-        run = simulate_cps(LinearSde.scalar(-1.0, 0.0), [1.0], 0.5, 2.0, plan_for(0.125, 2.0))
-        assert run.cyber_at(0.6)[0] == run.cyber.states[1, 0]
-
     def test_requires_whole_intervals(self):
         with pytest.raises(ValueError):
             simulate_cps(LinearSde.scalar(-1.0, 0.0), [1.0], 0.5, 1.7, plan_for(0.125, 2.0))
@@ -455,9 +393,10 @@ class TestExactGbm:
         mu = 0.7
         lam = mu * mu / 2.0
         plan = plan_for(0.25, 2.0, seed=3)
-        times, b = plan.brownian_path(0)
-        vals = exact_gbm(lam, mu, 1.0, times, b[:, 0])
-        assert np.allclose(vals, np.exp(mu * b[:, 0]), rtol=1e-13)
+        b = np.concatenate([[0.0], np.cumsum(plan.increments(0)[:, 0])])
+        times = np.arange(b.shape[0]) * 0.25
+        vals = exact_gbm(lam, mu, 1.0, times, b)
+        assert np.allclose(vals, np.exp(mu * b), rtol=1e-13)
 
 
 class TestScalarCpsDemo:

@@ -15,7 +15,6 @@ from sidelab.stability import (
     check_thm6,
     cp_lyapunov_feasible,
     discrete_ms_stable,
-    impulse_second_moment,
     lyapunov_ito_feasible,
     max_stepsize,
     quadratic_condition_constants,
@@ -242,24 +241,6 @@ class TestConditionConstants:
         assert c.beta_cross == pytest.approx(2.0 * (16.0 * 0.16 + 0.4), rel=1e-10)
         assert c.alpha_self == pytest.approx(1.0, rel=1e-10)
         assert c.dt_under == c.dt_over == pytest.approx(0.4)
-
-    def test_impulse_second_moment_matches_monte_carlo(self):
-        rng = np.random.default_rng(2)
-        for seed in range(3):
-            n = 2
-            f = rng.normal(size=(n, n))
-            gs = (rng.normal(size=(n, n)),)
-            side = make_cps(LinearSde(f, gs), 0.3)
-            p_tilde = np.eye(n)
-            x = rng.normal(size=n)
-            y = rng.normal(size=n)
-            exact = impulse_second_moment(side, p_tilde, x, y, k=1)
-            draws = np.random.default_rng(100 + seed).standard_normal((1_000_000, 1))
-            mean = y + side.jumps.jump_y(x, y, 1)
-            gain = side.jumps.jump_y_gain(x, y, 1)
-            post = mean[None, :] + draws @ gain.T
-            mc = np.mean(np.einsum("ij,jk,ik->i", post, p_tilde, post))
-            assert mc == pytest.approx(exact, rel=0.01)
 
     @pytest.mark.parametrize(
         "name, bent",
