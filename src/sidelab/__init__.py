@@ -24,7 +24,6 @@ from .models import (
     LinearSde,
     SideSystem,
     VectorFieldSde,
-    compact_form,
     make_cps,
     validate,
 )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,8 +64,15 @@ class RunConfig:
         raise ConfigError(f"task '{self.task}' needs a scalar or linear system, got '{self.kind}'")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
+
+
 def _parse_vector(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split())
+    return tuple(_parse_float(v) for v in text.split())
 
 
 def _parse_matrix(text: str) -> tuple[tuple[float, ...], ...]:
@@ -84,9 +92,9 @@ def _format(value) -> str:
 #: [system] keys of each kind: key -> (RunConfig field, parser, required).
 #: A linear system also reads its noise matrices g1, g2, ... into `noises`.
 _SYSTEM = {
-    "scalar": {"lambda": ("lam", float, True), "mu": ("mu", float, False)},
+    "scalar": {"lambda": ("lam", _parse_float, True), "mu": ("mu", _parse_float, False)},
     "linear": {"f": ("drift", _parse_matrix, True)},
-    "controller": {"a": ("a", float, True), "kp": ("kp", float, True)},
+    "controller": {"a": ("a", _parse_float, True), "kp": ("kp", _parse_float, True)},
 }
 
 #: Optional keys of [numeric] and [output]: key -> (RunConfig field, parser),
@@ -94,15 +102,15 @@ _SYSTEM = {
 _NUMERIC = {
     "numeric": {
         "x0": ("x0", _parse_vector),
-        "dt_bar": ("dt_bar", float),
-        "p": ("p", float),
+        "dt_bar": ("dt_bar", _parse_float),
+        "p": ("p", _parse_float),
         "trajectories": ("trajectories", int),
         "seed": ("seed", int),
         "levels": ("levels", int),
         "driving": ("driving", str),
         "substeps": ("substeps", int),
-        "dt": ("dt", float),
-        "t": ("horizon", float),
+        "dt": ("dt", _parse_float),
+        "t": ("horizon", _parse_float),
     },
     "output": {"dir": ("outdir", str)},
 }
@@ -277,7 +285,7 @@ def _task_simulate(cfg: RunConfig, outdir: Path) -> int:
     lines = [
         "task: simulate",
         f"samples: {run.hybrid.samples}",
-        f"impulses: {len(run.hybrid.impulses)}",
+        f"impulses: {int(run.hybrid.impulse_flag.sum())}",
         "final iterate: " + " ".join(_fmt(v) for v in final),
     ]
     _report(outdir, lines)

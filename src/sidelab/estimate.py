@@ -217,7 +217,7 @@ def run_ensemble(
     |z|^p statistics in fixed trajectory order."""
     if trajectories < 2:
         raise ValueError("need at least 2 trajectories")
-    if p <= 0:
+    if not p > 0:
         raise ValueError("p must be positive")
     if isinstance(system, LinearSde):
         return _ensemble_linear(system, z0, p, trajectories, T, dt, seed, driving)

@@ -20,7 +20,7 @@ from .errors import NotLinear, ValidationFailed
 from .matrix_kernels import as_square
 
 _LINEARITY_RTOL = 1e-8
-_LIPSCHITZ_SLACK = 1e-6  # relative slack of `validate`'s ratio checks
+_LIPSCHITZ_SLACK = 1e-6  # relative slack of `validate`'s ratio and gap checks
 _FLOAT64 = np.dtype(np.float64)
 
 
@@ -210,6 +210,8 @@ class SideSystem:
     and at each impulse time both states jump through `jumps` driven by a
     fresh standard-normal draw.  `lipschitz_x` / `lipschitz_y` declare the
     global Lipschitz constants of the x-maps and the coupled (x, y)-maps.
+    Over z = (x, y) the flow is dz = drift(z, t) dt + diffusion(z, t) dB and
+    impulse k maps z to z + jump(z, k) + jump_gain(z, k) @ xi(k).
     """
 
     n: int
@@ -235,6 +237,27 @@ class SideSystem:
     def split(self, z) -> tuple[np.ndarray, np.ndarray]:
         z = _as_vector(z, self.dim, "z")
         return z[: self.n], z[self.n :]
+
+    def drift(self, z, t: float = 0.0) -> np.ndarray:
+        x, y = self.split(z)
+        return np.concatenate([self.drift_x(x, t), self.drift_y(x, y, t)])
+
+    def diffusion(self, z, t: float = 0.0) -> np.ndarray:
+        x, y = self.split(z)
+        return self._stack_gains(self.diffusion_x(x, t), self.diffusion_y(x, y, t))
+
+    def jump(self, z, k: int) -> np.ndarray:
+        x, y = self.split(z)
+        return np.concatenate([self.jumps.jump_x(x, k), self.jumps.jump_y(x, y, k)])
+
+    def jump_gain(self, z, k: int) -> np.ndarray:
+        x, y = self.split(z)
+        return self._stack_gains(self.jumps.jump_x_gain(x, k), self.jumps.jump_y_gain(x, y, k))
+
+    def _stack_gains(self, gx, gy) -> np.ndarray:
+        m = self.noise_dim
+        gx, gy = np.asarray(gx, dtype=float), np.asarray(gy, dtype=float)
+        return np.concatenate([gx.reshape(self.n, m), gy.reshape(self.q, m)])
 
 
 def make_cps(sde: Sde, dt: float) -> SideSystem:
@@ -286,50 +309,6 @@ def make_cps(sde: Sde, dt: float) -> SideSystem:
 
 
 @dataclass(frozen=True)
-class CompactForm:
-    """Stacked evaluators for the joint state z = (x, y).
-
-    F and G drive dz = F(z, t) dt + G(z, t) dB between impulses; H_F and H_G
-    give the jump `H_F(z, k) + H_G(z, k) @ xi(k)`.
-    """
-
-    side: SideSystem
-
-    @property
-    def dim(self) -> int:
-        return self.side.dim
-
-    def drift(self, z, t: float = 0.0) -> np.ndarray:
-        x, y = self.side.split(z)
-        return np.concatenate([self.side.drift_x(x, t), self.side.drift_y(x, y, t)])
-
-    def diffusion(self, z, t: float = 0.0) -> np.ndarray:
-        x, y = self.side.split(z)
-        m = self.side.noise_dim
-        gx = np.asarray(self.side.diffusion_x(x, t), dtype=float)
-        gy = np.asarray(self.side.diffusion_y(x, y, t), dtype=float)
-        return np.concatenate([gx.reshape(self.side.n, m), gy.reshape(self.side.q, m)])
-
-    def jump(self, z, k: int) -> np.ndarray:
-        x, y = self.side.split(z)
-        return np.concatenate(
-            [self.side.jumps.jump_x(x, k), self.side.jumps.jump_y(x, y, k)]
-        )
-
-    def jump_gain(self, z, k: int) -> np.ndarray:
-        x, y = self.side.split(z)
-        m = self.side.noise_dim
-        gx = np.asarray(self.side.jumps.jump_x_gain(x, k), dtype=float)
-        gy = np.asarray(self.side.jumps.jump_y_gain(x, y, k), dtype=float)
-        return np.concatenate([gx.reshape(self.side.n, m), gy.reshape(self.side.q, m)])
-
-
-def compact_form(side: SideSystem) -> CompactForm:
-    """Assemble the stacked z = (x, y) evaluators of a hybrid system."""
-    return CompactForm(side)
-
-
-@dataclass(frozen=True)
 class LinearCompactForm:
     """Matrices of a linear hybrid system over z = (x, y), each (n+q)-square.
 
@@ -347,28 +326,28 @@ class LinearCompactForm:
 
 
 def linear_compact_form(side: SideSystem) -> LinearCompactForm:
-    """Probe the stacked evaluators of a linear hybrid system for its matrices.
+    """Probe a linear hybrid system's stacked evaluators (`SideSystem.drift`,
+    `diffusion`, `jump` and `jump_gain`) for its matrices.
 
     Basis probes at (t, k) = (0, 1) recover each matrix; random probes (seed
     0) at two other (t, k) pairs then verify linearity and time/index
     invariance of all four evaluators, raising NotLinear on failure.
     """
-    cf = compact_form(side)
     eye = np.eye(side.dim)
-    drift = np.column_stack([cf.drift(e, 0.0) for e in eye])
-    jump = np.column_stack([cf.jump(e, 1) for e in eye])
+    drift = np.column_stack([side.drift(e, 0.0) for e in eye])
+    jump = np.column_stack([side.jump(e, 1) for e in eye])
     # (dim, m, dim) stacks of gain columns; slice j is the matrix of column j
-    noise = np.stack([cf.diffusion(e, 0.0) for e in eye], axis=-1)
-    gains = np.stack([cf.jump_gain(e, 1) for e in eye], axis=-1)
+    noise = np.stack([side.diffusion(e, 0.0) for e in eye], axis=-1)
+    gains = np.stack([side.jump_gain(e, 1) for e in eye], axis=-1)
     rng = np.random.default_rng(0)
     for t, k in ((0.7, 2), (2.3, 3)):
         for _ in range(3):
             v = rng.uniform(-2.0, 2.0, side.dim)
             for label, got, want in (
-                ("drift", cf.drift(v, t), drift @ v),
-                ("diffusion", cf.diffusion(v, t), noise @ v),
-                ("jump", cf.jump(v, k), jump @ v),
-                ("jump_gain", cf.jump_gain(v, k), gains @ v),
+                ("drift", side.drift(v, t), drift @ v),
+                ("diffusion", side.diffusion(v, t), noise @ v),
+                ("jump", side.jump(v, k), jump @ v),
+                ("jump_gain", side.jump_gain(v, k), gains @ v),
             ):
                 scale = 1.0 + float(np.abs(want).max(initial=0.0))
                 if np.abs(got - want).max(initial=0.0) > _LINEARITY_RTOL * scale:
@@ -381,16 +360,12 @@ def linear_compact_form(side: SideSystem) -> LinearCompactForm:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Spot-check evidence: worst Lipschitz ratios and origin values seen."""
+    """Spot-check evidence: the largest Lipschitz ratio of each evaluator over
+    `pairs` sampled pairs, and the constant declared for it."""
 
     max_ratio: dict[str, float]
-    origin_norm: dict[str, float]
     declared: dict[str, float]
     pairs: int
-
-    def worst(self) -> str:
-        items = ", ".join(f"{k}={v:.6g}" for k, v in self.max_ratio.items())
-        return f"max sampled Lipschitz ratios over {self.pairs} pairs: {items}"
 
 
 def _pair_ratio(delta_val: np.ndarray, delta_arg: float) -> float:
@@ -406,18 +381,20 @@ def validate(
     pairs: int = 1000,
     seed: int = 0,
 ) -> ValidationReport:
-    """Spot check Lipschitz declarations and the origin equilibrium.
+    """Spot check Lipschitz declarations, the origin equilibrium and the
+    declared impulse gaps.
 
     Samples `pairs` point pairs uniformly on [-box, box]^dim and compares the
     observed increment ratios against the declared constants, and probes
-    every evaluator at the origin.  Raises ValidationFailed naming the
-    offending evaluator and sample pair; returns the report when everything
+    every evaluator at the origin.  A hybrid system's gaps t_{k+1} - t_k, k <
+    `pairs`, must lie in the [dt_under, dt_over] that `check_thm1` and
+    `check_thm2` trust.  Raises ValidationFailed naming the offending
+    evaluator and sample pair, or gap k; returns the report when everything
     passes.  The check is probabilistic: it catches gross misconfiguration,
     it does not prove the global property.
     """
     rng = np.random.default_rng(seed)
     max_ratio: dict[str, float] = {}
-    origin_norm: dict[str, float] = {}
     declared: dict[str, float] = {}
 
     # rows (name, evaluator of (x, y, t, k), declared constant, whether the
@@ -445,9 +422,19 @@ def validate(
 
     for name, fn, _, _ in rows:
         norm = float(np.abs(np.asarray(fn(np.zeros(n), np.zeros(q), 0.0, 1), dtype=float)).max(initial=0.0))
-        origin_norm[name] = norm
         if norm > 0.0:
             raise ValidationFailed(f"{name}(0) = {norm:.6g} != 0: origin is not an equilibrium")
+
+    if hybrid:
+        sched = s.schedule
+        lo, hi = sched.dt_under * (1.0 - _LIPSCHITZ_SLACK), sched.dt_over * (1.0 + _LIPSCHITZ_SLACK)
+        gaps = np.diff([sched.time(k) for k in range(pairs + 1)])
+        for k, gap in enumerate(gaps.tolist()):
+            if not lo <= gap <= hi:
+                raise ValidationFailed(
+                    f"schedule gap t_{k + 1} - t_{k} = {gap:.6g} lies outside the declared "
+                    f"[dt_under, dt_over] = [{sched.dt_under:.6g}, {sched.dt_over:.6g}]"
+                )
 
     rows.sort(key=lambda row: row[3])  # the x-maps first, as each pair checks them
     for _ in range(pairs):
@@ -469,4 +456,4 @@ def validate(
                     f"between {a} and {b}"
                 )
 
-    return ValidationReport(max_ratio, origin_norm, declared, pairs)
+    return ValidationReport(max_ratio, declared, pairs)

@@ -7,7 +7,8 @@ indices with no shared state (see `estimate`).  Unstable regimes are expected
 outputs of this tool, so overflow aborts the trajectory with the step index
 instead of clamping.
 
-Both hybrid integrators step through `_substeps`; for a `LinearSde` each
+Both hybrid integrators step through `_substeps`, `simulate_side` with the
+stacked z = (x, y) evaluators of its `SideSystem`; for a `LinearSde` each
 substep is one batched product with `LinearSde.stack`, the 3-d array
 [F, G_1, .., G_m] that owns the F/G_j products (3-d, not row-stacked, so it
 rounds as the separate products do).
@@ -22,7 +23,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .errors import GridMismatch, NonFinite, StepsizeTooLarge
-from .models import CompactForm, LinearSde, Sde, SideSystem, _as_vector, compact_form
+from .models import LinearSde, Sde, SideSystem, _as_vector
 from .noise import NoisePlan
 
 Driving = Literal["xi", "brownian"]
@@ -46,28 +47,18 @@ class DiscretePath:
 
 
 @dataclass(frozen=True)
-class ImpulseRecord:
-    """One applied jump: index k, its time, and the (x, y) state around it."""
-
-    k: int
-    time: float
-    pre: np.ndarray
-    post: np.ndarray
-
-
-@dataclass(frozen=True)
 class HybridTrajectory:
     """Right-continuous sampled path of a hybrid system.
 
     Impulse times appear twice: the left limit first (impulse_flag 0), the
-    post-impulse value second (impulse_flag 1).
+    post-impulse value second (impulse_flag 1): the flagged rows are the
+    impulses k = 1, 2, ... in order, each after its left-limit row.
     """
 
     times: np.ndarray          # (S,)
     x: np.ndarray              # (S, n), the first columns of one (S, n+q) state array
     y: np.ndarray              # (S, q), its last columns
     impulse_flag: np.ndarray   # (S,) 0/1
-    impulses: tuple[ImpulseRecord, ...]
 
     @property
     def samples(self) -> int:
@@ -150,7 +141,7 @@ def whole_steps(T: float, dt: float) -> int:
     return steps
 
 
-def _increment(system: Sde | CompactForm) -> Callable:
+def _increment(system: Sde | SideSystem) -> Callable:
     """The substep increment (z, t, h, w) -> h f(z, t) + g(z, t) @ w.
 
     A `LinearSde` takes both products from one batched `stack @ z` (see
@@ -216,10 +207,10 @@ def simulate_side(
     """Integrate a hybrid system on [0, T].
 
     Each impulse interval is covered by `inner_substeps` explicit substeps of
-    the stacked flow dz = F(z, t) dt + G(z, t) dB (see `compact_form`); at
+    the stacked flow dz = side.drift(z, t) dt + side.diffusion(z, t) dB; at
     every impulse time within the horizon the left limit is recorded, the
-    jump z + H_F(z, k) + H_G(z, k) xi(k) is applied, and the post value is
-    recorded at the same time.
+    jump z + side.jump(z, k) + side.jump_gain(z, k) xi(k) is applied, and the
+    post value is recorded at the same time, flagged.
 
     The schedule is walked up to the horizon first, so the Brownian normals
     and the impulse draws are each taken from the plan in one block.  With
@@ -244,14 +235,12 @@ def simulate_side(
     jumps = intervals - (knots[-1] > T + horizon_tol)
     draws = plan.standard_normals(intervals * s)
     xis = plan.xi_block(jumps)
-    cf = compact_form(side)
-    increment = _increment(cf)
+    increment = _increment(side)
 
     states = np.empty((1 + intervals * s + jumps, side.dim))
     times = np.empty(states.shape[0])
     flags = np.zeros(states.shape[0], dtype=np.uint8)
     states[0], times[0] = z, 0.0
-    impulses = []
     for k in range(intervals):
         t_k, t_next = knots[k], knots[k + 1]
         end = min(t_next, T)
@@ -263,13 +252,12 @@ def simulate_side(
         times[row + s - 1] = end
         if k < jumps:
             with np.errstate(over="ignore", invalid="ignore"):
-                z = z + cf.jump(z, k + 1) + cf.jump_gain(z, k + 1) @ xis[k]
+                z = z + side.jump(z, k + 1) + side.jump_gain(z, k + 1) @ xis[k]
             if not np.all(np.isfinite(z)):
                 raise NonFinite(f"state overflowed at impulse {k + 1}", step=(k + 1) * s)
             states[row + s], times[row + s], flags[row + s] = z, t_next, 1
-            impulses.append(ImpulseRecord(k + 1, t_next, states[row + s - 1], states[row + s]))
 
-    return HybridTrajectory(times, states[:, : side.n], states[:, side.n :], flags, tuple(impulses))
+    return HybridTrajectory(times, states[:, : side.n], states[:, side.n :], flags)
 
 
 def simulate_cps(
@@ -334,13 +322,7 @@ def simulate_cps(
     grid[:, s - 1 :] = (np.arange(1, n_intervals + 1) * dt)[:, None]
     flags = np.zeros(states.shape[0], dtype=np.uint8)
     flags[s + 1 :: s + 1] = 1
-    impulses = tuple(
-        ImpulseRecord(k + 1, (k + 1) * dt, states[r - 1], states[r])
-        for k, r in enumerate(range(s + 1, states.shape[0], s + 1))
-    )
-    hybrid = HybridTrajectory(
-        np.concatenate([[0.0], grid.ravel()]), states[:, :n], states[:, n:], flags, impulses
-    )
+    hybrid = HybridTrajectory(np.concatenate([[0.0], grid.ravel()]), states[:, :n], states[:, n:], flags)
     return CpsTrajectory(hybrid=hybrid, cyber=cyber)
 
 

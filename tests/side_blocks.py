@@ -3,7 +3,7 @@ matrices over z = (x, y), and the q = 0 view of a system's stacked form."""
 
 import numpy as np
 
-from sidelab.models import ImpulseMaps, SideSystem, compact_form
+from sidelab.models import ImpulseMaps, SideSystem
 
 
 def side_from_blocks(n, drift, noise, jump, gains, schedule):
@@ -49,19 +49,18 @@ def random_blocks(rng, n, q, m):
 
 def stacked_as_x(side):
     """The same system with z as its x-block and no y-block (q = 0)."""
-    cf = compact_form(side)
     m = side.noise_dim
     return SideSystem(
         n=side.dim,
         q=0,
         noise_dim=m,
-        drift_x=cf.drift,
-        diffusion_x=cf.diffusion,
+        drift_x=side.drift,
+        diffusion_x=side.diffusion,
         drift_y=lambda x, y, t: np.zeros(0),
         diffusion_y=lambda x, y, t: np.zeros((0, m)),
         jumps=ImpulseMaps(
-            jump_x=cf.jump,
-            jump_x_gain=cf.jump_gain,
+            jump_x=side.jump,
+            jump_x_gain=side.jump_gain,
             jump_y=lambda x, y, k: np.zeros(0),
             jump_y_gain=lambda x, y, k: np.zeros((0, m)),
         ),

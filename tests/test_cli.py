@@ -253,6 +253,27 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error: key 'substeps' in [numeric]: ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("section, key, task", [
+        ("numeric", "x0", "simulate"),
+        ("numeric", "x0", "exponent"),
+        ("numeric", "p", "exponent"),
+        ("numeric", "dt_bar", "analyze"),
+        ("system", "mu", "simulate"),
+        ("numeric", "dt", "simulate"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_number_is_named(self, tmp_path, capsys, section, key, task, value):
+        blocks = {"system": {"kind": "scalar", "lambda": "-1", "mu": "0.5"},
+                  "task": {"name": task},
+                  "numeric": {"dt": "0.5", "t": "1.0", "trajectories": "8"},
+                  "output": {"dir": str(tmp_path / "o")}}
+        blocks[section][key] = value
+        text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+                       for name, keys in blocks.items())
+        assert main(["--config", write(tmp_path, "n.ini", text)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: key '{key}' in [{section}]: bad value '{value}' (")
+        assert not (tmp_path / "o").exists()
+
     def test_overflow_is_reported_without_warnings(self, tmp_path):
         cfg = write(
             tmp_path,
@@ -485,7 +506,7 @@ class TestPublicNames:
         "scalar_onestep_factor", "strong_error_sup",
         "decay_rate", "is_positive_definite", "solve_ct_lyapunov", "solve_dt_lyapunov",
         "ImpulseMaps", "ImpulseSchedule", "LinearSde", "SideSystem",
-        "VectorFieldSde", "compact_form", "make_cps", "validate",
+        "VectorFieldSde", "make_cps", "validate",
         "NoisePlan",
         "DiscretePath", "HybridTrajectory", "CpsTrajectory", "euler_maruyama", "exact_gbm",
         "simulate_cps", "simulate_scalar_cps_demo", "simulate_side",
@@ -496,7 +517,7 @@ class TestPublicNames:
     ]
 
     def test_package_exposes_every_public_name(self):
-        assert len(set(self.NAMES)) == 50
+        assert len(set(self.NAMES)) == 49
         assert [name for name in self.NAMES if not hasattr(sidelab, name)] == []
 
     def test_star_import_exposes_them(self):

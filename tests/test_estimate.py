@@ -148,6 +148,11 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             run_ensemble(GBM, [1.0], 2.0, 1, 1.0, 0.1)
 
+    @pytest.mark.parametrize("p", [0.0, -1.0, math.nan])
+    def test_moment_order_must_be_positive(self, p):
+        with pytest.raises(ValueError, match="^p must be positive$"):
+            run_ensemble(GBM, [1.0], p, 8, 1.0, 0.1)
+
     @pytest.mark.parametrize("system", [GBM, VectorFieldSde(1, 1, GBM.drift, GBM.diffusion, GBM.lipschitz)],
                              ids=["linear", "vector_field"])
     def test_horizon_must_be_whole_steps(self, system):

@@ -30,3 +30,55 @@ def test_no_module_imports_a_name_it_never_uses():
     assert len(modules) > 1
     unused = {path.name: names for path in modules if (names := _unused_imports(path.read_text()))}
     assert unused == {}
+
+
+def _names_read(node: ast.AST, inside: frozenset = frozenset()) -> set[tuple[bool, str]]:
+    """(by attribute, word) of each read in `node`: a name (False), or an
+    attribute or a string for `getattr` (True); a read that the definition of
+    its own word encloses is left out."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        inside = inside | {node.name}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        read = (False, node.id)
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        read = (True, node.attr)
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        read = (True, node.value)
+    else:
+        read = None
+    found = {read} if read is not None and read[1] not in inside else set()
+    for child in ast.iter_child_nodes(node):
+        found |= _names_read(child, inside)
+    return found
+
+
+def _unread_definitions(defining: dict[str, str], reading: list[str]) -> list[str]:
+    """Functions, classes and methods (dunders aside) of the `defining`
+    sources, by file name, that no source in `reading` reads.  A method is
+    read only as an attribute or a string, anything else also as a name."""
+    reads = set().union(*(_names_read(ast.parse(source)) for source in reading))
+    by_attribute = {word for attr, word in reads if attr}
+    by_name = by_attribute | {word for attr, word in reads if not attr}
+    unread = []
+    for name, source in defining.items():
+        tree = ast.parse(source)
+        methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in cls.body}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and node.name not in (by_attribute if id(node) in methods else by_name)):
+                unread.append(f"{name}:{node.lineno} {node.name}")
+    return unread
+
+
+def test_every_definition_is_read():
+    source = "def f():\n    return f()\n\nclass C:\n    def m(self): pass\n    def n(self): pass\n"
+    reading = [source, "C().m()\ngetattr(C, 'n')\nm = n = 0\nprint(m, n)\n"]
+    assert _unread_definitions({"a.py": source}, reading) == ["a.py:1 f"]
+    assert _unread_definitions({"a.py": source}, [source, "print(C, f)\n"]) == ["a.py:5 m", "a.py:6 n"]
+    root = Path(__file__).resolve().parents[1]
+    defining = {path.name: path.read_text() for path in sorted((root / "src" / "sidelab").glob("*.py"))}
+    reading = [path.read_text() for tree in ("src", "tests", "perfbench")
+               for path in sorted((root / tree).rglob("*.py"))]
+    assert len(defining) > 1 and len(reading) > len(defining)
+    assert _unread_definitions(defining, reading) == []

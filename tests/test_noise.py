@@ -182,7 +182,7 @@ class TestDrawBudget:
         plan = NoisePlan(4, 0, 2, dt, intervals * dt)
         generated = count_generated(monkeypatch)
         traj = simulate_side(side, [1.0, -0.5, 0.25, 0.0, 0.0, 0.0], substeps, intervals * dt, plan)
-        jumps = len(traj.impulses)
+        jumps = int(traj.impulse_flag.sum())
         assert (traj.samples - 1 - jumps, jumps) == (16_000, 500)
         assert generated[0] == (16_000 + 500) * 2
 

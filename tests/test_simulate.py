@@ -107,7 +107,7 @@ class TestSimulateSide:
         post = traj.y[-1, 0]
         assert pre == pytest.approx(math.exp(-0.5) - 1.0, abs=2e-3)
         assert post - pre == pytest.approx(0.5, abs=2e-3)
-        assert len(traj.impulses) == 1
+        assert int(traj.impulse_flag.sum()) == 1
 
     def test_impulse_rows_doubled(self):
         side = make_cps(LinearSde.scalar(-1.0, 0.5), 0.5)
@@ -115,8 +115,8 @@ class TestSimulateSide:
         # 16 substeps + 4 impulses + initial row
         assert traj.samples == 16 + 4 + 1
         assert int(traj.impulse_flag.sum()) == 4
-        for rec in traj.impulses:
-            hits = np.flatnonzero(np.isclose(traj.times, rec.time))
+        for time in traj.times[traj.impulse_flag == 1]:
+            hits = np.flatnonzero(np.isclose(traj.times, time))
             assert hits.size == 2
 
     def test_within_interval_jumps_shrink(self):
@@ -207,10 +207,12 @@ class TestSimulateSideOracle:
         )
         assert np.array_equal(got.times, times)
         assert np.array_equal(got.impulse_flag, flags)
-        assert [(r.k, r.time) for r in got.impulses] == [rec[:2] for rec in impulses]
+        # impulse k is the k-th flagged row, its left limit the row before
+        rows, z = np.flatnonzero(got.impulse_flag), got.z()
+        assert list(enumerate(got.times[rows].tolist(), start=1)) == [rec[:2] for rec in impulses]
         pairs = [(got.x, xs), (got.y, ys)]
-        pairs += [(r.pre, rec[2]) for r, rec in zip(got.impulses, impulses)]
-        pairs += [(r.post, rec[3]) for r, rec in zip(got.impulses, impulses)]
+        pairs += [(z[r - 1], rec[2]) for r, rec in zip(rows, impulses)]
+        pairs += [(z[r], rec[3]) for r, rec in zip(rows, impulses)]
         for a, b in pairs:
             assert a.shape == b.shape
             if side.noise_dim <= 1:
@@ -222,7 +224,7 @@ class TestSimulateSideOracle:
     def test_horizon_inside_interval_drops_last_jump(self):
         side, z0, substeps, T = oracle_case("horizon-inside-interval")
         traj = simulate_side(side, z0, substeps, T, NoisePlan(4, 0, side.noise_dim, T, T))
-        assert len(traj.impulses) == 7 and traj.times[-1] == T
+        assert int(traj.impulse_flag.sum()) == 7 and traj.times[-1] == T
         assert traj.samples == 1 + 8 * substeps + 7
 
     def test_jump_overflow_reports_impulse_without_warnings(self):
@@ -242,7 +244,6 @@ class TestSimulateSideOracle:
             rows = np.flatnonzero(traj.impulse_flag)
             assert rows.size == 20
             assert np.array_equal(traj.times[rows - 1], traj.times[rows])
-            assert np.array_equal(traj.times[rows], [r.time for r in traj.impulses])
             assert np.array_equal(traj.times[rows], (np.arange(20) + 1) * 0.1)
 
     def test_non_increasing_schedule_rejected(self):
