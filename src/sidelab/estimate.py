@@ -137,8 +137,6 @@ def _sumsq(x):
 
 def _ensemble_linear(sde: LinearSde, x0, p, trajectories, T, dt, seed, driving) -> Ensemble:
     streams = {"xi": _IMPULSE_STREAM, "brownian": _BROWNIAN_STREAM}
-    if driving not in streams:
-        raise ValueError(f"unknown driving mode {driving!r}")
     n, m = sde.dim, sde.noise_dim
     n_steps = whole_steps(T, dt)
     x0 = _as_vector(x0, n, "x0")
@@ -214,7 +212,13 @@ def run_ensemble(
     inner_substeps: int = 1,
 ) -> Ensemble:
     """Simulate `trajectories` paths on a shared grid and accumulate their
-    |z|^p statistics in fixed trajectory order."""
+    |z|^p statistics in fixed trajectory order.  A hybrid system takes its
+    grid from its impulse schedule, not from `dt`, and its driving only from
+    "xi", the impulse stream that `simulate_side` draws its jumps from.
+    """
+    modes = ("xi",) if isinstance(system, SideSystem) else ("xi", "brownian")
+    if driving not in modes:
+        raise ValueError(f"unknown driving mode {driving!r} for {type(system).__name__}, expected one of {modes}")
     if trajectories < 2:
         raise ValueError("need at least 2 trajectories")
     if not p > 0:

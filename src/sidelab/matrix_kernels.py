@@ -1,7 +1,7 @@
 """Dense matrix primitives and the Lyapunov-type solvers behind every certificate.
 
 Matrices are plain float64 NumPy arrays: a general matrix is any finite 2-d
-array, a symmetric one is validated (and symmetrized) by the helpers here.
+array, a symmetric one is validated (and symmetrized) by `as_symmetric`.
 Everything is a pure function of its inputs and safe to call concurrently.
 Every certificate operator P -> sum_t A_t^T P B_t maps symmetric matrices to
 symmetric matrices, so it is built once, restricted to them: the unknown is
@@ -12,11 +12,14 @@ stepsize bound (`ct_stepsize_bound`), whose dominant eigenvalue is found by
 Arnoldi iteration (ARPACK) on the factored operator rather than by a dense
 eigendecomposition.
 
-The left-hand sides of the two certificate equations are also written once
-each by plain matrix products: `ct_form` (F^T P + P F + dt_bar F^T P F +
-sum Gj^T P Gj) and `dt_form` ((I + dt F)^T P (I + dt F) + dt sum Gj^T P Gj).
-They evaluate the solvers' residual gates, independently of the vectorized
-operator, and the quadratic forms of the certificates.
+The certificate form `ct_form` (F^T P + P F + dt_bar F^T P F + sum Gj^T P Gj)
+is written once by plain matrix products, independent of the vectorized
+operator, for the solvers' residual gate and the certificates.  The scheme's
+one-step form is that form at dt_bar = dt, exactly:
+
+    (I + dt F)^T P (I + dt F) + dt sum Gj^T P Gj - P = dt * ct_form(F, G, P, dt),
+
+so no condition on the scheme loses digits subtracting P from P + O(dt).
 """
 
 from __future__ import annotations
@@ -55,12 +58,8 @@ def as_symmetric(a, name: str = "matrix") -> np.ndarray:
     scale = 1.0 + np.abs(m).max(initial=0.0)
     if np.abs(m - m.T).max(initial=0.0) > 1e-8 * scale:
         raise ValueError(f"{name} is not symmetric")
-    return symmetrize(m)
-
-
-def symmetrize(a: np.ndarray) -> np.ndarray:
-    """(A + A^T) / 2; exact symmetry since IEEE addition commutes."""
-    return (a + a.T) / 2.0
+    # (M + M^T) / 2 is exactly symmetric, since IEEE addition commutes
+    return (m + m.T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -69,25 +68,23 @@ class PdReport:
 
     is_pd: bool
     lambda_min: float
-    tol: float
 
     def __bool__(self) -> bool:
         return self.is_pd
 
 
-def is_positive_definite(p, tol: float | None = None) -> PdReport:
+def is_positive_definite(p) -> PdReport:
     """Gate P > 0 by the smallest eigenvalue.
 
-    True iff lambda_min(P) > tol.  The default tolerance scales with the
-    matrix, DEFAULT_PD_SCALE * (1 + ||P||), leaving double-precision headroom
-    for the dimensions this toolkit targets.
+    True iff lambda_min(P) > DEFAULT_PD_SCALE * (1 + ||P||), a tolerance
+    that scales with the matrix and leaves double-precision headroom for the
+    dimensions this toolkit targets.
     """
     p = as_symmetric(p, "p")
     eigs = np.linalg.eigvalsh(p)
     lam_min = float(eigs[0])
-    if tol is None:
-        tol = DEFAULT_PD_SCALE * (1.0 + float(np.abs(eigs).max(initial=0.0)))
-    return PdReport(lam_min > tol, lam_min, float(tol))
+    tol = DEFAULT_PD_SCALE * (1.0 + float(np.abs(eigs).max(initial=0.0)))
+    return PdReport(lam_min > tol, lam_min)
 
 
 def gate_pd(p, name: str) -> np.ndarray:
@@ -153,26 +150,6 @@ def ct_form(f: np.ndarray, gs: Sequence[np.ndarray], p: np.ndarray, dt_bar: floa
     for g in gs:
         m = m + g.T @ p @ g
     return m
-
-
-def dt_form(f: np.ndarray, gs: Sequence[np.ndarray], p: np.ndarray, dt: float) -> np.ndarray:
-    """(I + dt F)^T P (I + dt F) + dt sum_j Gj^T P Gj by plain matrix products."""
-    a = np.eye(f.shape[0]) + dt * f
-    m = a.T @ p @ a
-    for g in gs:
-        m = m + dt * (g.T @ p @ g)
-    return m
-
-
-def _coerce_equation(f, gs: Sequence, q) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    f = as_square(f, "f")
-    q = as_symmetric(q, "q")
-    if q.shape[0] != f.shape[0]:
-        raise ValueError("f and q dimensions differ")
-    gs = [as_square(g, "g") for g in gs]
-    if any(g.shape[0] != f.shape[0] for g in gs):
-        raise ValueError("diffusion matrix dimension differs from f")
-    return f, gs, q
 
 
 def lu_factors(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,8 +241,14 @@ def solve_ct_lyapunov(f, gs: Sequence, dt_bar: float, q) -> np.ndarray:
     Raises SingularOperator when the vectorized system is singular or the
     defining-equation residual exceeds DEFAULT_RTOL * ||Q||.
     """
-    f, gs, q = _coerce_equation(f, gs, q)
-    if dt_bar < 0:
+    f = as_square(f, "f")
+    q = as_symmetric(q, "q")
+    if q.shape[0] != f.shape[0]:
+        raise ValueError("f and q dimensions differ")
+    gs = [as_square(g, "g") for g in gs]
+    if any(g.shape[0] != f.shape[0] for g in gs):
+        raise ValueError("diffusion matrix dimension differs from f")
+    if not dt_bar >= 0:
         raise ValueError("dt_bar must be nonnegative")
     return solve_gated(lu_factors(ct_operator(f, gs, dt_bar)), lambda p: ct_form(f, gs, p, dt_bar), q)
 
@@ -274,12 +257,11 @@ def solve_dt_lyapunov(f, gs: Sequence, dt: float, q) -> np.ndarray:
     """Solve (I + dt F)^T P (I + dt F) + dt sum_j Gj^T P Gj - P = -Q for symmetric P.
 
     The one-step mean-square equation of the explicit scheme at stepsize dt.
-    Raises SingularOperator at the stability boundary.
+    Its left-hand side is dt * ct_form(F, G, P, dt), so this is
+    solve_ct_lyapunov(f, gs, dt, Q / dt), with the same relative residual
+    gate.  Raises SingularOperator at the stability boundary.
     """
-    f, gs, q = _coerce_equation(f, gs, q)
-    if dt <= 0:
+    q = as_symmetric(q, "q")
+    if not dt > 0:
         raise ValueError("dt must be positive")
-    eye = np.eye(f.shape[0])
-    a = eye + dt * f
-    op = vec_operator([(a, a), (eye, -eye), *((g, dt * g) for g in gs)])
-    return solve_gated(lu_factors(op), lambda p: dt_form(f, gs, p, dt) - p, q)
+    return solve_ct_lyapunov(f, gs, dt, q / dt)

@@ -105,8 +105,8 @@ def euler_maruyama(
     Brownian increment of matching stepsize when driving="brownian".  A state
     that overflows raises NonFinite with the step index.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     if plan.noise_dim != sde.noise_dim:
@@ -219,8 +219,8 @@ def simulate_side(
     """
     if inner_substeps < 1:
         raise ValueError("inner_substeps must be >= 1")
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
     if plan.noise_dim != side.noise_dim:
         raise ValueError("plan noise dimension does not match the system")
     z = _as_vector(z0, side.dim, "z0")
@@ -380,8 +380,10 @@ def simulate_scalar_cps_demo(
         raise ValueError("a must be positive")
     if k_p <= a:
         raise ValueError("k_p must exceed a")
-    if dt <= 0 or T <= 0:
-        raise ValueError("dt and T must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
+    if not 0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
     bound = math.log(k_p / (k_p - a)) / a
     if dt >= bound:
         raise StepsizeTooLarge(

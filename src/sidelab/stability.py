@@ -25,7 +25,6 @@ from .matrix_kernels import (
     ct_operator,
     ct_stepsize_bound,
     decay_rate,
-    dt_form,
     gate_pd,
     is_positive_definite,
     lu_factors,
@@ -33,7 +32,6 @@ from .matrix_kernels import (
     solve_ct_lyapunov,
     solve_dt_lyapunov,
     solve_gated,
-    symmetrize,
 )
 from .models import LinearSde, SideSystem, linear_compact_form
 
@@ -104,7 +102,7 @@ def cp_lyapunov_feasible(sde: LinearSde, dt_bar: float) -> StabilityCertificate:
     explicit scheme and the coupled hybrid system for every stepsize in
     (0, dt_bar].
     """
-    if dt_bar < 0:
+    if not dt_bar >= 0:
         raise ValueError("dt_bar must be nonnegative")
     f, gs = sde.drift_matrix, sde.noise_matrices
     return _certificate(dt_bar, lambda: solve_ct_lyapunov(f, gs, dt_bar, np.eye(sde.dim)),
@@ -120,13 +118,14 @@ def discrete_ms_stable(sde: LinearSde, dt: float) -> StabilityCertificate:
     """Mean-square stability of the explicit one-step scheme at stepsize dt.
 
     Solves (I + dt F)^T P (I + dt F) + dt sum Gj^T P Gj - P = -I and gates
-    P > 0; a singular boundary maps to infeasible.
+    P > 0; a singular boundary maps to infeasible.  The margin is dt times
+    that of the dt_bar = dt certificate.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     f, gs = sde.drift_matrix, sde.noise_matrices
     return _certificate(dt, lambda: solve_dt_lyapunov(f, gs, dt, np.eye(sde.dim)),
-                        lambda p: symmetrize(dt_form(f, gs, p, dt)) - p)
+                        lambda p: dt * ct_form(f, gs, p, dt))
 
 
 def scalar_max_stepsize(lam: float, mu: float) -> float | None:
@@ -262,19 +261,19 @@ def quadratic_condition_constants(
     alpha_cross = max(pencil_top(m_ax, p), _POSITIVE_FLOOR)
     alpha_self = max(pencil_top(m_ay, p_tilde), _POSITIVE_FLOOR)
 
-    # x-jump second moment: (I + A)'P(I + A) + sum Hj'P Hj, the unit-step
-    # one-step form
+    # x-jump second moment: (I + A)'P(I + A) + sum Hj'P Hj = P + ct_form(A, H, P, 1);
+    # a beta below 1e-4 keeps only 1e-16 / beta relative, clamped at the floor
     h_x = [g[:n, :n] for g in lin.jump_gains]
-    beta = max(pencil_top(dt_form(lin.jump[:n, :n], h_x, p, 1.0), p), _POSITIVE_FLOOR)
+    beta = max(1.0 + pencil_top(ct_form(lin.jump[:n, :n], h_x, p, 1.0), p), _POSITIVE_FLOOR)
 
     # y-jump second moment, split likewise
     a_jy = lin.jump[n:, :n]
     m_bx = a_jy.T @ p_tilde @ a_jy
     for g in lin.jump_gains:
         m_bx = m_bx + g[n:, :n].T @ p_tilde @ g[n:, :n]
-    m_by = dt_form(lin.jump[n:, n:], [g[n:, n:] for g in lin.jump_gains], p_tilde, 1.0)
+    m_by = ct_form(lin.jump[n:, n:], [g[n:, n:] for g in lin.jump_gains], p_tilde, 1.0)
     beta_cross = max((1.0 + s) * pencil_top(m_bx, p), _POSITIVE_FLOOR)
-    beta_self = max((1.0 + 1.0 / s) * pencil_top(m_by, p_tilde), _POSITIVE_FLOOR)
+    beta_self = max((1.0 + 1.0 / s) * (1.0 + pencil_top(m_by, p_tilde)), _POSITIVE_FLOOR)
 
     return ConditionConstants(
         alpha=alpha,
@@ -354,14 +353,15 @@ def check_thm4(
     the conditions only require existence): the jump split keeps beta_self
     below 1 whenever the one-step factor d < 1, and alpha_self is then set
     to -ln(beta_self) / (2 dt), so the verdict reduces to alpha > 0 and
-    d < 1, matching the equivalence chain for linear systems.
+    d < 1, matching the equivalence chain for linear systems, with
+    d = 1 - dt * decay_rate(ct_form(F, G, P, dt), P).
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     p = gate_pd(p, "p")
     f, gs = sde.drift_matrix, sde.noise_matrices
     alpha = decay_rate(ct_form(f, gs, p), p)
-    d = pencil_top(dt_form(f, gs, p, dt), p)
+    d = 1.0 - dt * decay_rate(ct_form(f, gs, p, dt), p)
 
     if split is not None:
         if split <= 0:
@@ -397,7 +397,7 @@ def check_thm5(sde: LinearSde, p, dt_bar: float) -> Thm5Check:
     alpha_bar is min(margin, (1 - _THM5_EPS) / dt_bar) so the side constraint
     alpha_bar * dt_bar < 1 always holds when the margin is positive.
     """
-    if dt_bar < 0:
+    if not dt_bar >= 0:
         raise ValueError("dt_bar must be nonnegative")
     p = gate_pd(p, "p")
     margin = decay_rate(ct_form(sde.drift_matrix, sde.noise_matrices, p, dt_bar), p)
@@ -421,13 +421,12 @@ class Thm6Check:
 def check_thm6(sde: LinearSde, p, dt_bar: float) -> Thm6Check:
     """Test E[V(X_{k+1}) | X_k] <= c_bar V(X_k) with c_bar < 1 at stepsize dt_bar.
 
-    For linear systems c_bar is exact: the largest eigenvalue of the
-    P-pencil of (I + dt_bar F)'P(I + dt_bar F) + dt_bar sum Gj'P Gj.  Also
-    reports the implied continuous rate (1 - c_bar) / dt_bar.
+    For linear systems c_bar = 1 - dt_bar * rate is exact, with rate the
+    decay rate of ct_form(F, G, P, dt_bar) relative to P; the implied
+    continuous rate is that rate, the margin of check_thm5 at dt_bar.
     """
-    if dt_bar <= 0:
+    if not dt_bar > 0:
         raise ValueError("dt_bar must be positive")
     p = gate_pd(p, "p")
-    c_bar = pencil_top(dt_form(sde.drift_matrix, sde.noise_matrices, p, dt_bar), p)
-    passed = 1.0 - c_bar > STRICT_SLACK
-    return Thm6Check(passed, c_bar, (1.0 - c_bar) / dt_bar)
+    rate = decay_rate(ct_form(sde.drift_matrix, sde.noise_matrices, p, dt_bar), p)
+    return Thm6Check(dt_bar * rate > STRICT_SLACK, 1.0 - dt_bar * rate, rate)

@@ -169,6 +169,14 @@ class TestEnsemble:
         with pytest.raises(ValueError, match=r"^x0 must have length 2, got 1$"):
             run_ensemble(system, [1.0], 2.0, 8, 1.0, 0.1)
 
+    @pytest.mark.parametrize("driving", ["ito", "brownian"])
+    def test_hybrid_system_takes_only_xi_driving(self, driving):
+        # a hybrid run draws its jumps from the impulse stream, so any other
+        # mode would be silently ignored
+        with pytest.raises(ValueError, match=rf"^unknown driving mode '{driving}' for SideSystem, "
+                                             r"expected one of \('xi',\)$"):
+            run_ensemble(make_cps(GBM, 0.1), [1.0, 0.0], 2.0, 4, 0.5, 0.1, driving=driving)
+
     def test_moment_window_fit_returns_series(self):
         ens = run_ensemble(GBM, [1.0], 2.0, 100, 2.0, 0.05, seed=2)
         est, times, log_mean = fit_moment_window(ens)

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import sidelab
@@ -30,6 +33,16 @@ def test_no_module_imports_a_name_it_never_uses():
     assert len(modules) > 1
     unused = {path.name: names for path in modules if (names := _unused_imports(path.read_text()))}
     assert unused == {}
+
+
+def test_import_leaves_heavy_modules_unloaded():
+    # scipy.sparse.linalg costs every task about 35 ms of set-up and only the
+    # stepsize bound needs it; mpmath is not a dependency of the library
+    heavy = ("scipy.sparse.linalg", "mpmath")
+    code = f"import sys, sidelab; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def _names_read(node: ast.AST, inside: frozenset = frozenset()) -> set[tuple[bool, str]]:

@@ -142,7 +142,7 @@ class TestSolverInputs:
 
 class TestPositiveDefinite:
     def test_identity(self):
-        report = is_positive_definite(np.eye(3), tol=1e-10)
+        report = is_positive_definite(np.eye(3))
         assert report and report.lambda_min == pytest.approx(1.0)
 
     def test_indefinite(self):

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from sidelab.errors import NonFinite, StepsizeTooLarge
+from sidelab.matrix_kernels import solve_ct_lyapunov, solve_dt_lyapunov
 from sidelab.models import ImpulseSchedule, LinearSde, VectorFieldSde, make_cps
 from sidelab.noise import NoisePlan
 from sidelab.simulate import (
@@ -15,6 +16,13 @@ from sidelab.simulate import (
     simulate_scalar_cps_demo,
     simulate_side,
     trajectory_rows,
+)
+from sidelab.stability import (
+    check_thm4,
+    check_thm5,
+    check_thm6,
+    cp_lyapunov_feasible,
+    discrete_ms_stable,
 )
 from side_blocks import random_blocks, side_from_blocks, stacked_as_x
 
@@ -445,3 +453,32 @@ class TestTrajectoryRows:
         assert all(type(v) is float for r in rows for v in r)
         view = np.array([r[3] for r in rows])
         assert np.array_equal(view, run.hybrid.x[:, 0] - run.hybrid.y[:, 0])
+
+
+GBM = LinearSde.scalar(-1.0, 0.5)
+
+# (entry point, parameter, call with the bad value, bad values)
+NON_FINITE_CASES = [
+    ("simulate_side", "T",
+     lambda v: simulate_side(make_cps(GBM, 0.5), [1.0, 0.0], 4, v, plan_for(0.125, 2.0)), (math.nan, math.inf)),
+    ("euler_maruyama", "dt", lambda v: euler_maruyama(GBM, [1.0], v, 4, plan_for(0.25, 1.0)), (math.nan, math.inf)),
+    ("simulate_cps", "dt", lambda v: simulate_cps(GBM, [1.0], v, 1.0, plan_for(0.25, 1.0)), (math.nan,)),
+    ("scalar_cps_demo", "dt", lambda v: simulate_scalar_cps_demo(1.0, 2.0, 1.0, v, 10.0), (math.nan, math.inf)),
+    ("scalar_cps_demo", "T", lambda v: simulate_scalar_cps_demo(1.0, 2.0, 1.0, 0.5, v), (math.nan, math.inf)),
+    ("cp_lyapunov_feasible", "dt_bar", lambda v: cp_lyapunov_feasible(GBM, v), (math.nan,)),
+    ("discrete_ms_stable", "dt", lambda v: discrete_ms_stable(GBM, v), (math.nan,)),
+    ("check_thm4", "dt", lambda v: check_thm4(GBM, [[1.0]], v), (math.nan,)),
+    ("check_thm5", "dt_bar", lambda v: check_thm5(GBM, [[1.0]], v), (math.nan,)),
+    ("check_thm6", "dt_bar", lambda v: check_thm6(GBM, [[1.0]], v), (math.nan,)),
+    ("solve_ct_lyapunov", "dt_bar", lambda v: solve_ct_lyapunov([[-1.0]], [], v, [[1.0]]), (math.nan,)),
+    ("solve_dt_lyapunov", "dt", lambda v: solve_dt_lyapunov([[-1.0]], [], v, [[1.0]]), (math.nan,)),
+]
+
+
+@pytest.mark.parametrize("name, call, value", [
+    pytest.param(name, call, value, id=f"{entry}-{name}={value}")
+    for entry, name, call, values in NON_FINITE_CASES for value in values
+])
+def test_non_finite_stepsize_or_horizon_is_named(name, call, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        call(value)

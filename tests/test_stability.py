@@ -220,6 +220,31 @@ class TestDiscreteStability:
         assert not discrete_ms_stable(SCALAR, 0.4375).feasible
 
 
+class TestSchemeConditionsAtSmallStepsizes:
+    """The scheme's one-step form is dt * ct_form at dt_bar = dt, so its
+    conditions keep every digit as dt shrinks."""
+
+    @staticmethod
+    def sde():
+        rng = np.random.default_rng(0)
+        f = -np.eye(3) + 0.3 * rng.normal(size=(3, 3))
+        return LinearSde(f, (0.3 * rng.normal(size=(3, 3)),))
+
+    @pytest.mark.parametrize("dt", [1e-2, 1e-6, 1e-8, 1e-10])
+    def test_discrete_certificate_is_the_scaled_cps_certificate(self, dt):
+        sde = self.sde()
+        cert = discrete_ms_stable(sde, dt)
+        assert cert.feasible, cert.detail
+        assert cert.margin == pytest.approx(dt * cp_lyapunov_feasible(sde, dt).margin, rel=1e-9)
+
+    @pytest.mark.parametrize("dt", [1e-2, 1e-6, 1e-10])
+    def test_thm6_rate_is_the_thm5_margin(self, dt):
+        sde = self.sde()
+        p = cp_lyapunov_feasible(sde, dt).p
+        thm6 = check_thm6(sde, p, dt)
+        assert thm6.passed and thm6.implied_alpha == check_thm5(sde, p, dt).margin
+
+
 class TestConditionConstants:
     def test_scalar_generator_rate(self):
         side = make_cps(SCALAR, 0.4)
