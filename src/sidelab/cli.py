@@ -4,7 +4,8 @@ Config files are flat INI: bracketed sections [system], [task], [numeric],
 [output], one key = value per line, matrix rows inline separated by ';'.
 [system] must name its `kind` (scalar, linear or controller) and give that
 kind's keys; every [numeric] and [output] key is optional and defaults to its
-RunConfig field.
+RunConfig field.  [numeric] `driving` (xi or brownian) is read by `simulate`
+only; `exponent` takes xi, its one stream, and exits 2 on brownian.
 Exit codes: 0 stable/feasible or simulation completed, 1 certified
 infeasible/unstable, 2 invalid input.  All numeric output in reports is
 printed with 12 significant digits; CSV cells use full-precision repr so
@@ -53,7 +54,7 @@ class RunConfig:
     seed: int = 0
     substeps: int | None = None   # simulate: inner substeps (32); converge: observation refinement (2)
     levels: int = 6
-    driving: str = "xi"
+    driving: str = "xi"             # simulate only: the scheme's increments, xi or brownian
     outdir: str = "out"
 
     def system(self) -> LinearSde:
@@ -293,10 +294,11 @@ def _task_simulate(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _task_exponent(cfg: RunConfig, outdir: Path) -> int:
+    if cfg.driving != "xi":
+        raise ConfigError(f"key 'driving' in [numeric]: task 'exponent' takes only xi, got {cfg.driving!r}")
     sde = cfg.system()
     ens = estimate.run_ensemble(
-        sde, np.array(cfg.x0), cfg.p, cfg.trajectories, cfg.horizon, cfg.dt,
-        seed=cfg.seed, driving=cfg.driving,
+        sde, np.array(cfg.x0), cfg.p, cfg.trajectories, cfg.horizon, cfg.dt, seed=cfg.seed
     )
     est, times, log_mean = estimate.fit_moment_window(ens)
     pathwise = estimate.fit_pathwise(ens)

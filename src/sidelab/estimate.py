@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
+from .errors import GridMismatch
 from .models import LinearSde, Sde, SideSystem, _as_vector
 from .noise import _BROWNIAN_STREAM, _IMPULSE_STREAM, NoisePlan, _generator, _standard_normals
 from .simulate import euler_maruyama, exact_gbm, simulate_side, whole_steps
@@ -135,8 +135,7 @@ def _sumsq(x):
     return sum((x[..., i, :] ** 2 for i in range(1, x.shape[-2])), x[..., 0, :] ** 2)
 
 
-def _ensemble_linear(sde: LinearSde, x0, p, trajectories, T, dt, seed, driving) -> Ensemble:
-    streams = {"xi": _IMPULSE_STREAM, "brownian": _BROWNIAN_STREAM}
+def _ensemble_linear(sde: LinearSde, x0, p, trajectories, T, dt, seed) -> Ensemble:
     n, m = sde.dim, sde.noise_dim
     n_steps = whole_steps(T, dt)
     x0 = _as_vector(x0, n, "x0")
@@ -148,7 +147,7 @@ def _ensemble_linear(sde: LinearSde, x0, p, trajectories, T, dt, seed, driving) 
 
     for start in range(0, trajectories, _ENSEMBLE_BATCH):
         b = min(_ENSEMBLE_BATCH, trajectories - start)
-        gens = [_generator(seed, traj, streams[driving]) for traj in range(start, start + b)]
+        gens = [_generator(seed, traj, _IMPULSE_STREAM) for traj in range(start, start + b)]
         chunk = max(1, _ENSEMBLE_DRAWS // (max(m, 1) * b))
         x = np.repeat(x0[:, None], b, axis=1)
         nrm = np.sqrt(_sumsq(x))
@@ -171,9 +170,7 @@ def _ensemble_linear(sde: LinearSde, x0, p, trajectories, T, dt, seed, driving) 
     return Ensemble(times, p, trajectories, moment_sum, sup_sq, terminal_log)
 
 
-def _ensemble_looped(
-    system, z0, p, trajectories, T, dt, seed, driving, inner_substeps
-) -> Ensemble:
+def _ensemble_looped(system, z0, p, trajectories, T, dt, seed, inner_substeps) -> Ensemble:
     # path(traj) -> (grid, states) of one trajectory; a hybrid run takes its grid from the schedule
     if isinstance(system, SideSystem):
         def path(traj):
@@ -183,7 +180,8 @@ def _ensemble_looped(
         n_steps = whole_steps(T, dt)
 
         def path(traj):
-            em = euler_maruyama(system, z0, dt, n_steps, NoisePlan(seed, traj, system.noise_dim, dt, T), driving)
+            xi = NoisePlan(seed, traj, system.noise_dim, T, T).xi_block(n_steps)
+            em = euler_maruyama(system, z0, dt, math.sqrt(dt) * xi)
             return em.times, em.states
 
     moment_sum = 0.0  # the first trajectory's moments make it an array on the grid
@@ -208,24 +206,23 @@ def run_ensemble(
     dt: float,
     *,
     seed: int = 0,
-    driving: str = "xi",
     inner_substeps: int = 1,
 ) -> Ensemble:
     """Simulate `trajectories` paths on a shared grid and accumulate their
-    |z|^p statistics in fixed trajectory order.  A hybrid system takes its
-    grid from its impulse schedule, not from `dt`, and its driving only from
-    "xi", the impulse stream that `simulate_side` draws its jumps from.
+    |z|^p statistics in fixed trajectory order.  The scheme of an SDE steps
+    at `dt` with the increments sqrt(dt) xi(k+1) of each trajectory's impulse
+    stream.  A hybrid system takes its grid from its impulse schedule, not
+    from `dt`, with `inner_substeps` substeps per interval.
     """
-    modes = ("xi",) if isinstance(system, SideSystem) else ("xi", "brownian")
-    if driving not in modes:
-        raise ValueError(f"unknown driving mode {driving!r} for {type(system).__name__}, expected one of {modes}")
     if trajectories < 2:
         raise ValueError("need at least 2 trajectories")
     if not p > 0:
         raise ValueError("p must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
     if isinstance(system, LinearSde):
-        return _ensemble_linear(system, z0, p, trajectories, T, dt, seed, driving)
-    return _ensemble_looped(system, z0, p, trajectories, T, dt, seed, driving, inner_substeps)
+        return _ensemble_linear(system, z0, p, trajectories, T, dt, seed)
+    return _ensemble_looped(system, z0, p, trajectories, T, dt, seed, inner_substeps)
 
 
 def fit_moment_window(ens: Ensemble) -> tuple[ExponentEstimate, np.ndarray, np.ndarray]:
@@ -383,10 +380,10 @@ def strong_error_sup(
     f, gs = sde.drift_matrix, sde.noise_matrices
     x0 = _as_vector(x0, n, "x0")
     n_fine = whole_steps(T, delta)
-    probe = NoisePlan(seed, 0, m, delta, T)
-    for level in levels:
-        probe.level_steps(level)  # raises GridMismatch if not nested
     coarsest = 1 << levels[-1]
+    if n_fine % coarsest:
+        raise GridMismatch(f"level {levels[-1]} stepsize does not divide the horizon: "
+                           f"{n_fine} finest steps are not a multiple of {coarsest}")
     chunk = -(-_CHUNK // coarsest) * coarsest
 
     err_sum = {l: 0.0 for l in levels}
@@ -410,8 +407,8 @@ def strong_error_sup(
             inc *= np.sqrt(delta)
             # ref holds fine indices s .. s + c, both ends included
             if scalar:
-                # the carried sum in front, then cumsum's sequential additions a row at a time
-                b_path = np.array(list(accumulate(inc[:, 0] if m else np.zeros((c, b)), initial=b_sum)))
+                # the carried sum in front, then sequential additions a row at a time
+                b_path = np.cumsum(np.vstack([b_sum, inc[:, 0] if m else np.zeros((c, b))]), axis=0)
                 b_sum = b_path[-1]
                 times = np.arange(s, s + c + 1) * delta
                 ref = exact_gbm(*scalar, float(x0[0]), np.repeat(times[:, None], b, axis=1), b_path)[:, None]

@@ -24,6 +24,7 @@ so no condition on the scheme loses digits subtracting P from P + O(dt).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -248,8 +249,8 @@ def solve_ct_lyapunov(f, gs: Sequence, dt_bar: float, q) -> np.ndarray:
     gs = [as_square(g, "g") for g in gs]
     if any(g.shape[0] != f.shape[0] for g in gs):
         raise ValueError("diffusion matrix dimension differs from f")
-    if not dt_bar >= 0:
-        raise ValueError("dt_bar must be nonnegative")
+    if not 0 <= dt_bar < math.inf:
+        raise ValueError("dt_bar must be nonnegative and finite")
     return solve_gated(lu_factors(ct_operator(f, gs, dt_bar)), lambda p: ct_form(f, gs, p, dt_bar), q)
 
 
@@ -262,6 +263,6 @@ def solve_dt_lyapunov(f, gs: Sequence, dt: float, q) -> np.ndarray:
     gate.  Raises SingularOperator at the stability boundary.
     """
     q = as_symmetric(q, "q")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     return solve_ct_lyapunov(f, gs, dt, q / dt)

@@ -13,6 +13,7 @@ convergence studies) and one for the impulse draws consumed at jump times.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,10 +92,10 @@ class NoisePlan:
     def __post_init__(self):
         if self.noise_dim < 0:
             raise ValueError("noise_dim must be nonnegative")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
         steps = int(round(self.horizon / self.delta))
         if steps < 1 or abs(steps * self.delta - self.horizon) > _GRID_RTOL * max(1.0, self.horizon):
             raise GridMismatch(
@@ -114,40 +115,23 @@ class NoisePlan:
         """Raw N(0,1) draws from the Brownian stream, shape (count, m)."""
         return self._draws(_BROWNIAN_STREAM, count)
 
-    def level_steps(self, level: int) -> int:
-        """Number of increments at level `level`; GridMismatch if not nested."""
-        if level < 0:
-            raise ValueError("level must be nonnegative")
-        steps = self.finest_steps
-        factor = 1 << level
-        if steps % factor != 0:
-            raise GridMismatch(
-                f"level {level} stepsize does not divide the horizon: "
-                f"{steps} finest steps are not a multiple of {factor}"
-            )
-        return steps // factor
-
-    def level_for(self, dt: float) -> int:
-        """Level whose stepsize equals dt within roundoff."""
-        ratio = dt / self.delta
-        level = int(round(np.log2(ratio))) if ratio > 0 else -1
-        if level < 0 or abs(self.delta * (1 << level) - dt) > _GRID_RTOL * max(dt, 1.0):
-            raise GridMismatch(f"dt={dt!r} is not delta * 2**level for this plan")
-        self.level_steps(level)
-        return level
-
     def increments(self, level: int = 0) -> np.ndarray:
         """Brownian increments at level `level`, shape (steps, m).
 
-        Finest-level increments are i.i.d. Normal(0, delta); each coarser
-        increment is the exact pairwise sum of its two children, so refined
-        grids are consistent by construction.
+        Finest-level increments are sqrt(delta) times `standard_normals`; each
+        coarser increment is the exact pairwise sum of its two children, so
+        refined grids are consistent by construction.  Raises GridMismatch
+        when 2**level does not divide the number of finest steps.
         """
-        steps = self.level_steps(level)
-        out = self.standard_normals(self.finest_steps) * np.sqrt(self.delta)
+        if level < 0:
+            raise ValueError("level must be nonnegative")
+        steps = self.finest_steps
+        if steps % (1 << level):
+            raise GridMismatch(f"level {level} stepsize does not divide the horizon: "
+                               f"{steps} finest steps are not a multiple of {1 << level}")
+        out = self.standard_normals(steps) * np.sqrt(self.delta)
         for _ in range(level):
             out = out[0::2] + out[1::2]
-        assert out.shape[0] == steps
         return out
 
     def xi(self, k: int) -> np.ndarray:

@@ -76,50 +76,27 @@ class CpsTrajectory:
     cyber: DiscretePath
 
 
-def _driving_increments(plan: NoisePlan, dt: float, n_steps: int, driving: Driving) -> np.ndarray:
-    """Per-step m-vector noise: sqrt(dt) * xi(k+1), or nested Brownian increments."""
-    if driving == "xi":
-        return math.sqrt(dt) * plan.xi_block(n_steps)
-    if driving == "brownian":
-        level = plan.level_for(dt)
-        inc = plan.increments(level)
-        if n_steps > inc.shape[0]:
-            raise GridMismatch(
-                f"{n_steps} steps of size {dt} exceed the plan horizon {plan.horizon}"
-            )
-        return inc[:n_steps]
-    raise ValueError(f"unknown driving mode {driving!r}")
-
-
-def euler_maruyama(
-    sde: Sde,
-    x0,
-    dt: float,
-    n_steps: int,
-    plan: NoisePlan,
-    driving: Driving = "xi",
-) -> DiscretePath:
+def euler_maruyama(sde: Sde, x0, dt: float, w) -> DiscretePath:
     """Explicit one-step path X_{k+1} = X_k + f(X_k) dt + g(X_k) w_k.
 
-    The per-step noise w_k is sqrt(dt) xi(k+1) by default, or the nested
-    Brownian increment of matching stepsize when driving="brownian".  A state
-    that overflows raises NonFinite with the step index.
+    `w` holds the increments w_0 .. w_{N-1}, shape (N, m): sqrt(dt) xi(k+1)
+    from the impulse stream in an ensemble, or the nested Brownian increments
+    of the coupled run in `simulate_cps`.  A state that overflows raises
+    NonFinite with the step index.
     """
     if not 0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
-    if n_steps < 0:
-        raise ValueError("n_steps must be nonnegative")
-    if plan.noise_dim != sde.noise_dim:
-        raise ValueError("plan noise dimension does not match the system")
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 2 or w.shape[1] != sde.noise_dim:
+        raise ValueError(f"w must have shape (N, {sde.noise_dim}), got {w.shape}")
     x = _as_vector(x0, sde.dim, "x0")
-    w = _driving_increments(plan, dt, n_steps, driving)
-    states = np.empty((n_steps + 1, sde.dim))
+    states = np.empty((w.shape[0] + 1, sde.dim))
     states[0] = x
     # overflow is reported by NonFinite below
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
+        for k, w_k in enumerate(w):
             t = k * dt
-            x = x + dt * sde.drift(x, t) + sde.diffusion(x, t) @ w[k]
+            x = x + dt * sde.drift(x, t) + sde.diffusion(x, t) @ w_k
             if not np.all(np.isfinite(x)):
                 raise NonFinite(f"state overflowed at step {k + 1}", step=k + 1)
             states[k + 1] = x
@@ -129,11 +106,11 @@ def euler_maruyama(
 def whole_steps(T: float, dt: float) -> int:
     """The number of steps of size dt that make up the horizon T.
 
-    Raises ValueError unless dt > 0 and T is a positive whole multiple of dt
-    within a relative 1e-9.
+    Raises ValueError unless dt is positive and finite and T is a positive
+    whole multiple of dt within a relative 1e-9.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     ratio = T / dt
     steps = int(round(ratio)) if math.isfinite(ratio) else 0
     if steps < 1 or abs(steps * dt - T) > _TIME_RTOL * max(1.0, T):
@@ -161,9 +138,9 @@ def _increment(system: Sde | SideSystem) -> Callable:
     return lambda z, t, h, w: h * drift(z, t) + diffusion(z, t) @ w
 
 
-def _substeps(increment, z, t_k, h, draws, out, step: int) -> np.ndarray:
-    """The explicit substep z + increment(z, t, h, sqrt(h) xi) from t_k, one
-    per row of `draws`, with `increment` from `_increment`.
+def _substeps(increment, z, t_k, h, w, out, step: int) -> np.ndarray:
+    """The explicit substep z + increment(z, t, h, w_j) from t_k, one per row
+    of the increments `w`, with `increment` from `_increment`.
 
     For a `LinearSde` the increment is one product with `LinearSde.stack`,
     the one owner of the F/G_j products, kept 3-d because a row-stacked
@@ -177,7 +154,6 @@ def _substeps(increment, z, t_k, h, draws, out, step: int) -> np.ndarray:
     non-finite states for the rest of the block, under the errstate below;
     an evaluator that raises on such a state also reports that NonFinite.
     """
-    w = math.sqrt(h) * draws
     written = out
     # overflow is reported by NonFinite below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -246,7 +222,7 @@ def simulate_side(
         end = min(t_next, T)
         h = (end - t_k) / s
         row = 1 + k * (s + 1)
-        z = _substeps(increment, z, t_k, h, draws[k * s : (k + 1) * s],
+        z = _substeps(increment, z, t_k, h, math.sqrt(h) * draws[k * s : (k + 1) * s],
                       states[row : row + s], k * s)
         times[row : row + s] = t_k + np.arange(1, s + 1) * h
         times[row + s - 1] = end
@@ -271,37 +247,39 @@ def simulate_cps(
 ) -> CpsTrajectory:
     """Integrate the coupled exact/numerical hybrid system on [0, T].
 
-    x follows the SDE on a grid of `inner_substeps` substeps per interval
-    [k dt, (k+1) dt); y starts at 0, and x(t) - y(t) is piecewise constant,
-    equal to the one-step iterate X_k driven by the same impulse draws.
+    x takes `inner_substeps` substeps of size h per interval [k dt, (k+1) dt),
+    with the increments sqrt(h) times the plan's Brownian normals.  y starts
+    at 0, and x(t) - y(t) is piecewise constant, equal to the one-step iterate
+    X_k of `euler_maruyama`; y is derived through that identity, which is
+    numerically exact.  T must be a whole number of impulse intervals.
 
-    y is derived through that identity, which is numerically exact; the same
-    system integrated block by block is `simulate_side(make_cps(sde, dt), ...)`
-    with xi-driven jumps.  With impulse_driving="brownian" the jump
-    consumes the nested Brownian increment instead of sqrt(dt) xi(k+1), which
-    requires the plan's finest grid to match the substep grid and
-    inner_substeps to be a power of two.
-
-    T must be a whole number of impulse intervals.
+    The scheme's increments are sqrt(dt) xi(k+1) by default, as in
+    `simulate_side(make_cps(sde, dt), ...)`, the same system integrated block
+    by block.  With impulse_driving="brownian" they are x's increments folded
+    pairwise over each interval, so inner_substeps must be a power of two.
     """
     n_intervals = whole_steps(T, dt)
     if inner_substeps < 1:
         raise ValueError("inner_substeps must be >= 1")
     if plan.noise_dim != sde.noise_dim:
         raise ValueError("plan noise dimension does not match the system")
-
     s = inner_substeps
-    h = dt / s
-    if impulse_driving == "brownian":
-        if abs(h - plan.delta) > _TIME_RTOL * max(h, 1.0):
-            raise GridMismatch(
-                "brownian impulse mode requires the substep grid to equal the plan's finest grid"
-            )
-        if s & (s - 1):
-            raise GridMismatch("brownian impulse mode requires power-of-two inner_substeps")
+    if impulse_driving not in ("xi", "brownian"):
+        raise ValueError(f"unknown driving mode {impulse_driving!r}")
+    if impulse_driving == "brownian" and s & (s - 1):
+        raise GridMismatch("brownian impulse mode requires power-of-two inner_substeps")
 
+    h = dt / s
+    w = math.sqrt(h) * plan.standard_normals(n_intervals * s)
+    if impulse_driving == "xi":
+        cyber_w = math.sqrt(dt) * plan.xi_block(n_intervals)
+    else:
+        # s is a power of two, so no pair spans two intervals
+        cyber_w = w
+        for _ in range(s.bit_length() - 1):
+            cyber_w = cyber_w[0::2] + cyber_w[1::2]
     # the one-step recursion, bitwise identical to the standalone scheme
-    cyber = euler_maruyama(sde, x0, dt, n_intervals, plan, driving=impulse_driving)
+    cyber = euler_maruyama(sde, x0, dt, cyber_w)
 
     # rows: the start, then per interval s substeps and the post-impulse
     # sample, which repeats x and moves only y
@@ -309,11 +287,9 @@ def simulate_cps(
     states = np.empty((1 + n_intervals * (s + 1), 2 * n))
     x = states[0, :n] = _as_vector(x0, n, "x0")
     body = states[1:].reshape(n_intervals, s + 1, 2 * n)
-    draws = plan.standard_normals(n_intervals * s)
     increment = _increment(sde)
     for k in range(n_intervals):
-        x = _substeps(increment, x, k * dt, h, draws[k * s : (k + 1) * s],
-                      body[k, :s, :n], k * s)
+        x = _substeps(increment, x, k * dt, h, w[k * s : (k + 1) * s], body[k, :s, :n], k * s)
         body[k, s, :n] = x
     states[:, n:] = states[:, :n] - cyber.states[np.arange(states.shape[0]) // (s + 1)]
 

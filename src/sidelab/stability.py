@@ -102,8 +102,8 @@ def cp_lyapunov_feasible(sde: LinearSde, dt_bar: float) -> StabilityCertificate:
     explicit scheme and the coupled hybrid system for every stepsize in
     (0, dt_bar].
     """
-    if not dt_bar >= 0:
-        raise ValueError("dt_bar must be nonnegative")
+    if not 0 <= dt_bar < math.inf:
+        raise ValueError("dt_bar must be nonnegative and finite")
     f, gs = sde.drift_matrix, sde.noise_matrices
     return _certificate(dt_bar, lambda: solve_ct_lyapunov(f, gs, dt_bar, np.eye(sde.dim)),
                         lambda p: ct_form(f, gs, p, dt_bar))
@@ -121,8 +121,8 @@ def discrete_ms_stable(sde: LinearSde, dt: float) -> StabilityCertificate:
     P > 0; a singular boundary maps to infeasible.  The margin is dt times
     that of the dt_bar = dt certificate.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     f, gs = sde.drift_matrix, sde.noise_matrices
     return _certificate(dt, lambda: solve_dt_lyapunov(f, gs, dt, np.eye(sde.dim)),
                         lambda p: dt * ct_form(f, gs, p, dt))
@@ -235,8 +235,8 @@ def quadratic_condition_constants(
     `linear_compact_form(side)`, which raises NotLinear for a
     nonlinear, time-dependent or index-dependent evaluator.
     """
-    if split <= 0:
-        raise ValueError("split must be positive")
+    if not 0 < split < math.inf:
+        raise ValueError("split must be positive and finite")
     p = gate_pd(p, "p")
     p_tilde = gate_pd(p_tilde, "p_tilde")
     lin = linear_compact_form(side)
@@ -356,16 +356,16 @@ def check_thm4(
     d < 1, matching the equivalence chain for linear systems, with
     d = 1 - dt * decay_rate(ct_form(F, G, P, dt), P).
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
+    if split is not None and not 0 < split < math.inf:
+        raise ValueError("split must be positive and finite")
     p = gate_pd(p, "p")
     f, gs = sde.drift_matrix, sde.noise_matrices
     alpha = decay_rate(ct_form(f, gs, p), p)
     d = 1.0 - dt * decay_rate(ct_form(f, gs, p, dt), p)
 
     if split is not None:
-        if split <= 0:
-            raise ValueError("split must be positive")
         alpha_self = 1.0 / split
         beta_self = max((1.0 + 1.0 / split) * d, _POSITIVE_FLOOR)
         bound = -math.log(beta_self) / alpha_self
@@ -397,8 +397,8 @@ def check_thm5(sde: LinearSde, p, dt_bar: float) -> Thm5Check:
     alpha_bar is min(margin, (1 - _THM5_EPS) / dt_bar) so the side constraint
     alpha_bar * dt_bar < 1 always holds when the margin is positive.
     """
-    if not dt_bar >= 0:
-        raise ValueError("dt_bar must be nonnegative")
+    if not 0 <= dt_bar < math.inf:
+        raise ValueError("dt_bar must be nonnegative and finite")
     p = gate_pd(p, "p")
     margin = decay_rate(ct_form(sde.drift_matrix, sde.noise_matrices, p, dt_bar), p)
     passed = margin > STRICT_SLACK
@@ -425,8 +425,8 @@ def check_thm6(sde: LinearSde, p, dt_bar: float) -> Thm6Check:
     decay rate of ct_form(F, G, P, dt_bar) relative to P; the implied
     continuous rate is that rate, the margin of check_thm5 at dt_bar.
     """
-    if not dt_bar > 0:
-        raise ValueError("dt_bar must be positive")
+    if not 0 < dt_bar < math.inf:
+        raise ValueError("dt_bar must be positive and finite")
     p = gate_pd(p, "p")
     rate = decay_rate(ct_form(sde.drift_matrix, sde.noise_matrices, p, dt_bar), p)
     return Thm6Check(dt_bar * rate > STRICT_SLACK, 1.0 - dt_bar * rate, rate)

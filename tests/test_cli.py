@@ -253,6 +253,21 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error: key 'substeps' in [numeric]: ")
         assert not (tmp_path / "o").exists()
 
+    def test_exponent_takes_only_xi_driving(self, tmp_path, capsys):
+        # an ensemble has no physical path to couple to: its scheme reads the impulse stream
+        cfg = write(
+            tmp_path,
+            "e.ini",
+            "[system]\nkind = scalar\nlambda = -1\nmu = 0.5\n\n[task]\nname = exponent\n\n"
+            f"[numeric]\ndt = 0.05\nt = 1.0\ntrajectories = 8\ndriving = brownian\n\n"
+            f"[output]\ndir = {tmp_path / 'o'}\n",
+        )
+        assert main(["--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "config error: key 'driving' in [numeric]: task 'exponent' takes only xi, got 'brownian'\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("section, key, task", [
         ("numeric", "x0", "simulate"),
         ("numeric", "x0", "exponent"),
@@ -465,8 +480,8 @@ class TestArtifacts:
 
     @pytest.mark.parametrize("system, numeric, code, diverged, digest", [
         ("kind = linear\nf = -1 0.3 ; 0.2 -2\ng1 = 0.4 0 ; 0.1 0.2\ng2 = 0.1 0.3 ; 0 0.2\n",
-         "x0 = 1 -0.5\ndt = 0.01\nt = 1.0\ntrajectories = 300\nseed = 4\ndriving = brownian\n", 0, 0,
-         "73d550958815f388c20d76cf92ba7815ec3300664c974d63db0cabf51be6fd2e"),
+         "x0 = 1 -0.5\ndt = 0.01\nt = 1.0\ntrajectories = 300\nseed = 4\n", 0, 0,
+         "c156ba9acc799793c29bfcb5c6f0b52132a1992e71c0f7230b3ac1e969f3b5b6"),
         # |1 + 50 dt| = 26 per step: every path overflows long before t = 200
         ("kind = scalar\nlambda = 50\nmu = 3\n",
          "x0 = 1\ndt = 0.5\nt = 200\ntrajectories = 4\nseed = 1\n", 1, 4,

@@ -128,8 +128,8 @@ class TestFrontDoors:
         assert pickle.dumps(got) == pickle.dumps(fit_moment_window(ens)[0])
 
     def test_as_exponent_forwards_options(self):
-        got = as_exponent(GBM, [1.0], 16, 1.0, 0.01, seed=5, driving="brownian")
-        ens = run_ensemble(GBM, [1.0], 2.0, 16, 1.0, 0.01, seed=5, driving="brownian")
+        got = as_exponent(GBM, [1.0], 16, 1.0, 0.01, seed=5)
+        ens = run_ensemble(GBM, [1.0], 2.0, 16, 1.0, 0.01, seed=5)
         assert pickle.dumps(got) == pickle.dumps(fit_pathwise(ens))
 
     @pytest.mark.parametrize("front_door, args", [
@@ -169,14 +169,6 @@ class TestEnsemble:
         with pytest.raises(ValueError, match=r"^x0 must have length 2, got 1$"):
             run_ensemble(system, [1.0], 2.0, 8, 1.0, 0.1)
 
-    @pytest.mark.parametrize("driving", ["ito", "brownian"])
-    def test_hybrid_system_takes_only_xi_driving(self, driving):
-        # a hybrid run draws its jumps from the impulse stream, so any other
-        # mode would be silently ignored
-        with pytest.raises(ValueError, match=rf"^unknown driving mode '{driving}' for SideSystem, "
-                                             r"expected one of \('xi',\)$"):
-            run_ensemble(make_cps(GBM, 0.1), [1.0, 0.0], 2.0, 4, 0.5, 0.1, driving=driving)
-
     def test_moment_window_fit_returns_series(self):
         ens = run_ensemble(GBM, [1.0], 2.0, 100, 2.0, 0.05, seed=2)
         est, times, log_mean = fit_moment_window(ens)
@@ -185,7 +177,7 @@ class TestEnsemble:
 
     def test_sup_bound_sanity(self):
         # empirical E sup |x|^2 sits far below the a-priori envelope
-        ens = run_ensemble(GBM, [1.0], 2.0, 500, 1.0, 1.0 / 512, seed=7, driving="brownian")
+        ens = run_ensemble(GBM, [1.0], 2.0, 500, 1.0, 1.0 / 512, seed=7)
         x0, lip, T = 1.0, GBM.lipschitz, 1.0
         bound = (1.0 + 3.0 * x0**2) * math.exp(3.0 * lip * T * (T + 4.0))
         assert float(np.mean(ens.sup_sq)) < bound
@@ -263,15 +255,13 @@ def _row_major_steps(f, gs, x, dt, w):
         yield x
 
 
-def _plan_noise(seed, trajs, m, dt, T, driving):
-    """Per-step noise of each trajectory from its own plan: (B, N, m)."""
+def _plan_noise(seed, trajs, m, dt, T):
+    """Per-step noise sqrt(dt) xi(k+1) of each trajectory from its own plan: (B, N, m)."""
     plans = [NoisePlan(seed, traj, m, dt, T) for traj in trajs]
-    if driving == "xi":
-        return np.stack([math.sqrt(dt) * plan.xi_block(plan.finest_steps) for plan in plans])
-    return np.stack([plan.increments(0) for plan in plans])
+    return np.stack([math.sqrt(dt) * plan.xi_block(plan.finest_steps) for plan in plans])
 
 
-def row_major_ensemble(sde, x0, p, trajectories, T, dt, *, seed=0, driving="xi"):
+def row_major_ensemble(sde, x0, p, trajectories, T, dt, *, seed=0):
     n, m = sde.dim, sde.noise_dim
     n_steps = NoisePlan(seed, 0, m, dt, T).finest_steps
     x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (n,))
@@ -281,7 +271,7 @@ def row_major_ensemble(sde, x0, p, trajectories, T, dt, *, seed=0, driving="xi")
     for start in range(0, trajectories, estimate._ENSEMBLE_BATCH):
         idx = range(start, min(start + estimate._ENSEMBLE_BATCH, trajectories))
         b = len(idx)
-        w = _plan_noise(seed, idx, m, dt, T, driving)
+        w = _plan_noise(seed, idx, m, dt, T)
         x = np.tile(x0, (b, 1))
         nrm = np.linalg.norm(x, axis=1)
         moment_sum[0] += float(np.sum(nrm**p))
@@ -329,7 +319,7 @@ def whole_array_study(sde, x0, T, levels, trajectories, *, delta, seed=0):
     for start in range(0, trajectories, estimate._SUP_BATCH):
         idx = range(start, min(start + estimate._SUP_BATCH, trajectories))
         b = len(idx)
-        inc0 = _plan_noise(seed, idx, m, delta, T, "brownian")
+        inc0 = np.stack([NoisePlan(seed, traj, m, delta, T).increments(0) for traj in idx])
         if n == 1 and m <= 1:
             lam = float(f[0, 0])
             mu = float(gs[0][0, 0]) if m else 0.0
@@ -446,17 +436,18 @@ SYS3 = LinearSde(
 X3 = [1.0, -0.5, 0.25]
 OVERFLOWING = LinearSde.scalar(50.0, 3.0)  # |1 + 50 dt| = 26 per step at dt = 0.5
 
-# (system, x0, p, trajectories, T, dt, seed, driving)
+# (system, x0, p, trajectories, T, dt, seed); every case reads the impulse
+# stream, so "xi" and "brownian" differ only in their seed
 ENSEMBLE_CASES = {
-    "xi": (SYS3, X3, 2.0, 300, 1.0, 1e-2, 1, "xi"),
-    "brownian": (SYS3, X3, 2.0, 300, 1.0, 1e-2, 2, "brownian"),
-    "two-batches": (SYS3, X3, 2.0, 2100, 0.1, 1e-3, 3, "xi"),
-    "steps-not-chunk-multiple": (SYS3, X3, 2.0, 1024, 0.3, 1e-3, 4, "brownian"),
-    "no-noise": (LinearSde(SYS3.drift_matrix), X3, 2.0, 20, 1.0, 1e-2, 5, "xi"),
-    "p1": (GBM, [1.0], 1.0, 200, 1.0, 1e-2, 6, "xi"),
-    "p3": (SYS3, X3, 3.0, 100, 1.0, 1e-2, 7, "brownian"),
-    "zero-start": (GBM, [0.0], 2.0, 50, 1.0, 1e-2, 8, "xi"),
-    "overflow": (OVERFLOWING, [1.0], 2.0, 8, 200.0, 0.5, 9, "xi"),
+    "xi": (SYS3, X3, 2.0, 300, 1.0, 1e-2, 1),
+    "brownian": (SYS3, X3, 2.0, 300, 1.0, 1e-2, 2),
+    "two-batches": (SYS3, X3, 2.0, 2100, 0.1, 1e-3, 3),
+    "steps-not-chunk-multiple": (SYS3, X3, 2.0, 1024, 0.3, 1e-3, 4),
+    "no-noise": (LinearSde(SYS3.drift_matrix), X3, 2.0, 20, 1.0, 1e-2, 5),
+    "p1": (GBM, [1.0], 1.0, 200, 1.0, 1e-2, 6),
+    "p3": (SYS3, X3, 3.0, 100, 1.0, 1e-2, 7),
+    "zero-start": (GBM, [0.0], 2.0, 50, 1.0, 1e-2, 8),
+    "overflow": (OVERFLOWING, [1.0], 2.0, 8, 200.0, 0.5, 9),
 }
 
 
@@ -467,20 +458,20 @@ def _chunk_steps(m, b):
 class TestTimeMajorEnsembleParity:
     @pytest.mark.parametrize("case", ENSEMBLE_CASES.values(), ids=ENSEMBLE_CASES.keys())
     def test_bitwise_equal_to_row_major_ensemble(self, case):
-        sde, x0, p, trajectories, T, dt, seed, driving = case
-        got = run_ensemble(sde, x0, p, trajectories, T, dt, seed=seed, driving=driving)
-        want = row_major_ensemble(sde, x0, p, trajectories, T, dt, seed=seed, driving=driving)
+        sde, x0, p, trajectories, T, dt, seed = case
+        got = run_ensemble(sde, x0, p, trajectories, T, dt, seed=seed)
+        want = row_major_ensemble(sde, x0, p, trajectories, T, dt, seed=seed)
         assert pickle.dumps(got) == pickle.dumps(want)
 
     def test_case_shapes(self):
         # the cases cover what their names say
         assert ENSEMBLE_CASES["two-batches"][3] > estimate._ENSEMBLE_BATCH
-        sde, _, _, trajectories, T, dt, _, _ = ENSEMBLE_CASES["steps-not-chunk-multiple"]
+        sde, _, _, trajectories, T, dt, _ = ENSEMBLE_CASES["steps-not-chunk-multiple"]
         chunk = _chunk_steps(sde.noise_dim, trajectories)
         assert chunk < round(T / dt) and round(T / dt) % chunk != 0
         assert ENSEMBLE_CASES["no-noise"][0].noise_dim == 0
         assert not np.any(ENSEMBLE_CASES["zero-start"][1])
-        sde, x0, p, trajectories, T, dt, seed, driving = ENSEMBLE_CASES["overflow"]
+        sde, x0, p, trajectories, T, dt, seed = ENSEMBLE_CASES["overflow"]
         assert run_ensemble(sde, x0, p, trajectories, T, dt, seed=seed).diverged == trajectories
 
     @pytest.mark.parametrize("draws", [1, 7 * 2 * 40])
@@ -490,10 +481,6 @@ class TestTimeMajorEnsembleParity:
         monkeypatch.setattr(estimate, "_ENSEMBLE_DRAWS", draws)
         got = run_ensemble(SYS3, X3, 2.0, 40, 0.5, 1e-2, seed=10)
         assert pickle.dumps(got) == pickle.dumps(want)
-
-    def test_unknown_driving_rejected(self):
-        with pytest.raises(ValueError, match="unknown driving"):
-            run_ensemble(GBM, [1.0], 2.0, 8, 1.0, 0.1, driving="ito")
 
 
 class TestDivergedTrajectories:

@@ -26,13 +26,6 @@ class TestGrid:
         with pytest.raises(GridMismatch):
             plan.increments(2)  # 6 not divisible by 4
 
-    def test_level_for(self):
-        plan = make_plan()
-        assert plan.level_for(0.25) == 0
-        assert plan.level_for(1.0) == 2
-        with pytest.raises(GridMismatch):
-            plan.level_for(0.75)
-
 
 class TestDistribution:
     def test_finest_level_variance(self):

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from sidelab.errors import NonFinite, StepsizeTooLarge
+from sidelab.estimate import run_ensemble
 from sidelab.matrix_kernels import solve_ct_lyapunov, solve_dt_lyapunov
 from sidelab.models import ImpulseSchedule, LinearSde, VectorFieldSde, make_cps
 from sidelab.noise import NoisePlan
@@ -23,6 +24,7 @@ from sidelab.stability import (
     check_thm6,
     cp_lyapunov_feasible,
     discrete_ms_stable,
+    quadratic_condition_constants,
 )
 from side_blocks import random_blocks, side_from_blocks, stacked_as_x
 
@@ -31,21 +33,26 @@ def plan_for(dt, T, m=1, seed=0, traj=0):
     return NoisePlan(seed, traj, m, dt, T)
 
 
+def xi_increments(dt, n_steps, plan):
+    """The scheme's increments sqrt(dt) xi(1) .. sqrt(dt) xi(n_steps)."""
+    return math.sqrt(dt) * plan.xi_block(n_steps)
+
+
 class TestEulerMaruyama:
     def test_frozen_dynamics(self):
         sde = LinearSde(np.zeros((1, 1)))
-        path = euler_maruyama(sde, [1.0], 0.5, 8, plan_for(0.5, 4.0, m=0))
+        path = euler_maruyama(sde, [1.0], 0.5, xi_increments(0.5, 8, plan_for(0.5, 4.0, m=0)))
         assert np.all(path.states == 1.0)
 
     def test_deterministic_geometric_decay(self):
         sde = LinearSde.scalar(-1.0, 0.0)
-        path = euler_maruyama(sde, [1.0], 0.5, 6, plan_for(0.5, 3.0))
+        path = euler_maruyama(sde, [1.0], 0.5, xi_increments(0.5, 6, plan_for(0.5, 3.0)))
         assert np.array_equal(path.states.ravel(), 0.5 ** np.arange(7))
 
     def test_single_step_matches_definition(self):
         lam, mu, dt = -1.0, 0.5, 0.25
         plan = plan_for(dt, 1.0, seed=9)
-        path = euler_maruyama(LinearSde.scalar(lam, mu), [2.0], dt, 1, plan)
+        path = euler_maruyama(LinearSde.scalar(lam, mu), [2.0], dt, xi_increments(dt, 1, plan))
         xi1 = plan.xi(1)[0]
         expected = 2.0 + dt * (lam * 2.0) + (mu * 2.0) * math.sqrt(dt) * xi1
         assert path.states[1, 0] == pytest.approx(expected, rel=1e-15)
@@ -53,15 +60,19 @@ class TestEulerMaruyama:
     def test_brownian_driving_uses_increments(self):
         lam, mu, dt = -1.0, 0.5, 0.25
         plan = plan_for(dt, 1.0, seed=9)
-        path = euler_maruyama(LinearSde.scalar(lam, mu), [2.0], dt, 1, plan, driving="brownian")
+        path = euler_maruyama(LinearSde.scalar(lam, mu), [2.0], dt, plan.increments(0)[:1])
         db = plan.increments(0)[0, 0]
         expected = 2.0 + dt * (lam * 2.0) + (mu * 2.0) * db
         assert path.states[1, 0] == pytest.approx(expected, rel=1e-15)
 
+    def test_rejects_increments_that_are_not_rows(self):
+        with pytest.raises(ValueError, match=r"^w must have shape \(N, 1\), got \(5,\)$"):
+            euler_maruyama(LinearSde.scalar(-1.0, 0.5), [1.0], 0.1, np.zeros(5))
+
     def test_overflow_reports_step(self):
         sde = LinearSde(np.array([[10.0]]))
         with pytest.raises(NonFinite) as err:
-            euler_maruyama(sde, [1e300], 1.0, 50, plan_for(1.0, 50.0, m=0))
+            euler_maruyama(sde, [1e300], 1.0, xi_increments(1.0, 50, plan_for(1.0, 50.0, m=0)))
         assert err.value.step is not None
 
 
@@ -72,14 +83,8 @@ class TestThetaMethod:
     @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
     def test_rejects_wrong_plan_width(self, mu):
         sde = LinearSde.scalar(-1.0, mu)
-        with pytest.raises(ValueError, match="plan noise dimension does not match the system"):
-            euler_maruyama(sde, [1.0], 0.1, 5, plan_for(0.1, 1.0, m=2))
-
-    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
-    def test_rejects_negative_step_count(self, mu):
-        sde = LinearSde.scalar(-1.0, mu)
-        with pytest.raises(ValueError, match="n_steps must be nonnegative"):
-            euler_maruyama(sde, [1.0], 0.1, -1, plan_for(0.1, 1.0))
+        with pytest.raises(ValueError, match=r"^w must have shape \(N, 1\), got \(5, 2\)$"):
+            euler_maruyama(sde, [1.0], 0.1, xi_increments(0.1, 5, plan_for(0.1, 1.0, m=2)))
 
 
 class TestSimulateSide:
@@ -335,7 +340,7 @@ class TestSimulateCps:
         for seed in range(3):
             plan = plan_for(0.0625, 2.0, seed=seed)
             run = simulate_cps(sde, [1.0], 0.5, 2.0, plan, inner_substeps=8)
-            em = euler_maruyama(sde, [1.0], 0.5, 4, plan_for(0.0625, 2.0, seed=seed))
+            em = euler_maruyama(sde, [1.0], 0.5, xi_increments(0.5, 4, plan_for(0.0625, 2.0, seed=seed)))
             assert np.array_equal(run.cyber.states, em.states)
             k = 0
             for i in range(run.hybrid.samples):
@@ -375,10 +380,12 @@ class TestSimulateCps:
         sde = LinearSde.scalar(-1.0, 0.5)
         plan = plan_for(0.0625, 2.0, seed=5)
         run = simulate_cps(sde, [1.0], 0.5, 2.0, plan, 8, impulse_driving="brownian")
-        em = euler_maruyama(
-            sde, [1.0], 0.5, 4, plan_for(0.0625, 2.0, seed=5), driving="brownian"
-        )
+        # 32 finest steps folded 3 times: the 4 increments of size 0.5
+        em = euler_maruyama(sde, [1.0], 0.5, plan.increments(3))
         assert np.array_equal(run.cyber.states, em.states)
+        # the run reads no grid from the plan: another delta gives the same bits
+        other = simulate_cps(sde, [1.0], 0.5, 2.0, plan_for(2.0, 2.0, seed=5), 8, impulse_driving="brownian")
+        assert np.array_equal(other.hybrid.z(), run.hybrid.z())
 
     def test_equilibrium(self):
         run = simulate_cps(LinearSde.scalar(-1.0, 0.5), [0.0], 0.5, 1.0, plan_for(0.0625, 1.0))
@@ -461,17 +468,24 @@ GBM = LinearSde.scalar(-1.0, 0.5)
 NON_FINITE_CASES = [
     ("simulate_side", "T",
      lambda v: simulate_side(make_cps(GBM, 0.5), [1.0, 0.0], 4, v, plan_for(0.125, 2.0)), (math.nan, math.inf)),
-    ("euler_maruyama", "dt", lambda v: euler_maruyama(GBM, [1.0], v, 4, plan_for(0.25, 1.0)), (math.nan, math.inf)),
-    ("simulate_cps", "dt", lambda v: simulate_cps(GBM, [1.0], v, 1.0, plan_for(0.25, 1.0)), (math.nan,)),
+    ("run_ensemble", "T",
+     lambda v: run_ensemble(make_cps(GBM, 0.5), [1.0, 0.0], 2.0, 4, v, 0.5), (math.nan, math.inf)),
+    ("euler_maruyama", "dt", lambda v: euler_maruyama(GBM, [1.0], v, np.zeros((4, 1))), (math.nan, math.inf)),
+    ("simulate_cps", "dt", lambda v: simulate_cps(GBM, [1.0], v, 1.0, plan_for(0.25, 1.0)), (math.nan, math.inf)),
     ("scalar_cps_demo", "dt", lambda v: simulate_scalar_cps_demo(1.0, 2.0, 1.0, v, 10.0), (math.nan, math.inf)),
     ("scalar_cps_demo", "T", lambda v: simulate_scalar_cps_demo(1.0, 2.0, 1.0, 0.5, v), (math.nan, math.inf)),
-    ("cp_lyapunov_feasible", "dt_bar", lambda v: cp_lyapunov_feasible(GBM, v), (math.nan,)),
-    ("discrete_ms_stable", "dt", lambda v: discrete_ms_stable(GBM, v), (math.nan,)),
-    ("check_thm4", "dt", lambda v: check_thm4(GBM, [[1.0]], v), (math.nan,)),
-    ("check_thm5", "dt_bar", lambda v: check_thm5(GBM, [[1.0]], v), (math.nan,)),
-    ("check_thm6", "dt_bar", lambda v: check_thm6(GBM, [[1.0]], v), (math.nan,)),
-    ("solve_ct_lyapunov", "dt_bar", lambda v: solve_ct_lyapunov([[-1.0]], [], v, [[1.0]]), (math.nan,)),
-    ("solve_dt_lyapunov", "dt", lambda v: solve_dt_lyapunov([[-1.0]], [], v, [[1.0]]), (math.nan,)),
+    ("cp_lyapunov_feasible", "dt_bar", lambda v: cp_lyapunov_feasible(GBM, v), (math.nan, math.inf)),
+    ("discrete_ms_stable", "dt", lambda v: discrete_ms_stable(GBM, v), (math.nan, math.inf)),
+    ("check_thm4", "dt", lambda v: check_thm4(GBM, [[1.0]], v), (math.nan, math.inf)),
+    ("check_thm4", "split", lambda v: check_thm4(GBM, [[1.0]], 0.1, split=v), (math.nan, math.inf)),
+    ("check_thm5", "dt_bar", lambda v: check_thm5(GBM, [[1.0]], v), (math.nan, math.inf)),
+    ("check_thm6", "dt_bar", lambda v: check_thm6(GBM, [[1.0]], v), (math.nan, math.inf)),
+    ("quadratic_condition_constants", "split",
+     lambda v: quadratic_condition_constants(make_cps(GBM, 0.5), [[1.0]], [[1.0]], split=v), (math.nan, math.inf)),
+    ("solve_ct_lyapunov", "dt_bar", lambda v: solve_ct_lyapunov([[-1.0]], [], v, [[1.0]]), (math.nan, math.inf)),
+    ("solve_dt_lyapunov", "dt", lambda v: solve_dt_lyapunov([[-1.0]], [], v, [[1.0]]), (math.nan, math.inf)),
+    ("NoisePlan", "delta", lambda v: NoisePlan(0, 0, 1, v, 1.0), (math.nan, math.inf)),
+    ("NoisePlan", "horizon", lambda v: NoisePlan(0, 0, 1, 0.25, v), (math.nan, math.inf)),
 ]
 
 
