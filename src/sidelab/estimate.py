@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import GridMismatch
 from .models import LinearSde, Sde, SideSystem, _as_vector
-from .noise import _BROWNIAN_STREAM, _IMPULSE_STREAM, NoisePlan, _generator, _standard_normals
+from .noise import _BROWNIAN_STREAM, _IMPULSE_STREAM, NoisePlan, _generator, _standard_normals, fold
 from .simulate import euler_maruyama, exact_gbm, simulate_side, whole_steps
 
 _WINDOW_MIN_POINTS = 10
@@ -47,8 +47,8 @@ def scalar_onestep_factor(lam: float, mu: float, dt: float) -> float:
     return (1.0 + lam * dt) ** 2 + mu * mu * dt
 
 
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least squares y = slope * x + intercept; returns (slope, intercept, stderr)."""
+def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least squares y = slope * x + intercept; returns (slope, stderr)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.shape[0]
@@ -62,7 +62,7 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
         stderr = math.sqrt(s2 / sxx)
     else:
         stderr = float("nan")
-    return slope, intercept, stderr
+    return slope, stderr
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,6 @@ class ExponentEstimate:
     """
 
     slope: float
-    intercept: float
     window: tuple[float, float]
     stderr: float
     points: int
@@ -99,7 +98,6 @@ class Ensemble:
     per-trajectory sup and terminal summaries."""
 
     times: np.ndarray
-    p: float
     trajectories: int
     moment_sum: np.ndarray      # sum over trajectories of |z(t_i)|^p
     sup_sq: np.ndarray          # per trajectory, sup_t |z(t)|^2
@@ -167,7 +165,7 @@ def _ensemble_linear(sde: LinearSde, x0, p, trajectories, T, dt, seed) -> Ensemb
         with np.errstate(divide="ignore"):
             terminal_log[start : start + b] = np.log(norms[c - 1])
 
-    return Ensemble(times, p, trajectories, moment_sum, sup_sq, terminal_log)
+    return Ensemble(times, trajectories, moment_sum, sup_sq, terminal_log)
 
 
 def _ensemble_looped(system, z0, p, trajectories, T, dt, seed, inner_substeps) -> Ensemble:
@@ -194,7 +192,7 @@ def _ensemble_looped(system, z0, p, trajectories, T, dt, seed, inner_substeps) -
         sup_sq[traj] = float(np.max(nrm**2))
         with np.errstate(divide="ignore"):
             terminal_log[traj] = float(np.log(nrm[-1]))
-    return Ensemble(times, p, trajectories, moment_sum, sup_sq, terminal_log)
+    return Ensemble(times, trajectories, moment_sum, sup_sq, terminal_log)
 
 
 def run_ensemble(
@@ -243,12 +241,12 @@ def fit_moment_window(ens: Ensemble) -> tuple[ExponentEstimate, np.ndarray, np.n
     times = ens.times[mask]
     mean = ens.moment_mean()[mask]
     if np.any(mean == 0.0):
-        est = ExponentEstimate(float("-inf"), 0.0, (lo, hi), 0.0, points, ens.trajectories)
+        est = ExponentEstimate(float("-inf"), (lo, hi), 0.0, points, ens.trajectories)
         with np.errstate(divide="ignore"):
             return est, times, np.log(mean)
     log_mean = np.log(mean)
-    slope, intercept, stderr = _ols(times, log_mean)
-    return ExponentEstimate(slope, intercept, (lo, hi), stderr, points), times, log_mean
+    slope, stderr = _ols(times, log_mean)
+    return ExponentEstimate(slope, (lo, hi), stderr, points), times, log_mean
 
 
 def moment_exponent(
@@ -275,11 +273,11 @@ def fit_pathwise(ens: Ensemble) -> ExponentEstimate:
     vals = rates[np.isfinite(rates)]
     zeros = int(np.count_nonzero(rates == -np.inf))
     if zeros == ens.trajectories:
-        return ExponentEstimate(float("-inf"), 0.0, (0.0, T), 0.0, 0, zeros)
+        return ExponentEstimate(float("-inf"), (0.0, T), 0.0, 0, zeros)
     if vals.shape[0] + zeros < ens.trajectories:
-        return ExponentEstimate(float("inf"), 0.0, (0.0, T), float("nan"), int(vals.shape[0]), zeros)
+        return ExponentEstimate(float("inf"), (0.0, T), float("nan"), int(vals.shape[0]), zeros)
     stderr = float(np.std(vals, ddof=1) / math.sqrt(vals.shape[0])) if vals.shape[0] > 1 else float("nan")
-    return ExponentEstimate(float(np.mean(vals)), 0.0, (0.0, T), stderr, int(vals.shape[0]), zeros)
+    return ExponentEstimate(float(np.mean(vals)), (0.0, T), stderr, int(vals.shape[0]), zeros)
 
 
 def as_exponent(
@@ -310,8 +308,6 @@ class ConvergenceStudy:
 
     records: tuple[LevelError, ...]
     slope: float
-    intercept: float
-    sup_state_sq: float  # empirical E sup_t |x(t)|^2 of the reference
 
     def csv_rows(self) -> tuple[list[str], list[list[float]]]:
         header = ["level", "dt", "error", "stderr"]
@@ -357,7 +353,7 @@ def strong_error_sup(
 
     The finest grid is walked in chunks of `_CHUNK` steps, rounded up to a
     multiple of the coarsest stride, carrying per trajectory only the last
-    state of each level and of the reference and the running sups.  Memory is
+    state of each level and of the reference and the running sup errors.  Memory is
     O(_SUP_BATCH * max(_CHUNK, coarsest stride) * n), whatever the horizon.
     The chunk size changes no bit of the result: maxima do not depend on
     order, the sums keep their `_SUP_BATCH` grouping, and the Brownian
@@ -372,6 +368,8 @@ def strong_error_sup(
         )
     if trajectories < 2:
         raise ValueError("need at least 2 trajectories")
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     if not isinstance(sde, LinearSde):
         raise ValueError("convergence studies support linear systems only")
     scalar = sde.scalar_coefficients  # (lam, mu) of the closed-form reference
@@ -388,7 +386,6 @@ def strong_error_sup(
 
     err_sum = {l: 0.0 for l in levels}
     err_sumsq = {l: 0.0 for l in levels}
-    sup_ref_sum = 0.0
 
     for start in range(0, trajectories, _SUP_BATCH):
         idx = range(start, min(start + _SUP_BATCH, trajectories))
@@ -398,7 +395,6 @@ def strong_error_sup(
         ref_x = np.repeat(x0[:, None], b, axis=1)
         b_sum = np.zeros(b)
         xs = dict.fromkeys(levels, ref_x)
-        sup_ref = np.zeros(b)
         err = {l: np.zeros(b) for l in levels}
 
         for s in range(0, n_fine, chunk):
@@ -414,13 +410,10 @@ def strong_error_sup(
                 ref = exact_gbm(*scalar, float(x0[0]), np.repeat(times[:, None], b, axis=1), b_path)[:, None]
             else:
                 ref, ref_x = _em_chunk(f, gs, ref_x, delta, inc)
-            np.maximum(sup_ref, np.max(_sumsq(ref), axis=0), out=sup_ref)
 
             w, folded = inc, 0
             for level in levels:
-                for _ in range(level - folded):
-                    w = w[0::2] + w[1::2]
-                folded = level
+                w, folded = fold(w, level - folded), level
                 stride = 1 << level
                 path, xs[level] = _em_chunk(f, gs, xs[level], delta * stride, w)
                 # right-continuous step extension: fine index i sees level index i // stride
@@ -431,7 +424,6 @@ def strong_error_sup(
             np.maximum(err[level], _sumsq(ref[-1] - xs[level]), out=err[level])
             err_sum[level] += np.sum(err[level])
             err_sumsq[level] += np.sum(err[level] ** 2)
-        sup_ref_sum += float(np.sum(sup_ref))
 
     # float64 sums, so `mean**2` above ~1e154 gives inf (stderr NaN) where a float's ** raises
     records = []
@@ -442,9 +434,6 @@ def strong_error_sup(
         records.append(LevelError(level, delta * (1 << level), float(mean), stderr))
 
     fit = [(math.log(r.dt), math.log(r.error)) for r in records if r.error > 0.0]
-    if len(fit) >= 2:
-        slope, intercept, _ = _ols(np.array([a for a, _ in fit]), np.array([b for _, b in fit]))
-    else:
-        slope, intercept = float("nan"), float("nan")
-    return ConvergenceStudy(tuple(records), slope, intercept, sup_ref_sum / trajectories)
+    slope = _ols(*zip(*fit))[0] if len(fit) >= 2 else float("nan")
+    return ConvergenceStudy(tuple(records), slope)
 

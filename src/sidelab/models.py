@@ -129,8 +129,8 @@ class VectorFieldSde:
     def __post_init__(self):
         if self.dim < 1 or self.noise_dim < 0:
             raise ValueError("dim must be >= 1 and noise_dim >= 0")
-        if self.lipschitz <= 0:
-            raise ValueError("lipschitz must be positive")
+        if not 0 < self.lipschitz < math.inf:
+            raise ValueError("lipschitz must be positive and finite")
         origin = np.zeros(self.dim)
         for t in (0.0, 1.0):
             if np.abs(self.drift(origin, t)).max(initial=0.0) > 0.0:
@@ -190,8 +190,8 @@ class ImpulseSchedule:
 
     @staticmethod
     def equal_gaps(dt: float) -> "ImpulseSchedule":
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         return ImpulseSchedule(lambda k: k * dt, dt, dt)
 
     def time(self, k: int) -> float:
@@ -229,6 +229,10 @@ class SideSystem:
     def __post_init__(self):
         if self.n < 1 or self.q < 0 or self.noise_dim < 0:
             raise ValueError("need n >= 1, q >= 0, noise_dim >= 0")
+        # 0 is allowed: `make_cps` of dx = 0 declares Lipschitz constant 0
+        for name in ("lipschitz_x", "lipschitz_y"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
 
     @property
     def dim(self) -> int:
@@ -270,8 +274,7 @@ def make_cps(sde: Sde, dt: float) -> SideSystem:
     so x - y stays piecewise constant and reproduces the one-step recursion.
     The x-block has no impulses.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    schedule = ImpulseSchedule.equal_gaps(dt)  # checks dt
     n, m = sde.dim, sde.noise_dim
     sqrt_dt = math.sqrt(dt)
 
@@ -302,7 +305,7 @@ def make_cps(sde: Sde, dt: float) -> SideSystem:
         drift_y=drift_y,
         diffusion_y=diffusion_y,
         jumps=jumps,
-        schedule=ImpulseSchedule.equal_gaps(dt),
+        schedule=schedule,
         lipschitz_x=sde.lipschitz,
         lipschitz_y=sde.lipschitz,
     )
@@ -361,11 +364,10 @@ def linear_compact_form(side: SideSystem) -> LinearCompactForm:
 @dataclass(frozen=True)
 class ValidationReport:
     """Spot-check evidence: the largest Lipschitz ratio of each evaluator over
-    `pairs` sampled pairs, and the constant declared for it."""
+    the sampled pairs, and the constant declared for it."""
 
     max_ratio: dict[str, float]
     declared: dict[str, float]
-    pairs: int
 
 
 def _pair_ratio(delta_val: np.ndarray, delta_arg: float) -> float:
@@ -393,6 +395,10 @@ def validate(
     passes.  The check is probabilistic: it catches gross misconfiguration,
     it does not prove the global property.
     """
+    if not 0 < box < math.inf:
+        raise ValueError("box must be positive and finite")
+    if pairs < 1:
+        raise ValueError("pairs must be >= 1")
     rng = np.random.default_rng(seed)
     max_ratio: dict[str, float] = {}
     declared: dict[str, float] = {}
@@ -456,4 +462,4 @@ def validate(
                     f"between {a} and {b}"
                 )
 
-    return ValidationReport(max_ratio, declared, pairs)
+    return ValidationReport(max_ratio, declared)

@@ -62,6 +62,13 @@ def _standard_normals(gens, count: int, width: int) -> np.ndarray:
     return ndtri(u, out=u).reshape(count, width, len(gens))
 
 
+def fold(w: np.ndarray, times: int) -> np.ndarray:
+    """`w` coarsened `times` dyadic levels on axis 0, each row the exact sum of its two children."""
+    for _ in range(times):
+        w = w[0::2] + w[1::2]
+    return w
+
+
 @dataclass(frozen=True)
 class NoisePlan:
     """Deterministic, refinable source of Brownian increments and impulse draws.
@@ -129,10 +136,7 @@ class NoisePlan:
         if steps % (1 << level):
             raise GridMismatch(f"level {level} stepsize does not divide the horizon: "
                                f"{steps} finest steps are not a multiple of {1 << level}")
-        out = self.standard_normals(steps) * np.sqrt(self.delta)
-        for _ in range(level):
-            out = out[0::2] + out[1::2]
-        return out
+        return fold(self.standard_normals(steps) * np.sqrt(self.delta), level)
 
     def xi(self, k: int) -> np.ndarray:
         """Impulse draw for jump k >= 1, an m-vector of standard normals.

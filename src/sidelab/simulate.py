@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import GridMismatch, NonFinite, StepsizeTooLarge
 from .models import LinearSde, Sde, SideSystem, _as_vector
-from .noise import NoisePlan
+from .noise import NoisePlan, fold
 
 Driving = Literal["xi", "brownian"]
 
@@ -275,9 +275,7 @@ def simulate_cps(
         cyber_w = math.sqrt(dt) * plan.xi_block(n_intervals)
     else:
         # s is a power of two, so no pair spans two intervals
-        cyber_w = w
-        for _ in range(s.bit_length() - 1):
-            cyber_w = cyber_w[0::2] + cyber_w[1::2]
+        cyber_w = fold(w, s.bit_length() - 1)
     # the one-step recursion, bitwise identical to the standalone scheme
     cyber = euler_maruyama(sde, x0, dt, cyber_w)
 
@@ -349,13 +347,15 @@ def simulate_scalar_cps_demo(
 
     Integrates the piecewise-linear ODE exactly; the held state obeys
     X_{k+1} = (k_p/a - (k_p - a)/a * e^{a dt}) X_k and coincides with the
-    plant state at the update times.  Requires a > 0, k_p > a and
-    dt < (1/a) ln(k_p / (k_p - a)); otherwise raises StepsizeTooLarge.
+    plant state at the update times.  Requires finite a > 0, k_p > a and x0
+    (else ValueError) and dt < (1/a) ln(k_p / (k_p - a)) (else StepsizeTooLarge).
     """
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if k_p <= a:
-        raise ValueError("k_p must exceed a")
+    if not 0 < a < math.inf:
+        raise ValueError("a must be positive and finite")
+    if not a < k_p < math.inf:
+        raise ValueError("k_p must be finite and exceed a")
+    if not math.isfinite(x0):
+        raise ValueError("x0 must be finite")
     if not 0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
     if not 0 < T < math.inf:

@@ -284,7 +284,7 @@ def row_major_ensemble(sde, x0, p, trajectories, T, dt, *, seed=0):
         sup_sq[start : start + b] = batch_sup
         with np.errstate(divide="ignore"):
             terminal_log[start : start + b] = np.log(nrm)
-    return estimate.Ensemble(np.arange(n_steps + 1) * dt, p, trajectories, moment_sum, sup_sq, terminal_log)
+    return estimate.Ensemble(np.arange(n_steps + 1) * dt, trajectories, moment_sum, sup_sq, terminal_log)
 
 
 # The convergence study as it was before it streamed over time chunks: every
@@ -315,7 +315,6 @@ def whole_array_study(sde, x0, T, levels, trajectories, *, delta, seed=0):
     n_fine = NoisePlan(seed, 0, m, delta, T).finest_steps
     err_sum = {l: 0.0 for l in levels}
     err_sumsq = {l: 0.0 for l in levels}
-    sup_ref_sum = 0.0
     for start in range(0, trajectories, estimate._SUP_BATCH):
         idx = range(start, min(start + estimate._SUP_BATCH, trajectories))
         b = len(idx)
@@ -330,7 +329,6 @@ def whole_array_study(sde, x0, T, levels, trajectories, *, delta, seed=0):
             ref = exact_gbm(lam, mu, float(x0[0]), np.tile(times_f, (b, 1)), b_path)[:, :, None]
         else:
             ref = _em_level_paths(f, gs, x0, delta, inc0)
-        sup_ref_sum += float(np.sum(np.max(np.sum(ref**2, axis=2), axis=1)))
         for level in levels:
             stride = 1 << level
             path = _em_level_paths(f, gs, x0, delta * stride, _fold(inc0, level))
@@ -346,10 +344,10 @@ def whole_array_study(sde, x0, T, levels, trajectories, *, delta, seed=0):
         records.append(estimate.LevelError(level, delta * (1 << level), mean, math.sqrt(var / trajectories)))
     fit = [(math.log(r.dt), math.log(r.error)) for r in records if r.error > 0.0]
     if len(fit) >= 2:
-        slope, intercept, _ = estimate._ols(np.array([a for a, _ in fit]), np.array([b for _, b in fit]))
+        slope, _ = estimate._ols(np.array([a for a, _ in fit]), np.array([b for _, b in fit]))
     else:
-        slope, intercept = float("nan"), float("nan")
-    return estimate.ConvergenceStudy(tuple(records), slope, intercept, sup_ref_sum / trajectories)
+        slope = float("nan")
+    return estimate.ConvergenceStudy(tuple(records), slope)
 
 
 TWO_NOISE_2D = LinearSde(
@@ -500,7 +498,7 @@ class TestDivergedTrajectories:
 
     def test_one_diverged_trajectory_makes_the_rate_infinite(self):
         log = np.array([-1.0, np.nan, -np.inf, 2.0, np.inf])
-        ens = Ensemble(np.array([0.0, 2.0]), 2.0, 5, np.ones(2), np.ones(5), log)
+        ens = Ensemble(np.array([0.0, 2.0]), 5, np.ones(2), np.ones(5), log)
         est = fit_pathwise(ens)
         assert est.slope == math.inf and math.isnan(est.stderr)
         assert est.points == 2 and est.zero_trajectories == 1
@@ -511,8 +509,7 @@ class TestDivergedTrajectories:
             study = strong_error_sup(OVERFLOWING, [1.0], 40.0, range(1, 4), 4, delta=0.125)
         assert [r.error for r in study.records] == [math.inf] * 3
         assert all(math.isnan(r.stderr) for r in study.records)
-        assert math.isnan(study.slope) and math.isnan(study.intercept)
-        assert study.sup_state_sq == math.inf
+        assert math.isnan(study.slope)
 
     def test_finite_error_with_an_overflowing_square_is_warning_free(self):
         # at T = 4 the mean sup errors are finite near 2.9e161, but their
@@ -522,7 +519,7 @@ class TestDivergedTrajectories:
             study = strong_error_sup(OVERFLOWING, [1.0], 4.0, range(1, 4), 4, delta=0.125)
         assert all(type(r.error) is float and 1e161 < r.error < math.inf for r in study.records)
         assert all(math.isnan(r.stderr) for r in study.records)
-        assert math.isfinite(study.slope) and math.isfinite(study.sup_state_sq)
+        assert math.isfinite(study.slope)
 
 
 class TestEnsembleMemory:

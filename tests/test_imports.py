@@ -66,29 +66,38 @@ def _names_read(node: ast.AST, inside: frozenset = frozenset()) -> set[tuple[boo
 
 
 def _unread_definitions(defining: dict[str, str], reading: list[str]) -> list[str]:
-    """Functions, classes and methods (dunders aside) of the `defining`
-    sources, by file name, that no source in `reading` reads.  A method is
-    read only as an attribute or a string, anything else also as a name."""
+    """Functions, classes, methods and annotated class fields (dunders aside)
+    of the `defining` sources, by file name, that no source in `reading`
+    reads.  A method or a field is read only as an attribute or a string,
+    anything else also as a name.  Words are matched by name, not by owner:
+    a field `p` counts as read wherever any `.p` is read."""
     reads = set().union(*(_names_read(ast.parse(source)) for source in reading))
     by_attribute = {word for attr, word in reads if attr}
     by_name = by_attribute | {word for attr, word in reads if not attr}
     unread = []
     for name, source in defining.items():
         tree = ast.parse(source)
-        methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in cls.body}
+        members = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in cls.body}
         for node in ast.walk(tree):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not (node.name.startswith("__") and node.name.endswith("__"))
-                    and node.name not in (by_attribute if id(node) in methods else by_name)):
-                unread.append(f"{name}:{node.lineno} {node.name}")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                word, read = node.name, by_attribute if id(node) in members else by_name
+            elif isinstance(node, ast.AnnAssign) and id(node) in members and isinstance(node.target, ast.Name):
+                word, read = node.target.id, by_attribute
+            else:
+                continue
+            if not (word.startswith("__") and word.endswith("__")) and word not in read:
+                unread.append(f"{name}:{node.lineno} {word}")
     return unread
 
 
 def test_every_definition_is_read():
-    source = "def f():\n    return f()\n\nclass C:\n    def m(self): pass\n    def n(self): pass\n"
-    reading = [source, "C().m()\ngetattr(C, 'n')\nm = n = 0\nprint(m, n)\n"]
-    assert _unread_definitions({"a.py": source}, reading) == ["a.py:1 f"]
-    assert _unread_definitions({"a.py": source}, [source, "print(C, f)\n"]) == ["a.py:5 m", "a.py:6 n"]
+    source = ("def f():\n    return f()\n\nclass C:\n    def m(self): pass\n    def n(self): pass\n"
+              "class D:\n    u: int\n    v: int\n")
+    reading = [source, "C().m()\ngetattr(C, 'n')\nD().u\nm = n = v = 0\nprint(m, n, v)\n"]
+    assert _unread_definitions({"a.py": source}, reading) == ["a.py:1 f", "a.py:9 v"]
+    assert _unread_definitions({"a.py": source}, [source, "print(C, D, f)\n"]) == [
+        "a.py:5 m", "a.py:6 n", "a.py:8 u", "a.py:9 v",
+    ]
     root = Path(__file__).resolve().parents[1]
     defining = {path.name: path.read_text() for path in sorted((root / "src" / "sidelab").glob("*.py"))}
     reading = [path.read_text() for tree in ("src", "tests", "perfbench")

@@ -1,14 +1,15 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from sidelab.errors import NonFinite, StepsizeTooLarge
-from sidelab.estimate import run_ensemble
+from sidelab.estimate import run_ensemble, strong_error_sup
 from sidelab.matrix_kernels import solve_ct_lyapunov, solve_dt_lyapunov
-from sidelab.models import ImpulseSchedule, LinearSde, VectorFieldSde, make_cps
+from sidelab.models import ImpulseSchedule, LinearSde, VectorFieldSde, make_cps, validate
 from sidelab.noise import NoisePlan
 from sidelab.simulate import (
     euler_maruyama,
@@ -486,6 +487,21 @@ NON_FINITE_CASES = [
     ("solve_dt_lyapunov", "dt", lambda v: solve_dt_lyapunov([[-1.0]], [], v, [[1.0]]), (math.nan, math.inf)),
     ("NoisePlan", "delta", lambda v: NoisePlan(0, 0, 1, v, 1.0), (math.nan, math.inf)),
     ("NoisePlan", "horizon", lambda v: NoisePlan(0, 0, 1, 0.25, v), (math.nan, math.inf)),
+    ("scalar_cps_demo", "a", lambda v: simulate_scalar_cps_demo(v, 2.0, 1.0, 0.5, 10.0), (math.nan, math.inf)),
+    ("scalar_cps_demo", "k_p", lambda v: simulate_scalar_cps_demo(1.0, v, 1.0, 0.5, 10.0), (math.nan, math.inf)),
+    ("scalar_cps_demo", "x0", lambda v: simulate_scalar_cps_demo(1.0, 2.0, v, 0.5, 10.0), (math.nan, math.inf)),
+    ("make_cps", "dt", lambda v: make_cps(GBM, v), (math.nan, math.inf)),
+    ("equal_gaps", "dt", lambda v: ImpulseSchedule.equal_gaps(v), (math.nan, math.inf)),
+    ("strong_error_sup", "delta",
+     lambda v: strong_error_sup(GBM, [1.0], 1.0, (1, 2), 4, delta=v), (math.nan, math.inf)),
+    # a NaN constant would pass every ratio check of `validate`
+    ("VectorFieldSde", "lipschitz",
+     lambda v: VectorFieldSde(1, 1, lambda x, t: -100.0 * x, lambda x, t: x, v), (math.nan, math.inf)),
+    ("SideSystem", "lipschitz_x", lambda v: replace(make_cps(GBM, 0.5), lipschitz_x=v), (math.nan, math.inf)),
+    ("SideSystem", "lipschitz_y", lambda v: replace(make_cps(GBM, 0.5), lipschitz_y=v), (math.nan, math.inf)),
+    # box = 0 samples only the origin and pairs = 0 samples nothing: neither checks a constant
+    ("validate", "box", lambda v: validate(GBM, box=v), (0.0, math.nan, math.inf)),
+    ("validate", "pairs", lambda v: validate(GBM, pairs=v), (0,)),
 ]
 
 
