@@ -4,8 +4,11 @@ Config files are flat INI: bracketed sections [system], [task], [numeric],
 [output], one key = value per line, matrix rows inline separated by ';'.
 [system] must name its `kind` (scalar, linear or controller) and give that
 kind's keys; every [numeric] and [output] key is optional and defaults to its
-RunConfig field.  [numeric] `driving` (xi or brownian) is read by `simulate`
-only; `exponent` takes xi, its one stream, and exits 2 on brownian.
+RunConfig field.  [system], [task] and [output] reject a key they do not
+read (a linear system reads g1, g2, ... up to the first gap), so a typo
+cannot silently leave a default in place.  [numeric] `driving` (xi or
+brownian) is read by `simulate` only; `exponent` takes xi, its one stream,
+and exits 2 on brownian.
 Exit codes: 0 stable/feasible or simulation completed, 1 certified
 infeasible/unstable, 2 invalid input.  All numeric output in reports is
 printed with 12 significant digits; CSV cells use full-precision repr so
@@ -127,6 +130,12 @@ def _get(section, key: str, parse, name: str):
         raise ConfigError(f"key '{key}' in [{name}]: bad value {raw!r} ({exc})") from exc
 
 
+def _reject_unread(section, read, name: str) -> None:
+    for key in section:
+        if key not in read:
+            raise ConfigError(f"unknown key '{key}' in [{name}], which reads {', '.join(sorted(read))}")
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Parse a config file; raises ConfigError with a line/key diagnostic."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
@@ -144,6 +153,9 @@ def load_config(path: str | Path) -> RunConfig:
     task = _get(parser["task"], "name", str, "task")
     if task not in TASKS:
         raise ConfigError(f"key 'name' in [task]: unknown task {task!r}, expected one of {TASKS}")
+    _reject_unread(parser["task"], {"name"}, "task")
+    if parser.has_section("output"):
+        _reject_unread(parser["output"], _NUMERIC["output"], "output")
     system = parser["system"]
     kind = _get(system, "kind", str, "system")
     if kind not in _SYSTEM:
@@ -158,6 +170,8 @@ def load_config(path: str | Path) -> RunConfig:
         while f"g{len(noises) + 1}" in system:
             noises.append(_get(system, f"g{len(noises) + 1}", _parse_matrix, "system"))
         cfg.noises = tuple(noises)
+    noise_keys = (f"g{j}" for j in range(1, len(cfg.noises) + 1))
+    _reject_unread(system, {"kind", *_SYSTEM[kind], *noise_keys}, "system")
     for name, keys in _NUMERIC.items():
         section = parser[name] if parser.has_section(name) else {}
         for key, (field, parse) in keys.items():

@@ -185,7 +185,7 @@ class ImpulseSchedule:
     def __post_init__(self):
         if not (0.0 < self.dt_under <= self.dt_over < math.inf):
             raise ValueError("need 0 < dt_under <= dt_over < inf")
-        if abs(self.time_fn(0)) > 1e-12:
+        if not abs(self.time_fn(0)) <= 1e-12:
             raise ValueError("schedule must start at t_0 = 0")
 
     @staticmethod

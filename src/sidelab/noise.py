@@ -30,10 +30,14 @@ _GRID_RTOL = 1e-9
 def _generator(seed: int, trajectory: int, stream: int) -> np.random.Generator:
     """The Philox generator of one (trajectory, stream) pair, at slot 0.
 
-    Raises ValueError for a seed outside [0, 2**64), the range of its key word.
+    Raises ValueError for a seed outside [0, 2**64), the range of its key
+    word, and for a trajectory outside [0, 2**63), which would alias another
+    trajectory's key once shifted past the stream bit.
     """
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    if not 0 <= trajectory < 1 << 63:
+        raise ValueError(f"trajectory must lie in [0, 2**63), got {trajectory}")
     key = np.array(
         [np.uint64(seed), (np.uint64(trajectory) << np.uint64(1)) | np.uint64(stream)],
         dtype=np.uint64,

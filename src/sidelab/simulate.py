@@ -7,18 +7,17 @@ indices with no shared state (see `estimate`).  Unstable regimes are expected
 outputs of this tool, so overflow aborts the trajectory with the step index
 instead of clamping.
 
-Both hybrid integrators step through `_substeps`, `simulate_side` with the
-stacked z = (x, y) evaluators of its `SideSystem`; for a `LinearSde` each
-substep is one batched product with `LinearSde.stack`, the 3-d array
-[F, G_1, .., G_m] that owns the F/G_j products (3-d, not row-stacked, so it
-rounds as the separate products do).
+The scheme, x of the coupled run and the stacked z = (x, y) of a
+`SideSystem` take one explicit substep, `_substeps`; for a `LinearSde` it is
+one batched product with `LinearSde.stack`, which rounds as the separate
+F/G_j products do.  Batches of paths take `estimate._linear_steps` instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -77,29 +76,24 @@ class CpsTrajectory:
 
 
 def euler_maruyama(sde: Sde, x0, dt: float, w) -> DiscretePath:
-    """Explicit one-step path X_{k+1} = X_k + f(X_k) dt + g(X_k) w_k.
+    """Explicit one-step path X_{k+1} = X_k + (f(X_k) dt + g(X_k) w_k).
 
     `w` holds the increments w_0 .. w_{N-1}, shape (N, m): sqrt(dt) xi(k+1)
     from the impulse stream in an ensemble, or the nested Brownian increments
-    of the coupled run in `simulate_cps`.  A state that overflows raises
-    NonFinite with the step index.
+    of the coupled run in `simulate_cps`.  Each step is `_substeps` at h = dt;
+    a state that overflows raises NonFinite with the step index.
     """
     if not 0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[1] != sde.noise_dim:
         raise ValueError(f"w must have shape (N, {sde.noise_dim}), got {w.shape}")
-    x = _as_vector(x0, sde.dim, "x0")
     states = np.empty((w.shape[0] + 1, sde.dim))
-    states[0] = x
-    # overflow is reported by NonFinite below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, w_k in enumerate(w):
-            t = k * dt
-            x = x + dt * sde.drift(x, t) + sde.diffusion(x, t) @ w_k
-            if not np.all(np.isfinite(x)):
-                raise NonFinite(f"state overflowed at step {k + 1}", step=k + 1)
-            states[k + 1] = x
+    states[0] = _as_vector(x0, sde.dim, "x0")
+    try:
+        _substeps(sde, states[0], 0.0, dt, w, states[1:], 0)
+    except NonFinite as exc:
+        raise NonFinite(f"state overflowed at step {exc.step}", step=exc.step) from None
     return DiscretePath(dt, states)
 
 
@@ -118,49 +112,35 @@ def whole_steps(T: float, dt: float) -> int:
     return steps
 
 
-def _increment(system: Sde | SideSystem) -> Callable:
-    """The substep increment (z, t, h, w) -> h f(z, t) + g(z, t) @ w.
+def _substeps(system: Sde | SideSystem, z, t_k, h, w, out, step: int) -> np.ndarray:
+    """The explicit substep z + (h f(z, t) + g(z, t) @ w_j) from t_k, one per
+    row of the increments `w`, for every single-path integrator.
 
-    A `LinearSde` takes both products from one batched `stack @ z` (see
-    `LinearSde`), with the bits of its `drift` and `diffusion`; any other
-    system calls its evaluators.
-    """
-    if isinstance(system, LinearSde):
-        stack = system.stack
-
-        def linear(z, t, h, w):
-            u = stack @ z
-            # C-ordered (n, m) as `diffusion` returns it, so `@ w` rounds alike
-            return h * u[0] + u[1:].T.copy() @ w
-
-        return linear
-    drift, diffusion = system.drift, system.diffusion
-    return lambda z, t, h, w: h * drift(z, t) + diffusion(z, t) @ w
-
-
-def _substeps(increment, z, t_k, h, w, out, step: int) -> np.ndarray:
-    """The explicit substep z + increment(z, t, h, w_j) from t_k, one per row
-    of the increments `w`, with `increment` from `_increment`.
-
-    For a `LinearSde` the increment is one product with `LinearSde.stack`,
-    the one owner of the F/G_j products, kept 3-d because a row-stacked
-    matrix rounds differently from the evaluators (see `LinearSde`).
+    A `LinearSde` takes f and g, C-ordered and with the bits of its `drift`
+    and `diffusion`, from one batched `stack @ z` (see `LinearSde`); any
+    other system calls its evaluators.
 
     Writes each state into a row of `out` and returns the last; `step` is the
     global index of the substep before the first, reported by NonFinite.
 
     Finiteness is checked once, after the block: NonFinite names the first
-    substep whose state overflowed.  Until then the increment may see
+    substep whose state overflowed.  Until then the evaluators may see
     non-finite states for the rest of the block, under the errstate below;
     an evaluator that raises on such a state also reports that NonFinite.
     """
+    stack = system.stack if isinstance(system, LinearSde) else None
     written = out
     # overflow is reported by NonFinite below
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for j in range(w.shape[0]):
-                t = t_k + j * h
-                z = z + increment(z, t, h, w[j])
+                if stack is None:
+                    t = t_k + j * h
+                    f, g = system.drift(z, t), system.diffusion(z, t)
+                else:
+                    u = stack @ z
+                    f, g = u[0], u[1:].T.copy()
+                z = z + (h * f + g @ w[j])
                 out[j] = z
         except Exception:
             written = out[:j]
@@ -204,14 +184,13 @@ def simulate_side(
     knots = [side.schedule.time(0)]
     while knots[-1] < T - horizon_tol:
         knots.append(side.schedule.time(len(knots)))
-        if knots[-1] <= knots[-2]:
+        if not knots[-1] > knots[-2]:
             raise ValueError("impulse schedule is not strictly increasing")
     # only the last interval may end past the horizon, without its jump
     s, intervals = inner_substeps, len(knots) - 1
     jumps = intervals - (knots[-1] > T + horizon_tol)
     draws = plan.standard_normals(intervals * s)
     xis = plan.xi_block(jumps)
-    increment = _increment(side)
 
     states = np.empty((1 + intervals * s + jumps, side.dim))
     times = np.empty(states.shape[0])
@@ -222,7 +201,7 @@ def simulate_side(
         end = min(t_next, T)
         h = (end - t_k) / s
         row = 1 + k * (s + 1)
-        z = _substeps(increment, z, t_k, h, math.sqrt(h) * draws[k * s : (k + 1) * s],
+        z = _substeps(side, z, t_k, h, math.sqrt(h) * draws[k * s : (k + 1) * s],
                       states[row : row + s], k * s)
         times[row : row + s] = t_k + np.arange(1, s + 1) * h
         times[row + s - 1] = end
@@ -285,9 +264,8 @@ def simulate_cps(
     states = np.empty((1 + n_intervals * (s + 1), 2 * n))
     x = states[0, :n] = _as_vector(x0, n, "x0")
     body = states[1:].reshape(n_intervals, s + 1, 2 * n)
-    increment = _increment(sde)
     for k in range(n_intervals):
-        x = _substeps(increment, x, k * dt, h, w[k * s : (k + 1) * s], body[k, :s, :n], k * s)
+        x = _substeps(sde, x, k * dt, h, w[k * s : (k + 1) * s], body[k, :s, :n], k * s)
         body[k, s, :n] = x
     states[:, n:] = states[:, :n] - cyber.states[np.arange(states.shape[0]) // (s + 1)]
 

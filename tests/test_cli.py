@@ -155,6 +155,30 @@ class TestConfigParsing:
             f.name for f in dataclasses.fields(RunConfig) if f.name not in ("task", "kind")
         )
 
+    @pytest.mark.parametrize("system, key", [
+        # mu = 3 would make the system mean-square unstable: 2 lambda + mu^2 = 7
+        ("kind = scalar\nlambda = -1\nmue = 3\n", "mue"),
+        ("kind = controller\na = 1\nkp = 2\nlambda = -1\n", "lambda"),
+        # g3 without g2 is past the first gap of g1, g2, ...
+        ("kind = linear\nf = -1\ng1 = 0.5\ng3 = 0.5\n", "g3"),
+    ])
+    def test_unread_system_key_is_two(self, tmp_path, capsys, system, key):
+        cfg = write(tmp_path, "s.ini", f"[system]\n{system}\n[task]\nname = analyze\n")
+        assert main(["--config", cfg]) == 2
+        assert f"unknown key '{key}' in [system]" in capsys.readouterr().err
+
+    def test_unread_task_key_is_two(self, tmp_path, capsys):
+        cfg = write(tmp_path, "t.ini", "[system]\nkind = scalar\nlambda = -1\n\n[task]\nname = analyze\ndt_bar = 0.4\n")
+        assert main(["--config", cfg]) == 2
+        assert "unknown key 'dt_bar' in [task], which reads name" in capsys.readouterr().err
+
+    def test_unread_output_key_is_two(self, tmp_path, capsys):
+        cfg = write(tmp_path, "o.ini", "[system]\nkind = scalar\nlambda = -1\n\n[task]\nname = analyze\n\n"
+                    f"[output]\ndir = {tmp_path / 'o'}\nformat = csv\n")
+        assert main(["--config", cfg]) == 2
+        assert "unknown key 'format' in [output], which reads dir" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_kind_is_two(self, tmp_path, capsys):
         cfg = write(tmp_path, "k.ini", "[system]\nlambda = -1\n\n[task]\nname = analyze\n")
         assert main(["--config", cfg]) == 2
@@ -441,12 +465,13 @@ class TestArtifacts:
             "errors.csv": "79cdab7aee1055b00cd7353db9f9713aa98f7486003998cda89c2d299ed27d98",
             "report.txt": "05be85b870ac734ec9c5162fbb359d761b3179f3cdef4ac753ba7eb9ac657807",
         }
-        # digests of the per-step-list hybrid integrator's output, on a 2-d
-        # system with two noise matrices; the preallocated loop must match
+        # digests of `simulate` on a 2-d system with two noise matrices; the
+        # trajectories round the scheme's step as x + (dt f + g w), the substep
+        # of the hybrid integrators
         pinned = {
-            "xi": ("59e360f0a103ecbafc6955e15eca1644523460e82002c377bea5cc4a6621e477",
+            "xi": ("3ea44f9c2c18c165659daf1b6d11ee65c0eecd26f1c7dac3a25ba4031ddb24e9",
                    "329ca147de3a82fbb085cfe4bce9f02f513812ba1eeaea7c232ce4f25e91abe3"),
-            "brownian": ("9419f73890f4d21bec873c271a4c05e11c90061c8652f37696f9f7220712df71",
+            "brownian": ("ad9a4043bb851ad2888f0ab561aa3288ca659795c864ff33632fcc8f2c8e6ea9",
                          "665a09b78f1c77438b2e7629177548573321ee65ca27833f6d5df8b5617910cb"),
         }
         for driving, want in pinned.items():

@@ -160,6 +160,10 @@ class TestSchedule:
         with pytest.raises(ValueError):
             ImpulseSchedule(lambda k: 1.0 + k, dt_under=1.0, dt_over=1.0)
 
+    def test_nan_start_is_rejected(self):
+        with pytest.raises(ValueError, match="start at t_0 = 0"):
+            ImpulseSchedule(lambda k: math.nan + k, dt_under=1.0, dt_over=1.0)
+
 
 class TestMakeCps:
     def test_scalar_deterministic_maps(self):

@@ -104,6 +104,12 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             make_plan().xi(0)
 
+    @pytest.mark.parametrize("traj", [-1, 2**63])
+    def test_trajectory_outside_the_key_range_is_named(self, traj):
+        # shifted past the stream bit, 2**63 would wrap onto trajectory 0's key
+        with pytest.raises(ValueError, match=rf"^trajectory must lie in \[0, 2\*\*63\), got {traj}$"):
+            make_plan(traj=traj).xi_block(1)
+
 
 class TestChunkedDraws:
     @pytest.mark.parametrize("width", [1, 2, 3])

@@ -34,6 +34,12 @@ def plan_for(dt, T, m=1, seed=0, traj=0):
     return NoisePlan(seed, traj, m, dt, T)
 
 
+def _finite(x):
+    if not np.isfinite(x).all():
+        raise FloatingPointError("non-finite state")
+    return x
+
+
 def xi_increments(dt, n_steps, plan):
     """The scheme's increments sqrt(dt) xi(1) .. sqrt(dt) xi(n_steps)."""
     return math.sqrt(dt) * plan.xi_block(n_steps)
@@ -71,10 +77,43 @@ class TestEulerMaruyama:
             euler_maruyama(LinearSde.scalar(-1.0, 0.5), [1.0], 0.1, np.zeros(5))
 
     def test_overflow_reports_step(self):
+        # X_k = 1e300 * 11**k first exceeds the largest double at k = 8
         sde = LinearSde(np.array([[10.0]]))
-        with pytest.raises(NonFinite) as err:
+        with pytest.raises(NonFinite, match="^state overflowed at step 8$") as err:
             euler_maruyama(sde, [1e300], 1.0, xi_increments(1.0, 50, plan_for(1.0, 50.0, m=0)))
-        assert err.value.step is not None
+        assert err.value.step == 8
+
+    def test_evaluator_raising_on_overflow_reports_step(self):
+        # the steps after an overflow see a non-finite state, on which this drift raises
+        sde = VectorFieldSde(1, 0, lambda x, t: 10.0 * _finite(x), lambda x, t: np.zeros((1, 0)), 10.0)
+        with pytest.raises(NonFinite, match="^state overflowed at step 8$") as err:
+            euler_maruyama(sde, [1e300], 1.0, np.zeros((50, 0)))
+        assert err.value.step == 8
+
+    def test_steps_of_a_3d_system_with_two_noises(self):
+        rng = np.random.default_rng(12)
+        f = -np.eye(3) + 0.4 * rng.standard_normal((3, 3))
+        gs = [0.3 * rng.standard_normal((3, 3)) for _ in range(2)]
+        x0, dt, w = rng.standard_normal(3), 0.05, math.sqrt(0.05) * rng.standard_normal((40, 2))
+        want = [x0]
+        for w_k in w:
+            x = want[-1]
+            want.append(x + dt * (f @ x) + w_k[0] * (gs[0] @ x) + w_k[1] * (gs[1] @ x))
+        got = euler_maruyama(LinearSde(f, tuple(gs)), x0, dt, w).states
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_scheme_is_the_substep_of_the_coupled_run(self):
+        # at dt = h the scheme reproduces x of `simulate_cps` bit for bit
+        rng = np.random.default_rng(3)
+        sde = LinearSde(-np.eye(2) + 0.3 * rng.standard_normal((2, 2)),
+                        tuple(0.4 * rng.standard_normal((2, 2)) for _ in range(2)))
+        plan, s = plan_for(0.25, 2.0, m=2, seed=5), 8
+        x = simulate_cps(sde, [1.0, -0.5], 0.25, 2.0, plan, inner_substeps=s).hybrid.x
+        em = euler_maruyama(sde, [1.0, -0.5], 0.25 / s, math.sqrt(0.25 / s) * plan.standard_normals(8 * s))
+        # drop the post-impulse rows, which repeat x
+        substep_rows = np.arange(len(x)) % (s + 1) != 0
+        substep_rows[0] = True
+        assert np.array_equal(em.states, x[substep_rows])
 
 
 class TestThetaMethod:
@@ -263,6 +302,12 @@ class TestSimulateSideOracle:
     def test_non_increasing_schedule_rejected(self):
         # t_2 = 0.25 falls back below t_1 = 0.5
         schedule = ImpulseSchedule(lambda k: 0.5 * k if k < 2 else 0.25, 0.25, 0.5)
+        side = side_from_blocks(1, -np.eye(2), [], np.zeros((2, 2)), [], schedule)
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            simulate_side(side, [1.0, 0.0], 4, 2.0, plan_for(2.0, 2.0, m=0))
+
+    def test_nan_impulse_time_rejected(self):
+        schedule = ImpulseSchedule(lambda k: 0.5 * k if k < 2 else math.nan, 0.25, 0.5)
         side = side_from_blocks(1, -np.eye(2), [], np.zeros((2, 2)), [], schedule)
         with pytest.raises(ValueError, match="not strictly increasing"):
             simulate_side(side, [1.0, 0.0], 4, 2.0, plan_for(2.0, 2.0, m=0))
