@@ -19,7 +19,6 @@ from .matrix_kernels import (
     solve_dt_lyapunov,
 )
 from .models import (
-    ImpulseMaps,
     ImpulseSchedule,
     LinearSde,
     SideSystem,

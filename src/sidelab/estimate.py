@@ -112,7 +112,9 @@ class Ensemble:
 
     @property
     def diverged(self) -> int:
-        """Trajectories whose sup |z|^2 is not finite (overflowed or NaN)."""
+        """Trajectories whose sup |z|^2 is not finite (overflowed or NaN).
+        Only a `LinearSde` ensemble can count one: `run_ensemble` of any other
+        system raises NonFinite at its first overflowing path instead."""
         return int(np.count_nonzero(~np.isfinite(self.sup_sq)))
 
 
@@ -210,7 +212,13 @@ def run_ensemble(
     |z|^p statistics in fixed trajectory order.  The scheme of an SDE steps
     at `dt` with the increments sqrt(dt) xi(k+1) of each trajectory's impulse
     stream.  A hybrid system takes its grid from its impulse schedule, not
-    from `dt`, with `inner_substeps` substeps per interval.
+    from `dt`, with `inner_substeps` substeps per interval.  Both are checked
+    for every system, also where the path does not read them.
+
+    A `LinearSde` runs its paths in batches and counts a path that overflows
+    in `Ensemble.diverged`.  Any other system runs one path at a time, and
+    the first path that overflows raises NonFinite from its integrator with
+    the step of the overflow.
     """
     if trajectories < 2:
         raise ValueError("need at least 2 trajectories")
@@ -218,6 +226,10 @@ def run_ensemble(
         raise ValueError("p must be positive")
     if not 0 < T < math.inf:
         raise ValueError("T must be positive and finite")
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
+    if inner_substeps < 1:
+        raise ValueError("inner_substeps must be >= 1")
     if isinstance(system, LinearSde):
         return _ensemble_linear(system, z0, p, trajectories, T, dt, seed)
     return _ensemble_looped(system, z0, p, trajectories, T, dt, seed, inner_substeps)

@@ -1,4 +1,4 @@
-"""System descriptions: linear and general SDEs, impulse maps, full impulsive
+"""System descriptions: linear and general SDEs, impulse schedules, impulsive
 hybrid systems, and the construction coupling an SDE with its explicit
 discretization into one hybrid (cyber-physical) system.
 
@@ -24,16 +24,16 @@ _LIPSCHITZ_SLACK = 1e-6  # relative slack of `validate`'s ratio and gap checks
 _FLOAT64 = np.dtype(np.float64)
 
 
-def _as_vector(x, dim: int | None = None, name: str = "x") -> np.ndarray:
+def _as_vector(x, dim: int, name: str = "x") -> np.ndarray:
     # a native float64 vector of the right length is returned as is: the
     # conversion below would return this same object
     if (type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == 1
-            and (dim is None or x.shape[0] == dim)):
+            and x.shape[0] == dim):
         return x
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.ndim != 1:
         raise ValueError(f"{name} must be a vector, got shape {v.shape}")
-    if dim is not None and v.shape[0] != dim:
+    if v.shape[0] != dim:
         raise ValueError(f"{name} must have length {dim}, got {v.shape[0]}")
     return v
 
@@ -151,25 +151,6 @@ Sde = LinearSde | VectorFieldSde
 
 
 @dataclass(frozen=True)
-class ImpulseMaps:
-    """Jump maps applied at impulse times.
-
-    State jumps are `deterministic part + gain @ xi(k)` with xi(k) a standard
-    normal m-vector:
-
-    - ``jump_x(x, k)`` -> n-vector, ``jump_x_gain(x, k)`` -> n x m,
-    - ``jump_y(x, y, k)`` -> q-vector, ``jump_y_gain(x, y, k)`` -> q x m.
-
-    All maps must vanish at origin arguments so zero stays an equilibrium.
-    """
-
-    jump_x: Callable[[np.ndarray, int], np.ndarray]
-    jump_x_gain: Callable[[np.ndarray, int], np.ndarray]
-    jump_y: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
-    jump_y_gain: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
-
-
-@dataclass(frozen=True)
 class ImpulseSchedule:
     """Strictly increasing impulse times t_0 = 0 < t_1 < ..., generated lazily.
 
@@ -207,9 +188,12 @@ class SideSystem:
     Between impulses
         dx = drift_x(x, t) dt + diffusion_x(x, t) dB,
         dy = drift_y(x, y, t) dt + diffusion_y(x, y, t) dB,
-    and at each impulse time both states jump through `jumps` driven by a
-    fresh standard-normal draw.  `lipschitz_x` / `lipschitz_y` declare the
-    global Lipschitz constants of the x-maps and the coupled (x, y)-maps.
+    and at impulse k, with xi(k) a fresh standard-normal m-vector,
+        x -> x + jump_x(x, k) + jump_x_gain(x, k) @ xi(k),
+        y -> y + jump_y(x, y, k) + jump_y_gain(x, y, k) @ xi(k).
+    Every map must vanish at origin arguments so zero stays an equilibrium.
+    `lipschitz_x` / `lipschitz_y` declare the global Lipschitz constants of
+    the x-maps and the coupled (x, y)-maps.
     Over z = (x, y) the flow is dz = drift(z, t) dt + diffusion(z, t) dB and
     impulse k maps z to z + jump(z, k) + jump_gain(z, k) @ xi(k).
     """
@@ -221,7 +205,10 @@ class SideSystem:
     diffusion_x: Callable[[np.ndarray, float], np.ndarray]
     drift_y: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
     diffusion_y: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-    jumps: ImpulseMaps
+    jump_x: Callable[[np.ndarray, int], np.ndarray]
+    jump_x_gain: Callable[[np.ndarray, int], np.ndarray]
+    jump_y: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
+    jump_y_gain: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
     schedule: ImpulseSchedule
     lipschitz_x: float
     lipschitz_y: float
@@ -252,11 +239,11 @@ class SideSystem:
 
     def jump(self, z, k: int) -> np.ndarray:
         x, y = self.split(z)
-        return np.concatenate([self.jumps.jump_x(x, k), self.jumps.jump_y(x, y, k)])
+        return np.concatenate([self.jump_x(x, k), self.jump_y(x, y, k)])
 
     def jump_gain(self, z, k: int) -> np.ndarray:
         x, y = self.split(z)
-        return self._stack_gains(self.jumps.jump_x_gain(x, k), self.jumps.jump_y_gain(x, y, k))
+        return self._stack_gains(self.jump_x_gain(x, k), self.jump_y_gain(x, y, k))
 
     def _stack_gains(self, gx, gy) -> np.ndarray:
         m = self.noise_dim
@@ -290,12 +277,6 @@ def make_cps(sde: Sde, dt: float) -> SideSystem:
     def jump_y_gain(x, y, k):
         return -sqrt_dt * sde.diffusion(x - y, 0.0)
 
-    jumps = ImpulseMaps(
-        jump_x=lambda x, k: np.zeros(n),
-        jump_x_gain=lambda x, k: np.zeros((n, m)),
-        jump_y=jump_y,
-        jump_y_gain=jump_y_gain,
-    )
     return SideSystem(
         n=n,
         q=n,
@@ -304,7 +285,10 @@ def make_cps(sde: Sde, dt: float) -> SideSystem:
         diffusion_x=sde.diffusion,
         drift_y=drift_y,
         diffusion_y=diffusion_y,
-        jumps=jumps,
+        jump_x=lambda x, k: np.zeros(n),
+        jump_x_gain=lambda x, k: np.zeros((n, m)),
+        jump_y=jump_y,
+        jump_y_gain=jump_y_gain,
         schedule=schedule,
         lipschitz_x=sde.lipschitz,
         lipschitz_y=sde.lipschitz,
@@ -407,17 +391,17 @@ def validate(
     # (x, y) distance applies), in the order the origins are checked
     hybrid = isinstance(system, SideSystem)
     if hybrid:
-        s, j = system, system.jumps
+        s = system
         n, q, lx, ly = s.n, s.q, s.lipschitz_x, s.lipschitz_y
         rows = [
             ("drift_x", lambda x, y, t, k: s.drift_x(x, t), lx, False),
             ("diffusion_x", lambda x, y, t, k: s.diffusion_x(x, t), lx, False),
             ("drift_y", lambda x, y, t, k: s.drift_y(x, y, t), ly, True),
             ("diffusion_y", lambda x, y, t, k: s.diffusion_y(x, y, t), ly, True),
-            ("jump_x", lambda x, y, t, k: j.jump_x(x, k), lx, False),
-            ("jump_x_gain", lambda x, y, t, k: j.jump_x_gain(x, k), lx, False),
-            ("jump_y", lambda x, y, t, k: j.jump_y(x, y, k), ly, True),
-            ("jump_y_gain", lambda x, y, t, k: j.jump_y_gain(x, y, k), ly, True),
+            ("jump_x", lambda x, y, t, k: s.jump_x(x, k), lx, False),
+            ("jump_x_gain", lambda x, y, t, k: s.jump_x_gain(x, k), lx, False),
+            ("jump_y", lambda x, y, t, k: s.jump_y(x, y, k), ly, True),
+            ("jump_y_gain", lambda x, y, t, k: s.jump_y_gain(x, y, k), ly, True),
         ]
     else:
         sde, n, q = system, system.dim, 0

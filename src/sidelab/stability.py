@@ -58,14 +58,12 @@ class StabilityCertificate:
     feasible: bool
     p: np.ndarray | None
     margin: float
-    dt_bar: float | None = None
+    dt_bar: float
     detail: str = ""
 
     def report(self) -> str:
-        lines = [f"verdict: {'feasible' if self.feasible else 'infeasible'}"]
-        if self.dt_bar is not None:
-            lines.append(f"dt_bar: {self.dt_bar:.12g}")
-        lines.append(f"margin: {self.margin:.12g}")
+        lines = [f"verdict: {'feasible' if self.feasible else 'infeasible'}",
+                 f"dt_bar: {self.dt_bar:.12g}", f"margin: {self.margin:.12g}"]
         if self.p is not None:
             lines.append("P:")
             for row in self.p:

@@ -3,7 +3,7 @@ matrices over z = (x, y), and the q = 0 view of a system's stacked form."""
 
 import numpy as np
 
-from sidelab.models import ImpulseMaps, SideSystem
+from sidelab.models import SideSystem
 
 
 def side_from_blocks(n, drift, noise, jump, gains, schedule):
@@ -31,7 +31,8 @@ def side_from_blocks(n, drift, noise, jump, gains, schedule):
         n=n, q=q, noise_dim=m,
         drift_x=x_map(drift), diffusion_x=x_gain(noise),
         drift_y=y_map(drift), diffusion_y=y_gain(noise),
-        jumps=ImpulseMaps(x_map(jump), x_gain(gains), y_map(jump), y_gain(gains)),
+        jump_x=x_map(jump), jump_x_gain=x_gain(gains),
+        jump_y=y_map(jump), jump_y_gain=y_gain(gains),
         schedule=schedule, lipschitz_x=10.0, lipschitz_y=10.0,
     )
 
@@ -58,12 +59,10 @@ def stacked_as_x(side):
         diffusion_x=side.diffusion,
         drift_y=lambda x, y, t: np.zeros(0),
         diffusion_y=lambda x, y, t: np.zeros((0, m)),
-        jumps=ImpulseMaps(
-            jump_x=side.jump,
-            jump_x_gain=side.jump_gain,
-            jump_y=lambda x, y, k: np.zeros(0),
-            jump_y_gain=lambda x, y, k: np.zeros((0, m)),
-        ),
+        jump_x=side.jump,
+        jump_x_gain=side.jump_gain,
+        jump_y=lambda x, y, k: np.zeros(0),
+        jump_y_gain=lambda x, y, k: np.zeros((0, m)),
         schedule=side.schedule,
         lipschitz_x=side.lipschitz_x,
         lipschitz_y=side.lipschitz_y,

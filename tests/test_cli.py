@@ -545,7 +545,7 @@ class TestPublicNames:
         "ConvergenceStudy", "Ensemble", "ExponentEstimate", "as_exponent", "moment_exponent",
         "scalar_onestep_factor", "strong_error_sup",
         "decay_rate", "is_positive_definite", "solve_ct_lyapunov", "solve_dt_lyapunov",
-        "ImpulseMaps", "ImpulseSchedule", "LinearSde", "SideSystem",
+        "ImpulseSchedule", "LinearSde", "SideSystem",
         "VectorFieldSde", "make_cps", "validate",
         "NoisePlan",
         "DiscretePath", "HybridTrajectory", "CpsTrajectory", "euler_maruyama", "exact_gbm",
@@ -557,7 +557,7 @@ class TestPublicNames:
     ]
 
     def test_package_exposes_every_public_name(self):
-        assert len(set(self.NAMES)) == 49
+        assert len(set(self.NAMES)) == 48
         assert [name for name in self.NAMES if not hasattr(sidelab, name)] == []
 
     def test_star_import_exposes_them(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sidelab import estimate
-from sidelab.errors import GridMismatch
+from sidelab.errors import GridMismatch, NonFinite
 from sidelab.estimate import (
     Ensemble,
     as_exponent,
@@ -433,6 +433,7 @@ SYS3 = LinearSde(
 )
 X3 = [1.0, -0.5, 0.25]
 OVERFLOWING = LinearSde.scalar(50.0, 3.0)  # |1 + 50 dt| = 26 per step at dt = 0.5
+OVERFLOWING_FIELD = VectorFieldSde(1, 1, lambda x, t: 50.0 * x, lambda x, t: 3.0 * x.reshape(1, 1), 50.0)
 
 # (system, x0, p, trajectories, T, dt, seed); every case reads the impulse
 # stream, so "xi" and "brownian" differ only in their seed
@@ -486,6 +487,17 @@ class TestDivergedTrajectories:
         ens = run_ensemble(OVERFLOWING, [1.0], 2.0, 6, 200.0, 0.5, seed=1)
         assert ens.diverged == 6
         assert not np.any(np.isfinite(ens.sup_sq))
+
+    @pytest.mark.parametrize("system, z0, message", [
+        (OVERFLOWING_FIELD, [1.0], "state overflowed at step 218"),
+        (make_cps(OVERFLOWING, 0.5), [1.0, 0.0], "state overflowed at substep 218"),
+    ], ids=["vector_field", "side_system"])
+    def test_looped_overflow_raises(self, system, z0, message):
+        # only the batched linear kernel counts an overflowing path: the
+        # looped ensemble stops at the first one, here trajectory 0
+        with pytest.raises(NonFinite, match=rf"^{message}$") as err:
+            run_ensemble(system, z0, 2.0, 6, 200.0, 0.5, seed=1)
+        assert err.value.step == 218
 
     def test_stable_system_has_none(self):
         assert run_ensemble(SYS3, X3, 2.0, 64, 1.0, 1e-2, seed=1).diverged == 0

@@ -8,7 +8,6 @@ from sidelab.errors import ValidationFailed
 from sidelab.models import (
     ImpulseSchedule,
     LinearSde,
-    SideSystem,
     VectorFieldSde,
     _as_vector,
     linear_compact_form,
@@ -87,7 +86,6 @@ class TestAsVector:
     )
     def test_float64_vector_is_returned_as_is(self, x):
         assert _as_vector(x, 3) is x
-        assert _as_vector(x) is x
 
     @pytest.mark.parametrize(
         "x, want",
@@ -170,16 +168,16 @@ class TestMakeCps:
         # dt = 0.5, drift -x: jump mean is +0.5 (x - y), no noise gain
         side = make_cps(LinearSde.scalar(-1.0, 0.0), 0.5)
         x, y = np.array([2.0]), np.array([0.5])
-        assert side.jumps.jump_y(x, y, 1)[0] == pytest.approx(0.5 * (2.0 - 0.5))
-        assert np.all(side.jumps.jump_y_gain(x, y, 1) == 0.0)
+        assert side.jump_y(x, y, 1)[0] == pytest.approx(0.5 * (2.0 - 0.5))
+        assert np.all(side.jump_y_gain(x, y, 1) == 0.0)
 
     def test_equilibrium_jump_vanishes(self):
         side = make_cps(LinearSde.scalar(-3.0, 0.7), 0.25)
         x = np.array([1.3])
-        assert side.jumps.jump_y(x, x, 5)[0] == 0.0
-        assert np.all(side.jumps.jump_y_gain(x, x, 5) == 0.0)
+        assert side.jump_y(x, x, 5)[0] == 0.0
+        assert np.all(side.jump_y_gain(x, x, 5) == 0.0)
         zero = np.zeros(1)
-        assert side.jumps.jump_y(zero, zero, 1)[0] == 0.0
+        assert side.jump_y(zero, zero, 1)[0] == 0.0
 
     def test_linear_maps_match_matrices(self):
         rng = np.random.default_rng(1)
@@ -191,17 +189,17 @@ class TestMakeCps:
             x = rng.normal(size=3)
             y = rng.normal(size=3)
             want_mean = -dt * (f @ (x - y))
-            got_mean = side.jumps.jump_y(x, y, 2)
+            got_mean = side.jump_y(x, y, 2)
             assert np.allclose(got_mean, want_mean, rtol=1e-13)
-            gain = side.jumps.jump_y_gain(x, y, 2)
+            gain = side.jump_y_gain(x, y, 2)
             for j, g in enumerate(gs):
                 assert np.allclose(gain[:, j], -math.sqrt(dt) * (g @ (x - y)), rtol=1e-13)
 
     def test_x_block_has_no_impulse(self):
         side = make_cps(LinearSde.scalar(-1.0, 0.5), 0.1)
         x = np.array([4.0])
-        assert np.all(side.jumps.jump_x(x, 1) == 0.0)
-        assert np.all(side.jumps.jump_x_gain(x, 1) == 0.0)
+        assert np.all(side.jump_x(x, 1) == 0.0)
+        assert np.all(side.jump_x_gain(x, 1) == 0.0)
 
 
 class TestCompactForm:
@@ -283,8 +281,6 @@ CPS = make_cps(LinearSde(np.array([[-1.0, 0.3], [0.2, -2.0]]), (np.array([[0.4, 
 
 def with_map(side, name, wrap):
     """`side` with the evaluator `name` replaced by wrap(evaluator)."""
-    if name.startswith("jump"):
-        return replace(side, jumps=replace(side.jumps, **{name: wrap(getattr(side.jumps, name))}))
     return replace(side, **{name: wrap(getattr(side, name))})
 
 
@@ -320,17 +316,7 @@ class TestValidate:
 
     def test_shifted_origin_fails(self):
         side = make_cps(LinearSde.scalar(-1.0, 0.0), 0.5)
-        bad = SideSystem(
-            n=1, q=1, noise_dim=1,
-            drift_x=lambda x, t: x - x + 1.0,
-            diffusion_x=side.diffusion_x,
-            drift_y=side.drift_y,
-            diffusion_y=side.diffusion_y,
-            jumps=side.jumps,
-            schedule=side.schedule,
-            lipschitz_x=1.0,
-            lipschitz_y=1.0,
-        )
+        bad = replace(side, drift_x=lambda x, t: x - x + 1.0, lipschitz_x=1.0, lipschitz_y=1.0)
         with pytest.raises(ValidationFailed, match="origin"):
             validate(bad, pairs=10, seed=0)
 

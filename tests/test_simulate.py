@@ -211,9 +211,9 @@ def looped_side(side, z0, inner_substeps, T, plan):
         if t_next <= T + horizon_tol:
             xi = plan.xi(k + 1)
             pre = np.concatenate([x, y])
-            x = x + side.jumps.jump_x(x, k + 1) + side.jumps.jump_x_gain(x, k + 1) @ xi
-            y = y + side.jumps.jump_y(pre[: side.n], pre[side.n :], k + 1) \
-                + side.jumps.jump_y_gain(pre[: side.n], pre[side.n :], k + 1) @ xi
+            x = x + side.jump_x(x, k + 1) + side.jump_x_gain(x, k + 1) @ xi
+            y = y + side.jump_y(pre[: side.n], pre[side.n :], k + 1) \
+                + side.jump_y_gain(pre[: side.n], pre[side.n :], k + 1) @ xi
             times.append(t_next)
             xs.append(x.copy())
             ys.append(y.copy())
@@ -516,6 +516,11 @@ NON_FINITE_CASES = [
      lambda v: simulate_side(make_cps(GBM, 0.5), [1.0, 0.0], 4, v, plan_for(0.125, 2.0)), (math.nan, math.inf)),
     ("run_ensemble", "T",
      lambda v: run_ensemble(make_cps(GBM, 0.5), [1.0, 0.0], 2.0, 4, v, 0.5), (math.nan, math.inf)),
+    # a hybrid path ignores dt, and a linear one inner_substeps: both are still checked
+    ("run_ensemble", "dt",
+     lambda v: run_ensemble(make_cps(GBM, 0.5), [1.0, 0.0], 2.0, 4, 2.0, v), (math.nan, math.inf, -1.0)),
+    ("run_ensemble", "inner_substeps",
+     lambda v: run_ensemble(GBM, [1.0], 2.0, 4, 1.0, 0.5, inner_substeps=v), (0, -3)),
     ("euler_maruyama", "dt", lambda v: euler_maruyama(GBM, [1.0], v, np.zeros((4, 1))), (math.nan, math.inf)),
     ("simulate_cps", "dt", lambda v: simulate_cps(GBM, [1.0], v, 1.0, plan_for(0.25, 1.0)), (math.nan, math.inf)),
     ("scalar_cps_demo", "dt", lambda v: simulate_scalar_cps_demo(1.0, 2.0, 1.0, v, 10.0), (math.nan, math.inf)),

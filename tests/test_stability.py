@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sidelab.errors import NotLinear, NotPositiveDefinite
 from sidelab.matrix_kernels import ct_operator, vec_operator
-from sidelab.models import ImpulseMaps, ImpulseSchedule, LinearSde, SideSystem, make_cps
+from sidelab.models import ImpulseSchedule, LinearSde, make_cps
 from sidelab.stability import (
     ConditionConstants,
     check_thm1,
@@ -288,19 +289,7 @@ class TestConditionConstants:
     )
     def test_nonlinear_rejected(self, name, bent):
         side = make_cps(LinearSde.scalar(-1.0, 0.5), 0.5)
-        fields = {
-            "drift_x": side.drift_x, "diffusion_x": side.diffusion_x,
-            "drift_y": side.drift_y, "diffusion_y": side.diffusion_y,
-        }
-        maps = {
-            "jump_x": side.jumps.jump_x, "jump_x_gain": side.jumps.jump_x_gain,
-            "jump_y": side.jumps.jump_y, "jump_y_gain": side.jumps.jump_y_gain,
-        }
-        (fields if name in fields else maps)[name] = bent
-        bad = SideSystem(
-            n=1, q=1, noise_dim=1, **fields, jumps=ImpulseMaps(**maps),
-            schedule=side.schedule, lipschitz_x=10.0, lipschitz_y=10.0,
-        )
+        bad = replace(side, **{name: bent}, lipschitz_x=10.0, lipschitz_y=10.0)
         with pytest.raises(NotLinear):
             quadratic_condition_constants(bad, [[1.0]], [[1.0]])
 
