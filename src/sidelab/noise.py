@@ -6,6 +6,13 @@ and with normal variates produced by inverse-CDF of its raw 64-bit words.
 Nothing is rejection-sampled, so trajectories agree bitwise in any order or
 batch.  A batched read is time-major: (slots, width, generators).
 
+A read has two parts: `_read_words` reads the raw words, one row per
+generator, in a loop that holds the GIL; `_standard_normals` maps them to
+normals without it.  `normal_blocks` streams a batch in blocks over a
+one-worker pool: the caller's thread reads block k+1's words and then uses
+block k while the worker maps block k+1, in one buffer of words and two of
+normals that are allocated once per batch and reused.
+
 Two independent streams are kept per trajectory: one for Brownian-motion
 increments on the finest grid (refinable by dyadic coarsening for
 convergence studies) and one for the impulse draws consumed at jump times.
@@ -45,25 +52,68 @@ def _generator(seed: int, trajectory: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _standard_normals(gens, count: int, width: int) -> np.ndarray:
-    """N(0,1) draws for the next `count` slots of each generator in `gens`,
-    shape (count, width, len(gens)): time-major, each coordinate contiguous
-    over the generators.
+def _read_words(gens, count: int, width: int, out=None) -> np.ndarray:
+    """The next `count * width` raw 64-bit words of each generator in `gens`,
+    one contiguous row per generator: shape (len(gens), count * width).
 
-    Each slot takes `width` consecutive 64-bit words, and a generator resumes
-    where its last call stopped, so reading a stream in pieces gives the same
-    draws bit for bit as reading it at once.  The raw words are those of
+    Each slot takes `width` consecutive words, and a generator resumes where
+    its last read stopped, so reading a stream in pieces gives the same words
+    as reading it at once.  They are the words of
     `gen.integers(1 << 64, dtype=np.uint64)`, read without its per-call cost.
+    `out`, when given, is a uint64 array of that shape that takes the words.
+    This loop over the generators holds the GIL; the map that turns the words
+    into normals, `_standard_normals`, does not.
     """
-    words = np.empty((count * width, len(gens)), dtype=np.uint64)
-    for col, gen in enumerate(gens):
-        words[:, col] = gen.bit_generator.random_raw(count * width)
+    if out is None:
+        out = np.empty((len(gens), count * width), dtype=np.uint64)
+    for row, gen in zip(out, gens):
+        row[:] = gen.bit_generator.random_raw(count * width)
+    return out
+
+
+def _standard_normals(words: np.ndarray, count: int, width: int, out=None) -> np.ndarray:
+    """N(0,1) draws from the words of `_read_words(gens, count, width)`, shape
+    (count, width, len(gens)): time-major, each coordinate contiguous over the
+    generators.
+
+    Overwrites `words`.  `out`, when given, is a C-contiguous
+    (count * width, len(gens)) float array that takes the draws, and the
+    result is a view of it.  The shift, the transposing float conversion, the
+    affine step and `ndtri` all run without the GIL, so a worker thread can
+    map one block while the caller's thread does other work.
+    """
+    if out is None:
+        out = np.empty((count * width, len(words)))
     # map to the open interval (0, 1); the half-step keeps 0 and 1 unreachable
     words >>= np.uint64(11)
-    u = words.astype(np.float64)
-    u += 0.5
-    u *= 2.0**-53
-    return ndtri(u, out=u).reshape(count, width, len(gens))
+    out[...] = words.T
+    out += 0.5
+    out *= 2.0**-53
+    return ndtri(out, out=out).reshape(count, width, len(words))
+
+
+def normal_blocks(pool, gens, counts, width: int):
+    """Yield each generator's normals for the next `count` slots, for each
+    count in the nonempty `counts` in turn: the blocks `_standard_normals`
+    maps from `_read_words(gens, count, width)`, bit for bit.
+
+    The caller's thread reads the words of a block once the one worker of
+    `pool` has mapped the block before it, and uses each yielded block while
+    the worker maps the next.  One buffer of words and two of normals are
+    allocated once and reused, so a yielded block is valid only until the
+    next one is requested.  The map is looked up as `_standard_normals` at
+    each block.
+    """
+    size = max(counts) * width
+    words = np.empty((len(gens), size), dtype=np.uint64)
+    normals = np.empty((2, size, len(gens)))
+    for k, count in enumerate(counts):
+        block = _read_words(gens, count, width, words[:, : count * width])
+        mapped = pool.submit(_standard_normals, block, count, width, normals[k % 2, : count * width])
+        if k:
+            yield done
+        done = mapped.result()
+    yield done
 
 
 def fold(w: np.ndarray, times: int) -> np.ndarray:
@@ -120,7 +170,8 @@ class NoisePlan:
     def _draws(self, stream: int, count: int) -> np.ndarray:
         if count < 0:
             raise ValueError("count must be nonnegative")
-        return _standard_normals([_generator(self.seed, self.trajectory, stream)], count, self.noise_dim)[:, :, 0]
+        words = _read_words([_generator(self.seed, self.trajectory, stream)], count, self.noise_dim)
+        return _standard_normals(words, count, self.noise_dim)[:, :, 0]
 
     def standard_normals(self, count: int) -> np.ndarray:
         """Raw N(0,1) draws from the Brownian stream, shape (count, m)."""

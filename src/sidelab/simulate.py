@@ -2,10 +2,12 @@
 impulsive integrator, the coupled exact/numerical integrator, and closed-form
 oracles for scalar linear systems.
 
-One trajectory is single-threaded; ensembles parallelize across trajectory
-indices with no shared state (see `estimate`).  Unstable regimes are expected
-outputs of this tool, so overflow aborts the trajectory with the step index
-instead of clamping.
+Every integrator here steps one trajectory on the caller's thread.  The
+ensembles of `estimate` run their trajectories in index order: a linear one
+steps them in vectorized batches while one worker thread maps the next block
+of draws, and any other runs them one at a time.  Unstable regimes are
+expected outputs of this tool, so overflow aborts the trajectory with the
+step index instead of clamping.
 
 The scheme, x of the coupled run and the stacked z = (x, y) of a
 `SideSystem` take one explicit substep, `_substeps`; for a `LinearSde` it is

@@ -1,12 +1,13 @@
 import math
 import pickle
+import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from sidelab import estimate
+from sidelab import estimate, noise
 from sidelab.errors import GridMismatch, NonFinite
 from sidelab.estimate import (
     Ensemble,
@@ -495,7 +496,7 @@ class TestDivergedTrajectories:
     def test_looped_overflow_raises(self, system, z0, message):
         # only the batched linear kernel counts an overflowing path: the
         # looped ensemble stops at the first one, here trajectory 0
-        with pytest.raises(NonFinite, match=rf"^{message}$") as err:
+        with pytest.raises(NonFinite, match=rf"^trajectory 0: {message}$") as err:
             run_ensemble(system, z0, 2.0, 6, 200.0, 0.5, seed=1)
         assert err.value.step == 218
 
@@ -548,3 +549,39 @@ class TestEnsembleMemory:
         # drawing each batch's whole (B, N, m) noise block before stepping
         # peaked at 31.4 MiB at T = 2 and 125.5 MiB at T = 8
         assert self._peak(8.0) <= 1.1 * self._peak(2.0)
+
+
+class TestMapWorker:
+    """Each linear kernel call joins its map worker before it returns."""
+
+    KERNELS = {  # three and eight blocks per batch
+        "ensemble": (lambda: run_ensemble(SYS3, X3, 2.0, 64, 5.0, 1e-3, seed=1), "_linear_steps"),
+        "strong_error_sup": (lambda: strong_error_sup(GBM, [1.0], 4.0, (1, 2), 16, delta=2.0**-10), "_em_chunk"),
+    }
+
+    @pytest.mark.parametrize("kernel, step", KERNELS.values(), ids=KERNELS.keys())
+    def test_raise_after_first_block_leaves_no_thread(self, monkeypatch, kernel, step):
+        maps = [0]
+        standard_normals = noise._standard_normals
+
+        def counted(*args):
+            maps[0] += 1
+            return standard_normals(*args)
+
+        def fail(*args):
+            raise RuntimeError("stop in the first block")
+
+        monkeypatch.setattr(noise, "_standard_normals", counted)
+        monkeypatch.setattr(estimate, step, fail)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^stop in the first block$"):
+            kernel()
+        # the first block, and the second, which the worker was mapping
+        assert maps[0] == 2
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("kernel", [kernel for kernel, _ in KERNELS.values()], ids=KERNELS.keys())
+    def test_completed_call_leaves_no_thread(self, kernel):
+        before = threading.active_count()
+        kernel()
+        assert threading.active_count() == before

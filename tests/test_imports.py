@@ -45,6 +45,14 @@ def test_import_leaves_heavy_modules_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def test_import_starts_no_thread():
+    # the linear kernels start their one map worker per call, never at import
+    code = "import threading; before = threading.active_count(); import sidelab; print(threading.active_count() - before)"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "0"
+
+
 def _names_read(node: ast.AST, inside: frozenset = frozenset()) -> set[tuple[bool, str]]:
     """(by attribute, word) of each read in `node`: a name (False), or an
     attribute or a string for `getattr` (True); a read that the definition of

@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from scipy.special import ndtri
 from sidelab import noise
 from sidelab.errors import GridMismatch
 from sidelab.models import LinearSde, make_cps
-from sidelab.noise import _BROWNIAN_STREAM, _IMPULSE_STREAM, NoisePlan, _generator, _standard_normals
+from sidelab.noise import _BROWNIAN_STREAM, _IMPULSE_STREAM, NoisePlan, _generator, _read_words, _standard_normals
 from sidelab.simulate import simulate_side
 
 
@@ -123,11 +125,28 @@ class TestChunkedDraws:
         assert np.count_nonzero(offsets % 4) >= 3
         start = 0
         for count in counts:
-            chunk = _standard_normals(gens, count, width) * np.sqrt(plan.delta)
+            chunk = _standard_normals(_read_words(gens, count, width), count, width) * np.sqrt(plan.delta)
             assert chunk.shape == (count, width, 2)  # time-major: (slots, width, generators)
             assert np.array_equal(chunk[:, :, 1], whole[start : start + count])
             start += count
         assert start == plan.finest_steps
+
+
+class TestNormalBlocks:
+    """`normal_blocks` maps on a worker thread into reused buffers; its blocks
+    must be those of one read made at once, bit for bit."""
+
+    @pytest.mark.parametrize("counts", [(1, 2, 3, 5, 9, 44), (16, 16, 16, 5)], ids=["uneven", "short-last"])
+    @pytest.mark.parametrize("width", [0, 1, 2, 3])
+    def test_blocks_equal_one_read(self, counts, width):
+        gens = [_generator(13, traj, _IMPULSE_STREAM) for traj in (0, 2, 5)]
+        fresh = [_generator(13, traj, _IMPULSE_STREAM) for traj in (0, 2, 5)]
+        whole = _standard_normals(_read_words(fresh, sum(counts), width), sum(counts), width)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            # a block is valid only until the next one is requested: copy it
+            blocks = [block.copy() for block in noise.normal_blocks(pool, gens, counts, width)]
+        assert [block.shape for block in blocks] == [(count, width, 3) for count in counts]
+        assert np.array_equal(np.concatenate(blocks), whole)
 
 
 class TestPinnedDraws:
@@ -152,7 +171,7 @@ class TestPinnedDraws:
         gens = [_generator(11, traj, _IMPULSE_STREAM) for traj in trajs]
         refs = [_generator(11, traj, _IMPULSE_STREAM) for traj in trajs]
         for count in self.COUNTS:
-            got = _standard_normals(gens, count, width)
+            got = _standard_normals(_read_words(gens, count, width), count, width)
             for col, ref in enumerate(refs):
                 words = ref.integers(1 << 64, size=(count, width), dtype=np.uint64)
                 want = ndtri(((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
@@ -163,8 +182,8 @@ def count_generated(monkeypatch):
     """Count the normals `noise._standard_normals` generates from now on."""
     generated = [0]
 
-    def counted(gens, count, width):
-        out = _standard_normals(gens, count, width)
+    def counted(words, count, width, out=None):
+        out = _standard_normals(words, count, width, out)
         generated[0] += out.size
         return out
 
@@ -190,7 +209,8 @@ class TestDrawBudget:
         plan = make_plan(seed=3, traj=2)
         generated = count_generated(monkeypatch)
         for read, stream in ((plan.standard_normals, _BROWNIAN_STREAM), (plan.xi_block, _IMPULSE_STREAM)):
-            fresh = _standard_normals([_generator(3, 2, stream)], count, plan.noise_dim)[:, :, 0]
+            words = _read_words([_generator(3, 2, stream)], count, plan.noise_dim)
+            fresh = _standard_normals(words, count, plan.noise_dim)[:, :, 0]
             before = generated[0]
             assert np.array_equal(read(count), fresh)
             assert generated[0] - before == count * plan.noise_dim
