@@ -7,16 +7,9 @@ every statistic is bitwise reproducible from (seed, parameters).  Batches are
 time-major: (n, B) states, (steps, m, B) draws, (steps + 1, n, B) chunk paths.
 
 Both linear kernels, the moment ensemble and the convergence study, stream each
-batch over chunks of time, so memory is O(batch * chunk draws) at any horizon.
-Batch sizes fix the summation order; chunk sizes enter no result.
-
-Each kernel call runs one worker thread (`ThreadPoolExecutor(max_workers=1)`,
-joined before the call returns, also when it raises) that maps the next chunk's
-raw Philox words to normals while the caller's thread steps the current chunk
-(`noise.normal_blocks`).  A batch holds one buffer of words and two of normals,
-allocated once and reused; the caller reads the next chunk's words only after
-the worker has mapped the last ones.  The worker changes no bit: each draw is
-the same pure function of its stream and slot.
+batch over chunks of time from `noise.normal_blocks`, so memory is
+O(batch * chunk draws) at any horizon.  Batch sizes fix the summation order;
+chunk sizes enter no result.
 """
 
 from __future__ import annotations
@@ -28,7 +21,7 @@ import numpy as np
 
 from .errors import GridMismatch, NonFinite
 from .models import LinearSde, Sde, SideSystem, _as_vector
-from .noise import _BROWNIAN_STREAM, _IMPULSE_STREAM, NoisePlan, _generator, fold, normal_blocks
+from .noise import _BROWNIAN_STREAM, _IMPULSE_STREAM, NoisePlan, fold, normal_blocks
 from .simulate import euler_maruyama, exact_gbm, simulate_side, whole_steps
 
 _WINDOW_MIN_POINTS = 10
@@ -40,9 +33,9 @@ _SUP_BATCH = 512
 
 # Finest steps per chunk of the convergence study, rounded up to a multiple of
 # the coarsest stride, and draws per chunk of an ensemble batch.  They bound
-# memory only: no result depends on them.  A batch holds one chunk of raw words
-# and two chunks of normals (the one being stepped and the next one being
-# mapped), 8 bytes per draw each: 6 MiB per ensemble batch at 2**18 draws.
+# memory only: no result depends on them.  `normal_blocks` holds one chunk of
+# raw words and two chunks of normals per batch, 8 bytes per draw each: 6 MiB
+# per ensemble batch at 2**18 draws.
 _CHUNK = 512
 _ENSEMBLE_DRAWS = 1 << 18
 
@@ -145,12 +138,6 @@ def _sumsq(x):
     return sum((x[..., i, :] ** 2 for i in range(1, x.shape[-2])), x[..., 0, :] ** 2)
 
 
-def _block_counts(steps: int, chunk: int) -> list[int]:
-    """Steps per block when `steps` are walked in blocks of `chunk`, the last
-    one short."""
-    return [min(chunk, steps - s) for s in range(0, steps, chunk)]
-
-
 def _ensemble_linear(sde: LinearSde, x0, p, trajectories, T, dt, seed) -> Ensemble:
     n, m = sde.dim, sde.noise_dim
     n_steps = whole_steps(T, dt)
@@ -161,33 +148,26 @@ def _ensemble_linear(sde: LinearSde, x0, p, trajectories, T, dt, seed) -> Ensemb
     sup_sq = np.empty(trajectories)
     terminal_log = np.empty(trajectories)
 
-    # imported here, not with the module, so that tasks without a linear
-    # kernel load no thread machinery
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        for start in range(0, trajectories, _ENSEMBLE_BATCH):
-            b = min(_ENSEMBLE_BATCH, trajectories - start)
-            gens = [_generator(seed, traj, _IMPULSE_STREAM) for traj in range(start, start + b)]
-            chunk = max(1, _ENSEMBLE_DRAWS // (max(m, 1) * b))
-            x = np.repeat(x0[:, None], b, axis=1)
-            nrm = np.sqrt(_sumsq(x))
-            moment_sum[0] += float(np.sum(nrm**p))
-            batch_sup = nrm**2
-            norms = np.empty((chunk, b))  # row k: the norms after step s + k + 1
-            s = 0
-            with np.errstate(over="ignore", invalid="ignore"):
-                for w in normal_blocks(pool, gens, _block_counts(n_steps, chunk), m):
-                    c = w.shape[0]
-                    w *= math.sqrt(dt)
-                    for k, x in enumerate(_linear_steps(sde.drift_matrix, sde.noise_matrices, x, dt, w)):
-                        np.sqrt(_sumsq(x), out=norms[k])
-                    moment_sum[s + 1 : s + c + 1] += np.sum(norms[:c] ** p, axis=1)
-                    np.maximum(batch_sup, np.max(norms[:c] ** 2, axis=0), out=batch_sup)
-                    s += c
-            sup_sq[start : start + b] = batch_sup
-            with np.errstate(divide="ignore"):
-                terminal_log[start : start + b] = np.log(norms[c - 1])
+    for start in range(0, trajectories, _ENSEMBLE_BATCH):
+        b = min(_ENSEMBLE_BATCH, trajectories - start)
+        chunk = max(1, _ENSEMBLE_DRAWS // (max(m, 1) * b))
+        x = np.repeat(x0[:, None], b, axis=1)
+        nrm = np.sqrt(_sumsq(x))
+        moment_sum[0] += float(np.sum(nrm**p))
+        batch_sup = nrm**2
+        norms = np.empty((chunk, b))  # row k: the norms after step s + k + 1
+        s = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for w in normal_blocks(seed, _IMPULSE_STREAM, range(start, start + b), n_steps, chunk, m, math.sqrt(dt)):
+                c = w.shape[0]
+                for k, x in enumerate(_linear_steps(sde.drift_matrix, sde.noise_matrices, x, dt, w)):
+                    np.sqrt(_sumsq(x), out=norms[k])
+                moment_sum[s + 1 : s + c + 1] += np.sum(norms[:c] ** p, axis=1)
+                np.maximum(batch_sup, np.max(norms[:c] ** 2, axis=0), out=batch_sup)
+                s += c
+        sup_sq[start : start + b] = batch_sup
+        with np.errstate(divide="ignore"):
+            terminal_log[start : start + b] = np.log(norms[c - 1])
 
     return Ensemble(times, trajectories, moment_sum, sup_sq, terminal_log)
 
@@ -424,52 +404,45 @@ def strong_error_sup(
     err_sum = {l: 0.0 for l in levels}
     err_sumsq = {l: 0.0 for l in levels}
 
-    counts = _block_counts(n_fine, chunk)
+    for start in range(0, trajectories, _SUP_BATCH):
+        idx = range(start, min(start + _SUP_BATCH, trajectories))
+        b = len(idx)
+        # the states a chunk starts from: reference, each level, and the
+        # Brownian value in row 0 of `brownian`
+        ref_x = np.repeat(x0[:, None], b, axis=1)
+        brownian = np.zeros((chunk + 1, b))
+        xs = dict.fromkeys(levels, ref_x)
+        err = {l: np.zeros(b) for l in levels}
 
-    from concurrent.futures import ThreadPoolExecutor  # see `_ensemble_linear`
+        s = 0
+        for inc in normal_blocks(seed, _BROWNIAN_STREAM, idx, n_fine, chunk, m, math.sqrt(delta)):
+            c = inc.shape[0]
+            # ref holds fine indices s .. s + c, both ends included
+            if scalar:
+                # the carried sum in front, then sequential additions a row at a time
+                b_path = brownian[: c + 1]
+                b_path[1:] = inc[:, 0] if m else 0.0
+                np.cumsum(b_path, axis=0, out=b_path)
+                times = np.arange(s, s + c + 1) * delta
+                ref = exact_gbm(*scalar, float(x0[0]), np.repeat(times[:, None], b, axis=1), b_path)[:, None]
+                brownian[0] = b_path[-1]
+            else:
+                ref, ref_x = _em_chunk(f, gs, ref_x, delta, inc)
 
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        for start in range(0, trajectories, _SUP_BATCH):
-            idx = range(start, min(start + _SUP_BATCH, trajectories))
-            b = len(idx)
-            gens = [_generator(seed, traj, _BROWNIAN_STREAM) for traj in idx]
-            # the states a chunk starts from: reference, each level, and the
-            # Brownian value in row 0 of `brownian`
-            ref_x = np.repeat(x0[:, None], b, axis=1)
-            brownian = np.zeros((chunk + 1, b))
-            xs = dict.fromkeys(levels, ref_x)
-            err = {l: np.zeros(b) for l in levels}
-
-            s = 0
-            for inc in normal_blocks(pool, gens, counts, m):
-                c = inc.shape[0]
-                inc *= np.sqrt(delta)
-                # ref holds fine indices s .. s + c, both ends included
-                if scalar:
-                    # the carried sum in front, then sequential additions a row at a time
-                    b_path = brownian[: c + 1]
-                    b_path[1:] = inc[:, 0] if m else 0.0
-                    np.cumsum(b_path, axis=0, out=b_path)
-                    times = np.arange(s, s + c + 1) * delta
-                    ref = exact_gbm(*scalar, float(x0[0]), np.repeat(times[:, None], b, axis=1), b_path)[:, None]
-                    brownian[0] = b_path[-1]
-                else:
-                    ref, ref_x = _em_chunk(f, gs, ref_x, delta, inc)
-
-                w, folded = inc, 0
-                for level in levels:
-                    w, folded = fold(w, level - folded), level
-                    stride = 1 << level
-                    path, xs[level] = _em_chunk(f, gs, xs[level], delta * stride, w)
-                    # right-continuous step extension: fine index i sees level index i // stride
-                    diff = ref[:-1].reshape(-1, stride, n, b) - path[:-1, None]
-                    np.maximum(err[level], np.max(_sumsq(diff).reshape(-1, b), axis=0), out=err[level])
-                s += c
-
+            w, folded = inc, 0
             for level in levels:
-                np.maximum(err[level], _sumsq(ref[-1] - xs[level]), out=err[level])
-                err_sum[level] += np.sum(err[level])
-                err_sumsq[level] += np.sum(err[level] ** 2)
+                w, folded = fold(w, level - folded), level
+                stride = 1 << level
+                path, xs[level] = _em_chunk(f, gs, xs[level], delta * stride, w)
+                # right-continuous step extension: fine index i sees level index i // stride
+                diff = ref[:-1].reshape(-1, stride, n, b) - path[:-1, None]
+                np.maximum(err[level], np.max(_sumsq(diff).reshape(-1, b), axis=0), out=err[level])
+            s += c
+
+        for level in levels:
+            np.maximum(err[level], _sumsq(ref[-1] - xs[level]), out=err[level])
+            err_sum[level] += np.sum(err[level])
+            err_sumsq[level] += np.sum(err[level] ** 2)
 
     # float64 sums, so `mean**2` above ~1e154 gives inf (stderr NaN) where a float's ** raises
     records = []

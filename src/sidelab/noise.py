@@ -8,10 +8,9 @@ batch.  A batched read is time-major: (slots, width, generators).
 
 A read has two parts: `_read_words` reads the raw words, one row per
 generator, in a loop that holds the GIL; `_standard_normals` maps them to
-normals without it.  `normal_blocks` streams a batch in blocks over a
-one-worker pool: the caller's thread reads block k+1's words and then uses
-block k while the worker maps block k+1, in one buffer of words and two of
-normals that are allocated once per batch and reused.
+normals without it.  `normal_blocks` is the one batched reader: it streams a
+batch of trajectories in blocks of time, mapping and scaling each block on a
+worker thread that lives as long as the stream.
 
 Two independent streams are kept per trajectory: one for Brownian-motion
 increments on the finest grid (refinable by dyadic coarsening for
@@ -92,28 +91,44 @@ def _standard_normals(words: np.ndarray, count: int, width: int, out=None) -> np
     return ndtri(out, out=out).reshape(count, width, len(words))
 
 
-def normal_blocks(pool, gens, counts, width: int):
-    """Yield each generator's normals for the next `count` slots, for each
-    count in the nonempty `counts` in turn: the blocks `_standard_normals`
-    maps from `_read_words(gens, count, width)`, bit for bit.
+def normal_blocks(seed: int, stream: int, trajectories, steps: int, chunk: int, width: int, scale: float):
+    """Yield `scale` times the normals of `stream` for the generators of
+    `trajectories`, `chunk` slots at a time over the positive `steps` (the
+    last block short): (count, width, len(trajectories)) blocks that
+    concatenate to `scale * _standard_normals(_read_words(gens, steps, width),
+    steps, width)`, bit for bit.
 
-    The caller's thread reads the words of a block once the one worker of
-    `pool` has mapped the block before it, and uses each yielded block while
-    the worker maps the next.  One buffer of words and two of normals are
-    allocated once and reused, so a yielded block is valid only until the
-    next one is requested.  The map is looked up as `_standard_normals` at
-    each block.
+    A worker thread maps and scales block k+1 while the caller uses block k;
+    the caller's thread reads block k+1's words once block k is mapped.  One
+    buffer of words and two of normals, `min(chunk, steps)` slots each, are
+    reused, so a block is valid only until the next one is requested.  The
+    worker is joined when the stream ends or is closed, also by a raise in
+    the caller's loop.  The map is looked up as `_standard_normals` at each
+    block.
     """
-    size = max(counts) * width
+    # deferred: `scipy.linalg` loads `concurrent.futures` but not its `thread`
+    # submodule and `queue`, which add up to 1 MB to a task that draws no batch
+    from concurrent.futures import ThreadPoolExecutor
+
+    gens = [_generator(seed, traj, stream) for traj in trajectories]
+    size = min(chunk, steps) * width
     words = np.empty((len(gens), size), dtype=np.uint64)
     normals = np.empty((2, size, len(gens)))
-    for k, count in enumerate(counts):
-        block = _read_words(gens, count, width, words[:, : count * width])
-        mapped = pool.submit(_standard_normals, block, count, width, normals[k % 2, : count * width])
-        if k:
-            yield done
-        done = mapped.result()
-    yield done
+
+    def scaled(block, count, out):
+        out = _standard_normals(block, count, width, out)
+        out *= scale
+        return out
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for k, s in enumerate(range(0, steps, chunk)):
+            count = min(chunk, steps - s)
+            block = _read_words(gens, count, width, words[:, : count * width])
+            mapped = pool.submit(scaled, block, count, normals[k % 2, : count * width])
+            if k:
+                yield done
+            done = mapped.result()
+        yield done
 
 
 def fold(w: np.ndarray, times: int) -> np.ndarray:

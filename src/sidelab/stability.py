@@ -180,29 +180,22 @@ class ConditionConstants:
     """Constants entering the impulse-interval tests.
 
     `alpha` bounds the generator of the x-block (decay rate by default,
-    growth rate under the growth convention); `alpha_cross` / `alpha_self`
-    bound the coupled generator by V(x) and V(y) terms; `beta` bounds the
-    x-jump second moment, `beta_cross` / `beta_self` the y-jump second
-    moment.  `split` records the s-parameter used to break the x-y cross
-    terms; only the self constants enter the interval tests.
+    growth rate under the growth convention) and `alpha_self` the V(y) term
+    of the coupled generator; `beta` bounds the x-jump second moment and
+    `beta_self` the V(y) term of the y-jump second moment.  `split` records
+    the s-parameter used to break the x-y cross terms.
     """
 
     alpha: float
-    alpha_cross: float
     alpha_self: float
     beta: float
-    beta_cross: float
     beta_self: float
     dt_under: float
     dt_over: float
     split: float = 1.0
 
     def __post_init__(self):
-        values = (
-            self.alpha, self.alpha_cross, self.alpha_self,
-            self.beta, self.beta_cross, self.beta_self,
-        )
-        if not all(np.isfinite(values)):
+        if not all(np.isfinite((self.alpha, self.alpha_self, self.beta, self.beta_self))):
             raise ValueError("condition constants must be finite")
         if self.alpha_self <= 0 or self.beta_self <= 0:
             raise ValueError("alpha_self and beta_self must be positive")
@@ -223,8 +216,9 @@ def quadratic_condition_constants(
     forms (Gaussian cross terms vanish; E[u'Mu] sums the component forms), so
     each constant is the largest eigenvalue of the corresponding P- or
     Q-weighted pencil.  Cross x-y terms are split by the s-parameter bound
-    2 a' P b <= s b' P b + (1/s) a' P a; only the self constants enter the
-    interval tests downstream.
+    2 a' P b <= s b' P b + (1/s) a' P a, which scales the y-weighted
+    (self) forms; the x-weighted (cross) forms enter no interval test and
+    are not computed.
 
     With growth=False, `alpha` is the decay rate of the x-generator
     (positive when the continuous block is stable); with growth=True it is
@@ -248,15 +242,11 @@ def quadratic_condition_constants(
     else:
         alpha = decay_rate(m_lv, p)
 
-    # coupled generator, split into x- and y-weighted forms
-    a_y, b_y = lin.drift[n:, :n], lin.drift[n:, n:]
-    m_ax = s * (a_y.T @ p_tilde @ a_y)
-    for g in lin.noise:
-        m_ax = m_ax + (1.0 + s) * (g[n:, :n].T @ p_tilde @ g[n:, :n])
+    # coupled generator, its y-weighted form after the split
+    b_y = lin.drift[n:, n:]
     m_ay = p_tilde @ b_y + b_y.T @ p_tilde + (1.0 / s) * p_tilde
     for g in lin.noise:
         m_ay = m_ay + (1.0 + 1.0 / s) * (g[n:, n:].T @ p_tilde @ g[n:, n:])
-    alpha_cross = max(pencil_top(m_ax, p), _POSITIVE_FLOOR)
     alpha_self = max(pencil_top(m_ay, p_tilde), _POSITIVE_FLOOR)
 
     # x-jump second moment: (I + A)'P(I + A) + sum Hj'P Hj = P + ct_form(A, H, P, 1);
@@ -264,21 +254,14 @@ def quadratic_condition_constants(
     h_x = [g[:n, :n] for g in lin.jump_gains]
     beta = max(1.0 + pencil_top(ct_form(lin.jump[:n, :n], h_x, p, 1.0), p), _POSITIVE_FLOOR)
 
-    # y-jump second moment, split likewise
-    a_jy = lin.jump[n:, :n]
-    m_bx = a_jy.T @ p_tilde @ a_jy
-    for g in lin.jump_gains:
-        m_bx = m_bx + g[n:, :n].T @ p_tilde @ g[n:, :n]
+    # y-jump second moment, its y-weighted form after the split
     m_by = ct_form(lin.jump[n:, n:], [g[n:, n:] for g in lin.jump_gains], p_tilde, 1.0)
-    beta_cross = max((1.0 + s) * pencil_top(m_bx, p), _POSITIVE_FLOOR)
     beta_self = max((1.0 + 1.0 / s) * (1.0 + pencil_top(m_by, p_tilde)), _POSITIVE_FLOOR)
 
     return ConditionConstants(
         alpha=alpha,
-        alpha_cross=alpha_cross,
         alpha_self=alpha_self,
         beta=beta,
-        beta_cross=beta_cross,
         beta_self=beta_self,
         dt_under=side.schedule.dt_under,
         dt_over=side.schedule.dt_over,

@@ -202,30 +202,30 @@ def test_criterion_8_scalar_controller_demo():
 def test_criterion_9_impulse_interval_checkers():
     with criterion(9, "impulse interval checkers at the worked constants", limit_s=1.0):
         ok = ConditionConstants(
-            alpha=1.0, alpha_cross=1.0, alpha_self=2.0,
-            beta=0.5, beta_cross=1.0, beta_self=0.25,
+            alpha=1.0, alpha_self=2.0,
+            beta=0.5, beta_self=0.25,
             dt_under=0.1, dt_over=0.5,
         )
         assert check_thm1(ok)
         assert check_thm2(ok)
         wide = ConditionConstants(
-            alpha=1.0, alpha_cross=1.0, alpha_self=2.0,
-            beta=0.5, beta_cross=1.0, beta_self=0.25,
+            alpha=1.0, alpha_self=2.0,
+            beta=0.5, beta_self=0.25,
             dt_under=0.1, dt_over=0.7,
         )
         assert not check_thm1(wide)
         assert not check_thm2(wide)
         expanding = ConditionConstants(
-            alpha=1.0, alpha_cross=1.0, alpha_self=2.0,
-            beta=1.0, beta_cross=1.0, beta_self=1.0,
+            alpha=1.0, alpha_self=2.0,
+            beta=1.0, beta_self=1.0,
             dt_under=0.1, dt_over=0.5,
         )
         assert not check_thm1(expanding)  # -ln(beta_self) <= 0 closes the window
         assert not check_thm2(expanding)  # beta >= 1 cannot be rescued
         upper = -math.log(0.25) / 2.0
         boundary = ConditionConstants(
-            alpha=1.0, alpha_cross=1.0, alpha_self=2.0,
-            beta=0.5, beta_cross=1.0, beta_self=0.25,
+            alpha=1.0, alpha_self=2.0,
+            beta=0.5, beta_self=0.25,
             dt_under=0.1, dt_over=upper,
         )
         assert not check_thm1(boundary)

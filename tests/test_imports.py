@@ -37,8 +37,11 @@ def test_no_module_imports_a_name_it_never_uses():
 
 def test_import_leaves_heavy_modules_unloaded():
     # scipy.sparse.linalg costs every task about 35 ms of set-up and only the
-    # stepsize bound needs it; mpmath is not a dependency of the library
-    heavy = ("scipy.sparse.linalg", "mpmath")
+    # stepsize bound needs it; mpmath is not a dependency of the library;
+    # concurrent.futures.thread (with queue) adds up to 1 MB of peak resident
+    # memory to a task that draws no batch, and only `noise.normal_blocks`
+    # needs it
+    heavy = ("scipy.sparse.linalg", "mpmath", "concurrent.futures.thread")
     code = f"import sys, sidelab; print([m for m in {heavy!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
@@ -46,7 +49,7 @@ def test_import_leaves_heavy_modules_unloaded():
 
 
 def test_import_starts_no_thread():
-    # the linear kernels start their one map worker per call, never at import
+    # `noise.normal_blocks` starts its map worker per batch, never at import
     code = "import threading; before = threading.active_count(); import sidelab; print(threading.active_count() - before)"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

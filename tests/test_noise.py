@@ -1,4 +1,4 @@
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 import pytest
@@ -133,20 +133,35 @@ class TestChunkedDraws:
 
 
 class TestNormalBlocks:
-    """`normal_blocks` maps on a worker thread into reused buffers; its blocks
-    must be those of one read made at once, bit for bit."""
+    """`normal_blocks` keys a batch's generators, walks them in blocks and maps
+    and scales each block on a worker thread into reused buffers; its blocks
+    must be those of one read made at once, times the scale, bit for bit."""
 
-    @pytest.mark.parametrize("counts", [(1, 2, 3, 5, 9, 44), (16, 16, 16, 5)], ids=["uneven", "short-last"])
+    TRAJS = (0, 2, 5)
+    SCALE = np.sqrt(1e-3)
+
+    @pytest.mark.parametrize(
+        "steps, chunk, counts",
+        [(7, 1, [1] * 7), (44, 16, [16, 16, 12]), (9, 64, [9])],
+        ids=["one-slot", "short-last", "past-steps"],
+    )
     @pytest.mark.parametrize("width", [0, 1, 2, 3])
-    def test_blocks_equal_one_read(self, counts, width):
-        gens = [_generator(13, traj, _IMPULSE_STREAM) for traj in (0, 2, 5)]
-        fresh = [_generator(13, traj, _IMPULSE_STREAM) for traj in (0, 2, 5)]
-        whole = _standard_normals(_read_words(fresh, sum(counts), width), sum(counts), width)
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            # a block is valid only until the next one is requested: copy it
-            blocks = [block.copy() for block in noise.normal_blocks(pool, gens, counts, width)]
+    def test_blocks_equal_one_read(self, steps, chunk, counts, width):
+        gens = [_generator(13, traj, _IMPULSE_STREAM) for traj in self.TRAJS]
+        whole = _standard_normals(_read_words(gens, steps, width), steps, width) * self.SCALE
+        blocks = noise.normal_blocks(13, _IMPULSE_STREAM, self.TRAJS, steps, chunk, width, self.SCALE)
+        # a block is valid only until the next one is requested: copy it
+        blocks = [block.copy() for block in blocks]
         assert [block.shape for block in blocks] == [(count, width, 3) for count in counts]
         assert np.array_equal(np.concatenate(blocks), whole)
+
+    def test_close_after_first_block_joins_the_worker(self):
+        before = threading.active_count()
+        blocks = noise.normal_blocks(13, _IMPULSE_STREAM, self.TRAJS, 44, 16, 2, self.SCALE)
+        next(blocks)
+        assert threading.active_count() == before + 1
+        blocks.close()
+        assert threading.active_count() == before
 
 
 class TestPinnedDraws:

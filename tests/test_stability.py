@@ -264,7 +264,6 @@ class TestConditionConstants:
         side = make_cps(SCALAR, 0.4)
         c = quadratic_condition_constants(side, [[1.0]], [[1.0]], split=1.0)
         assert c.beta_self == pytest.approx(2.0 * 0.76, rel=1e-10)
-        assert c.beta_cross == pytest.approx(2.0 * (16.0 * 0.16 + 0.4), rel=1e-10)
         assert c.alpha_self == pytest.approx(1.0, rel=1e-10)
         assert c.dt_under == c.dt_over == pytest.approx(0.4)
 
@@ -318,8 +317,8 @@ class TestConditionConstants:
 
 def constants(**kw):
     base = dict(
-        alpha=1.0, alpha_cross=1.0, alpha_self=2.0,
-        beta=0.5, beta_cross=1.0, beta_self=0.25,
+        alpha=1.0, alpha_self=2.0,
+        beta=0.5, beta_self=0.25,
         dt_under=0.1, dt_over=0.5,
     )
     base.update(kw)
