@@ -121,13 +121,17 @@ class Ensemble:
         return int(np.count_nonzero(~np.isfinite(self.sup_sq)))
 
 
-def _linear_steps(f, gs, x, dt, w):
+def _linear_steps(stack, x, dt, w):
     """Explicit steps x + dt F x + sum_j (Gj x) w_j of an (n, B) batch under
-    noise w of shape (N, m, B); yields the batch after each step."""
+    noise w of shape (N, m, B); yields the batch after each step.  One
+    `stack @ x` per step, with `stack` the 3-d `LinearSde.stack`, gives every
+    F x and Gj x with the bits of the separate products; the row-stacked
+    matrix does not on a one-path batch (see `LinearSde`)."""
     for w_k in w:
-        step = dt * (f @ x)
-        for g, w_kj in zip(gs, w_k):
-            step += (g @ x) * w_kj
+        u = stack @ x
+        step = dt * u[0]
+        for j, w_kj in enumerate(w_k, 1):
+            step += u[j] * w_kj
         x = x + step
         yield x
 
@@ -160,7 +164,7 @@ def _ensemble_linear(sde: LinearSde, x0, p, trajectories, T, dt, seed) -> Ensemb
         with np.errstate(over="ignore", invalid="ignore"):
             for w in normal_blocks(seed, _IMPULSE_STREAM, range(start, start + b), n_steps, chunk, m, math.sqrt(dt)):
                 c = w.shape[0]
-                for k, x in enumerate(_linear_steps(sde.drift_matrix, sde.noise_matrices, x, dt, w)):
+                for k, x in enumerate(_linear_steps(sde.stack, x, dt, w)):
                     np.sqrt(_sumsq(x), out=norms[k])
                 moment_sum[s + 1 : s + c + 1] += np.sum(norms[:c] ** p, axis=1)
                 np.maximum(batch_sup, np.max(norms[:c] ** 2, axis=0), out=batch_sup)
@@ -332,13 +336,13 @@ class ConvergenceStudy:
         return header, rows
 
 
-def _em_chunk(f, gs, x, dt, w) -> tuple[np.ndarray, np.ndarray]:
+def _em_chunk(stack, x, dt, w) -> tuple[np.ndarray, np.ndarray]:
     """Explicit steps of an (n, B) batch from x under noise w of shape
     (N, m, B), N >= 1: returns the (N+1, n, B) states, x first, and the last
     state as stepped, to start the next chunk from."""
     out = np.empty((w.shape[0] + 1,) + x.shape)
     out[0] = x
-    for k, x in enumerate(_linear_steps(f, gs, x, dt, w), 1):
+    for k, x in enumerate(_linear_steps(stack, x, dt, w), 1):
         out[k] = x
     return out, x
 
@@ -375,6 +379,19 @@ def strong_error_sup(
     The chunk size changes no bit of the result: maxima do not depend on
     order, the sums keep their `_SUP_BATCH` grouping, and the Brownian
     partial sum and the level states are carried across chunks in sequence.
+
+    Within a chunk, each level's path value p holds over a block of `stride`
+    reference values r.  For n > 1 the error |r - p|^2, summed in coordinate
+    order, is computed at every r of the block.  For n = 1 (also a 1-d
+    system with several noises, whose reference is the fine explicit path)
+    only the block's largest and smallest r are compared: r -> fl(r - p) is
+    monotone and x -> fl(x^2) is monotone in |x|, so the largest rounded
+    square of the block is reached at one of them, with the same bits.  The
+    extremes are pairwise maxima and minima, coarsened level by level beside
+    the Brownian increments, so a NaN or an infinity in a block reaches the
+    sup as it would through every r.  Only the sign bit of a NaN error was
+    seen to differ, in a one-trajectory batch: numpy's max reduction sets it
+    by the length it reduces, and no output shows it.
     """
     levels = sorted(set(int(l) for l in levels))
     if len(levels) < 2:
@@ -392,7 +409,6 @@ def strong_error_sup(
     scalar = sde.scalar_coefficients  # (lam, mu) of the closed-form reference
 
     n, m = sde.dim, sde.noise_dim
-    f, gs = sde.drift_matrix, sde.noise_matrices
     x0 = _as_vector(x0, n, "x0")
     n_fine = whole_steps(T, delta)
     coarsest = 1 << levels[-1]
@@ -423,20 +439,31 @@ def strong_error_sup(
                 b_path = brownian[: c + 1]
                 b_path[1:] = inc[:, 0] if m else 0.0
                 np.cumsum(b_path, axis=0, out=b_path)
-                times = np.arange(s, s + c + 1) * delta
-                ref = exact_gbm(*scalar, float(x0[0]), np.repeat(times[:, None], b, axis=1), b_path)[:, None]
+                times = np.arange(s, s + c + 1)[:, None] * delta
+                ref = exact_gbm(*scalar, float(x0[0]), times, b_path)[:, None]
                 brownian[0] = b_path[-1]
             else:
-                ref, ref_x = _em_chunk(f, gs, ref_x, delta, inc)
+                ref, ref_x = _em_chunk(sde.stack, ref_x, delta, inc)
+            # one coordinate: the reference's extremes over each level's stride blocks
+            hi = lo = ref[:-1, 0]
 
             w, folded = inc, 0
             for level in levels:
-                w, folded = fold(w, level - folded), level
+                w = fold(w, level - folded)
                 stride = 1 << level
-                path, xs[level] = _em_chunk(f, gs, xs[level], delta * stride, w)
+                path, xs[level] = _em_chunk(sde.stack, xs[level], delta * stride, w)
                 # right-continuous step extension: fine index i sees level index i // stride
-                diff = ref[:-1].reshape(-1, stride, n, b) - path[:-1, None]
-                np.maximum(err[level], np.max(_sumsq(diff).reshape(-1, b), axis=0), out=err[level])
+                if n == 1:
+                    for _ in range(level - folded):
+                        hi, lo = np.maximum(hi[0::2], hi[1::2]), np.minimum(lo[0::2], lo[1::2])
+                    sq, sq_lo = hi - path[:-1, 0], lo - path[:-1, 0]
+                    sq *= sq
+                    sq_lo *= sq_lo
+                    np.maximum(sq, sq_lo, out=sq)
+                else:
+                    sq = _sumsq(ref[:-1].reshape(-1, stride, n, b) - path[:-1, None]).reshape(-1, b)
+                np.maximum(err[level], np.max(sq, axis=0), out=err[level])
+                folded = level
             s += c
 
         for level in levels:

@@ -83,11 +83,15 @@ def _standard_normals(words: np.ndarray, count: int, width: int, out=None) -> np
     """
     if out is None:
         out = np.empty((count * width, len(words)))
-    # map to the open interval (0, 1); the half-step keeps 0 and 1 unreachable
+    # map the top 53 bits k to u = (k + 0.5) 2**-53 in the open interval
+    # (0, 1).  The half-step keeps 0 unreachable, but for k = 2**53 - 1 the sum
+    # rounds to 2**53, so u is clamped to the largest double below 1: no word
+    # draws +inf, and every other word keeps its draw.
     words >>= np.uint64(11)
     out[...] = words.T
     out += 0.5
     out *= 2.0**-53
+    np.minimum(out, 1.0 - 2.0**-53, out=out)
     return ndtri(out, out=out).reshape(count, width, len(words))
 
 

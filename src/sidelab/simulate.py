@@ -12,7 +12,8 @@ step index instead of clamping.
 The scheme, x of the coupled run and the stacked z = (x, y) of a
 `SideSystem` take one explicit substep, `_substeps`; for a `LinearSde` it is
 one batched product with `LinearSde.stack`, which rounds as the separate
-F/G_j products do.  Batches of paths take `estimate._linear_steps` instead.
+F/G_j products do.  Batches of paths take the same product in
+`estimate._linear_steps`.
 """
 
 from __future__ import annotations
@@ -283,10 +284,13 @@ def simulate_cps(
 def exact_gbm(lam: float, mu: float, x0: float, times, brownian) -> np.ndarray:
     """Closed-form scalar solution x(t) = x0 exp((lam - mu^2/2) t + mu B(t)).
 
-    `times` and `brownian` are matching arrays sampled on one Brownian grid.
+    `times` and `brownian` are sampled on one Brownian grid and broadcast
+    against each other: a (k, 1) column of times serves a (k, B) batch of
+    Brownian paths with the bits of the repeated (k, B) grid, since every
+    element takes the same operations.
     """
     t = np.asarray(times, dtype=float)
-    b = np.asarray(brownian, dtype=float).reshape(t.shape)
+    b = np.asarray(brownian, dtype=float)
     return x0 * np.exp((lam - 0.5 * mu * mu) * t + mu * b)
 
 

@@ -356,6 +356,8 @@ TWO_NOISE_2D = LinearSde(
     (np.array([[0.3, 0.0], [0.1, 0.2]]), np.array([[0.0, 0.2], [-0.1, 0.1]])),
 )
 
+TWO_NOISE_1D = LinearSde(np.array([[-1.0]]), (np.array([[0.4]]), np.array([[-0.3]])))
+
 # (system, x0, T, levels, trajectories, delta, seed); _CHUNK is 512 finest steps
 PARITY_CASES = {
     "scalar-gbm": (GBM, [1.0], 1.0, range(1, 5), 100, 2.0**-10, 5),
@@ -367,6 +369,10 @@ PARITY_CASES = {
     "two-batches": (GBM, [1.0], 2.0, range(1, 4), 600, 2.0**-9, 1),
     "n_fine-not-chunk-multiple": (GBM, [1.0], 2.5, range(1, 6), 64, 2.0**-9, 3),
     "coarsest-stride-above-chunk": (GBM, [1.0], 1.0, range(8, 11), 30, 2.0**-12, 3),
+    # one coordinate with an explicit-scheme reference
+    "1d-two-noises": (TWO_NOISE_1D, [1.0], 1.0, range(1, 5), 40, 2.0**-10, 7),
+    # the closed-form reference reaches -inf and every sup error is +inf
+    "overflowing-scalar": (LinearSde.scalar(50.0, 3.0), [-1.0], 40.0, range(1, 4), 4, 0.125, 0),
 }
 
 
@@ -380,7 +386,8 @@ class TestStreamedStudyParity:
     def test_bitwise_equal_to_whole_array_study(self, case):
         sde, x0, T, levels, trajectories, delta, seed = case
         streamed = strong_error_sup(sde, x0, T, levels, trajectories, delta=delta, seed=seed)
-        oracle = whole_array_study(sde, x0, T, levels, trajectories, delta=delta, seed=seed)
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflowing case
+            oracle = whole_array_study(sde, x0, T, levels, trajectories, delta=delta, seed=seed)
         assert _study_bytes(streamed) == _study_bytes(oracle)
 
     def test_case_shapes(self):
@@ -393,6 +400,13 @@ class TestStreamedStudyParity:
         assert PARITY_CASES["two-batches"][4] > estimate._SUP_BATCH
         assert PARITY_CASES["noise-free-scalar"][0].noise_dim == 0
         assert len(PARITY_CASES["2d-two-noises"][0].noise_matrices) == 2
+        sde = PARITY_CASES["1d-two-noises"][0]
+        assert (sde.dim, sde.noise_dim) == (1, 2) and sde.scalar_coefficients is None
+        sde, x0, T, levels, trajectories, delta, seed = PARITY_CASES["overflowing-scalar"]
+        with np.errstate(over="ignore"):
+            assert sde.dim == 1 and exact_gbm(*sde.scalar_coefficients, x0[0], T, 0.0) == -math.inf
+        study = strong_error_sup(sde, x0, T, levels, trajectories, delta=delta, seed=seed)
+        assert [r.error for r in study.records] == [math.inf] * len(levels)
 
     @pytest.mark.parametrize("chunk", ["coarsest-stride", "n_fine"])
     def test_chunk_size_changes_no_bit(self, monkeypatch, chunk):
@@ -549,6 +563,24 @@ class TestEnsembleMemory:
         # drawing each batch's whole (B, N, m) noise block before stepping
         # peaked at 31.4 MiB at T = 2 and 125.5 MiB at T = 8
         assert self._peak(8.0) <= 1.1 * self._peak(2.0)
+
+
+class TestLinearSteps:
+    @pytest.mark.parametrize("n, b", [(1, 512), (3, 64), (10, 1), (11, 1), (30, 1), (10, 64)])
+    def test_bits_of_the_separate_products(self, n, b):
+        # a one-path batch at n = 10, 11 or 30 is where a row-stacked product rounds apart
+        rng = np.random.default_rng(n)
+        sde = LinearSde(0.3 * rng.normal(size=(n, n)), tuple(0.2 * rng.normal(size=(n, n)) for _ in range(2)))
+        x = rng.normal(size=(n, b))
+        w = 0.1 * rng.normal(size=(20, 2, b))
+        want = x
+        for w_k in w:
+            step = 0.01 * (sde.drift_matrix @ want)
+            for g, w_kj in zip(sde.noise_matrices, w_k):
+                step += (g @ want) * w_kj
+            want = want + step
+        *_, got = estimate._linear_steps(sde.stack, x, 0.01, w)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestMapWorker:

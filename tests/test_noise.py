@@ -192,6 +192,16 @@ class TestPinnedDraws:
                 want = ndtri(((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
                 assert np.array_equal(got[:, :, col], want)
 
+    def test_all_ones_word_draws_a_finite_normal(self):
+        # k = 2**53 - 1 rounds k + 0.5 up to 2**53; u is clamped below 1
+        top = np.uint64(2**64 - 1)
+        words = np.array([[top, top - np.uint64(1 << 11), 0]], dtype=np.uint64)
+        got = _standard_normals(words, 3, 1)[:, 0, 0]
+        assert got[0] == ndtri(1.0 - 2.0**-53) == pytest.approx(8.2095361516, abs=1e-10)
+        # the neighbouring word and the smallest one keep their draws
+        assert got[1] == ndtri((2.0**53 - 1.5) * 2.0**-53) == ndtri(1.0 - 2.0**-52)
+        assert got[2] == ndtri(0.5 * 2.0**-53)
+
 
 def count_generated(monkeypatch):
     """Count the normals `noise._standard_normals` generates from now on."""

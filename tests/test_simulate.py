@@ -460,6 +460,15 @@ class TestExactGbm:
         vals = exact_gbm(lam, mu, 1.0, times, b)
         assert np.allclose(vals, np.exp(mu * b), rtol=1e-13)
 
+    def test_time_column_has_the_bits_of_the_repeated_grid(self):
+        rng = np.random.default_rng(5)
+        times = np.arange(300, 813)[:, None] * 0.1
+        brownian = np.cumsum(rng.normal(size=(513, 7)), axis=0)
+        col = exact_gbm(-1.3, 0.7, 2.5, times, brownian)
+        grid = exact_gbm(-1.3, 0.7, 2.5, np.repeat(times, 7, axis=1), brownian)
+        assert col.shape == grid.shape == (513, 7)
+        assert col.tobytes() == grid.tobytes()
+
 
 class TestScalarCpsDemo:
     def test_admissible_bound_value(self):
