@@ -126,20 +126,28 @@ def _linear_steps(stack, x, dt, w):
     noise w of shape (N, m, B); yields the batch after each step.  One
     `stack @ x` per step, with `stack` the 3-d `LinearSde.stack`, gives every
     F x and Gj x with the bits of the separate products; the row-stacked
-    matrix does not on a one-path batch (see `LinearSde`)."""
+    matrix does not on a one-path batch (see `LinearSde`).  The products are
+    scaled in place and added in order (see `_sumsq`)."""
     for w_k in w:
         u = stack @ x
-        step = dt * u[0]
-        for j, w_kj in enumerate(w_k, 1):
-            step += u[j] * w_kj
+        u[0] *= dt
+        u[1:] *= w_k[:, None, :]
+        step = u[0]
+        for u_j in u[1:]:
+            step += u_j
         x = x + step
         yield x
 
 
 def _sumsq(x):
     """Squared norms over the coordinate axis -2 of a (..., n, B) batch,
-    summed in coordinate order."""
-    return sum((x[..., i, :] ** 2 for i in range(1, x.shape[-2])), x[..., 0, :] ** 2)
+    summed in coordinate order.  Not `np.add.reduce`: where the other axes
+    hold one element, it sums pairwise from eight terms on."""
+    sq = np.square(x)
+    total = sq[..., 0, :]
+    for i in range(1, x.shape[-2]):
+        total += sq[..., i, :]
+    return total
 
 
 def _ensemble_linear(sde: LinearSde, x0, p, trajectories, T, dt, seed) -> Ensemble:

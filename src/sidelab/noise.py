@@ -10,7 +10,9 @@ A read has two parts: `_read_words` reads the raw words, one row per
 generator, in a loop that holds the GIL; `_standard_normals` maps them to
 normals without it.  `normal_blocks` is the one batched reader: it streams a
 batch of trajectories in blocks of time, mapping and scaling each block on a
-worker thread that lives as long as the stream.
+worker thread that lives as long as the stream.  The caller's thread reads
+block k+1's words once the worker has copied block k's words out, not once
+block k is mapped.
 
 Two independent streams are kept per trajectory: one for Brownian-motion
 increments on the finest grid (refinable by dyadic coarsening for
@@ -20,9 +22,11 @@ convergence studies) and one for the impulse draws consumed at jump times.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import ndtri
 
 from .errors import GridMismatch
@@ -33,8 +37,24 @@ _IMPULSE_STREAM = 1
 _GRID_RTOL = 1e-9
 
 
+class _Key(ISeedSequence):
+    """The seed sequence that hands Philox its 128-bit key.  Philox derives its
+    key from a seed sequence with `generate_state(2, np.uint64)`; with
+    `Philox(key=...)` it would first build, and discard, a `SeedSequence()`
+    from OS entropy.  Any other request raises ValueError."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a Philox key is 2 uint64 words, not {n_words} of {np.dtype(dtype)}")
+        return np.array(self.words, dtype=np.uint64)
+
+
 def _generator(seed: int, trajectory: int, stream: int) -> np.random.Generator:
-    """The Philox generator of one (trajectory, stream) pair, at slot 0.
+    """The Philox generator of one (trajectory, stream) pair, at slot 0, keyed
+    with the words (seed, trajectory << 1 | stream).
 
     Raises ValueError for a seed outside [0, 2**64), the range of its key
     word, and for a trajectory outside [0, 2**63), which would alias another
@@ -44,11 +64,7 @@ def _generator(seed: int, trajectory: int, stream: int) -> np.random.Generator:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     if not 0 <= trajectory < 1 << 63:
         raise ValueError(f"trajectory must lie in [0, 2**63), got {trajectory}")
-    key = np.array(
-        [np.uint64(seed), (np.uint64(trajectory) << np.uint64(1)) | np.uint64(stream)],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_Key([seed, trajectory << 1 | stream])))
 
 
 def _read_words(gens, count: int, width: int, out=None) -> np.ndarray:
@@ -70,16 +86,18 @@ def _read_words(gens, count: int, width: int, out=None) -> np.ndarray:
     return out
 
 
-def _standard_normals(words: np.ndarray, count: int, width: int, out=None) -> np.ndarray:
+def _standard_normals(words: np.ndarray, count: int, width: int, out=None, copied=None) -> np.ndarray:
     """N(0,1) draws from the words of `_read_words(gens, count, width)`, shape
     (count, width, len(gens)): time-major, each coordinate contiguous over the
     generators.
 
     Overwrites `words`.  `out`, when given, is a C-contiguous
     (count * width, len(gens)) float array that takes the draws, and the
-    result is a view of it.  The shift, the transposing float conversion, the
-    affine step and `ndtri` all run without the GIL, so a worker thread can
-    map one block while the caller's thread does other work.
+    result is a view of it.  `copied`, when given, is an event that is set
+    once `words` has been copied out, so the caller may refill them while the
+    map goes on.  The shift, the transposing float conversion, the affine
+    step and `ndtri` all run without the GIL, so a worker thread can map one
+    block while the caller's thread does other work.
     """
     if out is None:
         out = np.empty((count * width, len(words)))
@@ -89,6 +107,8 @@ def _standard_normals(words: np.ndarray, count: int, width: int, out=None) -> np
     # draws +inf, and every other word keeps its draw.
     words >>= np.uint64(11)
     out[...] = words.T
+    if copied is not None:
+        copied.set()
     out += 0.5
     out *= 2.0**-53
     np.minimum(out, 1.0 - 2.0**-53, out=out)
@@ -102,13 +122,14 @@ def normal_blocks(seed: int, stream: int, trajectories, steps: int, chunk: int, 
     concatenate to `scale * _standard_normals(_read_words(gens, steps, width),
     steps, width)`, bit for bit.
 
-    A worker thread maps and scales block k+1 while the caller uses block k;
-    the caller's thread reads block k+1's words once block k is mapped.  One
-    buffer of words and two of normals, `min(chunk, steps)` slots each, are
-    reused, so a block is valid only until the next one is requested.  The
-    worker is joined when the stream ends or is closed, also by a raise in
-    the caller's loop.  The map is looked up as `_standard_normals` at each
-    block.
+    A worker thread maps and scales block k+1 while the caller uses block k.
+    The caller's thread reads block k+1's words once block k's words are
+    copied out, not once block k is mapped, so the Philox reads overlap
+    `ndtri`.  One buffer of words and two of normals, `min(chunk, steps)`
+    slots each, are reused, so a block is valid only until the next one is
+    requested.  The worker is joined when the stream ends or is closed, also
+    by a raise in the caller's loop or in the map.  The map is looked up as
+    `_standard_normals` at each block.
     """
     # deferred: `scipy.linalg` loads `concurrent.futures` but not its `thread`
     # submodule and `queue`, which add up to 1 MB to a task that draws no batch
@@ -119,20 +140,28 @@ def normal_blocks(seed: int, stream: int, trajectories, steps: int, chunk: int, 
     words = np.empty((len(gens), size), dtype=np.uint64)
     normals = np.empty((2, size, len(gens)))
 
-    def scaled(block, count, out):
-        out = _standard_normals(block, count, width, out)
+    def scaled(block, count, out, copied):
+        try:
+            out = _standard_normals(block, count, width, out, copied)
+        finally:  # also when the map raises, so the caller never waits on it
+            copied.set()
         out *= scale
         return out
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         for k, s in enumerate(range(0, steps, chunk)):
             count = min(chunk, steps - s)
-            block = _read_words(gens, count, width, words[:, : count * width])
-            mapped = pool.submit(scaled, block, count, normals[k % 2, : count * width])
             if k:
-                yield done
-            done = mapped.result()
-        yield done
+                copied.wait()
+            block = _read_words(gens, count, width, words[:, : count * width])
+            # one event per block: a block's map sets its event after the cast
+            # and again as it ends, when the buffer may hold the next words
+            copied = threading.Event()
+            following = pool.submit(scaled, block, count, normals[k % 2, : count * width], copied)
+            if k:
+                yield mapped.result()
+            mapped = following
+        yield mapped.result()
 
 
 def fold(w: np.ndarray, times: int) -> np.ndarray:

@@ -336,13 +336,14 @@ def whole_array_study(sde, x0, T, levels, trajectories, *, delta, seed=0):
             fine = np.repeat(path[:, :-1], stride, axis=1)
             fine = np.concatenate([fine, path[:, -1:]], axis=1)
             err = np.max(np.sum((ref - fine) ** 2, axis=2), axis=1)
-            err_sum[level] += float(np.sum(err))
-            err_sumsq[level] += float(np.sum(err**2))
+            err_sum[level] += np.sum(err)
+            err_sumsq[level] += np.sum(err**2)
+    # float64 sums: `mean**2` above ~1e154 gives inf (stderr NaN), where a float's ** raises
     records = []
     for level in levels:
         mean = err_sum[level] / trajectories
         var = max(err_sumsq[level] / trajectories - mean**2, 0.0)
-        records.append(estimate.LevelError(level, delta * (1 << level), mean, math.sqrt(var / trajectories)))
+        records.append(estimate.LevelError(level, delta * (1 << level), float(mean), math.sqrt(var / trajectories)))
     fit = [(math.log(r.dt), math.log(r.error)) for r in records if r.error > 0.0]
     if len(fit) >= 2:
         slope, _ = estimate._ols(np.array([a for a, _ in fit]), np.array([b for _, b in fit]))
@@ -373,6 +374,8 @@ PARITY_CASES = {
     "1d-two-noises": (TWO_NOISE_1D, [1.0], 1.0, range(1, 5), 40, 2.0**-10, 7),
     # the closed-form reference reaches -inf and every sup error is +inf
     "overflowing-scalar": (LinearSde.scalar(50.0, 3.0), [-1.0], 40.0, range(1, 4), 4, 0.125, 0),
+    # finite errors near 3e161, whose squares overflow: every stderr is NaN
+    "near-overflow-scalar": (LinearSde.scalar(50.0, 3.0), [1.0], 4.0, range(1, 4), 4, 0.125, 0),
 }
 
 
@@ -407,6 +410,9 @@ class TestStreamedStudyParity:
             assert sde.dim == 1 and exact_gbm(*sde.scalar_coefficients, x0[0], T, 0.0) == -math.inf
         study = strong_error_sup(sde, x0, T, levels, trajectories, delta=delta, seed=seed)
         assert [r.error for r in study.records] == [math.inf] * len(levels)
+        sde, x0, T, levels, trajectories, delta, seed = PARITY_CASES["near-overflow-scalar"]
+        study = strong_error_sup(sde, x0, T, levels, trajectories, delta=delta, seed=seed)
+        assert all(1e154 < r.error < math.inf and math.isnan(r.stderr) for r in study.records)
 
     @pytest.mark.parametrize("chunk", ["coarsest-stride", "n_fine"])
     def test_chunk_size_changes_no_bit(self, monkeypatch, chunk):
@@ -581,6 +587,55 @@ class TestLinearSteps:
             want = want + step
         *_, got = estimate._linear_steps(sde.stack, x, 0.01, w)
         assert got.tobytes() == want.tobytes()
+
+
+class TestLeanStep:
+    """The step scales `stack @ x` in place and adds its rows in order, and
+    `_sumsq` squares once and adds in place: both keep the bits of the
+    expressions they replaced, at any magnitude and at inf and NaN, also on
+    the one-path batches where `np.add.reduce` sums pairwise."""
+
+    @staticmethod
+    def _batches(rng, shape):
+        """Entries spread over 1e-3..1e3, where the order of a sum shows in its
+        bits, then over 1e-300..1e300 with a tenth of them inf, -inf, NaN or 0."""
+        for spread in (3, 300):
+            a = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-spread, spread, shape)
+            if spread == 300:
+                flat = a.reshape(-1)
+                spots = rng.choice(flat.size, size=max(1, flat.size // 10), replace=False)
+                flat[spots] = rng.choice([math.inf, -math.inf, math.nan, 0.0], spots.size)
+            yield a
+
+    @staticmethod
+    def _old_sumsq(x):
+        return sum((x[..., i, :] ** 2 for i in range(1, x.shape[-2])), x[..., 0, :] ** 2)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_step_has_the_bits_of_the_ordered_sum(self, n):
+        rng = np.random.default_rng(n)
+        for b in (1, 2, 64):
+            for m in (0, 1, 2, 8):
+                for stack, x in zip(self._batches(rng, (m + 1, n, n)), self._batches(rng, (n, b))):
+                    w = rng.normal(size=(1, m, b))
+                    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                        u = stack @ x
+                        step = 0.01 * u[0]
+                        for j, w_kj in enumerate(w[0], 1):
+                            step += u[j] * w_kj
+                        want = x + step
+                        (got,) = estimate._linear_steps(stack, x, 0.01, w)
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (b, m)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_norm_has_the_bits_of_the_ordered_sum(self, n):
+        rng = np.random.default_rng(100 + n)
+        for shape in ((n, 1), (n, 2), (n, 64), (3, 2, n, 5)):
+            for x in self._batches(rng, shape):
+                with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                    want = np.sqrt(self._old_sumsq(x))
+                    got = np.sqrt(estimate._sumsq(x))
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), shape
 
 
 class TestMapWorker:

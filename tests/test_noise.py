@@ -1,4 +1,5 @@
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -162,6 +163,112 @@ class TestNormalBlocks:
         assert threading.active_count() == before + 1
         blocks.close()
         assert threading.active_count() == before
+
+
+class TestWordHandback:
+    """The caller refills the words buffer once the map has copied it out, so
+    block k+1's words are read while the worker still maps block k; a map
+    that raises, before its cast or after, never leaves the caller waiting."""
+
+    TRAJS, STEPS, CHUNK, WIDTH, SCALE = (0, 2, 5), 44, 16, 2, 0.5  # three blocks
+    TIMEOUT = 10.0
+
+    def _blocks(self, chunk):
+        blocks = noise.normal_blocks(13, _IMPULSE_STREAM, self.TRAJS, self.STEPS, chunk, self.WIDTH, self.SCALE)
+        return [block.copy() for block in blocks]
+
+    def _whole(self):
+        gens = [_generator(13, traj, _IMPULSE_STREAM) for traj in self.TRAJS]
+        return _standard_normals(_read_words(gens, self.STEPS, self.WIDTH), self.STEPS, self.WIDTH) * self.SCALE
+
+    def test_next_words_are_read_during_the_map(self, monkeypatch):
+        reads = [threading.Event() for _ in range(3)]
+        maps = []
+
+        def counted_read(*args):
+            out = _read_words(*args)
+            reads[sum(event.is_set() for event in reads)].set()
+            return out
+
+        def waiting_map(*args):
+            k = len(maps)
+            maps.append(k)
+            out = _standard_normals(*args)  # hands the words back after its cast
+            # block k's map ends only after block k+1's words are read
+            if k + 1 < len(reads) and not reads[k + 1].wait(self.TIMEOUT):
+                raise AssertionError(f"block {k + 1}'s words were not read during block {k}'s map")
+            return out
+
+        monkeypatch.setattr(noise, "_read_words", counted_read)
+        monkeypatch.setattr(noise, "_standard_normals", waiting_map)
+        blocks = self._blocks(self.CHUNK)
+        assert maps == [0, 1, 2]
+        assert np.array_equal(np.concatenate(blocks), self._whole())
+
+    def test_words_are_not_refilled_before_the_cast(self, monkeypatch):
+        # a slow start and a slow end of each map: a refill signalled by the
+        # end of block k's map would overwrite block k+1's words before its cast
+        def slow_map(*args):
+            time.sleep(0.05)
+            out = _standard_normals(*args)
+            time.sleep(0.05)
+            return out
+
+        monkeypatch.setattr(noise, "_standard_normals", slow_map)
+        assert np.array_equal(np.concatenate(self._blocks(8)), self._whole())
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    @pytest.mark.parametrize("when", ["before-cast", "after-cast"])
+    def test_raising_map_propagates(self, monkeypatch, bad, when):
+        maps = []
+
+        def failing(*args):
+            maps.append(None)
+            if len(maps) - 1 == bad:
+                if when == "after-cast":
+                    _standard_normals(*args)
+                raise RuntimeError(f"map {bad} fails")
+            return _standard_normals(*args)
+
+        monkeypatch.setattr(noise, "_standard_normals", failing)
+        before = threading.active_count()
+        caught = []
+
+        def consume():
+            try:
+                self._blocks(self.CHUNK)
+            except RuntimeError as err:
+                caught.append(str(err))
+
+        runner = threading.Thread(target=consume, daemon=True)
+        runner.start()
+        runner.join(self.TIMEOUT)
+        assert not runner.is_alive(), "the raise did not leave normal_blocks"
+        assert caught == [f"map {bad} fails"]
+        assert threading.active_count() == before
+
+
+class TestKeying:
+    """A generator is keyed without OS entropy, with the words of `Philox(key=...)`."""
+
+    @pytest.mark.parametrize("stream", [_BROWNIAN_STREAM, _IMPULSE_STREAM])
+    @pytest.mark.parametrize("traj", [0, 5, 2**63 - 1])
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_words_of_the_philox_key(self, seed, traj, stream):
+        want = np.random.Philox(key=np.array([seed, traj << 1 | stream], dtype=np.uint64)).random_raw(9)
+        assert np.array_equal(_generator(seed, traj, stream).bit_generator.random_raw(9), want)
+
+    @pytest.mark.parametrize("n_words, dtype", [(3, np.uint64), (1, np.uint64), (2, np.uint32), (4, np.uint32)])
+    def test_key_refuses_other_requests(self, n_words, dtype):
+        key = _generator(1, 5, _IMPULSE_STREAM).bit_generator.seed_seq
+        assert key.generate_state(2, np.uint64).tolist() == [1, 11]
+        with pytest.raises(ValueError, match="^a Philox key is 2 uint64 words"):
+            key.generate_state(n_words, dtype)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_key_range_is_named(self, seed):
+        with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\*\*64\), got {seed}$"):
+            _generator(seed, 0, _BROWNIAN_STREAM)
 
 
 class TestPinnedDraws:
