@@ -26,7 +26,6 @@ from .models import (
     make_cps,
     validate,
 )
-from .noise import NoisePlan
 from .simulate import (
     DiscretePath,
     HybridTrajectory,

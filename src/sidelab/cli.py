@@ -29,7 +29,6 @@ import numpy as np
 from . import estimate, simulate, stability
 from .errors import ConfigError, NonFinite, StepsizeTooLarge, ToolkitError
 from .models import LinearSde
-from .noise import NoisePlan
 
 
 def _fmt(x: float) -> str:
@@ -246,6 +245,18 @@ def _report(outdir: Path, lines: list[str]) -> None:
     print(text)
 
 
+def _finest_stepsize(key: str, dt: float, divisor: int = 1, halvings: int = 0) -> float:
+    """dt / divisor / 2**halvings, a stepsize that [numeric] `key` sets;
+    ConfigError naming the key unless it is a positive float."""
+    try:
+        step = math.ldexp(dt / divisor, -halvings)
+    except OverflowError:  # a divisor past the float range
+        step = 0.0
+    if not step > 0.0:
+        raise ConfigError(f"key '{key}' in [numeric]: the finest stepsize it sets is not a positive float")
+    return step
+
+
 def _task_analyze(cfg: RunConfig, outdir: Path) -> int:
     sde = cfg.system()
     cert = stability.cp_lyapunov_feasible(sde, cfg.dt_bar)
@@ -284,10 +295,10 @@ def _task_simulate(cfg: RunConfig, outdir: Path) -> int:
         raise ConfigError("key 'substeps' in [numeric]: simulate needs substeps >= 1")
     if cfg.driving == "brownian" and substeps & (substeps - 1):
         raise ConfigError("key 'substeps' in [numeric]: brownian driving needs a power of two")
-    plan = NoisePlan(cfg.seed, 0, sde.noise_dim, cfg.dt / substeps, cfg.horizon)
+    _finest_stepsize("substeps", cfg.dt, substeps)
     try:
         run = simulate.simulate_cps(
-            sde, np.array(cfg.x0), cfg.dt, cfg.horizon, plan,
+            sde, np.array(cfg.x0), cfg.dt, cfg.horizon, seed=cfg.seed,
             inner_substeps=substeps, impulse_driving=cfg.driving,
         )
     except NonFinite as exc:
@@ -343,7 +354,8 @@ def _task_converge(cfg: RunConfig, outdir: Path) -> int:
     # cfg.dt is the coarsest stepsize; the sup is observed `observe` times
     # finer than the finest level
     obs_level = observe.bit_length() - 1
-    delta = cfg.dt / (1 << (cfg.levels - 1)) / observe
+    finest = _finest_stepsize("levels", cfg.dt, halvings=cfg.levels - 1)
+    delta = _finest_stepsize("substeps", finest, observe)
     study = estimate.strong_error_sup(
         sde, np.array(cfg.x0), cfg.horizon,
         range(obs_level, obs_level + cfg.levels), cfg.trajectories,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import GridMismatch, NonFinite
 from .models import LinearSde, Sde, SideSystem, _as_vector
-from .noise import _BROWNIAN_STREAM, _IMPULSE_STREAM, NoisePlan, fold, normal_blocks
+from .noise import _BROWNIAN_STREAM, _IMPULSE_STREAM, draws, fold, normal_blocks
 from .simulate import euler_maruyama, exact_gbm, simulate_side, whole_steps
 
 _WINDOW_MIN_POINTS = 10
@@ -31,9 +31,9 @@ _WINDOW_MIN_POINTS = 10
 _ENSEMBLE_BATCH = 2048
 _SUP_BATCH = 512
 
-# Finest steps per chunk of the convergence study, rounded up to a multiple of
-# the coarsest stride, and draws per chunk of an ensemble batch.  They bound
-# memory only: no result depends on them.  `normal_blocks` holds one chunk of
+# Finest steps per chunk of the convergence study (a power of two), and draws
+# per chunk of an ensemble batch.  They bound memory only: no result depends
+# on them.  `normal_blocks` holds one chunk of
 # raw words and two chunks of normals per batch, 8 bytes per draw each: 6 MiB
 # per ensemble batch at 2**18 draws.
 _CHUNK = 512
@@ -188,13 +188,13 @@ def _ensemble_looped(system, z0, p, trajectories, T, dt, seed, inner_substeps) -
     # path(traj) -> (grid, states) of one trajectory; a hybrid run takes its grid from the schedule
     if isinstance(system, SideSystem):
         def path(traj):
-            hybrid = simulate_side(system, z0, inner_substeps, T, NoisePlan(seed, traj, system.noise_dim, T, T))
+            hybrid = simulate_side(system, z0, inner_substeps, T, seed=seed, trajectory=traj)
             return hybrid.times, hybrid.z()
     else:
         n_steps = whole_steps(T, dt)
 
         def path(traj):
-            xi = NoisePlan(seed, traj, system.noise_dim, T, T).xi_block(n_steps)
+            xi = draws(seed, traj, _IMPULSE_STREAM, n_steps, system.noise_dim)
             em = euler_maruyama(system, z0, dt, math.sqrt(dt) * xi)
             return em.times, em.states
 
@@ -374,32 +374,36 @@ def strong_error_sup(
     scalar linear system, or against the finest-level path otherwise, and
     fits the log-log slope of error against stepsize.
 
-    The sup is sampled on the plan's finest grid (level 0), so every scheme
-    level must be coarser than it: otherwise the step process has no observed
-    points inside its intervals and the dominant within-interval mismatch is
+    The sup is sampled on the finest grid (level 0), so every scheme level
+    must be coarser than it: otherwise the step process has no observed points
+    inside its intervals and the dominant within-interval mismatch is
     invisible.  Use levels >= 1, i.e. pick delta at least one dyadic level
     below the smallest stepsize under study.
 
-    The finest grid is walked in chunks of `_CHUNK` steps, rounded up to a
-    multiple of the coarsest stride, carrying per trajectory only the last
-    state of each level and of the reference and the running sup errors.  Memory is
-    O(_SUP_BATCH * max(_CHUNK, coarsest stride) * n), whatever the horizon.
-    The chunk size changes no bit of the result: maxima do not depend on
-    order, the sums keep their `_SUP_BATCH` grouping, and the Brownian
-    partial sum and the level states are carried across chunks in sequence.
+    The finest grid is walked in chunks of `_CHUNK` steps, carrying per
+    trajectory only the last state of each level and of the reference, the
+    running sup errors, and for the levels coarser than a chunk the open
+    pairwise sums of their increments, one row per height.  Memory is
+    O(_SUP_BATCH * (_CHUNK + levels) * (n + m)), whatever the horizon and the
+    coarsest stride.  The chunk size changes no bit of the result: maxima do
+    not depend on order, the sums keep their `_SUP_BATCH` grouping, the
+    Brownian partial sum and the level states are carried across chunks in
+    sequence, and a coarse increment is the pairwise tree of `noise.fold`
+    whether it spans one chunk or several.
 
     Within a chunk, each level's path value p holds over a block of `stride`
-    reference values r.  For n > 1 the error |r - p|^2, summed in coordinate
-    order, is computed at every r of the block.  For n = 1 (also a 1-d
-    system with several noises, whose reference is the fine explicit path)
-    only the block's largest and smallest r are compared: r -> fl(r - p) is
-    monotone and x -> fl(x^2) is monotone in |x|, so the largest rounded
-    square of the block is reached at one of them, with the same bits.  The
-    extremes are pairwise maxima and minima, coarsened level by level beside
-    the Brownian increments, so a NaN or an infinity in a block reaches the
-    sup as it would through every r.  Only the sign bit of a NaN error was
-    seen to differ, in a one-trajectory batch: numpy's max reduction sets it
-    by the length it reduces, and no output shows it.
+    reference values r, or across the chunk for a level coarser than it.
+    For n > 1 the error |r - p|^2, summed in coordinate order, is computed at
+    every r of the block.  For n = 1 (also a 1-d system with several noises, whose
+    reference is the fine explicit path) only the block's largest and smallest
+    r are compared: r -> fl(r - p) is monotone and x -> fl(x^2) is monotone in
+    |x|, so the largest rounded square of the block is reached at one of them,
+    with the same bits.  The extremes are pairwise maxima and minima,
+    coarsened level by level beside the Brownian increments, so a NaN or an
+    infinity in a block reaches the sup as it would through every r.  Only the
+    sign bit of a NaN error was seen to differ, in a one-trajectory batch:
+    numpy's max reduction sets it by the length it reduces, and no output
+    shows it.
     """
     levels = sorted(set(int(l) for l in levels))
     if len(levels) < 2:
@@ -423,7 +427,8 @@ def strong_error_sup(
     if n_fine % coarsest:
         raise GridMismatch(f"level {levels[-1]} stepsize does not divide the horizon: "
                            f"{n_fine} finest steps are not a multiple of {coarsest}")
-    chunk = -(-_CHUNK // coarsest) * coarsest
+    top = _CHUNK.bit_length() - 1  # chunks of 2**top finest steps
+    chunk = 1 << top
 
     err_sum = {l: 0.0 for l in levels}
     err_sumsq = {l: 0.0 for l in levels}
@@ -437,6 +442,7 @@ def strong_error_sup(
         brownian = np.zeros((chunk + 1, b))
         xs = dict.fromkeys(levels, ref_x)
         err = {l: np.zeros(b) for l in levels}
+        pending = {}  # height above a chunk -> the left half of an open pairwise sum
 
         s = 0
         for inc in normal_blocks(seed, _BROWNIAN_STREAM, idx, n_fine, chunk, m, math.sqrt(delta)):
@@ -457,21 +463,36 @@ def strong_error_sup(
 
             w, folded = inc, 0
             for level in levels:
-                w = fold(w, level - folded)
-                stride = 1 << level
-                path, xs[level] = _em_chunk(sde.stack, xs[level], delta * stride, w)
+                # a level coarser than the chunk holds one value across it
+                height = min(level, top)
+                w = fold(w, height - folded)
+                if level <= top:
+                    path, xs[level] = _em_chunk(sde.stack, xs[level], delta * (1 << level), w)
+                    held = path[:-1]
+                else:
+                    held = xs[level][None]
                 # right-continuous step extension: fine index i sees level index i // stride
                 if n == 1:
-                    for _ in range(level - folded):
+                    for _ in range(height - folded):
                         hi, lo = np.maximum(hi[0::2], hi[1::2]), np.minimum(lo[0::2], lo[1::2])
-                    sq, sq_lo = hi - path[:-1, 0], lo - path[:-1, 0]
+                    sq, sq_lo = hi - held[:, 0], lo - held[:, 0]
                     sq *= sq
                     sq_lo *= sq_lo
                     np.maximum(sq, sq_lo, out=sq)
                 else:
-                    sq = _sumsq(ref[:-1].reshape(-1, stride, n, b) - path[:-1, None]).reshape(-1, b)
+                    sq = _sumsq(ref[:-1].reshape(-1, 1 << height, n, b) - held[:, None]).reshape(-1, b)
                 np.maximum(err[level], np.max(sq, axis=0), out=err[level])
-                folded = level
+                folded = height
+            if levels[-1] > top:
+                # the chunk's increment, one row, joins the pairwise tree above
+                # the chunk; each completed sum at a level's height steps it
+                height = top
+                while height in pending:
+                    w, height = pending.pop(height) + w, height + 1
+                    if height in xs:
+                        xs[height] = _em_chunk(sde.stack, xs[height], delta * (1 << height), w)[1]
+                if height < levels[-1]:
+                    pending[height] = w
             s += c
 
         for level in levels:

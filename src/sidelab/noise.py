@@ -8,11 +8,13 @@ batch.  A batched read is time-major: (slots, width, generators).
 
 A read has two parts: `_read_words` reads the raw words, one row per
 generator, in a loop that holds the GIL; `_standard_normals` maps them to
-normals without it.  `normal_blocks` is the one batched reader: it streams a
-batch of trajectories in blocks of time, mapping and scaling each block on a
-worker thread that lives as long as the stream.  The caller's thread reads
-block k+1's words once the worker has copied block k's words out, not once
-block k is mapped.
+normals without it.  The library reads through two functions, both keyed by
+(seed, trajectory, stream).  `draws` is the one single-path read: the first
+slots of one pair, as the single-path integrators of `simulate` take them.
+`normal_blocks` is the one batched read: it streams a batch of trajectories
+in blocks of time, mapping and scaling each block on a worker thread that
+lives as long as the stream.  The caller's thread reads block k+1's words
+once the worker has copied block k's words out, not once block k is mapped.
 
 Two independent streams are kept per trajectory: one for Brownian-motion
 increments on the finest grid (refinable by dyadic coarsening for
@@ -115,6 +117,17 @@ def _standard_normals(words: np.ndarray, count: int, width: int, out=None, copie
     return ndtri(out, out=out).reshape(count, width, len(words))
 
 
+def draws(seed: int, trajectory: int, stream: int, count: int, width: int) -> np.ndarray:
+    """The first `count` slots of one (trajectory, stream) pair: N(0,1) draws
+    of shape (count, width), read from a fresh generator at slot 0.  Equal
+    arguments give bitwise-equal draws, and a longer read starts with a
+    shorter one.  Raises ValueError for a negative `count`."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    words = _read_words([_generator(seed, trajectory, stream)], count, width)
+    return _standard_normals(words, count, width)[:, :, 0]
+
+
 def normal_blocks(seed: int, stream: int, trajectories, steps: int, chunk: int, width: int, scale: float):
     """Yield `scale` times the normals of `stream` for the generators of
     `trajectories`, `chunk` slots at a time over the positive `steps` (the
@@ -173,12 +186,12 @@ def fold(w: np.ndarray, times: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NoisePlan:
-    """Deterministic, refinable source of Brownian increments and impulse draws.
+    """A grid view of one trajectory's draws: Brownian increments on a
+    refinable finest grid, and impulse draws.
 
-    A plan holds only its inputs.  Every read draws exactly the slots it
-    returns from a fresh generator at slot 0, so repeated reads agree bit for
-    bit and generate no draw that the caller does not receive; a caller that
-    needs a stream twice reads it twice.
+    No library code builds a plan; it reads `draws` directly.  A plan holds
+    only its inputs, and its reads forward to `draws`, so repeated reads
+    agree bit for bit and generate no draw that the caller does not receive.
 
     Parameters
     ----------
@@ -215,15 +228,9 @@ class NoisePlan:
     def finest_steps(self) -> int:
         return int(round(self.horizon / self.delta))
 
-    def _draws(self, stream: int, count: int) -> np.ndarray:
-        if count < 0:
-            raise ValueError("count must be nonnegative")
-        words = _read_words([_generator(self.seed, self.trajectory, stream)], count, self.noise_dim)
-        return _standard_normals(words, count, self.noise_dim)[:, :, 0]
-
     def standard_normals(self, count: int) -> np.ndarray:
         """Raw N(0,1) draws from the Brownian stream, shape (count, m)."""
-        return self._draws(_BROWNIAN_STREAM, count)
+        return draws(self.seed, self.trajectory, _BROWNIAN_STREAM, count, self.noise_dim)
 
     def increments(self, level: int = 0) -> np.ndarray:
         """Brownian increments at level `level`, shape (steps, m).
@@ -253,4 +260,4 @@ class NoisePlan:
 
     def xi_block(self, count: int) -> np.ndarray:
         """Rows xi(1) .. xi(count), shape (count, m)."""
-        return self._draws(_IMPULSE_STREAM, count)
+        return draws(self.seed, self.trajectory, _IMPULSE_STREAM, count, self.noise_dim)

@@ -9,6 +9,10 @@ of draws, and any other runs them one at a time.  Unstable regimes are
 expected outputs of this tool, so overflow aborts the trajectory with the
 step index instead of clamping.
 
+A single path reads its Brownian and impulse draws by key, with
+`noise.draws(seed, trajectory, stream, count, width)` and the system's noise
+dimension as the width; no grid or width is passed that could contradict it.
+
 The scheme, x of the coupled run and the stacked z = (x, y) of a
 `SideSystem` take one explicit substep, `_substeps`; for a `LinearSde` it is
 one batched product with `LinearSde.stack`, which rounds as the separate
@@ -26,7 +30,7 @@ import numpy as np
 
 from .errors import GridMismatch, NonFinite, StepsizeTooLarge
 from .models import LinearSde, Sde, SideSystem, _as_vector
-from .noise import NoisePlan, fold
+from .noise import _BROWNIAN_STREAM, _IMPULSE_STREAM, draws, fold
 
 Driving = Literal["xi", "brownian"]
 
@@ -161,7 +165,9 @@ def simulate_side(
     z0,
     inner_substeps: int,
     T: float,
-    plan: NoisePlan,
+    *,
+    seed: int,
+    trajectory: int = 0,
 ) -> HybridTrajectory:
     """Integrate a hybrid system on [0, T].
 
@@ -172,16 +178,14 @@ def simulate_side(
     post value is recorded at the same time, flagged.
 
     The schedule is walked up to the horizon first, so the Brownian normals
-    and the impulse draws are each taken from the plan in one block.  With
-    m >= 2 noise dimensions the stacked (n+q) x m products may round in the
+    and the impulse draws of (seed, trajectory) are each read in one block.
+    With m >= 2 noise dimensions the stacked (n+q) x m products may round in the
     last bit differently from separate x- and y-block products.
     """
     if inner_substeps < 1:
         raise ValueError("inner_substeps must be >= 1")
     if not 0 < T < math.inf:
         raise ValueError("T must be positive and finite")
-    if plan.noise_dim != side.noise_dim:
-        raise ValueError("plan noise dimension does not match the system")
     z = _as_vector(z0, side.dim, "z0")
     horizon_tol = _TIME_RTOL * max(1.0, T)
     knots = [side.schedule.time(0)]
@@ -192,8 +196,8 @@ def simulate_side(
     # only the last interval may end past the horizon, without its jump
     s, intervals = inner_substeps, len(knots) - 1
     jumps = intervals - (knots[-1] > T + horizon_tol)
-    draws = plan.standard_normals(intervals * s)
-    xis = plan.xi_block(jumps)
+    normals = draws(seed, trajectory, _BROWNIAN_STREAM, intervals * s, side.noise_dim)
+    xis = draws(seed, trajectory, _IMPULSE_STREAM, jumps, side.noise_dim)
 
     states = np.empty((1 + intervals * s + jumps, side.dim))
     times = np.empty(states.shape[0])
@@ -204,7 +208,7 @@ def simulate_side(
         end = min(t_next, T)
         h = (end - t_k) / s
         row = 1 + k * (s + 1)
-        z = _substeps(side, z, t_k, h, math.sqrt(h) * draws[k * s : (k + 1) * s],
+        z = _substeps(side, z, t_k, h, math.sqrt(h) * normals[k * s : (k + 1) * s],
                       states[row : row + s], k * s)
         times[row : row + s] = t_k + np.arange(1, s + 1) * h
         times[row + s - 1] = end
@@ -223,28 +227,27 @@ def simulate_cps(
     x0,
     dt: float,
     T: float,
-    plan: NoisePlan,
+    *,
+    seed: int,
     inner_substeps: int = 32,
     impulse_driving: Driving = "xi",
 ) -> CpsTrajectory:
     """Integrate the coupled exact/numerical hybrid system on [0, T].
 
     x takes `inner_substeps` substeps of size h per interval [k dt, (k+1) dt),
-    with the increments sqrt(h) times the plan's Brownian normals.  y starts
+    with the increments sqrt(h) times the Brownian normals of `seed`.  y starts
     at 0, and x(t) - y(t) is piecewise constant, equal to the one-step iterate
     X_k of `euler_maruyama`; y is derived through that identity, which is
     numerically exact.  T must be a whole number of impulse intervals.
 
     The scheme's increments are sqrt(dt) xi(k+1) by default, as in
-    `simulate_side(make_cps(sde, dt), ...)`, the same system integrated block
-    by block.  With impulse_driving="brownian" they are x's increments folded
-    pairwise over each interval, so inner_substeps must be a power of two.
+    `simulate_side(make_cps(sde, dt), ..., seed=seed)`, the same system
+    integrated block by block.  With impulse_driving="brownian" they are x's
+    increments folded pairwise over each interval, so inner_substeps must be a power of two.
     """
     n_intervals = whole_steps(T, dt)
     if inner_substeps < 1:
         raise ValueError("inner_substeps must be >= 1")
-    if plan.noise_dim != sde.noise_dim:
-        raise ValueError("plan noise dimension does not match the system")
     s = inner_substeps
     if impulse_driving not in ("xi", "brownian"):
         raise ValueError(f"unknown driving mode {impulse_driving!r}")
@@ -252,9 +255,9 @@ def simulate_cps(
         raise GridMismatch("brownian impulse mode requires power-of-two inner_substeps")
 
     h = dt / s
-    w = math.sqrt(h) * plan.standard_normals(n_intervals * s)
+    w = math.sqrt(h) * draws(seed, 0, _BROWNIAN_STREAM, n_intervals * s, sde.noise_dim)
     if impulse_driving == "xi":
-        cyber_w = math.sqrt(dt) * plan.xi_block(n_intervals)
+        cyber_w = math.sqrt(dt) * draws(seed, 0, _IMPULSE_STREAM, n_intervals, sde.noise_dim)
     else:
         # s is a power of two, so no pair spans two intervals
         cyber_w = fold(w, s.bit_length() - 1)

@@ -174,7 +174,7 @@ def test_criterion_7_plateau_identity():
         sde = LinearSde.scalar(-1.0, 0.5)
         for seed in range(20):
             plan = NoisePlan(seed, 0, 1, 0.5 / 16, 4.0)
-            run = simulate_cps(sde, [1.0], 0.5, 4.0, plan, inner_substeps=16)
+            run = simulate_cps(sde, [1.0], 0.5, 4.0, seed=seed, inner_substeps=16)
             em = euler_maruyama(sde, [1.0], 0.5, math.sqrt(0.5) * plan.xi_block(8))
             hybrid = run.hybrid
             k = 0

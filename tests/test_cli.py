@@ -277,6 +277,30 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error: key 'substeps' in [numeric]: ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "task, numeric, key",
+        [
+            ("converge", "levels = 1100\n", "levels"),
+            ("converge", f"substeps = {2**1100}\n", "substeps"),
+            ("simulate", f"substeps = {2**1100}\n", "substeps"),
+        ],
+        ids=["converge-levels", "converge-substeps", "simulate-substeps"],
+    )
+    def test_finest_stepsize_that_is_not_a_positive_float_is_named(self, tmp_path, capsys, task, numeric, key):
+        # dt / 2**1099 underflows to 0, and dt / 2**1100 overflows the int's conversion
+        cfg = write(
+            tmp_path,
+            "h.ini",
+            f"[system]\nkind = scalar\nlambda = -1\nmu = 0.5\n\n[task]\nname = {task}\n\n"
+            f"[numeric]\ndt = 0.5\nt = 1.0\ntrajectories = 8\n{numeric}\n"
+            f"[output]\ndir = {tmp_path / 'o'}\n",
+        )
+        assert main(["--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: key '{key}' in [numeric]: the finest stepsize it sets is not a positive float\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_exponent_takes_only_xi_driving(self, tmp_path, capsys):
         # an ensemble has no physical path to couple to: its scheme reads the impulse stream
         cfg = write(
@@ -539,7 +563,8 @@ class TestArtifacts:
 
 
 class TestPublicNames:
-    # the names `sidelab.__all__` listed before the import block became the only list
+    # the names `sidelab.__all__` listed before the import block became the
+    # only list, less `NoisePlan`, which the library no longer builds
     NAMES = [
         "cli", "errors", "estimate", "matrix_kernels", "models", "noise", "simulate", "stability",
         "ConvergenceStudy", "Ensemble", "ExponentEstimate", "as_exponent", "moment_exponent",
@@ -547,7 +572,6 @@ class TestPublicNames:
         "decay_rate", "is_positive_definite", "solve_ct_lyapunov", "solve_dt_lyapunov",
         "ImpulseSchedule", "LinearSde", "SideSystem",
         "VectorFieldSde", "make_cps", "validate",
-        "NoisePlan",
         "DiscretePath", "HybridTrajectory", "CpsTrajectory", "euler_maruyama", "exact_gbm",
         "simulate_cps", "simulate_scalar_cps_demo", "simulate_side",
         "ConditionConstants", "StabilityCertificate", "check_thm1", "check_thm2", "check_thm4",
@@ -557,7 +581,7 @@ class TestPublicNames:
     ]
 
     def test_package_exposes_every_public_name(self):
-        assert len(set(self.NAMES)) == 48
+        assert len(set(self.NAMES)) == 47
         assert [name for name in self.NAMES if not hasattr(sidelab, name)] == []
 
     def test_star_import_exposes_them(self):

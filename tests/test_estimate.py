@@ -370,6 +370,12 @@ PARITY_CASES = {
     "two-batches": (GBM, [1.0], 2.0, range(1, 4), 600, 2.0**-9, 1),
     "n_fine-not-chunk-multiple": (GBM, [1.0], 2.5, range(1, 6), 64, 2.0**-9, 3),
     "coarsest-stride-above-chunk": (GBM, [1.0], 1.0, range(8, 11), 30, 2.0**-12, 3),
+    # levels coarser than a chunk carry their increments across chunks as a
+    # pairwise tree; here with a height between them that no level takes
+    "levels-apart-above-chunk": (GBM, [1.0], 1.0, [2, 10, 12], 30, 2.0**-12, 2),
+    "2d-above-chunk": (TWO_NOISE_2D, [1.0, -1.0], 1.0, [1, 4, 10, 11], 20, 2.0**-12, 3),
+    "1d-two-noises-above-chunk": (TWO_NOISE_1D, [1.0], 0.5, range(8, 12), 20, 2.0**-12, 4),
+    "two-batches-above-chunk": (TWO_NOISE_2D, [1.0, -1.0], 0.5, [10, 11], 520, 2.0**-12, 5),
     # one coordinate with an explicit-scheme reference
     "1d-two-noises": (TWO_NOISE_1D, [1.0], 1.0, range(1, 5), 40, 2.0**-10, 7),
     # the closed-form reference reaches -inf and every sup error is +inf
@@ -398,8 +404,11 @@ class TestStreamedStudyParity:
         chunk = estimate._CHUNK
         _, _, T, levels, _, delta, _ = PARITY_CASES["n_fine-not-chunk-multiple"]
         assert round(T / delta) % chunk != 0
-        _, _, _, levels, _, _, _ = PARITY_CASES["coarsest-stride-above-chunk"]
-        assert 1 << max(levels) > chunk
+        above = ("coarsest-stride-above-chunk", "levels-apart-above-chunk", "2d-above-chunk",
+                 "1d-two-noises-above-chunk", "two-batches-above-chunk")
+        assert all(1 << max(PARITY_CASES[name][3]) > chunk for name in above)
+        assert {PARITY_CASES[name][0].dim for name in above} == {1, 2}
+        assert PARITY_CASES["two-batches-above-chunk"][4] > estimate._SUP_BATCH
         assert PARITY_CASES["two-batches"][4] > estimate._SUP_BATCH
         assert PARITY_CASES["noise-free-scalar"][0].noise_dim == 0
         assert len(PARITY_CASES["2d-two-noises"][0].noise_matrices) == 2
@@ -414,10 +423,10 @@ class TestStreamedStudyParity:
         study = strong_error_sup(sde, x0, T, levels, trajectories, delta=delta, seed=seed)
         assert all(1e154 < r.error < math.inf and math.isnan(r.stderr) for r in study.records)
 
-    @pytest.mark.parametrize("chunk", ["coarsest-stride", "n_fine"])
+    @pytest.mark.parametrize("chunk", ["below-every-stride", "coarsest-stride", "n_fine"])
     def test_chunk_size_changes_no_bit(self, monkeypatch, chunk):
         sde, x0, T, levels, trajectories, delta = TWO_NOISE_2D, [1.0, -1.0], 1.0, range(2, 6), 40, 2.0**-10
-        value = 1 << max(levels) if chunk == "coarsest-stride" else round(T / delta)
+        value = {"below-every-stride": 2, "coarsest-stride": 1 << max(levels), "n_fine": round(T / delta)}[chunk]
         oracle = whole_array_study(sde, x0, T, levels, trajectories, delta=delta, seed=8)
         monkeypatch.setattr(estimate, "_CHUNK", value)
         streamed = strong_error_sup(sde, x0, T, levels, trajectories, delta=delta, seed=8)
@@ -431,10 +440,10 @@ class TestStreamedStudyParity:
 
 class TestStreamedStudyMemory:
     @staticmethod
-    def _peak(T):
+    def _peak(T, levels=range(1, 5), trajectories=64, delta=2.0**-10):
         tracemalloc.start()
         try:
-            strong_error_sup(GBM, [1.0], T, range(1, 5), 64, delta=2.0**-10)
+            strong_error_sup(GBM, [1.0], T, levels, trajectories, delta=delta)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -442,6 +451,13 @@ class TestStreamedStudyMemory:
     def test_peak_does_not_grow_with_horizon(self):
         # the whole-array study held full paths: 3.5 MiB at T = 1, 14 MiB at T = 4
         assert self._peak(4.0) <= 1.1 * self._peak(1.0)
+
+    def test_peak_does_not_grow_with_the_coarsest_stride(self):
+        # two coarsest steps on 512 paths; a chunk rounded up to the coarsest
+        # stride peaked at 17.1 MiB for levels 1..8 and 132.7 MiB for 1..12
+        delta = 2.0**-14
+        low, high = (self._peak(2 * (1 << top) * delta, range(1, top + 1), 512, delta) for top in (8, 12))
+        assert high <= 1.25 * low
 
 
 # ------------------------------------------------------- time-major ensemble

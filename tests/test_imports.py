@@ -35,6 +35,13 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == {}
 
 
+def test_only_noise_names_the_plan():
+    # the library reads its draws by key through `noise.draws` and
+    # `noise.normal_blocks`; `NoisePlan` is a grid view for tests and the bench
+    naming = [path.name for path in sorted(PACKAGE.glob("*.py")) if "NoisePlan" in path.read_text()]
+    assert naming == ["noise.py"]
+
+
 def test_import_leaves_heavy_modules_unloaded():
     # scipy.sparse.linalg costs every task about 35 ms of set-up and only the
     # stepsize bound needs it; mpmath is not a dependency of the library;

@@ -10,7 +10,15 @@ from scipy.special import ndtri
 from sidelab import noise
 from sidelab.errors import GridMismatch
 from sidelab.models import LinearSde, make_cps
-from sidelab.noise import _BROWNIAN_STREAM, _IMPULSE_STREAM, NoisePlan, _generator, _read_words, _standard_normals
+from sidelab.noise import (
+    _BROWNIAN_STREAM,
+    _IMPULSE_STREAM,
+    NoisePlan,
+    _generator,
+    _read_words,
+    _standard_normals,
+    draws,
+)
 from sidelab.simulate import simulate_side
 
 
@@ -131,6 +139,29 @@ class TestChunkedDraws:
             assert np.array_equal(chunk[:, :, 1], whole[start : start + count])
             start += count
         assert start == plan.finest_steps
+
+
+class TestDraws:
+    """`draws` is the one single-path read: a fresh generator's first slots,
+    mapped as one batch of one, and what both `NoisePlan` reads return."""
+
+    @pytest.mark.parametrize("stream", [_BROWNIAN_STREAM, _IMPULSE_STREAM])
+    @pytest.mark.parametrize("width", [0, 1, 2, 3])
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    @pytest.mark.parametrize("seed, traj", [(0, 0), (2**64 - 1, 2**63 - 1), (0, 2**63 - 1), (2**64 - 1, 0)])
+    def test_equals_the_mapped_words_and_the_plan_reads(self, stream, width, count, seed, traj):
+        got = draws(seed, traj, stream, count, width)
+        words = _read_words([_generator(seed, traj, stream)], count, width)
+        want = _standard_normals(words, count, width)[:, :, 0]
+        plan = NoisePlan(seed, traj, width, 0.5, 8.0)
+        read = plan.standard_normals if stream == _BROWNIAN_STREAM else plan.xi_block
+        for other in (want, read(count)):
+            assert got.shape == other.shape == (count, width) and got.dtype == other.dtype == np.float64
+            assert got.tobytes() == other.tobytes()
+
+    def test_negative_count_raises(self):
+        with pytest.raises(ValueError, match="^count must be nonnegative$"):
+            draws(0, 0, _BROWNIAN_STREAM, -1, 1)
 
 
 class TestNormalBlocks:
@@ -329,9 +360,8 @@ class TestDrawBudget:
         gs = (0.3 * np.eye(3), np.array([[0.0, 0.2, 0.0], [0.1, 0.0, 0.0], [0.0, 0.0, 0.2]]))
         dt, intervals, substeps = 2e-3, 500, 32
         side = make_cps(LinearSde(f, gs), dt)
-        plan = NoisePlan(4, 0, 2, dt, intervals * dt)
         generated = count_generated(monkeypatch)
-        traj = simulate_side(side, [1.0, -0.5, 0.25, 0.0, 0.0, 0.0], substeps, intervals * dt, plan)
+        traj = simulate_side(side, [1.0, -0.5, 0.25, 0.0, 0.0, 0.0], substeps, intervals * dt, seed=4)
         jumps = int(traj.impulse_flag.sum())
         assert (traj.samples - 1 - jumps, jumps) == (16_000, 500)
         assert generated[0] == (16_000 + 500) * 2

@@ -108,7 +108,7 @@ class TestEulerMaruyama:
         sde = LinearSde(-np.eye(2) + 0.3 * rng.standard_normal((2, 2)),
                         tuple(0.4 * rng.standard_normal((2, 2)) for _ in range(2)))
         plan, s = plan_for(0.25, 2.0, m=2, seed=5), 8
-        x = simulate_cps(sde, [1.0, -0.5], 0.25, 2.0, plan, inner_substeps=s).hybrid.x
+        x = simulate_cps(sde, [1.0, -0.5], 0.25, 2.0, seed=5, inner_substeps=s).hybrid.x
         em = euler_maruyama(sde, [1.0, -0.5], 0.25 / s, math.sqrt(0.25 / s) * plan.standard_normals(8 * s))
         # drop the post-impulse rows, which repeat x
         substep_rows = np.arange(len(x)) % (s + 1) != 0
@@ -131,8 +131,7 @@ class TestSimulateSide:
     def test_zero_impulses_match_plain_integration(self):
         sde = LinearSde.scalar(-1.0, 0.5)
         side = make_cps(sde, 0.5)
-        plan = plan_for(0.125, 2.0, seed=6)
-        traj = simulate_side(side, [1.0, 0.0], 4, 2.0, plan)
+        traj = simulate_side(side, [1.0, 0.0], 4, 2.0, seed=6)
         # replay the x block by hand with the same draws
         x = 1.0
         draws = NoisePlan(6, 0, 1, 0.125, 2.0).standard_normals(16)
@@ -147,15 +146,14 @@ class TestSimulateSide:
 
     def test_equilibrium_absorbs(self):
         side = make_cps(LinearSde.scalar(-2.0, 1.0), 0.25)
-        traj = simulate_side(side, [0.0, 0.0], 8, 1.0, plan_for(0.03125, 1.0))
+        traj = simulate_side(side, [0.0, 0.0], 8, 1.0, seed=0)
         assert np.all(traj.x == 0.0)
         assert np.all(traj.y == 0.0)
 
     def test_deterministic_cps_interval(self):
         # drift -x, dt = 0.5: y(0.5-) ~ e^{-0.5} - 1, jump +0.5, iterate X_1 = 0.5
         side = make_cps(LinearSde.scalar(-1.0, 0.0), 0.5)
-        plan = plan_for(0.5 / 512, 0.5, m=1)
-        traj = simulate_side(side, [1.0, 0.0], 512, 0.5, plan)
+        traj = simulate_side(side, [1.0, 0.0], 512, 0.5, seed=0)
         pre = traj.y[-2, 0]
         post = traj.y[-1, 0]
         assert pre == pytest.approx(math.exp(-0.5) - 1.0, abs=2e-3)
@@ -164,7 +162,7 @@ class TestSimulateSide:
 
     def test_impulse_rows_doubled(self):
         side = make_cps(LinearSde.scalar(-1.0, 0.5), 0.5)
-        traj = simulate_side(side, [1.0, 0.0], 4, 2.0, plan_for(0.125, 2.0))
+        traj = simulate_side(side, [1.0, 0.0], 4, 2.0, seed=0)
         # 16 substeps + 4 impulses + initial row
         assert traj.samples == 16 + 4 + 1
         assert int(traj.impulse_flag.sum()) == 4
@@ -176,7 +174,7 @@ class TestSimulateSide:
         side = make_cps(LinearSde.scalar(-1.0, 0.0), 1.0)
         gaps = []
         for sub in (8, 16, 32):
-            traj = simulate_side(side, [1.0, 0.0], sub, 1.0, plan_for(1.0 / sub, 1.0))
+            traj = simulate_side(side, [1.0, 0.0], sub, 1.0, seed=0)
             mask = traj.impulse_flag == 0
             gaps.append(np.abs(np.diff(traj.x[mask, 0])).max())
         assert gaps[1] < gaps[0] and gaps[2] < gaps[1]
@@ -254,7 +252,7 @@ class TestSimulateSideOracle:
     )
     def test_matches_looped_integrator(self, name):
         side, z0, substeps, T = oracle_case(name)
-        got = simulate_side(side, z0, substeps, T, NoisePlan(4, 0, side.noise_dim, T, T))
+        got = simulate_side(side, z0, substeps, T, seed=4)
         times, xs, ys, flags, impulses = looped_side(
             side, z0, substeps, T, NoisePlan(4, 0, side.noise_dim, T, T)
         )
@@ -276,7 +274,7 @@ class TestSimulateSideOracle:
 
     def test_horizon_inside_interval_drops_last_jump(self):
         side, z0, substeps, T = oracle_case("horizon-inside-interval")
-        traj = simulate_side(side, z0, substeps, T, NoisePlan(4, 0, side.noise_dim, T, T))
+        traj = simulate_side(side, z0, substeps, T, seed=4)
         assert int(traj.impulse_flag.sum()) == 7 and traj.times[-1] == T
         assert traj.samples == 1 + 8 * substeps + 7
 
@@ -284,16 +282,15 @@ class TestSimulateSideOracle:
         blocks = (-np.eye(2), [], np.array([[0.0, 0.0], [1e300, 0.0]]), [])
         side = side_from_blocks(1, *blocks, ImpulseSchedule.equal_gaps(0.5))
         with pytest.raises(NonFinite, match="at impulse 1$") as err:
-            simulate_side(side, [1e10, 0.0], 4, 2.0, plan_for(2.0, 2.0, m=0))
+            simulate_side(side, [1e10, 0.0], 4, 2.0, seed=0)
         assert err.value.step == 4
 
     def test_impulse_rows_share_one_time(self):
         # t_k + s h can miss t_{k+1} in the last bit (11 * (0.1 / 11) != 0.1);
         # the left limit and the post-impulse sample both sit at t_{k+1} exactly
         sde = LinearSde.scalar(-1.0, 0.5)
-        plan = plan_for(0.1 / 11, 2.0)
-        for traj in (simulate_cps(sde, [1.0], 0.1, 2.0, plan, 11).hybrid,
-                     simulate_side(make_cps(sde, 0.1), [1.0, 0.0], 11, 2.0, plan)):
+        for traj in (simulate_cps(sde, [1.0], 0.1, 2.0, seed=0, inner_substeps=11).hybrid,
+                     simulate_side(make_cps(sde, 0.1), [1.0, 0.0], 11, 2.0, seed=0)):
             rows = np.flatnonzero(traj.impulse_flag)
             assert rows.size == 20
             assert np.array_equal(traj.times[rows - 1], traj.times[rows])
@@ -304,23 +301,22 @@ class TestSimulateSideOracle:
         schedule = ImpulseSchedule(lambda k: 0.5 * k if k < 2 else 0.25, 0.25, 0.5)
         side = side_from_blocks(1, -np.eye(2), [], np.zeros((2, 2)), [], schedule)
         with pytest.raises(ValueError, match="not strictly increasing"):
-            simulate_side(side, [1.0, 0.0], 4, 2.0, plan_for(2.0, 2.0, m=0))
+            simulate_side(side, [1.0, 0.0], 4, 2.0, seed=0)
 
     def test_nan_impulse_time_rejected(self):
         schedule = ImpulseSchedule(lambda k: 0.5 * k if k < 2 else math.nan, 0.25, 0.5)
         side = side_from_blocks(1, -np.eye(2), [], np.zeros((2, 2)), [], schedule)
         with pytest.raises(ValueError, match="not strictly increasing"):
-            simulate_side(side, [1.0, 0.0], 4, 2.0, plan_for(2.0, 2.0, m=0))
+            simulate_side(side, [1.0, 0.0], 4, 2.0, seed=0)
 
     def test_overflow_step_without_warnings(self):
         # under error::RuntimeWarning an overflow warning would fail this first
         sde = LinearSde.scalar(1e6, 0.5)
-        plan = plan_for(0.5 / 32, 4.0)
         with pytest.raises(NonFinite, match="at substep 74$") as err:
-            simulate_cps(sde, [1.0], 0.5, 4.0, plan, 32)
+            simulate_cps(sde, [1.0], 0.5, 4.0, seed=0, inner_substeps=32)
         assert err.value.step == 74
         with pytest.raises(NonFinite, match="at substep 74$") as err:
-            simulate_side(make_cps(sde, 0.5), [1.0, 0.0], 32, 4.0, plan)
+            simulate_side(make_cps(sde, 0.5), [1.0, 0.0], 32, 4.0, seed=0)
         assert err.value.step == 74
 
     @pytest.mark.parametrize("s", [16, 30, 31])
@@ -329,8 +325,8 @@ class TestSimulateSideOracle:
         # inside the second interval (s = 16), its first substep (s = 30), or
         # the last substep of the first (s = 31)
         sde = LinearSde.scalar((1e10 - 1.0) * s, 0.0)
-        runs = (lambda: simulate_cps(sde, [1.0], 1.0, 2.0, plan_for(1.0 / s, 2.0), s),
-                lambda: simulate_side(make_cps(sde, 1.0), [1.0, 0.0], s, 2.0, plan_for(2.0, 2.0)))
+        runs = (lambda: simulate_cps(sde, [1.0], 1.0, 2.0, seed=0, inner_substeps=s),
+                lambda: simulate_side(make_cps(sde, 1.0), [1.0, 0.0], s, 2.0, seed=0))
         for run in runs:
             with pytest.raises(NonFinite, match="at substep 31$") as err:
                 run()
@@ -341,9 +337,8 @@ class TestSimulateSideOracle:
         # which warns unless the integrator's errstate covers them
         sde = VectorFieldSde(1, 1, lambda x, t: 3e4 * x + 0.1 * np.sin(x),
                              lambda x, t: 0.5 * np.tanh(x).reshape(1, 1), 4e4)
-        plan = plan_for(0.25 / 16, 4.0, seed=1)
-        for run in (lambda: simulate_cps(sde, [1.0], 0.25, 4.0, plan, 16),
-                    lambda: simulate_side(make_cps(sde, 0.25), [1.0, 0.0], 16, 4.0, plan)):
+        for run in (lambda: simulate_cps(sde, [1.0], 0.25, 4.0, seed=1, inner_substeps=16),
+                    lambda: simulate_side(make_cps(sde, 0.25), [1.0, 0.0], 16, 4.0, seed=1)):
             with warnings.catch_warnings(record=True) as seen:
                 warnings.simplefilter("always")
                 with pytest.raises(NonFinite, match="at substep 115$") as err:
@@ -361,31 +356,29 @@ class TestSimulateSideOracle:
 
             return VectorFieldSde(1, 1, drift, lambda x, t: 0.5 * np.tanh(x).reshape(1, 1), 4e4)
 
-        plan = plan_for(0.25 / 16, 4.0, seed=1)
         sde = system(math.inf)
         with pytest.raises(NonFinite, match="at substep 115$") as err:
-            simulate_cps(sde, [1.0], 0.25, 4.0, plan, 16)
+            simulate_cps(sde, [1.0], 0.25, 4.0, seed=1, inner_substeps=16)
         assert err.value.step == 115
         with pytest.raises(NonFinite, match="at substep 115$"):
-            simulate_side(make_cps(sde, 0.25), [1.0, 0.0], 16, 4.0, plan)
+            simulate_side(make_cps(sde, 0.25), [1.0, 0.0], 16, 4.0, seed=1)
         # an error on a finite state is the evaluator's own
         sde = system(1.5)
         with pytest.raises(RuntimeError, match="drift failed"):
-            simulate_cps(sde, [1.0], 0.25, 4.0, plan, 16)
+            simulate_cps(sde, [1.0], 0.25, 4.0, seed=1, inner_substeps=16)
         with pytest.raises(RuntimeError, match="drift failed"):
-            simulate_side(make_cps(sde, 0.25), [1.0, 0.0], 16, 4.0, plan)
+            simulate_side(make_cps(sde, 0.25), [1.0, 0.0], 16, 4.0, seed=1)
 
 
 class TestSimulateCps:
     def test_difference_starts_at_zero(self):
-        run = simulate_cps(LinearSde.scalar(-1.0, 0.5), [1.0], 0.5, 2.0, plan_for(0.0625, 2.0))
+        run = simulate_cps(LinearSde.scalar(-1.0, 0.5), [1.0], 0.5, 2.0, seed=0)
         assert np.all(run.hybrid.y[0] == 0.0)
 
     def test_plateau_identity(self):
         sde = LinearSde.scalar(-1.0, 0.5)
         for seed in range(3):
-            plan = plan_for(0.0625, 2.0, seed=seed)
-            run = simulate_cps(sde, [1.0], 0.5, 2.0, plan, inner_substeps=8)
+            run = simulate_cps(sde, [1.0], 0.5, 2.0, seed=seed, inner_substeps=8)
             em = euler_maruyama(sde, [1.0], 0.5, xi_increments(0.5, 4, plan_for(0.0625, 2.0, seed=seed)))
             assert np.array_equal(run.cyber.states, em.states)
             k = 0
@@ -413,9 +406,8 @@ class TestSimulateCps:
                 tuple(rng.normal(size=(n, n)) / (3 * n) for _ in range(m)),
             )
         x0 = np.linspace(1.0, -1.0, n)
-        plan = plan_for(0.03125, 1.0, seed=2, m=m)
-        a = simulate_cps(sde, x0, 0.25, 1.0, plan, 8).hybrid
-        b = simulate_side(make_cps(sde, 0.25), np.concatenate([x0, np.zeros(n)]), 8, 1.0, plan)
+        a = simulate_cps(sde, x0, 0.25, 1.0, seed=2, inner_substeps=8).hybrid
+        b = simulate_side(make_cps(sde, 0.25), np.concatenate([x0, np.zeros(n)]), 8, 1.0, seed=2)
         scale = 1.0 + np.abs(a.y).max()
         assert np.abs(a.y - b.y).max() <= 1e-12 * scale
         assert np.array_equal(a.x, b.x)
@@ -425,21 +417,18 @@ class TestSimulateCps:
     def test_brownian_impulse_mode_nests(self):
         sde = LinearSde.scalar(-1.0, 0.5)
         plan = plan_for(0.0625, 2.0, seed=5)
-        run = simulate_cps(sde, [1.0], 0.5, 2.0, plan, 8, impulse_driving="brownian")
+        run = simulate_cps(sde, [1.0], 0.5, 2.0, seed=5, inner_substeps=8, impulse_driving="brownian")
         # 32 finest steps folded 3 times: the 4 increments of size 0.5
         em = euler_maruyama(sde, [1.0], 0.5, plan.increments(3))
         assert np.array_equal(run.cyber.states, em.states)
-        # the run reads no grid from the plan: another delta gives the same bits
-        other = simulate_cps(sde, [1.0], 0.5, 2.0, plan_for(2.0, 2.0, seed=5), 8, impulse_driving="brownian")
-        assert np.array_equal(other.hybrid.z(), run.hybrid.z())
 
     def test_equilibrium(self):
-        run = simulate_cps(LinearSde.scalar(-1.0, 0.5), [0.0], 0.5, 1.0, plan_for(0.0625, 1.0))
+        run = simulate_cps(LinearSde.scalar(-1.0, 0.5), [0.0], 0.5, 1.0, seed=0)
         assert np.all(run.hybrid.x == 0.0) and np.all(run.hybrid.y == 0.0)
 
     def test_requires_whole_intervals(self):
         with pytest.raises(ValueError):
-            simulate_cps(LinearSde.scalar(-1.0, 0.0), [1.0], 0.5, 1.7, plan_for(0.125, 2.0))
+            simulate_cps(LinearSde.scalar(-1.0, 0.0), [1.0], 0.5, 1.7, seed=0)
 
 
 class TestExactGbm:
@@ -506,7 +495,7 @@ class TestScalarCpsDemo:
 class TestTrajectoryRows:
     def test_header_and_counts(self):
         sde = LinearSde.scalar(-1.0, 0.5)
-        run = simulate_cps(sde, [1.0], 0.5, 2.0, plan_for(0.125, 2.0), 4)
+        run = simulate_cps(sde, [1.0], 0.5, 2.0, seed=0, inner_substeps=4)
         header, rows = trajectory_rows(run.hybrid)
         assert header == ["t", "x_1", "y_1", "X_1", "impulse_flag"]
         assert len(rows) == run.hybrid.samples == 4 * 4 + 4 + 1
@@ -522,7 +511,7 @@ GBM = LinearSde.scalar(-1.0, 0.5)
 # (entry point, parameter, call with the bad value, bad values)
 NON_FINITE_CASES = [
     ("simulate_side", "T",
-     lambda v: simulate_side(make_cps(GBM, 0.5), [1.0, 0.0], 4, v, plan_for(0.125, 2.0)), (math.nan, math.inf)),
+     lambda v: simulate_side(make_cps(GBM, 0.5), [1.0, 0.0], 4, v, seed=0), (math.nan, math.inf)),
     ("run_ensemble", "T",
      lambda v: run_ensemble(make_cps(GBM, 0.5), [1.0, 0.0], 2.0, 4, v, 0.5), (math.nan, math.inf)),
     # a hybrid path ignores dt, and a linear one inner_substeps: both are still checked
@@ -531,7 +520,7 @@ NON_FINITE_CASES = [
     ("run_ensemble", "inner_substeps",
      lambda v: run_ensemble(GBM, [1.0], 2.0, 4, 1.0, 0.5, inner_substeps=v), (0, -3)),
     ("euler_maruyama", "dt", lambda v: euler_maruyama(GBM, [1.0], v, np.zeros((4, 1))), (math.nan, math.inf)),
-    ("simulate_cps", "dt", lambda v: simulate_cps(GBM, [1.0], v, 1.0, plan_for(0.25, 1.0)), (math.nan, math.inf)),
+    ("simulate_cps", "dt", lambda v: simulate_cps(GBM, [1.0], v, 1.0, seed=0), (math.nan, math.inf)),
     ("scalar_cps_demo", "dt", lambda v: simulate_scalar_cps_demo(1.0, 2.0, 1.0, v, 10.0), (math.nan, math.inf)),
     ("scalar_cps_demo", "T", lambda v: simulate_scalar_cps_demo(1.0, 2.0, 1.0, 0.5, v), (math.nan, math.inf)),
     ("cp_lyapunov_feasible", "dt_bar", lambda v: cp_lyapunov_feasible(GBM, v), (math.nan, math.inf)),
