@@ -10,9 +10,10 @@ cannot silently leave a default in place.  [numeric] `driving` (xi or
 brownian) is read by `simulate` only; `exponent` takes xi, its one stream,
 and exits 2 on brownian.
 Exit codes: 0 stable/feasible or simulation completed, 1 certified
-infeasible/unstable, 2 invalid input.  All numeric output in reports is
-printed with 12 significant digits; CSV cells use full-precision repr so
-identical configs produce byte-identical artifacts.
+infeasible/unstable or a failed run (out of memory among them, reported as
+`error: out of memory: ...`), 2 invalid input.  All numeric output in
+reports is printed with 12 significant digits; CSV cells use full-precision
+repr so identical configs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -447,6 +448,9 @@ def main(argv=None) -> int:
         return 2
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -7,9 +7,9 @@ every statistic is bitwise reproducible from (seed, parameters).  Batches are
 time-major: (n, B) states, (steps, m, B) draws, (steps + 1, n, B) chunk paths.
 
 Both linear kernels, the moment ensemble and the convergence study, stream each
-batch over chunks of time from `noise.normal_blocks`, so memory is
-O(batch * chunk draws) at any horizon.  Batch sizes fix the summation order;
-chunk sizes enter no result.
+batch over blocks of time from `noise.normal_blocks`, whose length the one
+rule `noise.block_slots` sets, so memory is O(batch * block) at any horizon.
+Batch sizes fix the summation order; block lengths enter no result.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import GridMismatch, NonFinite
 from .models import LinearSde, Sde, SideSystem, _as_vector
-from .noise import _BROWNIAN_STREAM, _IMPULSE_STREAM, draws, fold, normal_blocks
+from .noise import _BROWNIAN_STREAM, _IMPULSE_STREAM, block_slots, draws, fold, normal_blocks
 from .simulate import euler_maruyama, exact_gbm, simulate_side, whole_steps
 
 _WINDOW_MIN_POINTS = 10
@@ -30,14 +30,6 @@ _WINDOW_MIN_POINTS = 10
 # sizes fix the summation order: changing them changes results in the last bits.
 _ENSEMBLE_BATCH = 2048
 _SUP_BATCH = 512
-
-# Finest steps per chunk of the convergence study (a power of two), and draws
-# per chunk of an ensemble batch.  They bound memory only: no result depends
-# on them.  `normal_blocks` holds one chunk of
-# raw words and two chunks of normals per batch, 8 bytes per draw each: 6 MiB
-# per ensemble batch at 2**18 draws.
-_CHUNK = 512
-_ENSEMBLE_DRAWS = 1 << 18
 
 
 def scalar_onestep_factor(lam: float, mu: float, dt: float) -> float:
@@ -162,15 +154,14 @@ def _ensemble_linear(sde: LinearSde, x0, p, trajectories, T, dt, seed) -> Ensemb
 
     for start in range(0, trajectories, _ENSEMBLE_BATCH):
         b = min(_ENSEMBLE_BATCH, trajectories - start)
-        chunk = max(1, _ENSEMBLE_DRAWS // (max(m, 1) * b))
         x = np.repeat(x0[:, None], b, axis=1)
         nrm = np.sqrt(_sumsq(x))
         moment_sum[0] += float(np.sum(nrm**p))
         batch_sup = nrm**2
-        norms = np.empty((chunk, b))  # row k: the norms after step s + k + 1
+        norms = np.empty((block_slots(m, b), b))  # row k: the norms after step s + k + 1
         s = 0
         with np.errstate(over="ignore", invalid="ignore"):
-            for w in normal_blocks(seed, _IMPULSE_STREAM, range(start, start + b), n_steps, chunk, m, math.sqrt(dt)):
+            for w in normal_blocks(seed, _IMPULSE_STREAM, range(start, start + b), n_steps, m, math.sqrt(dt)):
                 c = w.shape[0]
                 for k, x in enumerate(_linear_steps(sde.stack, x, dt, w)):
                     np.sqrt(_sumsq(x), out=norms[k])
@@ -380,16 +371,17 @@ def strong_error_sup(
     invisible.  Use levels >= 1, i.e. pick delta at least one dyadic level
     below the smallest stepsize under study.
 
-    The finest grid is walked in chunks of `_CHUNK` steps, carrying per
-    trajectory only the last state of each level and of the reference, the
-    running sup errors, and for the levels coarser than a chunk the open
-    pairwise sums of their increments, one row per height.  Memory is
-    O(_SUP_BATCH * (_CHUNK + levels) * (n + m)), whatever the horizon and the
-    coarsest stride.  The chunk size changes no bit of the result: maxima do
-    not depend on order, the sums keep their `_SUP_BATCH` grouping, the
-    Brownian partial sum and the level states are carried across chunks in
-    sequence, and a coarse increment is the pairwise tree of `noise.fold`
-    whether it spans one chunk or several.
+    The finest grid is walked in the blocks of `noise.normal_blocks`, chunks
+    of `noise.block_slots(m, batch)` steps, carrying per trajectory only the
+    last state of each level and of the reference, the running sup errors,
+    and for the levels coarser than a chunk the open pairwise sums of their
+    increments, one row per height.  A chunk is a power of two of at most
+    512 steps, so memory is O(_SUP_BATCH * (512 + levels) * (n + m)),
+    whatever the horizon and the coarsest stride.  The chunk size changes no
+    bit of the result: maxima do not depend on order, the sums keep their
+    `_SUP_BATCH` grouping, the Brownian partial sum and the level states are
+    carried across chunks in sequence, and a coarse increment is the pairwise
+    tree of `noise.fold` whether it spans one chunk or several.
 
     Within a chunk, each level's path value p holds over a block of `stride`
     reference values r, or across the chunk for a level coarser than it.
@@ -427,8 +419,6 @@ def strong_error_sup(
     if n_fine % coarsest:
         raise GridMismatch(f"level {levels[-1]} stepsize does not divide the horizon: "
                            f"{n_fine} finest steps are not a multiple of {coarsest}")
-    top = _CHUNK.bit_length() - 1  # chunks of 2**top finest steps
-    chunk = 1 << top
 
     err_sum = {l: 0.0 for l in levels}
     err_sumsq = {l: 0.0 for l in levels}
@@ -436,6 +426,8 @@ def strong_error_sup(
     for start in range(0, trajectories, _SUP_BATCH):
         idx = range(start, min(start + _SUP_BATCH, trajectories))
         b = len(idx)
+        chunk = block_slots(m, b)
+        top = chunk.bit_length() - 1  # chunks of 2**top finest steps
         # the states a chunk starts from: reference, each level, and the
         # Brownian value in row 0 of `brownian`
         ref_x = np.repeat(x0[:, None], b, axis=1)
@@ -445,7 +437,7 @@ def strong_error_sup(
         pending = {}  # height above a chunk -> the left half of an open pairwise sum
 
         s = 0
-        for inc in normal_blocks(seed, _BROWNIAN_STREAM, idx, n_fine, chunk, m, math.sqrt(delta)):
+        for inc in normal_blocks(seed, _BROWNIAN_STREAM, idx, n_fine, m, math.sqrt(delta)):
             c = inc.shape[0]
             # ref holds fine indices s .. s + c, both ends included
             if scalar:

@@ -2,19 +2,20 @@
 
 Every draw is counter-based: a pure function of (seed, trajectory, stream,
 slot), realized with a Philox generator keyed by seed and trajectory/stream
-and with normal variates produced by inverse-CDF of its raw 64-bit words.
-Nothing is rejection-sampled, so trajectories agree bitwise in any order or
-batch.  A batched read is time-major: (slots, width, generators).
+and with normal variates produced by inverse-CDF of its 64-bit words, each
+read as the uniform k 2**-53 of its top 53 bits k.  Nothing is
+rejection-sampled, so trajectories agree bitwise in any order or batch.  A
+batched read is time-major: (slots, width, generators).
 
-A read has two parts: `_read_words` reads the raw words, one row per
-generator, in a loop that holds the GIL; `_standard_normals` maps them to
-normals without it.  The library reads through two functions, both keyed by
-(seed, trajectory, stream).  `draws` is the one single-path read: the first
-slots of one pair, as the single-path integrators of `simulate` take them.
-`normal_blocks` is the one batched read: it streams a batch of trajectories
-in blocks of time, mapping and scaling each block on a worker thread that
-lives as long as the stream.  The caller's thread reads block k+1's words
-once the worker has copied block k's words out, not once block k is mapped.
+The library reads through two functions, both keyed by (seed, trajectory,
+stream).  `draws` is the one single-path read: the first slots of one pair,
+as the single-path integrators of `simulate` take them.  `normal_blocks` is
+the one batched read: it streams a batch of trajectories in blocks of
+`block_slots(width, trajectories)` slots, the one block-length rule.  The
+caller's thread fills each block's uniforms (the generator loop, which holds
+the GIL); a worker thread that lives as long as the stream copies them out
+and maps them to normals with `_standard_normals`, which does not.  The
+caller fills block k+1 once block k is copied out, not once it is mapped.
 
 Two independent streams are kept per trajectory: one for Brownian-motion
 increments on the finest grid (refinable by dyadic coarsening for
@@ -37,6 +38,10 @@ _BROWNIAN_STREAM = 0
 _IMPULSE_STREAM = 1
 
 _GRID_RTOL = 1e-9
+
+# the caps of `block_slots`: slots per block, and draws per block of a batch
+_BLOCK_SLOTS = 512
+_BLOCK_DRAWS = 1 << 18
 
 
 class _Key(ISeedSequence):
@@ -69,108 +74,82 @@ def _generator(seed: int, trajectory: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_Key([seed, trajectory << 1 | stream])))
 
 
-def _read_words(gens, count: int, width: int, out=None) -> np.ndarray:
-    """The next `count * width` raw 64-bit words of each generator in `gens`,
-    one contiguous row per generator: shape (len(gens), count * width).
-
-    Each slot takes `width` consecutive words, and a generator resumes where
-    its last read stopped, so reading a stream in pieces gives the same words
-    as reading it at once.  They are the words of
-    `gen.integers(1 << 64, dtype=np.uint64)`, read without its per-call cost.
-    `out`, when given, is a uint64 array of that shape that takes the words.
-    This loop over the generators holds the GIL; the map that turns the words
-    into normals, `_standard_normals`, does not.
-    """
-    if out is None:
-        out = np.empty((len(gens), count * width), dtype=np.uint64)
-    for row, gen in zip(out, gens):
-        row[:] = gen.bit_generator.random_raw(count * width)
-    return out
-
-
-def _standard_normals(words: np.ndarray, count: int, width: int, out=None, copied=None) -> np.ndarray:
-    """N(0,1) draws from the words of `_read_words(gens, count, width)`, shape
-    (count, width, len(gens)): time-major, each coordinate contiguous over the
-    generators.
-
-    Overwrites `words`.  `out`, when given, is a C-contiguous
-    (count * width, len(gens)) float array that takes the draws, and the
-    result is a view of it.  `copied`, when given, is an event that is set
-    once `words` has been copied out, so the caller may refill them while the
-    map goes on.  The shift, the transposing float conversion, the affine
-    step and `ndtri` all run without the GIL, so a worker thread can map one
-    block while the caller's thread does other work.
-    """
-    if out is None:
-        out = np.empty((count * width, len(words)))
-    # map the top 53 bits k to u = (k + 0.5) 2**-53 in the open interval
-    # (0, 1).  The half-step keeps 0 unreachable, but for k = 2**53 - 1 the sum
-    # rounds to 2**53, so u is clamped to the largest double below 1: no word
-    # draws +inf, and every other word keeps its draw.
-    words >>= np.uint64(11)
-    out[...] = words.T
-    if copied is not None:
-        copied.set()
-    out += 0.5
-    out *= 2.0**-53
-    np.minimum(out, 1.0 - 2.0**-53, out=out)
-    return ndtri(out, out=out).reshape(count, width, len(words))
+def _standard_normals(u: np.ndarray) -> np.ndarray:
+    """N(0,1) draws, in place, from the uniforms u = k 2**-53 of
+    `Generator.random`, k the top 53 bits of each word; returns `u`.  It runs
+    without the GIL, so a worker thread can map one block while the caller's
+    thread does other work."""
+    # map u to (k + 0.5) 2**-53 in the open interval (0, 1): the sum with
+    # 2**-54 rounds as k + 0.5 does.  The half-step keeps 0 unreachable, but
+    # for k = 2**53 - 1 the sum rounds to 1, so u is clamped to the largest
+    # double below 1: no word draws +inf, and every other word keeps its draw.
+    u += 2.0**-54
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
+    return ndtri(u, out=u)
 
 
 def draws(seed: int, trajectory: int, stream: int, count: int, width: int) -> np.ndarray:
     """The first `count` slots of one (trajectory, stream) pair: N(0,1) draws
-    of shape (count, width), read from a fresh generator at slot 0.  Equal
-    arguments give bitwise-equal draws, and a longer read starts with a
-    shorter one.  Raises ValueError for a negative `count`."""
+    of shape (count, width), each slot `width` consecutive words of a fresh
+    generator.  Equal arguments give bitwise-equal draws, and a longer read
+    starts with a shorter one.  Raises ValueError for a negative `count`."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    words = _read_words([_generator(seed, trajectory, stream)], count, width)
-    return _standard_normals(words, count, width)[:, :, 0]
+    u = _generator(seed, trajectory, stream).random(count * width)
+    return _standard_normals(u).reshape(count, width)
 
 
-def normal_blocks(seed: int, stream: int, trajectories, steps: int, chunk: int, width: int, scale: float):
+def block_slots(width: int, trajectories: int) -> int:
+    """Slots per block of a batched read of `trajectories` generators, `width`
+    draws per slot: the largest power of two up to `_BLOCK_SLOTS` whose block
+    holds at most `_BLOCK_DRAWS` draws, a width of 0 counted as 1, and at
+    least 1.  The two caps bound a batch's memory; no draw depends on them."""
+    fit = _BLOCK_DRAWS // (max(width, 1) * trajectories)
+    return 1 << (min(max(fit, 1), _BLOCK_SLOTS).bit_length() - 1)
+
+
+def normal_blocks(seed: int, stream: int, trajectories, steps: int, width: int, scale: float):
     """Yield `scale` times the normals of `stream` for the generators of
-    `trajectories`, `chunk` slots at a time over the positive `steps` (the
-    last block short): (count, width, len(trajectories)) blocks that
-    concatenate to `scale * _standard_normals(_read_words(gens, steps, width),
-    steps, width)`, bit for bit.
+    `trajectories`, `block_slots(width, len(trajectories))` slots at a time
+    over the positive `steps` (the last block short): (count, width,
+    len(trajectories)) blocks whose column j concatenates to
+    `scale * draws(seed, trajectories[j], stream, steps, width)`, bit for bit.
 
-    A worker thread maps and scales block k+1 while the caller uses block k.
-    The caller's thread reads block k+1's words once block k's words are
-    copied out, not once block k is mapped, so the Philox reads overlap
-    `ndtri`.  One buffer of words and two of normals, `min(chunk, steps)`
-    slots each, are reused, so a block is valid only until the next one is
-    requested.  The worker is joined when the stream ends or is closed, also
-    by a raise in the caller's loop or in the map.  The map is looked up as
-    `_standard_normals` at each block.
+    The caller's thread fills a block's uniforms, one row per generator; the
+    worker copies their transpose out, hands the buffer back, and maps and
+    scales the copy while the caller uses the previous block and fills the
+    next one, so the Philox reads overlap `ndtri`.  One buffer of uniforms
+    and two of normals, `min(block, steps)` slots each, are reused, so a block
+    is valid only until the next one is requested.  The worker is joined when
+    the stream ends or is closed, also by a raise in the caller's loop or in
+    the map.  The map is looked up as `_standard_normals` at each block.
     """
     # deferred: `scipy.linalg` loads `concurrent.futures` but not its `thread`
     # submodule and `queue`, which add up to 1 MB to a task that draws no batch
     from concurrent.futures import ThreadPoolExecutor
 
     gens = [_generator(seed, traj, stream) for traj in trajectories]
-    size = min(chunk, steps) * width
-    words = np.empty((len(gens), size), dtype=np.uint64)
+    slots = block_slots(width, len(gens))
+    size = min(slots, steps) * width
+    uniforms = np.empty((len(gens), size))
     normals = np.empty((2, size, len(gens)))
 
-    def scaled(block, count, out, copied):
-        try:
-            out = _standard_normals(block, count, width, out, copied)
-        finally:  # also when the map raises, so the caller never waits on it
-            copied.set()
+    def scaled(count, out, copied):
+        out[...] = uniforms[:, : len(out)].T
+        copied.set()
+        out = _standard_normals(out)
         out *= scale
-        return out
+        return out.reshape(count, width, len(gens))
 
     with ThreadPoolExecutor(max_workers=1) as pool:
-        for k, s in enumerate(range(0, steps, chunk)):
-            count = min(chunk, steps - s)
+        for k, s in enumerate(range(0, steps, slots)):
+            count = min(slots, steps - s)
             if k:
                 copied.wait()
-            block = _read_words(gens, count, width, words[:, : count * width])
-            # one event per block: a block's map sets its event after the cast
-            # and again as it ends, when the buffer may hold the next words
-            copied = threading.Event()
-            following = pool.submit(scaled, block, count, normals[k % 2, : count * width], copied)
+            for row, gen in zip(uniforms[:, : count * width], gens):
+                gen.random(out=row)
+            copied = threading.Event()  # one per block, set once its uniforms are copied out
+            following = pool.submit(scaled, count, normals[k % 2, : count * width], copied)
             if k:
                 yield mapped.result()
             mapped = following

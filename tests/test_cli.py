@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -348,6 +349,34 @@ class TestExitCodes:
         assert done.returncode == 1
         assert done.stderr == ""
         assert "diverged: state overflowed at substep 74" in done.stdout
+
+    @pytest.mark.parametrize("task, numeric", [
+        ("simulate", "dt = 0.5\nt = 1\nsubsteps = 1000000000000\n"),
+        ("exponent", "dt = 0.05\nt = 1\ntrajectories = 1000000000000\n"),
+    ], ids=["simulate-substeps", "exponent-trajectories"])
+    def test_out_of_memory_is_an_error(self, tmp_path, task, numeric):
+        # terabytes of draws or of per-path sums; the address space is capped
+        # so that no host can grant them
+        cfg = write(
+            tmp_path,
+            "m.ini",
+            f"[system]\nkind = scalar\nlambda = -1\nmu = 0.5\n\n[task]\nname = {task}\n\n"
+            f"[numeric]\n{numeric}\n[output]\ndir = {tmp_path / 'o'}\n",
+        )
+        cap = 2 << 30
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from sidelab.cli import main; sys.exit(main())", "--config", cfg],
+            capture_output=True, text=True, preexec_fn=limit,
+            env={**os.environ, "PYTHONPATH": str(Path(sidelab.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: out of memory: Unable to allocate ")
+        assert "Traceback" not in done.stderr and done.stdout == ""
+        assert not (tmp_path / "o").exists()
 
     def test_singular_operator_is_a_boundary_without_warnings(self, tmp_path):
         cfg = write(tmp_path, "z.ini", LINEAR.format(f="0 0 ; 0 0", noise="", task="analyze", out=tmp_path / "o"))

@@ -20,7 +20,7 @@ from sidelab.estimate import (
     strong_error_sup,
 )
 from sidelab.models import LinearSde, VectorFieldSde, make_cps
-from sidelab.noise import NoisePlan
+from sidelab.noise import NoisePlan, block_slots
 from sidelab.simulate import exact_gbm
 from sidelab.stability import discrete_ms_stable, lyapunov_ito_feasible
 
@@ -359,7 +359,9 @@ TWO_NOISE_2D = LinearSde(
 
 TWO_NOISE_1D = LinearSde(np.array([[-1.0]]), (np.array([[0.4]]), np.array([[-0.3]])))
 
-# (system, x0, T, levels, trajectories, delta, seed); _CHUNK is 512 finest steps
+# (system, x0, T, levels, trajectories, delta, seed); a chunk is the
+# `block_slots(m, batch)` finest steps of a batch: 512 in every case but the
+# 512-path batch of two noises (256)
 PARITY_CASES = {
     "scalar-gbm": (GBM, [1.0], 1.0, range(1, 5), 100, 2.0**-10, 5),
     # at dt = 1/16 the explicit step is unstable (1 + lam dt = -1.5), so that
@@ -399,14 +401,21 @@ class TestStreamedStudyParity:
             oracle = whole_array_study(sde, x0, T, levels, trajectories, delta=delta, seed=seed)
         assert _study_bytes(streamed) == _study_bytes(oracle)
 
+    @staticmethod
+    def _chunk(name):
+        # a case's largest chunk: that of its first, fullest batch
+        sde, _, _, _, trajectories, _, _ = PARITY_CASES[name]
+        return block_slots(sde.noise_dim, min(trajectories, estimate._SUP_BATCH))
+
     def test_case_shapes(self):
         # the cases cover what their names say
-        chunk = estimate._CHUNK
         _, _, T, levels, _, delta, _ = PARITY_CASES["n_fine-not-chunk-multiple"]
-        assert round(T / delta) % chunk != 0
+        assert round(T / delta) % self._chunk("n_fine-not-chunk-multiple") != 0
         above = ("coarsest-stride-above-chunk", "levels-apart-above-chunk", "2d-above-chunk",
                  "1d-two-noises-above-chunk", "two-batches-above-chunk")
-        assert all(1 << max(PARITY_CASES[name][3]) > chunk for name in above)
+        assert all(1 << max(PARITY_CASES[name][3]) > self._chunk(name) for name in above)
+        # the second batch of 8 paths takes a chunk of 512 steps
+        assert block_slots(2, PARITY_CASES["two-batches-above-chunk"][4] - estimate._SUP_BATCH) == 512
         assert {PARITY_CASES[name][0].dim for name in above} == {1, 2}
         assert PARITY_CASES["two-batches-above-chunk"][4] > estimate._SUP_BATCH
         assert PARITY_CASES["two-batches"][4] > estimate._SUP_BATCH
@@ -423,12 +432,15 @@ class TestStreamedStudyParity:
         study = strong_error_sup(sde, x0, T, levels, trajectories, delta=delta, seed=seed)
         assert all(1e154 < r.error < math.inf and math.isnan(r.stderr) for r in study.records)
 
-    @pytest.mark.parametrize("chunk", ["below-every-stride", "coarsest-stride", "n_fine"])
-    def test_chunk_size_changes_no_bit(self, monkeypatch, chunk):
-        sde, x0, T, levels, trajectories, delta = TWO_NOISE_2D, [1.0, -1.0], 1.0, range(2, 6), 40, 2.0**-10
-        value = {"below-every-stride": 2, "coarsest-stride": 1 << max(levels), "n_fine": round(T / delta)}[chunk]
+    @pytest.mark.parametrize("chunk, T", [(1, 1.0), (2, 1.0), (32, 1.0), (1024, 1.0), (1024, 1.5)],
+                             ids=["one-step", "below-every-stride", "coarsest-stride", "n_fine", "short-last"])
+    def test_chunk_size_changes_no_bit(self, monkeypatch, chunk, T):
+        sde, x0, levels, trajectories, delta = TWO_NOISE_2D, [1.0, -1.0], range(2, 6), 40, 2.0**-10
         oracle = whole_array_study(sde, x0, T, levels, trajectories, delta=delta, seed=8)
-        monkeypatch.setattr(estimate, "_CHUNK", value)
+        monkeypatch.setattr(noise, "_BLOCK_SLOTS", chunk)
+        assert block_slots(2, trajectories) == chunk
+        # only the last case ends in a short chunk: 1536 finest steps, chunks of 1024
+        assert (round(T / delta) % chunk != 0) == (T == 1.5)
         streamed = strong_error_sup(sde, x0, T, levels, trajectories, delta=delta, seed=8)
         assert _study_bytes(streamed) == _study_bytes(oracle)
 
@@ -487,10 +499,6 @@ ENSEMBLE_CASES = {
 }
 
 
-def _chunk_steps(m, b):
-    return max(1, estimate._ENSEMBLE_DRAWS // (max(m, 1) * b))
-
-
 class TestTimeMajorEnsembleParity:
     @pytest.mark.parametrize("case", ENSEMBLE_CASES.values(), ids=ENSEMBLE_CASES.keys())
     def test_bitwise_equal_to_row_major_ensemble(self, case):
@@ -503,18 +511,20 @@ class TestTimeMajorEnsembleParity:
         # the cases cover what their names say
         assert ENSEMBLE_CASES["two-batches"][3] > estimate._ENSEMBLE_BATCH
         sde, _, _, trajectories, T, dt, _ = ENSEMBLE_CASES["steps-not-chunk-multiple"]
-        chunk = _chunk_steps(sde.noise_dim, trajectories)
+        chunk = block_slots(sde.noise_dim, trajectories)
         assert chunk < round(T / dt) and round(T / dt) % chunk != 0
         assert ENSEMBLE_CASES["no-noise"][0].noise_dim == 0
         assert not np.any(ENSEMBLE_CASES["zero-start"][1])
         sde, x0, p, trajectories, T, dt, seed = ENSEMBLE_CASES["overflow"]
         assert run_ensemble(sde, x0, p, trajectories, T, dt, seed=seed).diverged == trajectories
 
-    @pytest.mark.parametrize("draws", [1, 7 * 2 * 40])
-    def test_chunk_size_changes_no_bit(self, monkeypatch, draws):
-        # chunks of 1 and of 7 steps for 40 paths of 2 noises
+    @pytest.mark.parametrize("cap, value, chunk", [("_BLOCK_DRAWS", 1, 1), ("_BLOCK_DRAWS", 7 * 2 * 40, 4),
+                                                   ("_BLOCK_SLOTS", 8, 8)])
+    def test_chunk_size_changes_no_bit(self, monkeypatch, cap, value, chunk):
+        # chunks of 1, 4 and 8 of the 50 steps for 40 paths of 2 noises
         want = row_major_ensemble(SYS3, X3, 2.0, 40, 0.5, 1e-2, seed=10)
-        monkeypatch.setattr(estimate, "_ENSEMBLE_DRAWS", draws)
+        monkeypatch.setattr(noise, cap, value)
+        assert block_slots(2, 40) == chunk
         got = run_ensemble(SYS3, X3, 2.0, 40, 0.5, 1e-2, seed=10)
         assert pickle.dumps(got) == pickle.dumps(want)
 

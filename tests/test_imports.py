@@ -42,6 +42,14 @@ def test_only_noise_names_the_plan():
     assert naming == ["noise.py"]
 
 
+def test_only_noise_names_the_block_caps():
+    # one block-length rule: the batched kernels size their blocks through
+    # `noise.block_slots`, which alone reads its two caps
+    naming = [path.name for path in sorted(PACKAGE.glob("*.py"))
+              if "_BLOCK_DRAWS" in (text := path.read_text()) or "_BLOCK_SLOTS" in text]
+    assert naming == ["noise.py"]
+
+
 def test_import_leaves_heavy_modules_unloaded():
     # scipy.sparse.linalg costs every task about 35 ms of set-up and only the
     # stepsize bound needs it; mpmath is not a dependency of the library;

@@ -1,5 +1,6 @@
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from sidelab.noise import (
     _IMPULSE_STREAM,
     NoisePlan,
     _generator,
-    _read_words,
     _standard_normals,
+    block_slots,
     draws,
 )
 from sidelab.simulate import simulate_side
@@ -24,6 +25,21 @@ from sidelab.simulate import simulate_side
 
 def make_plan(seed=0, traj=0, m=2, delta=0.25, horizon=16.0):
     return NoisePlan(seed, traj, m, delta, horizon)
+
+
+def word_map(gen, count, width):
+    """The documented draws of `gen`'s next `count` slots, shape (count,
+    width): each slot `width` consecutive 64-bit words of
+    `gen.integers(1 << 64, dtype=np.uint64)`, and each word's top 53 bits k
+    drawn as ndtri((k + 0.5) 2**-53)."""
+    words = gen.integers(1 << 64, size=count * width, dtype=np.uint64)
+    return ndtri(((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53).reshape(count, width)
+
+
+def one_read(seed, stream, trajs, steps, width):
+    """The draws of each trajectory's first `steps` slots, stacked as a
+    batched read stacks them: (steps, width, len(trajs))."""
+    return np.stack([draws(seed, traj, stream, steps, width) for traj in trajs], axis=-1)
 
 
 class TestGrid:
@@ -124,21 +140,16 @@ class TestDeterminism:
 
 class TestChunkedDraws:
     @pytest.mark.parametrize("width", [1, 2, 3])
-    def test_chunks_equal_slices_of_increments(self, width):
-        # Philox makes 4 words per block; chunks must resume inside a block
+    def test_chunks_equal_slices_of_increments(self, monkeypatch, width):
+        # Philox makes 4 words per block; blocks of 1 and 2 slots resume inside one
         plan = NoisePlan(17, 5, width, 2.0**-6, 1.0)  # 64 finest steps
         whole = plan.increments(0)
-        gens = [_generator(17, traj, _BROWNIAN_STREAM) for traj in (4, 5)]
-        counts = (1, 2, 3, 5, 9, 44)
-        offsets = np.cumsum(counts[:-1]) * width
-        assert np.count_nonzero(offsets % 4) >= 3
-        start = 0
-        for count in counts:
-            chunk = _standard_normals(_read_words(gens, count, width), count, width) * np.sqrt(plan.delta)
-            assert chunk.shape == (count, width, 2)  # time-major: (slots, width, generators)
-            assert np.array_equal(chunk[:, :, 1], whole[start : start + count])
-            start += count
-        assert start == plan.finest_steps
+        for slots in (1, 2, 8, 64):
+            monkeypatch.setattr(noise, "_BLOCK_SLOTS", slots)
+            blocks = noise.normal_blocks(17, _BROWNIAN_STREAM, (4, 5), 64, width, np.sqrt(plan.delta))
+            chunks = [block.copy() for block in blocks]
+            assert [chunk.shape for chunk in chunks] == [(slots, width, 2)] * (64 // slots)  # time-major
+            assert np.array_equal(np.concatenate(chunks)[:, :, 1], whole)
 
 
 class TestDraws:
@@ -151,8 +162,7 @@ class TestDraws:
     @pytest.mark.parametrize("seed, traj", [(0, 0), (2**64 - 1, 2**63 - 1), (0, 2**63 - 1), (2**64 - 1, 0)])
     def test_equals_the_mapped_words_and_the_plan_reads(self, stream, width, count, seed, traj):
         got = draws(seed, traj, stream, count, width)
-        words = _read_words([_generator(seed, traj, stream)], count, width)
-        want = _standard_normals(words, count, width)[:, :, 0]
+        want = word_map(_generator(seed, traj, stream), count, width)
         plan = NoisePlan(seed, traj, width, 0.5, 8.0)
         read = plan.standard_normals if stream == _BROWNIAN_STREAM else plan.xi_block
         for other in (want, read(count)):
@@ -173,109 +183,168 @@ class TestNormalBlocks:
     SCALE = np.sqrt(1e-3)
 
     @pytest.mark.parametrize(
-        "steps, chunk, counts",
+        "steps, slots, counts",
         [(7, 1, [1] * 7), (44, 16, [16, 16, 12]), (9, 64, [9])],
         ids=["one-slot", "short-last", "past-steps"],
     )
     @pytest.mark.parametrize("width", [0, 1, 2, 3])
-    def test_blocks_equal_one_read(self, steps, chunk, counts, width):
-        gens = [_generator(13, traj, _IMPULSE_STREAM) for traj in self.TRAJS]
-        whole = _standard_normals(_read_words(gens, steps, width), steps, width) * self.SCALE
-        blocks = noise.normal_blocks(13, _IMPULSE_STREAM, self.TRAJS, steps, chunk, width, self.SCALE)
+    def test_blocks_equal_one_read(self, monkeypatch, steps, slots, counts, width):
+        monkeypatch.setattr(noise, "_BLOCK_SLOTS", slots)
+        whole = one_read(13, _IMPULSE_STREAM, self.TRAJS, steps, width) * self.SCALE
+        blocks = noise.normal_blocks(13, _IMPULSE_STREAM, self.TRAJS, steps, width, self.SCALE)
         # a block is valid only until the next one is requested: copy it
         blocks = [block.copy() for block in blocks]
         assert [block.shape for block in blocks] == [(count, width, 3) for count in counts]
         assert np.array_equal(np.concatenate(blocks), whole)
 
-    def test_close_after_first_block_joins_the_worker(self):
+    @pytest.mark.parametrize("width, trajectories, steps, slots", [(2, 1024, 300, 128), (1, 512, 1100, 512)],
+                             ids=["ensemble-bench", "converge-bench"])
+    def test_blocks_are_block_slots_long(self, width, trajectories, steps, slots):
+        # full blocks of `block_slots` slots and a short last block, at the
+        # batch shapes of the ensemble and converge workloads
+        assert block_slots(width, trajectories) == slots
+        blocks = noise.normal_blocks(2, _BROWNIAN_STREAM, range(trajectories), steps, width, 1.0)
+        counts = [block.shape[0] for block in blocks]
+        assert counts == [slots] * (steps // slots) + [steps % slots] and steps % slots
+
+    def test_close_after_first_block_joins_the_worker(self, monkeypatch):
+        monkeypatch.setattr(noise, "_BLOCK_SLOTS", 16)
         before = threading.active_count()
-        blocks = noise.normal_blocks(13, _IMPULSE_STREAM, self.TRAJS, 44, 16, 2, self.SCALE)
+        blocks = noise.normal_blocks(13, _IMPULSE_STREAM, self.TRAJS, 44, 2, self.SCALE)
         next(blocks)
         assert threading.active_count() == before + 1
         blocks.close()
         assert threading.active_count() == before
 
 
-class TestWordHandback:
-    """The caller refills the words buffer once the map has copied it out, so
-    block k+1's words are read while the worker still maps block k; a map
-    that raises, before its cast or after, never leaves the caller waiting."""
+class TestBlockSlots:
+    """`block_slots` is the one block-length rule of a batched read."""
 
-    TRAJS, STEPS, CHUNK, WIDTH, SCALE = (0, 2, 5), 44, 16, 2, 0.5  # three blocks
+    def test_power_of_two_within_both_caps(self):
+        for width in range(4):
+            for trajectories in range(1, 4097):
+                slots = block_slots(width, trajectories)
+                assert slots & (slots - 1) == 0 and 1 <= slots <= 512
+                per_slot = max(width, 1) * trajectories
+                if per_slot <= noise._BLOCK_DRAWS:
+                    assert slots * width * trajectories <= noise._BLOCK_DRAWS
+                # the largest: twice as many slots would pass a cap
+                assert slots == 512 or 2 * slots * per_slot > noise._BLOCK_DRAWS
+
+    def test_bench_shapes(self):
+        assert (noise._BLOCK_SLOTS, noise._BLOCK_DRAWS) == (512, 1 << 18)
+        assert block_slots(2, 1024) == 128 and block_slots(1, 512) == 512
+
+
+class TestWordHandback:
+    """The caller refills the uniforms buffer once the worker has copied it
+    out, so block k+1's words are read while the worker still maps block k;
+    a map that raises, before its work or after, never leaves the caller
+    waiting.  Reads are observed through wrapped generators."""
+
+    TRAJS, STEPS, SLOTS, WIDTH, SCALE = (0, 2, 5), 44, 16, 2, 0.5  # three blocks
     TIMEOUT = 10.0
 
-    def _blocks(self, chunk):
-        blocks = noise.normal_blocks(13, _IMPULSE_STREAM, self.TRAJS, self.STEPS, chunk, self.WIDTH, self.SCALE)
+    @pytest.fixture(autouse=True)
+    def _slots(self, monkeypatch):
+        monkeypatch.setattr(noise, "_BLOCK_SLOTS", self.SLOTS)
+
+    def _blocks(self):
+        blocks = noise.normal_blocks(13, _IMPULSE_STREAM, self.TRAJS, self.STEPS, self.WIDTH, self.SCALE)
         return [block.copy() for block in blocks]
 
     def _whole(self):
-        gens = [_generator(13, traj, _IMPULSE_STREAM) for traj in self.TRAJS]
-        return _standard_normals(_read_words(gens, self.STEPS, self.WIDTH), self.STEPS, self.WIDTH) * self.SCALE
+        return one_read(13, _IMPULSE_STREAM, self.TRAJS, self.STEPS, self.WIDTH) * self.SCALE
+
+    def _consume(self):
+        """(blocks, None), or (None, message) of the RuntimeError or
+        AssertionError that left `normal_blocks`, from a thread that must end
+        in time: a caller left waiting fails the test, not the run."""
+        done = []
+
+        def consume():
+            try:
+                done.append((self._blocks(), None))
+            except (RuntimeError, AssertionError) as err:
+                done.append((None, str(err)))
+
+        runner = threading.Thread(target=consume, daemon=True)
+        runner.start()
+        runner.join(2 * self.TIMEOUT)
+        assert not runner.is_alive(), "normal_blocks left the caller waiting"
+        return done[0]
+
+    def _watch_reads(self, monkeypatch, on_block_read):
+        """Wrap every generator `normal_blocks` keys; `on_block_read(k)` runs
+        once the last generator's row of block k is filled."""
+        reads, per_block = [0], len(self.TRAJS)
+
+        class Watched:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def random(self, *args, **kwargs):
+                out = self.gen.random(*args, **kwargs)
+                reads[0] += 1
+                if reads[0] % per_block == 0:
+                    on_block_read(reads[0] // per_block - 1)
+                return out
+
+        monkeypatch.setattr(noise, "_generator", lambda *key: Watched(_generator(*key)))
 
     def test_next_words_are_read_during_the_map(self, monkeypatch):
         reads = [threading.Event() for _ in range(3)]
         maps = []
 
-        def counted_read(*args):
-            out = _read_words(*args)
-            reads[sum(event.is_set() for event in reads)].set()
-            return out
-
-        def waiting_map(*args):
+        def waiting_map(u):
             k = len(maps)
             maps.append(k)
-            out = _standard_normals(*args)  # hands the words back after its cast
+            out = _standard_normals(u)  # the worker handed the buffer back before the map
             # block k's map ends only after block k+1's words are read
             if k + 1 < len(reads) and not reads[k + 1].wait(self.TIMEOUT):
                 raise AssertionError(f"block {k + 1}'s words were not read during block {k}'s map")
             return out
 
-        monkeypatch.setattr(noise, "_read_words", counted_read)
+        whole = self._whole()
+        self._watch_reads(monkeypatch, lambda k: reads[k].set())
         monkeypatch.setattr(noise, "_standard_normals", waiting_map)
-        blocks = self._blocks(self.CHUNK)
-        assert maps == [0, 1, 2]
-        assert np.array_equal(np.concatenate(blocks), self._whole())
+        blocks, error = self._consume()
+        assert error is None and maps == [0, 1, 2]
+        assert np.array_equal(np.concatenate(blocks), whole)
 
-    def test_words_are_not_refilled_before_the_cast(self, monkeypatch):
-        # a slow start and a slow end of each map: a refill signalled by the
-        # end of block k's map would overwrite block k+1's words before its cast
-        def slow_map(*args):
-            time.sleep(0.05)
-            out = _standard_normals(*args)
-            time.sleep(0.05)
-            return out
+    def test_words_are_not_refilled_before_the_copy(self, monkeypatch):
+        # each block's handback is slow: a caller that did not wait for it
+        # would read block k+1's words into the buffer before block k's copy
+        log = []
 
-        monkeypatch.setattr(noise, "_standard_normals", slow_map)
-        assert np.array_equal(np.concatenate(self._blocks(8)), self._whole())
+        class SlowEvent(threading.Event):
+            def set(self):
+                time.sleep(0.05)
+                log.append("copied")
+                super().set()
+
+        whole = self._whole()
+        self._watch_reads(monkeypatch, lambda k: log.append(f"read {k}"))
+        monkeypatch.setattr(noise, "threading", SimpleNamespace(Event=SlowEvent))
+        assert np.array_equal(np.concatenate(self._blocks()), whole)
+        assert log == ["read 0", "copied", "read 1", "copied", "read 2", "copied"]
 
     @pytest.mark.parametrize("bad", [0, 1, 2])
-    @pytest.mark.parametrize("when", ["before-cast", "after-cast"])
+    @pytest.mark.parametrize("when", ["before-map", "after-map"])
     def test_raising_map_propagates(self, monkeypatch, bad, when):
         maps = []
 
-        def failing(*args):
+        def failing(u):
             maps.append(None)
             if len(maps) - 1 == bad:
-                if when == "after-cast":
-                    _standard_normals(*args)
+                if when == "after-map":
+                    _standard_normals(u)
                 raise RuntimeError(f"map {bad} fails")
-            return _standard_normals(*args)
+            return _standard_normals(u)
 
         monkeypatch.setattr(noise, "_standard_normals", failing)
         before = threading.active_count()
-        caught = []
-
-        def consume():
-            try:
-                self._blocks(self.CHUNK)
-            except RuntimeError as err:
-                caught.append(str(err))
-
-        runner = threading.Thread(target=consume, daemon=True)
-        runner.start()
-        runner.join(self.TIMEOUT)
-        assert not runner.is_alive(), "the raise did not leave normal_blocks"
-        assert caught == [f"map {bad} fails"]
+        assert self._consume() == (None, f"map {bad} fails")
         assert threading.active_count() == before
 
 
@@ -304,37 +373,50 @@ class TestKeying:
 
 class TestPinnedDraws:
     """The draws are the documented map of each stream's 64-bit words, read in
-    `gen.integers(1 << 64, dtype=np.uint64)` order."""
+    `gen.integers(1 << 64, dtype=np.uint64)` order (`word_map`), though the
+    library reads them as `Generator.random` uniforms."""
 
     COUNTS = (1, 2, 3, 5, 9, 44)
 
     @pytest.mark.parametrize("width", [1, 2, 3])
-    def test_raw_words_equal_integers_words(self, width):
+    def test_uniforms_are_the_top_bits_of_integers_words(self, width):
         # Philox makes 4 words per block; split reads must resume inside a block
         offsets = np.cumsum(self.COUNTS[:-1]) * width
         assert np.count_nonzero(offsets % 4) >= 3
-        raw, ints = _generator(11, 3, _BROWNIAN_STREAM), _generator(11, 3, _BROWNIAN_STREAM)
+        uniform, ints = _generator(11, 3, _BROWNIAN_STREAM), _generator(11, 3, _BROWNIAN_STREAM)
         for count in self.COUNTS:
             words = ints.integers(1 << 64, size=count * width, dtype=np.uint64)
-            assert np.array_equal(raw.bit_generator.random_raw(count * width), words)
+            want = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+            assert np.array_equal(uniform.random(count * width), want)
 
     @pytest.mark.parametrize("width", [0, 1, 2, 3])
-    def test_normals_are_the_map_of_integers_words(self, width):
-        trajs = (0, 1, 7)
-        gens = [_generator(11, traj, _IMPULSE_STREAM) for traj in trajs]
-        refs = [_generator(11, traj, _IMPULSE_STREAM) for traj in trajs]
-        for count in self.COUNTS:
-            got = _standard_normals(_read_words(gens, count, width), count, width)
-            for col, ref in enumerate(refs):
-                words = ref.integers(1 << 64, size=(count, width), dtype=np.uint64)
-                want = ndtri(((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
-                assert np.array_equal(got[:, :, col], want)
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_draws_are_the_map_of_integers_words(self, seed, width):
+        for stream in (_BROWNIAN_STREAM, _IMPULSE_STREAM):
+            want = word_map(_generator(seed, 7, stream), 44, width)
+            assert np.array_equal(draws(seed, 7, stream, 44, width), want)
+
+    @pytest.mark.parametrize("width", [0, 1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_blocks_are_the_map_of_integers_words(self, monkeypatch, seed, width):
+        # blocks of 1 or 2 slots resume inside a Philox block at every width > 0
+        trajs, slot_counts = (0, 1, 7), (1, 2, 8)
+        assert width == 0 or any(slots * width % 4 for slots in slot_counts)
+        want = [word_map(_generator(seed, traj, _IMPULSE_STREAM), 44, width) for traj in trajs]
+        for slots in slot_counts:
+            monkeypatch.setattr(noise, "_BLOCK_SLOTS", slots)
+            blocks = noise.normal_blocks(seed, _IMPULSE_STREAM, trajs, 44, width, 1.0)
+            got = np.concatenate([block.copy() for block in blocks])
+            for col in range(len(trajs)):
+                assert np.array_equal(got[:, :, col], want[col])
 
     def test_all_ones_word_draws_a_finite_normal(self):
+        # the words' uniforms, as `Generator.random` reads them
+        words = np.array([2**64 - 1, 2**64 - 1 - (1 << 11), 0], dtype=np.uint64)
+        u = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        assert u[0] == 1.0 - 2.0**-53
+        got = _standard_normals(u)
         # k = 2**53 - 1 rounds k + 0.5 up to 2**53; u is clamped below 1
-        top = np.uint64(2**64 - 1)
-        words = np.array([[top, top - np.uint64(1 << 11), 0]], dtype=np.uint64)
-        got = _standard_normals(words, 3, 1)[:, 0, 0]
         assert got[0] == ndtri(1.0 - 2.0**-53) == pytest.approx(8.2095361516, abs=1e-10)
         # the neighbouring word and the smallest one keep their draws
         assert got[1] == ndtri((2.0**53 - 1.5) * 2.0**-53) == ndtri(1.0 - 2.0**-52)
@@ -345,8 +427,8 @@ def count_generated(monkeypatch):
     """Count the normals `noise._standard_normals` generates from now on."""
     generated = [0]
 
-    def counted(words, count, width, out=None):
-        out = _standard_normals(words, count, width, out)
+    def counted(u):
+        out = _standard_normals(u)
         generated[0] += out.size
         return out
 
@@ -371,8 +453,7 @@ class TestDrawBudget:
         plan = make_plan(seed=3, traj=2)
         generated = count_generated(monkeypatch)
         for read, stream in ((plan.standard_normals, _BROWNIAN_STREAM), (plan.xi_block, _IMPULSE_STREAM)):
-            words = _read_words([_generator(3, 2, stream)], count, plan.noise_dim)
-            fresh = _standard_normals(words, count, plan.noise_dim)[:, :, 0]
+            fresh = word_map(_generator(3, 2, stream), count, plan.noise_dim)
             before = generated[0]
             assert np.array_equal(read(count), fresh)
             assert generated[0] - before == count * plan.noise_dim
