@@ -484,7 +484,7 @@ def strong_error_sup(
                     if height in xs:
                         xs[height] = _em_chunk(sde.stack, xs[height], delta * (1 << height), w)[1]
                 if height < levels[-1]:
-                    pending[height] = w
+                    pending[height] = w.copy()  # w may be the noise block itself
             s += c
 
         for level in levels:

@@ -12,12 +12,14 @@ stepsize bound (`ct_stepsize_bound`), whose dominant eigenvalue is found by
 Arnoldi iteration (ARPACK) on the factored operator rather than by a dense
 eigendecomposition.
 
-The certificate form `ct_form` (F^T P + P F + dt_bar F^T P F + sum Gj^T P Gj)
+A linear system's matrices come as one (m+1, n, n) stack [F, G_1, .., G_m],
+the layout of `LinearSde.stack`, which `ct_form` and `ct_operator` read.  The
+certificate form `ct_form` (F^T P + P F + dt_bar F^T P F + sum Gj^T P Gj)
 is written once by plain matrix products, independent of the vectorized
 operator, for the solvers' residual gate and the certificates.  The scheme's
 one-step form is that form at dt_bar = dt, exactly:
 
-    (I + dt F)^T P (I + dt F) + dt sum Gj^T P Gj - P = dt * ct_form(F, G, P, dt),
+    (I + dt F)^T P (I + dt F) + dt sum Gj^T P Gj - P = dt * ct_form([F, G], P, dt),
 
 so no condition on the scheme loses digits subtracting P from P + O(dt).
 """
@@ -133,22 +135,24 @@ def vec_operator(terms: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     return op
 
 
-def ct_operator(f: np.ndarray, gs: Sequence[np.ndarray], dt_bar: float = 0.0) -> np.ndarray:
+def ct_operator(stack: np.ndarray, dt_bar: float = 0.0) -> np.ndarray:
     """Matrix of P -> F^T P + P F + sum_j Gj^T P Gj + dt_bar F^T P F (see vec_operator)."""
+    f = stack[0]
     eye = np.eye(f.shape[0])
     terms = [(f, eye), (eye, f)]
     if dt_bar:
         terms.append((f, dt_bar * f))
-    terms += [(g, g) for g in gs]
+    terms += [(g, g) for g in stack[1:]]
     return vec_operator(terms)
 
 
-def ct_form(f: np.ndarray, gs: Sequence[np.ndarray], p: np.ndarray, dt_bar: float = 0.0) -> np.ndarray:
+def ct_form(stack: np.ndarray, p: np.ndarray, dt_bar: float = 0.0) -> np.ndarray:
     """F^T P + P F + dt_bar F^T P F + sum_j Gj^T P Gj by plain matrix products."""
+    f = stack[0]
     m = f.T @ p + p @ f
     if dt_bar:
         m = m + dt_bar * (f.T @ p @ f)
-    for g in gs:
+    for g in stack[1:]:
         m = m + g.T @ p @ g
     return m
 
@@ -197,8 +201,8 @@ def solve_gated(factors: tuple[np.ndarray, np.ndarray], lhs: Callable[[np.ndarra
 def ct_stepsize_bound(factors: tuple[np.ndarray, np.ndarray], f: np.ndarray, p: np.ndarray) -> float:
     """1 / rho(L0^{-1} K) for K: P -> F^T P F, given the lu_factors of L0.
 
-    L0 must be the stable operator ct_operator(f, gs) and p a positive
-    definite solution of L0(P) = -Q, so that -L0^{-1} K preserves the cone
+    L0 must be the stable operator ct_operator of [F, G_1, .., G_m] and p a
+    positive definite solution of L0(P) = -Q, so that -L0^{-1} K preserves the cone
     of positive semidefinite matrices and p lies inside it.  ARPACK (eigs,
     k = 1, started at the triangle of p) finds the dominant eigenvalue of
     v -> L0^{-1} K v on the triangle coordinates, applying K as F^T P F on
@@ -251,14 +255,15 @@ def solve_ct_lyapunov(f, gs: Sequence, dt_bar: float, q) -> np.ndarray:
         raise ValueError("diffusion matrix dimension differs from f")
     if not 0 <= dt_bar < math.inf:
         raise ValueError("dt_bar must be nonnegative and finite")
-    return solve_gated(lu_factors(ct_operator(f, gs, dt_bar)), lambda p: ct_form(f, gs, p, dt_bar), q)
+    stack = np.stack([f, *gs])
+    return solve_gated(lu_factors(ct_operator(stack, dt_bar)), lambda p: ct_form(stack, p, dt_bar), q)
 
 
 def solve_dt_lyapunov(f, gs: Sequence, dt: float, q) -> np.ndarray:
     """Solve (I + dt F)^T P (I + dt F) + dt sum_j Gj^T P Gj - P = -Q for symmetric P.
 
     The one-step mean-square equation of the explicit scheme at stepsize dt.
-    Its left-hand side is dt * ct_form(F, G, P, dt), so this is
+    Its left-hand side is dt * ct_form([F, G], P, dt), so this is
     solve_ct_lyapunov(f, gs, dt, Q / dt), with the same relative residual
     gate.  Raises SingularOperator at the stability boundary.
     """

@@ -295,54 +295,40 @@ def make_cps(sde: Sde, dt: float) -> SideSystem:
     )
 
 
-@dataclass(frozen=True)
-class LinearCompactForm:
-    """Matrices of a linear hybrid system over z = (x, y), each (n+q)-square.
-
-    dz = drift z dt + sum_j noise[j] z dB_j between impulses, and at each
-    impulse z -> z + jump z + sum_j jump_gains[j] z xi_j.  Rows and columns
-    split as z does, [:n] for x and [n:] for y: drift[:n, :n] is the x-drift
-    F, drift[n:, :n] and drift[n:, n:] are the x- and y-parts of drift_y, and
-    the x rows of every matrix have zero y columns.
-    """
-
-    drift: np.ndarray
-    noise: tuple[np.ndarray, ...]
-    jump: np.ndarray
-    jump_gains: tuple[np.ndarray, ...]
-
-
-def linear_compact_form(side: SideSystem) -> LinearCompactForm:
+def linear_compact_form(side: SideSystem) -> tuple[np.ndarray, np.ndarray]:
     """Probe a linear hybrid system's stacked evaluators (`SideSystem.drift`,
-    `diffusion`, `jump` and `jump_gain`) for its matrices.
+    `diffusion`, `jump` and `jump_gain`) for its matrices over z = (x, y).
+
+    Returns the (m+1, n+q, n+q) stacks flow = [A, B_1, .., B_m] and jump =
+    [J, H_1, .., H_m], laid out as `LinearSde.stack`: dz = A z dt + sum_j
+    B_j z dB_j between impulses, z -> z + J z + sum_j H_j z xi_j at each.
+    Rows and columns split as z does, [:n] for x and [n:] for y: the x-drift
+    F is flow[0, :n, :n], and the x rows of every matrix have zero y columns.
 
     Basis probes at (t, k) = (0, 1) recover each matrix; random probes (seed
     0) at two other (t, k) pairs then verify linearity and time/index
     invariance of all four evaluators, raising NotLinear on failure.
     """
-    eye = np.eye(side.dim)
-    drift = np.column_stack([side.drift(e, 0.0) for e in eye])
-    jump = np.column_stack([side.jump(e, 1) for e in eye])
-    # (dim, m, dim) stacks of gain columns; slice j is the matrix of column j
-    noise = np.stack([side.diffusion(e, 0.0) for e in eye], axis=-1)
-    gains = np.stack([side.jump_gain(e, 1) for e in eye], axis=-1)
+    def probe(value, gain, arg):
+        # [value(e_i), gain(e_i)] is column i of every matrix of the stack
+        cols = np.stack([np.column_stack([value(e, arg), gain(e, arg)]) for e in np.eye(side.dim)])
+        return np.ascontiguousarray(cols.transpose(2, 1, 0))
+
+    flow, jump = probe(side.drift, side.diffusion, 0.0), probe(side.jump, side.jump_gain, 1)
     rng = np.random.default_rng(0)
     for t, k in ((0.7, 2), (2.3, 3)):
         for _ in range(3):
             v = rng.uniform(-2.0, 2.0, side.dim)
             for label, got, want in (
-                ("drift", side.drift(v, t), drift @ v),
-                ("diffusion", side.diffusion(v, t), noise @ v),
-                ("jump", side.jump(v, k), jump @ v),
-                ("jump_gain", side.jump_gain(v, k), gains @ v),
+                ("drift", side.drift(v, t), flow[0] @ v),
+                ("diffusion", side.diffusion(v, t), (flow[1:] @ v).T),
+                ("jump", side.jump(v, k), jump[0] @ v),
+                ("jump_gain", side.jump_gain(v, k), (jump[1:] @ v).T),
             ):
                 scale = 1.0 + float(np.abs(want).max(initial=0.0))
                 if np.abs(got - want).max(initial=0.0) > _LINEARITY_RTOL * scale:
                     raise NotLinear(f"{label} of the compact form failed the linearity probe")
-    m = side.noise_dim
-    return LinearCompactForm(
-        drift, tuple(noise[:, j] for j in range(m)), jump, tuple(gains[:, j] for j in range(m))
-    )
+    return flow, jump
 
 
 @dataclass(frozen=True)

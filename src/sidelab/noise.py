@@ -119,10 +119,11 @@ def normal_blocks(seed: int, stream: int, trajectories, steps: int, width: int, 
     worker copies their transpose out, hands the buffer back, and maps and
     scales the copy while the caller uses the previous block and fills the
     next one, so the Philox reads overlap `ndtri`.  One buffer of uniforms
-    and two of normals, `min(block, steps)` slots each, are reused, so a block
-    is valid only until the next one is requested.  The worker is joined when
-    the stream ends or is closed, also by a raise in the caller's loop or in
-    the map.  The map is looked up as `_standard_normals` at each block.
+    and two of normals, `min(block, steps)` slots each, are reused, so a
+    caller must copy any block, or view of one, that it keeps past its next
+    request.  The worker is joined when the stream ends or is closed, also by
+    a raise in the caller's loop or in the map.  The map is looked up as
+    `_standard_normals` at each block.
     """
     # deferred: `scipy.linalg` loads `concurrent.futures` but not its `thread`
     # submodule and `queue`, which add up to 1 MB to a task that draws no batch

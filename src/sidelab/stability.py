@@ -102,9 +102,9 @@ def cp_lyapunov_feasible(sde: LinearSde, dt_bar: float) -> StabilityCertificate:
     """
     if not 0 <= dt_bar < math.inf:
         raise ValueError("dt_bar must be nonnegative and finite")
-    f, gs = sde.drift_matrix, sde.noise_matrices
-    return _certificate(dt_bar, lambda: solve_ct_lyapunov(f, gs, dt_bar, np.eye(sde.dim)),
-                        lambda p: ct_form(f, gs, p, dt_bar))
+    return _certificate(
+        dt_bar, lambda: solve_ct_lyapunov(sde.drift_matrix, sde.noise_matrices, dt_bar, np.eye(sde.dim)),
+        lambda p: ct_form(sde.stack, p, dt_bar))
 
 
 def lyapunov_ito_feasible(sde: LinearSde) -> StabilityCertificate:
@@ -121,21 +121,22 @@ def discrete_ms_stable(sde: LinearSde, dt: float) -> StabilityCertificate:
     """
     if not 0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
-    f, gs = sde.drift_matrix, sde.noise_matrices
-    return _certificate(dt, lambda: solve_dt_lyapunov(f, gs, dt, np.eye(sde.dim)),
-                        lambda p: dt * ct_form(f, gs, p, dt))
+    return _certificate(
+        dt, lambda: solve_dt_lyapunov(sde.drift_matrix, sde.noise_matrices, dt, np.eye(sde.dim)),
+        lambda p: dt * ct_form(sde.stack, p, dt))
 
 
 def scalar_max_stepsize(lam: float, mu: float) -> float | None:
     """Closed-form stepsize bound -(2 lam + mu^2) / lam^2 for the scalar system.
 
     Defined (and positive) exactly when 2 lam + mu^2 < 0; returns None
-    otherwise, including the marginal case 2 lam + mu^2 = 0.
+    otherwise, including the marginal case 2 lam + mu^2 = 0.  It divides by
+    lam twice, as lam^2 can underflow to 0; past the float range it is inf.
     """
     drift_margin = 2.0 * lam + mu * mu
     if drift_margin >= 0.0:
         return None
-    return -drift_margin / (lam * lam)
+    return -drift_margin / lam / lam
 
 
 def stepsize_certificate(sde: LinearSde) -> tuple[float | None, StabilityCertificate]:
@@ -147,13 +148,12 @@ def stepsize_certificate(sde: LinearSde) -> tuple[float | None, StabilityCertifi
     for the bound, started at the certificate's P.  Returns (None, cert)
     when the certificate is infeasible.
     """
-    f, gs = sde.drift_matrix, sde.noise_matrices
-    factors = lu_factors(ct_operator(f, gs))
-    cert = _certificate(0.0, lambda: solve_gated(factors, lambda p: ct_form(f, gs, p), np.eye(sde.dim)),
-                        lambda p: ct_form(f, gs, p))
+    factors = lu_factors(ct_operator(sde.stack))
+    cert = _certificate(0.0, lambda: solve_gated(factors, lambda p: ct_form(sde.stack, p), np.eye(sde.dim)),
+                        lambda p: ct_form(sde.stack, p))
     if not cert.feasible:
         return None, cert
-    return ct_stepsize_bound(factors, f, cert.p), cert
+    return ct_stepsize_bound(factors, sde.drift_matrix, cert.p), cert
 
 
 def max_stepsize(sde: LinearSde) -> float | None:
@@ -182,8 +182,7 @@ class ConditionConstants:
     `alpha` bounds the generator of the x-block (decay rate by default,
     growth rate under the growth convention) and `alpha_self` the V(y) term
     of the coupled generator; `beta` bounds the x-jump second moment and
-    `beta_self` the V(y) term of the y-jump second moment.  `split` records
-    the s-parameter used to break the x-y cross terms.
+    `beta_self` the V(y) term of the y-jump second moment.
     """
 
     alpha: float
@@ -192,7 +191,6 @@ class ConditionConstants:
     beta_self: float
     dt_under: float
     dt_over: float
-    split: float = 1.0
 
     def __post_init__(self):
         if not all(np.isfinite((self.alpha, self.alpha_self, self.beta, self.beta_self))):
@@ -223,39 +221,38 @@ def quadratic_condition_constants(
     With growth=False, `alpha` is the decay rate of the x-generator
     (positive when the continuous block is stable); with growth=True it is
     the growth rate bound (positive constant, floored), as consumed by the
-    impulse-stabilized test.  The matrices are blocks of
-    `linear_compact_form(side)`, which raises NotLinear for a
-    nonlinear, time-dependent or index-dependent evaluator.
+    impulse-stabilized test.  The matrices are x and y blocks of the flow
+    and jump stacks of `linear_compact_form(side)`, which raises NotLinear
+    for a nonlinear, time-dependent or index-dependent evaluator.
     """
     if not 0 < split < math.inf:
         raise ValueError("split must be positive and finite")
     p = gate_pd(p, "p")
     p_tilde = gate_pd(p_tilde, "p_tilde")
-    lin = linear_compact_form(side)
+    flow, jump = linear_compact_form(side)
     n = side.n
     s = float(split)
 
     # x-generator: F'P + PF + sum Gj'P Gj
-    m_lv = ct_form(lin.drift[:n, :n], [g[:n, :n] for g in lin.noise], p)
+    m_lv = ct_form(flow[:, :n, :n], p)
     if growth:
         alpha = max(pencil_top(m_lv, p), _POSITIVE_FLOOR)
     else:
         alpha = decay_rate(m_lv, p)
 
     # coupled generator, its y-weighted form after the split
-    b_y = lin.drift[n:, n:]
+    b_y = flow[0, n:, n:]
     m_ay = p_tilde @ b_y + b_y.T @ p_tilde + (1.0 / s) * p_tilde
-    for g in lin.noise:
-        m_ay = m_ay + (1.0 + 1.0 / s) * (g[n:, n:].T @ p_tilde @ g[n:, n:])
+    for g in flow[1:, n:, n:]:
+        m_ay = m_ay + (1.0 + 1.0 / s) * (g.T @ p_tilde @ g)
     alpha_self = max(pencil_top(m_ay, p_tilde), _POSITIVE_FLOOR)
 
-    # x-jump second moment: (I + A)'P(I + A) + sum Hj'P Hj = P + ct_form(A, H, P, 1);
+    # x-jump second moment: (I + J)'P(I + J) + sum Hj'P Hj = P + ct_form([J, H], P, 1);
     # a beta below 1e-4 keeps only 1e-16 / beta relative, clamped at the floor
-    h_x = [g[:n, :n] for g in lin.jump_gains]
-    beta = max(1.0 + pencil_top(ct_form(lin.jump[:n, :n], h_x, p, 1.0), p), _POSITIVE_FLOOR)
+    beta = max(1.0 + pencil_top(ct_form(jump[:, :n, :n], p, 1.0), p), _POSITIVE_FLOOR)
 
     # y-jump second moment, its y-weighted form after the split
-    m_by = ct_form(lin.jump[n:, n:], [g[n:, n:] for g in lin.jump_gains], p_tilde, 1.0)
+    m_by = ct_form(jump[:, n:, n:], p_tilde, 1.0)
     beta_self = max((1.0 + 1.0 / s) * (1.0 + pencil_top(m_by, p_tilde)), _POSITIVE_FLOOR)
 
     return ConditionConstants(
@@ -265,7 +262,6 @@ def quadratic_condition_constants(
         beta_self=beta_self,
         dt_under=side.schedule.dt_under,
         dt_over=side.schedule.dt_over,
-        split=s,
     )
 
 
@@ -335,16 +331,15 @@ def check_thm4(
     below 1 whenever the one-step factor d < 1, and alpha_self is then set
     to -ln(beta_self) / (2 dt), so the verdict reduces to alpha > 0 and
     d < 1, matching the equivalence chain for linear systems, with
-    d = 1 - dt * decay_rate(ct_form(F, G, P, dt), P).
+    d = 1 - dt * decay_rate(ct_form([F, G], P, dt), P).
     """
     if not 0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
     if split is not None and not 0 < split < math.inf:
         raise ValueError("split must be positive and finite")
     p = gate_pd(p, "p")
-    f, gs = sde.drift_matrix, sde.noise_matrices
-    alpha = decay_rate(ct_form(f, gs, p), p)
-    d = 1.0 - dt * decay_rate(ct_form(f, gs, p, dt), p)
+    alpha = decay_rate(ct_form(sde.stack, p), p)
+    d = 1.0 - dt * decay_rate(ct_form(sde.stack, p, dt), p)
 
     if split is not None:
         alpha_self = 1.0 / split
@@ -381,7 +376,7 @@ def check_thm5(sde: LinearSde, p, dt_bar: float) -> Thm5Check:
     if not 0 <= dt_bar < math.inf:
         raise ValueError("dt_bar must be nonnegative and finite")
     p = gate_pd(p, "p")
-    margin = decay_rate(ct_form(sde.drift_matrix, sde.noise_matrices, p, dt_bar), p)
+    margin = decay_rate(ct_form(sde.stack, p, dt_bar), p)
     passed = margin > STRICT_SLACK
     if dt_bar > 0:
         alpha_bar = min(margin, (1.0 - _THM5_EPS) / dt_bar)
@@ -403,11 +398,11 @@ def check_thm6(sde: LinearSde, p, dt_bar: float) -> Thm6Check:
     """Test E[V(X_{k+1}) | X_k] <= c_bar V(X_k) with c_bar < 1 at stepsize dt_bar.
 
     For linear systems c_bar = 1 - dt_bar * rate is exact, with rate the
-    decay rate of ct_form(F, G, P, dt_bar) relative to P; the implied
+    decay rate of ct_form([F, G], P, dt_bar) relative to P; the implied
     continuous rate is that rate, the margin of check_thm5 at dt_bar.
     """
     if not 0 < dt_bar < math.inf:
         raise ValueError("dt_bar must be positive and finite")
     p = gate_pd(p, "p")
-    rate = decay_rate(ct_form(sde.drift_matrix, sde.noise_matrices, p, dt_bar), p)
+    rate = decay_rate(ct_form(sde.stack, p, dt_bar), p)
     return Thm6Check(dt_bar * rate > STRICT_SLACK, 1.0 - dt_bar * rate, rate)

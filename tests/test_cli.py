@@ -196,6 +196,45 @@ class TestExitCodes:
         cfg = write(tmp_path, "a.ini", SCALAR_ANALYZE.format(dt_bar=0.5, out=tmp_path / "o"))
         assert main(["--config", cfg]) == 1
 
+    def test_analyze_with_a_tiny_lambda_refuses_without_a_traceback(self, tmp_path):
+        # lambda^2 = 1e-600 underflows to 0: the closed-form bound once divided by it
+        cfg = write(
+            tmp_path,
+            "a.ini",
+            "[system]\nkind = scalar\nlambda = -1e-300\nmu = 0\n\n[task]\nname = analyze\n\n"
+            f"[numeric]\ndt_bar = 0.5\n\n[output]\ndir = {tmp_path / 'o'}\n",
+        )
+        proc = run_cli(cfg)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        report = (tmp_path / "o" / "report.txt").read_text()
+        assert "verdict: infeasible\n" in report and "detail: margin not positive\n" in report
+        assert "scalar closed-form stepsize bound: 2e+300" in report
+
+    def test_simulate_that_diverges_is_one(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path,
+            "d.ini",
+            "[system]\nkind = scalar\nlambda = 50\nmu = 3\n\n[task]\nname = simulate\n\n"
+            f"[numeric]\ndt = 0.5\nt = 200\nsubsteps = 4\n\n[output]\ndir = {tmp_path / 'o'}\n",
+        )
+        assert main(["--config", cfg]) == 1
+        assert capsys.readouterr().out == "diverged: state overflowed at step 217\n"
+        report = (tmp_path / "o" / "report.txt").read_text()
+        assert report == "task: simulate\nverdict: diverged (state overflowed at step 217)\n"
+        assert not (tmp_path / "o" / "trajectory.csv").exists()
+
+    def test_converge_with_one_level_is_two(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path,
+            "c.ini",
+            "[system]\nkind = scalar\nlambda = -1\nmu = 0.5\n\n[task]\nname = converge\n\n"
+            f"[numeric]\ndt = 0.5\nt = 1.0\ntrajectories = 8\nlevels = 1\n\n[output]\ndir = {tmp_path / 'o'}\n",
+        )
+        assert main(["--config", cfg]) == 2
+        assert capsys.readouterr().err == "config error: key 'levels' in [numeric]: converge needs at least 2 levels\n"
+        assert not (tmp_path / "o").exists()
+
     def test_bad_config_is_two(self, tmp_path, capsys):
         cfg = write(
             tmp_path,

@@ -21,7 +21,7 @@ from sidelab.estimate import (
 )
 from sidelab.models import LinearSde, VectorFieldSde, make_cps
 from sidelab.noise import NoisePlan, block_slots
-from sidelab.simulate import exact_gbm
+from sidelab.simulate import euler_maruyama, exact_gbm
 from sidelab.stability import discrete_ms_stable, lyapunov_ito_feasible
 
 GBM = LinearSde.scalar(-1.0, 0.5)
@@ -359,9 +359,12 @@ TWO_NOISE_2D = LinearSde(
 
 TWO_NOISE_1D = LinearSde(np.array([[-1.0]]), (np.array([[0.4]]), np.array([[-0.3]])))
 
+MANY_NOISE_2D = LinearSde(np.array([[-1.0, 0.3], [0.0, -1.2]]),
+                          tuple(0.05 * np.random.default_rng(0).standard_normal((257, 2, 2))))
+
 # (system, x0, T, levels, trajectories, delta, seed); a chunk is the
 # `block_slots(m, batch)` finest steps of a batch: 512 in every case but the
-# 512-path batch of two noises (256)
+# 512-path batches of two noises (256) and of 257 noises (1)
 PARITY_CASES = {
     "scalar-gbm": (GBM, [1.0], 1.0, range(1, 5), 100, 2.0**-10, 5),
     # at dt = 1/16 the explicit step is unstable (1 + lam dt = -1.5), so that
@@ -384,7 +387,23 @@ PARITY_CASES = {
     "overflowing-scalar": (LinearSde.scalar(50.0, 3.0), [-1.0], 40.0, range(1, 4), 4, 0.125, 0),
     # finite errors near 3e161, whose squares overflow: every stderr is NaN
     "near-overflow-scalar": (LinearSde.scalar(50.0, 3.0), [1.0], 4.0, range(1, 4), 4, 0.125, 0),
+    # 257 noises on 512 paths: a chunk of one step, so every level joins the
+    # pairwise tree straight from the noise block
+    "one-slot-chunks": (MANY_NOISE_2D, [1.0, -1.0], 0.25, range(1, 4), 512, 2.0**-7, 1),
 }
+
+
+def poisoned_blocks(*args):
+    """`noise.normal_blocks` whose blocks are copies, each filled with NaN
+    once the next block is requested, so a kernel that keeps a block, or a
+    view of one, past that request reads NaN on any thread timing."""
+    held = None
+    for block in noise.normal_blocks(*args):
+        if held is not None:
+            held.fill(np.nan)
+        held = block.copy()
+        yield held
+    held.fill(np.nan)
 
 
 def _study_bytes(study):
@@ -420,6 +439,7 @@ class TestStreamedStudyParity:
         assert PARITY_CASES["two-batches-above-chunk"][4] > estimate._SUP_BATCH
         assert PARITY_CASES["two-batches"][4] > estimate._SUP_BATCH
         assert PARITY_CASES["noise-free-scalar"][0].noise_dim == 0
+        assert self._chunk("one-slot-chunks") == 1
         assert len(PARITY_CASES["2d-two-noises"][0].noise_matrices) == 2
         sde = PARITY_CASES["1d-two-noises"][0]
         assert (sde.dim, sde.noise_dim) == (1, 2) and sde.scalar_coefficients is None
@@ -438,10 +458,20 @@ class TestStreamedStudyParity:
         sde, x0, levels, trajectories, delta = TWO_NOISE_2D, [1.0, -1.0], range(2, 6), 40, 2.0**-10
         oracle = whole_array_study(sde, x0, T, levels, trajectories, delta=delta, seed=8)
         monkeypatch.setattr(noise, "_BLOCK_SLOTS", chunk)
+        monkeypatch.setattr(estimate, "normal_blocks", poisoned_blocks)
         assert block_slots(2, trajectories) == chunk
         # only the last case ends in a short chunk: 1536 finest steps, chunks of 1024
         assert (round(T / delta) % chunk != 0) == (T == 1.5)
         streamed = strong_error_sup(sde, x0, T, levels, trajectories, delta=delta, seed=8)
+        assert _study_bytes(streamed) == _study_bytes(oracle)
+
+    @pytest.mark.parametrize("case", PARITY_CASES.values(), ids=PARITY_CASES.keys())
+    def test_keeps_no_noise_block_past_the_next(self, monkeypatch, case):
+        sde, x0, T, levels, trajectories, delta, seed = case
+        monkeypatch.setattr(estimate, "normal_blocks", poisoned_blocks)
+        streamed = strong_error_sup(sde, x0, T, levels, trajectories, delta=delta, seed=seed)
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflowing case
+            oracle = whole_array_study(sde, x0, T, levels, trajectories, delta=delta, seed=seed)
         assert _study_bytes(streamed) == _study_bytes(oracle)
 
     def test_level_that_does_not_nest(self):
@@ -518,6 +548,14 @@ class TestTimeMajorEnsembleParity:
         sde, x0, p, trajectories, T, dt, seed = ENSEMBLE_CASES["overflow"]
         assert run_ensemble(sde, x0, p, trajectories, T, dt, seed=seed).diverged == trajectories
 
+    @pytest.mark.parametrize("case", ENSEMBLE_CASES.values(), ids=ENSEMBLE_CASES.keys())
+    def test_keeps_no_noise_block_past_the_next(self, monkeypatch, case):
+        sde, x0, p, trajectories, T, dt, seed = case
+        monkeypatch.setattr(estimate, "normal_blocks", poisoned_blocks)
+        got = run_ensemble(sde, x0, p, trajectories, T, dt, seed=seed)
+        want = row_major_ensemble(sde, x0, p, trajectories, T, dt, seed=seed)
+        assert pickle.dumps(got) == pickle.dumps(want)
+
     @pytest.mark.parametrize("cap, value, chunk", [("_BLOCK_DRAWS", 1, 1), ("_BLOCK_DRAWS", 7 * 2 * 40, 4),
                                                    ("_BLOCK_SLOTS", 8, 8)])
     def test_chunk_size_changes_no_bit(self, monkeypatch, cap, value, chunk):
@@ -527,6 +565,27 @@ class TestTimeMajorEnsembleParity:
         assert block_slots(2, 40) == chunk
         got = run_ensemble(SYS3, X3, 2.0, 40, 0.5, 1e-2, seed=10)
         assert pickle.dumps(got) == pickle.dumps(want)
+
+
+class TestLoopedEnsemble:
+    def test_vector_field_ensemble_has_the_bits_of_its_paths(self):
+        # a stable linear field: every path finishes, and the looped ensemble
+        # sums its paths' norms in trajectory order
+        f, g = SYS3.drift_matrix, SYS3.noise_matrices[0]
+        field = VectorFieldSde(3, 1, lambda x, t: f @ x, lambda x, t: (g @ x).reshape(3, 1), 3.0)
+        trajectories, T, dt, seed = 5, 1.0, 0.125, 3
+        got = run_ensemble(field, X3, 2.0, trajectories, T, dt, seed=seed)
+        n_steps = 8
+        moment_sum, sup_sq, terminal_log = 0.0, [], []
+        for traj in range(trajectories):
+            xi = noise.draws(seed, traj, noise._IMPULSE_STREAM, n_steps, 1)
+            nrm = np.linalg.norm(euler_maruyama(field, X3, dt, math.sqrt(dt) * xi).states, axis=1)
+            moment_sum = moment_sum + nrm**2.0
+            sup_sq.append(float(np.max(nrm**2)))
+            terminal_log.append(float(np.log(nrm[-1])))
+        want = Ensemble(np.arange(n_steps + 1) * dt, trajectories, moment_sum, np.array(sup_sq), np.array(terminal_log))
+        assert pickle.dumps(got) == pickle.dumps(want)
+        assert got.diverged == 0
 
 
 class TestDivergedTrajectories:

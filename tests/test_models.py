@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sidelab.errors import ValidationFailed
+from sidelab.errors import NotLinear, ValidationFailed
 from sidelab.models import (
     ImpulseSchedule,
     LinearSde,
@@ -252,24 +252,29 @@ class TestLinearCompactForm:
     def test_recovers_known_blocks(self, n, q, m):
         drift, noise, jump, gains = random_blocks(np.random.default_rng(n + q + m), n, q, m)
         side = side_from_blocks(n, drift, noise, jump, gains, ImpulseSchedule.equal_gaps(0.5))
-        lin = linear_compact_form(side)
-        assert np.array_equal(lin.drift, drift)
-        assert np.array_equal(lin.jump, jump)
-        assert len(lin.noise) == len(lin.jump_gains) == m
-        for got, want in zip(lin.noise + lin.jump_gains, noise + gains):
-            assert np.array_equal(got, want)
+        flow, jumps = linear_compact_form(side)
+        assert np.array_equal(flow, np.stack([drift, *noise]))
+        assert np.array_equal(jumps, np.stack([jump, *gains]))
+        assert flow.flags.c_contiguous and jumps.flags.c_contiguous
 
     def test_cps_blocks(self):
         f = np.array([[-1.0, 0.3], [0.2, -2.0]])
         g = np.array([[0.4, 0.0], [0.1, 0.2]])
         dt = 0.25
-        lin = linear_compact_form(make_cps(LinearSde(f, (g,)), dt))
+        flow, jump = linear_compact_form(make_cps(LinearSde(f, (g,)), dt))
         zero = np.zeros((2, 2))
-        assert np.array_equal(lin.drift, np.block([[f, zero], [f, zero]]))
-        assert np.array_equal(lin.noise[0], np.block([[g, zero], [g, zero]]))
-        assert np.array_equal(lin.jump, np.block([[zero, zero], [-dt * f, dt * f]]))
+        assert np.array_equal(flow, np.stack([np.block([[f, zero], [f, zero]]), np.block([[g, zero], [g, zero]])]))
         s = math.sqrt(dt)
-        assert np.array_equal(lin.jump_gains[0], np.block([[zero, zero], [-s * g, s * g]]))
+        assert np.array_equal(jump, np.stack([np.block([[zero, zero], [-dt * f, dt * f]]),
+                                              np.block([[zero, zero], [-s * g, s * g]])]))
+
+    @pytest.mark.parametrize("name, label", [("drift_y", "drift"), ("diffusion_y", "diffusion"),
+                                             ("jump_y", "jump"), ("jump_y_gain", "jump_gain")])
+    def test_names_the_evaluator_that_is_not_linear(self, name, label):
+        # scaled by 1 + t (or 1 + k): exact at the basis probes, off at the others
+        side = with_map(CPS, name, lambda fn: lambda *args: (1.0 + args[-1]) * np.asarray(fn(*args)))
+        with pytest.raises(NotLinear, match=rf"^{label} of the compact form failed the linearity probe$"):
+            linear_compact_form(side)
 
 
 # a SideSystem's evaluators in the order validate probes their origins

@@ -8,6 +8,7 @@ from sidelab.errors import NotLinear, NotPositiveDefinite
 from sidelab.matrix_kernels import ct_operator, vec_operator
 from sidelab.models import ImpulseSchedule, LinearSde, make_cps
 from sidelab.stability import (
+    STRICT_SLACK,
     ConditionConstants,
     check_thm1,
     check_thm2,
@@ -54,7 +55,7 @@ def random_unstable_sde(rng, n_max=3, m_max=2):
 def dense_stepsize(sde):
     """Oracle: 1 / rho(L0^{-1} K) from every eigenvalue of the dense matrix."""
     f = sde.drift_matrix
-    l0 = ct_operator(f, sde.noise_matrices)
+    l0 = ct_operator(sde.stack)
     k = vec_operator([(f, f)])
     return 1.0 / float(np.abs(np.linalg.eigvals(np.linalg.solve(l0, k))).max())
 
@@ -69,7 +70,7 @@ def certify_style_sde(rng, n):
 
 
 def abscissa(sde, dt_bar):
-    return float(np.linalg.eigvals(ct_operator(sde.drift_matrix, sde.noise_matrices, dt_bar)).real.max())
+    return float(np.linalg.eigvals(ct_operator(sde.stack, dt_bar)).real.max())
 
 
 class TestLyapunovIto:
@@ -91,6 +92,13 @@ class TestLyapunovIto:
 class TestCpLyapunov:
     def test_feasible_below_bound(self):
         assert cp_lyapunov_feasible(SCALAR, 0.4).feasible
+
+    def test_margin_below_the_slack_is_refused(self):
+        # P = 5e299 > 0 solves the equation, but the decay rate is 2e-300
+        cert = cp_lyapunov_feasible(LinearSde.scalar(-1e-300, 0.0), 0.5)
+        assert not cert.feasible and cert.p is None
+        assert cert.detail == "margin not positive"
+        assert 0.0 < cert.margin <= STRICT_SLACK
 
     def test_infeasible_above_bound(self):
         assert not cp_lyapunov_feasible(SCALAR, 0.5).feasible
@@ -208,6 +216,13 @@ class TestScalarMaxStepsize:
 
     def test_boundary_infeasible(self):
         assert scalar_max_stepsize(-1.0, math.sqrt(2.0)) is None
+
+    def test_tiny_lambda_does_not_underflow(self):
+        # lam^2 = 1e-600 underflows to 0; dividing by lam twice does not
+        assert scalar_max_stepsize(-1e-300, 0.0) == pytest.approx(2e300, rel=1e-15)
+
+    def test_bound_beyond_the_float_range_is_inf(self):
+        assert scalar_max_stepsize(-1e-310, 0.0) == math.inf
 
 
 class TestDiscreteStability:
