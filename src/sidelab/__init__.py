@@ -24,7 +24,6 @@ from .models import (
     SideSystem,
     VectorFieldSde,
     make_cps,
-    validate,
 )
 from .simulate import (
     DiscretePath,

@@ -38,7 +38,8 @@ class NoConvergence(ToolkitError):
 
 
 class ValidationFailed(ToolkitError):
-    """A system description failed its Lipschitz or equilibrium spot checks."""
+    """A map does not vanish at the origin (probed at construction), or an
+    impulse gap lies outside its declared bounds (`quadratic_condition_constants`)."""
 
 
 class StepsizeTooLarge(ToolkitError):

@@ -3,9 +3,9 @@ hybrid systems, and the construction coupling an SDE with its explicit
 discretization into one hybrid (cyber-physical) system.
 
 All descriptions are immutable after construction and safe to share across
-threads.  User-supplied evaluators must be pure and reentrant, must vanish at
-the origin, and must honor the declared Lipschitz constants; `validate` spot
-checks those contracts on sampled points.
+threads.  User-supplied evaluators must be pure and reentrant and vanish at
+the origin, which `VectorFieldSde` and `SideSystem` probe at construction;
+`stability.quadratic_condition_constants` checks the declared impulse gaps.
 """
 
 from __future__ import annotations
@@ -20,8 +20,14 @@ from .errors import NotLinear, ValidationFailed
 from .matrix_kernels import as_square
 
 _LINEARITY_RTOL = 1e-8
-_LIPSCHITZ_SLACK = 1e-6  # relative slack of `validate`'s ratio and gap checks
 _FLOAT64 = np.dtype(np.float64)
+
+
+def _check_origin(name: str, value) -> None:
+    """Raise ValidationFailed unless `value`, a map's value at the origin, is zero."""
+    norm = float(np.abs(np.asarray(value, dtype=float)).max(initial=0.0))
+    if norm != 0.0:
+        raise ValidationFailed(f"{name}(0) = {norm:.6g} != 0: origin is not an equilibrium")
 
 
 def _as_vector(x, dim: int, name: str = "x") -> np.ndarray:
@@ -94,15 +100,6 @@ class LinearSde:
             return None
         return float(self.drift_matrix[0, 0]), (float(self.noise_matrices[0][0, 0]) if self.noise_dim else 0.0)
 
-    @property
-    def lipschitz(self) -> float:
-        """Global Lipschitz constant of (drift, diffusion) in the Frobenius sense."""
-        f_norm = float(np.linalg.norm(self.drift_matrix, 2))
-        g_norm = math.sqrt(
-            sum(float(np.linalg.norm(g, 2)) ** 2 for g in self.noise_matrices)
-        )
-        return max(f_norm, g_norm)
-
     def drift(self, x, t: float = 0.0) -> np.ndarray:
         return self.drift_matrix @ _as_vector(x, self.dim)
 
@@ -113,30 +110,25 @@ class LinearSde:
 
 @dataclass(frozen=True)
 class VectorFieldSde:
-    """General SDE dx = f(x, t) dt + g(x, t) dB with a declared Lipschitz bound.
+    """General SDE dx = f(x, t) dt + g(x, t) dB.
 
     `drift_fn(x, t)` returns an n-vector, `diffusion_fn(x, t)` an n x m matrix.
-    Both must vanish at the origin; the constructor probes that, `validate`
-    spot checks the Lipschitz declaration.
+    Both must vanish at the origin; the constructor probes that at t = 0 and
+    t = 1 and raises ValidationFailed naming the map.
     """
 
     dim: int
     noise_dim: int
     drift_fn: Callable[[np.ndarray, float], np.ndarray]
     diffusion_fn: Callable[[np.ndarray, float], np.ndarray]
-    lipschitz: float
 
     def __post_init__(self):
         if self.dim < 1 or self.noise_dim < 0:
             raise ValueError("dim must be >= 1 and noise_dim >= 0")
-        if not 0 < self.lipschitz < math.inf:
-            raise ValueError("lipschitz must be positive and finite")
         origin = np.zeros(self.dim)
         for t in (0.0, 1.0):
-            if np.abs(self.drift(origin, t)).max(initial=0.0) > 0.0:
-                raise ValidationFailed("drift does not vanish at the origin")
-            if np.abs(self.diffusion(origin, t)).max(initial=0.0) > 0.0:
-                raise ValidationFailed("diffusion does not vanish at the origin")
+            _check_origin("drift", self.drift(origin, t))
+            _check_origin("diffusion", self.diffusion(origin, t))
 
     def drift(self, x, t: float = 0.0) -> np.ndarray:
         return _as_vector(self.drift_fn(_as_vector(x, self.dim), t), self.dim, "drift value")
@@ -191,9 +183,9 @@ class SideSystem:
     and at impulse k, with xi(k) a fresh standard-normal m-vector,
         x -> x + jump_x(x, k) + jump_x_gain(x, k) @ xi(k),
         y -> y + jump_y(x, y, k) + jump_y_gain(x, y, k) @ xi(k).
-    Every map must vanish at origin arguments so zero stays an equilibrium.
-    `lipschitz_x` / `lipschitz_y` declare the global Lipschitz constants of
-    the x-maps and the coupled (x, y)-maps.
+    Every map must vanish at origin arguments so zero stays an equilibrium:
+    the constructor probes them there, at (t, k) = (0, 1), in field order and
+    raises ValidationFailed naming the first that does not vanish.
     Over z = (x, y) the flow is dz = drift(z, t) dt + diffusion(z, t) dB and
     impulse k maps z to z + jump(z, k) + jump_gain(z, k) @ xi(k).
     """
@@ -210,16 +202,15 @@ class SideSystem:
     jump_y: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
     jump_y_gain: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
     schedule: ImpulseSchedule
-    lipschitz_x: float
-    lipschitz_y: float
 
     def __post_init__(self):
         if self.n < 1 or self.q < 0 or self.noise_dim < 0:
             raise ValueError("need n >= 1, q >= 0, noise_dim >= 0")
-        # 0 is allowed: `make_cps` of dx = 0 declares Lipschitz constant 0
-        for name in ("lipschitz_x", "lipschitz_y"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be nonnegative and finite")
+        x, y = np.zeros(self.n), np.zeros(self.q)
+        for name, args in (("drift_x", (x, 0.0)), ("diffusion_x", (x, 0.0)), ("drift_y", (x, y, 0.0)),
+                           ("diffusion_y", (x, y, 0.0)), ("jump_x", (x, 1)), ("jump_x_gain", (x, 1)),
+                           ("jump_y", (x, y, 1)), ("jump_y_gain", (x, y, 1))):
+            _check_origin(name, getattr(self, name)(*args))
 
     @property
     def dim(self) -> int:
@@ -290,8 +281,6 @@ def make_cps(sde: Sde, dt: float) -> SideSystem:
         jump_y=jump_y,
         jump_y_gain=jump_y_gain,
         schedule=schedule,
-        lipschitz_x=sde.lipschitz,
-        lipschitz_y=sde.lipschitz,
     )
 
 
@@ -329,107 +318,3 @@ def linear_compact_form(side: SideSystem) -> tuple[np.ndarray, np.ndarray]:
                 if np.abs(got - want).max(initial=0.0) > _LINEARITY_RTOL * scale:
                     raise NotLinear(f"{label} of the compact form failed the linearity probe")
     return flow, jump
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Spot-check evidence: the largest Lipschitz ratio of each evaluator over
-    the sampled pairs, and the constant declared for it."""
-
-    max_ratio: dict[str, float]
-    declared: dict[str, float]
-
-
-def _pair_ratio(delta_val: np.ndarray, delta_arg: float) -> float:
-    if delta_arg == 0.0:
-        return 0.0
-    return float(np.linalg.norm(delta_val) / delta_arg)
-
-
-def validate(
-    system: Sde | SideSystem,
-    *,
-    box: float = 10.0,
-    pairs: int = 1000,
-    seed: int = 0,
-) -> ValidationReport:
-    """Spot check Lipschitz declarations, the origin equilibrium and the
-    declared impulse gaps.
-
-    Samples `pairs` point pairs uniformly on [-box, box]^dim and compares the
-    observed increment ratios against the declared constants, and probes
-    every evaluator at the origin.  A hybrid system's gaps t_{k+1} - t_k, k <
-    `pairs`, must lie in the [dt_under, dt_over] that `check_thm1` and
-    `check_thm2` trust.  Raises ValidationFailed naming the offending
-    evaluator and sample pair, or gap k; returns the report when everything
-    passes.  The check is probabilistic: it catches gross misconfiguration,
-    it does not prove the global property.
-    """
-    if not 0 < box < math.inf:
-        raise ValueError("box must be positive and finite")
-    if pairs < 1:
-        raise ValueError("pairs must be >= 1")
-    rng = np.random.default_rng(seed)
-    max_ratio: dict[str, float] = {}
-    declared: dict[str, float] = {}
-
-    # rows (name, evaluator of (x, y, t, k), declared constant, whether the
-    # (x, y) distance applies), in the order the origins are checked
-    hybrid = isinstance(system, SideSystem)
-    if hybrid:
-        s = system
-        n, q, lx, ly = s.n, s.q, s.lipschitz_x, s.lipschitz_y
-        rows = [
-            ("drift_x", lambda x, y, t, k: s.drift_x(x, t), lx, False),
-            ("diffusion_x", lambda x, y, t, k: s.diffusion_x(x, t), lx, False),
-            ("drift_y", lambda x, y, t, k: s.drift_y(x, y, t), ly, True),
-            ("diffusion_y", lambda x, y, t, k: s.diffusion_y(x, y, t), ly, True),
-            ("jump_x", lambda x, y, t, k: s.jump_x(x, k), lx, False),
-            ("jump_x_gain", lambda x, y, t, k: s.jump_x_gain(x, k), lx, False),
-            ("jump_y", lambda x, y, t, k: s.jump_y(x, y, k), ly, True),
-            ("jump_y_gain", lambda x, y, t, k: s.jump_y_gain(x, y, k), ly, True),
-        ]
-    else:
-        sde, n, q = system, system.dim, 0
-        rows = [
-            ("drift", lambda x, y, t, k: sde.drift(x, t), sde.lipschitz, False),
-            ("diffusion", lambda x, y, t, k: sde.diffusion(x, t), sde.lipschitz, False),
-        ]
-
-    for name, fn, _, _ in rows:
-        norm = float(np.abs(np.asarray(fn(np.zeros(n), np.zeros(q), 0.0, 1), dtype=float)).max(initial=0.0))
-        if norm > 0.0:
-            raise ValidationFailed(f"{name}(0) = {norm:.6g} != 0: origin is not an equilibrium")
-
-    if hybrid:
-        sched = s.schedule
-        lo, hi = sched.dt_under * (1.0 - _LIPSCHITZ_SLACK), sched.dt_over * (1.0 + _LIPSCHITZ_SLACK)
-        gaps = np.diff([sched.time(k) for k in range(pairs + 1)])
-        for k, gap in enumerate(gaps.tolist()):
-            if not lo <= gap <= hi:
-                raise ValidationFailed(
-                    f"schedule gap t_{k + 1} - t_{k} = {gap:.6g} lies outside the declared "
-                    f"[dt_under, dt_over] = [{sched.dt_under:.6g}, {sched.dt_over:.6g}]"
-                )
-
-    rows.sort(key=lambda row: row[3])  # the x-maps first, as each pair checks them
-    for _ in range(pairs):
-        # an SDE draws no y and no impulse index
-        xa, xb = rng.uniform(-box, box, (2, n))
-        ya, yb = rng.uniform(-box, box, (2, max(q, 1)))[:, :q] if hybrid else (None, None)
-        t = rng.uniform(0.0, 10.0)
-        k = int(rng.integers(1, 10)) if hybrid else None
-        dx = float(np.linalg.norm(xa - xb))
-        dxy = max(dx, float(np.linalg.norm(ya - yb))) if hybrid else dx
-        for name, fn, bound, joint in rows:
-            ratio = _pair_ratio(fn(xa, ya, t, k) - fn(xb, yb, t, k), dxy if joint else dx)
-            max_ratio[name] = max(max_ratio.get(name, 0.0), ratio)
-            declared[name] = bound
-            if ratio > bound * (1.0 + _LIPSCHITZ_SLACK):
-                a, b = ([xa.tolist(), ya.tolist()], [xb.tolist(), yb.tolist()]) if joint else (xa.tolist(), xb.tolist())
-                raise ValidationFailed(
-                    f"{name} violates its Lipschitz declaration: ratio {ratio:.6g} > {bound:.6g} "
-                    f"between {a} and {b}"
-                )
-
-    return ValidationReport(max_ratio, declared)

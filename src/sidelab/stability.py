@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SingularOperator
+from .errors import SingularOperator, ValidationFailed
 from .matrix_kernels import (
     ct_form,
     ct_operator,
@@ -40,6 +40,10 @@ STRICT_SLACK = 1e-12
 
 #: Floor applied to constants the theorems require to be positive.
 _POSITIVE_FLOOR = 1e-12
+
+#: `quadratic_condition_constants` checks this many gaps against their bounds, with this relative slack.
+_GAP_PROBES = 1000
+_GAP_SLACK = 1e-6
 
 #: Thm 5 reports alpha_bar <= (1 - _THM5_EPS) / dt_bar, keeping alpha_bar dt_bar < 1.
 _THM5_EPS = 0.01
@@ -88,7 +92,8 @@ def _certificate(param: float, solve: Callable[[], np.ndarray], form: Callable) 
         )
     margin = decay_rate(form(p), p)
     if margin <= STRICT_SLACK:
-        return StabilityCertificate(False, None, margin, param, "margin not positive")
+        detail = "margin not positive" if margin <= 0.0 else f"margin at or below the {STRICT_SLACK:g} slack"
+        return StabilityCertificate(False, None, margin, param, detail)
     return StabilityCertificate(True, p, margin, param)
 
 
@@ -224,11 +229,20 @@ def quadratic_condition_constants(
     impulse-stabilized test.  The matrices are x and y blocks of the flow
     and jump stacks of `linear_compact_form(side)`, which raises NotLinear
     for a nonlinear, time-dependent or index-dependent evaluator.
+
+    `check_thm1` and `check_thm2` trust the declared dt_under and dt_over that
+    the constants carry, so the gaps t_{k+1} - t_k, k < 1000, are checked
+    first (relative slack 1e-6): ValidationFailed names the first outside.
     """
     if not 0 < split < math.inf:
         raise ValueError("split must be positive and finite")
     p = gate_pd(p, "p")
     p_tilde = gate_pd(p_tilde, "p_tilde")
+    sched = side.schedule
+    for k, gap in enumerate(np.diff([sched.time(k) for k in range(_GAP_PROBES + 1)]).tolist()):
+        if not sched.dt_under * (1.0 - _GAP_SLACK) <= gap <= sched.dt_over * (1.0 + _GAP_SLACK):
+            raise ValidationFailed(f"schedule gap t_{k + 1} - t_{k} = {gap:.6g} lies outside the declared "
+                                   f"[dt_under, dt_over] = [{sched.dt_under:.6g}, {sched.dt_over:.6g}]")
     flow, jump = linear_compact_form(side)
     n = side.n
     s = float(split)
@@ -260,8 +274,8 @@ def quadratic_condition_constants(
         alpha_self=alpha_self,
         beta=beta,
         beta_self=beta_self,
-        dt_under=side.schedule.dt_under,
-        dt_over=side.schedule.dt_over,
+        dt_under=sched.dt_under,
+        dt_over=sched.dt_over,
     )
 
 

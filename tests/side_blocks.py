@@ -33,7 +33,7 @@ def side_from_blocks(n, drift, noise, jump, gains, schedule):
         drift_y=y_map(drift), diffusion_y=y_gain(noise),
         jump_x=x_map(jump), jump_x_gain=x_gain(gains),
         jump_y=y_map(jump), jump_y_gain=y_gain(gains),
-        schedule=schedule, lipschitz_x=10.0, lipschitz_y=10.0,
+        schedule=schedule,
     )
 
 
@@ -64,6 +64,4 @@ def stacked_as_x(side):
         jump_y=lambda x, y, k: np.zeros(0),
         jump_y_gain=lambda x, y, k: np.zeros((0, m)),
         schedule=side.schedule,
-        lipschitz_x=side.lipschitz_x,
-        lipschitz_y=side.lipschitz_y,
     )

@@ -154,7 +154,7 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="^p must be positive$"):
             run_ensemble(GBM, [1.0], p, 8, 1.0, 0.1)
 
-    @pytest.mark.parametrize("system", [GBM, VectorFieldSde(1, 1, GBM.drift, GBM.diffusion, GBM.lipschitz)],
+    @pytest.mark.parametrize("system", [GBM, VectorFieldSde(1, 1, GBM.drift, GBM.diffusion)],
                              ids=["linear", "vector_field"])
     def test_horizon_must_be_whole_steps(self, system):
         # the rule, and the error, of simulate_cps and the CLI
@@ -163,7 +163,7 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("system", [
         LinearSde(-np.eye(2)),
-        VectorFieldSde(2, 0, lambda x, t: -x, lambda x, t: np.zeros((2, 0)), 1.0),
+        VectorFieldSde(2, 0, lambda x, t: -x, lambda x, t: np.zeros((2, 0))),
     ], ids=["linear", "vector_field"])
     def test_x0_must_match_the_dimension(self, system):
         # a 1-element x0 is not broadcast, by either kernel
@@ -179,7 +179,8 @@ class TestEnsemble:
     def test_sup_bound_sanity(self):
         # empirical E sup |x|^2 sits far below the a-priori envelope
         ens = run_ensemble(GBM, [1.0], 2.0, 500, 1.0, 1.0 / 512, seed=7)
-        x0, lip, T = 1.0, GBM.lipschitz, 1.0
+        # the envelope constant bounds both coefficients: max(|lambda|, |mu|)
+        x0, lip, T = 1.0, max(map(abs, GBM.scalar_coefficients)), 1.0
         bound = (1.0 + 3.0 * x0**2) * math.exp(3.0 * lip * T * (T + 4.0))
         assert float(np.mean(ens.sup_sq)) < bound
 
@@ -512,7 +513,7 @@ SYS3 = LinearSde(
 )
 X3 = [1.0, -0.5, 0.25]
 OVERFLOWING = LinearSde.scalar(50.0, 3.0)  # |1 + 50 dt| = 26 per step at dt = 0.5
-OVERFLOWING_FIELD = VectorFieldSde(1, 1, lambda x, t: 50.0 * x, lambda x, t: 3.0 * x.reshape(1, 1), 50.0)
+OVERFLOWING_FIELD = VectorFieldSde(1, 1, lambda x, t: 50.0 * x, lambda x, t: 3.0 * x.reshape(1, 1))
 
 # (system, x0, p, trajectories, T, dt, seed); every case reads the impulse
 # stream, so "xi" and "brownian" differ only in their seed
@@ -572,7 +573,7 @@ class TestLoopedEnsemble:
         # a stable linear field: every path finishes, and the looped ensemble
         # sums its paths' norms in trajectory order
         f, g = SYS3.drift_matrix, SYS3.noise_matrices[0]
-        field = VectorFieldSde(3, 1, lambda x, t: f @ x, lambda x, t: (g @ x).reshape(3, 1), 3.0)
+        field = VectorFieldSde(3, 1, lambda x, t: f @ x, lambda x, t: (g @ x).reshape(3, 1))
         trajectories, T, dt, seed = 5, 1.0, 0.125, 3
         got = run_ensemble(field, X3, 2.0, trajectories, T, dt, seed=seed)
         n_steps = 8

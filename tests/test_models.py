@@ -8,11 +8,11 @@ from sidelab.errors import NotLinear, ValidationFailed
 from sidelab.models import (
     ImpulseSchedule,
     LinearSde,
+    SideSystem,
     VectorFieldSde,
     _as_vector,
     linear_compact_form,
     make_cps,
-    validate,
 )
 from sidelab.simulate import simulate_side
 from side_blocks import random_blocks, side_from_blocks, stacked_as_x
@@ -123,13 +123,20 @@ class TestAsVector:
 
 class TestVectorFieldSde:
     def test_origin_check_at_construction(self):
-        with pytest.raises(ValidationFailed):
+        with pytest.raises(ValidationFailed, match=r"^drift\(0\) = 1 != 0: origin is not an equilibrium$"):
             VectorFieldSde(
                 dim=1,
                 noise_dim=0,
                 drift_fn=lambda x, t: np.array([1.0 + x[0]]),
                 diffusion_fn=lambda x, t: np.zeros((1, 0)),
-                lipschitz=1.0,
+            )
+        # the diffusion vanishes at t = 0 but not at the second probe, t = 1
+        with pytest.raises(ValidationFailed, match=r"^diffusion\(0\) = 2 != 0: origin is not an equilibrium$"):
+            VectorFieldSde(
+                dim=1,
+                noise_dim=1,
+                drift_fn=lambda x, t: -x,
+                diffusion_fn=lambda x, t: (x + 2.0 * t).reshape(1, 1),
             )
 
     def test_valid_system_constructs(self):
@@ -138,7 +145,6 @@ class TestVectorFieldSde:
             noise_dim=1,
             drift_fn=lambda x, t: -x,
             diffusion_fn=lambda x, t: 0.5 * x.reshape(2, 1),
-            lipschitz=1.0,
         )
         assert np.allclose(sde.drift([1.0, 2.0]), [-1.0, -2.0])
 
@@ -277,7 +283,7 @@ class TestLinearCompactForm:
             linear_compact_form(side)
 
 
-# a SideSystem's evaluators in the order validate probes their origins
+# a SideSystem's evaluators in the order the constructor probes their origins
 EVALUATORS = ["drift_x", "diffusion_x", "drift_y", "diffusion_y",
               "jump_x", "jump_x_gain", "jump_y", "jump_y_gain"]
 CPS = make_cps(LinearSde(np.array([[-1.0, 0.3], [0.2, -2.0]]), (np.array([[0.4, 0.0], [0.1, 0.2]]),)), 0.25)
@@ -292,81 +298,23 @@ def shifted(fn):
     return lambda *args: np.asarray(fn(*args)) + 0.5
 
 
-def scaled(fn):
-    return lambda *args: 10.0 * np.asarray(fn(*args))
-
-
-class TestValidate:
-    def test_linear_system_passes(self):
-        sde = LinearSde(np.array([[0.0, 3.0], [0.0, 0.0]]))
-        report = validate(sde, pairs=200, seed=1)
-        assert report.max_ratio["drift"] <= sde.lipschitz * (1 + 1e-9)
-
-    def test_quadratic_drift_fails(self):
-        sde = VectorFieldSde(
-            dim=1,
-            noise_dim=0,
-            drift_fn=lambda x, t: x * x,
-            diffusion_fn=lambda x, t: np.zeros((1, 0)),
-            lipschitz=1.0,
-        )
-        with pytest.raises(ValidationFailed):
-            validate(sde, box=2.0, pairs=500, seed=0)
-
-    def test_cps_side_system_passes(self):
-        side = make_cps(LinearSde.scalar(-1.0, 0.5), 0.5)
-        report = validate(side, pairs=100, seed=2)
-        assert report.max_ratio["jump_y"] <= report.declared["jump_y"] * (1 + 1e-6)
-
+class TestOriginProbe:
     def test_shifted_origin_fails(self):
         side = make_cps(LinearSde.scalar(-1.0, 0.0), 0.5)
-        bad = replace(side, drift_x=lambda x, t: x - x + 1.0, lipschitz_x=1.0, lipschitz_y=1.0)
-        with pytest.raises(ValidationFailed, match="origin"):
-            validate(bad, pairs=10, seed=0)
+        maps = {name: getattr(side, name) for name in EVALUATORS} | {"drift_x": lambda x, t: x - x + 1.0}
+        with pytest.raises(ValidationFailed, match=r"^drift_x\(0\) = 1 != 0: origin is not an equilibrium$"):
+            SideSystem(n=1, q=1, noise_dim=1, **maps, schedule=side.schedule)
 
     @pytest.mark.parametrize("name", EVALUATORS)
     def test_each_evaluator_origin_is_checked(self, name):
-        with pytest.raises(ValidationFailed, match=rf"^{name}\(0\) = 0.5 != 0: origin"):
-            validate(with_map(CPS, name, shifted), pairs=10, seed=0)
+        # `replace` constructs anew, so it probes the swapped-in map
+        with pytest.raises(ValidationFailed, match=rf"^{name}\(0\) = 0.5 != 0: origin is not an equilibrium$"):
+            with_map(CPS, name, shifted)
 
-    def test_y_map_lipschitz_violation_is_named(self):
-        with pytest.raises(ValidationFailed, match="^jump_y_gain violates its Lipschitz declaration"):
-            validate(with_map(CPS, "jump_y_gain", scaled), pairs=50, seed=2)
+    def test_nan_at_the_origin_fails(self):
+        with pytest.raises(ValidationFailed, match=r"^jump_y\(0\) = nan != 0: origin is not an equilibrium$"):
+            with_map(CPS, "jump_y", lambda fn: lambda *args: math.nan * np.asarray(fn(*args)))
 
     def test_first_broken_origin_is_named(self):
-        bad = with_map(with_map(CPS, "jump_x", shifted), "drift_y", shifted)
         with pytest.raises(ValidationFailed, match=r"^drift_y\(0\)"):
-            validate(bad, pairs=10, seed=0)
-
-    def test_y_map_violation_with_q_not_n_is_named(self):
-        # each side of a joint pair is formatted on its own: [x, y] with len(y) != len(x)
-        side = side_from_blocks(2, *random_blocks(np.random.default_rng(5), 2, 1, 1), ImpulseSchedule.equal_gaps(0.5))
-        bad = with_map(side, "drift_y", lambda fn: lambda *args: 100.0 * np.asarray(fn(*args)))
-        with pytest.raises(ValidationFailed, match=r"^drift_y violates .* between \[\[\S+, \S+\], \[\S+\]\] and"):
-            validate(bad, pairs=50, seed=0)
-
-    def test_false_schedule_declaration_names_the_gap(self):
-        # gaps of 1.0 against a declared [0.1, 0.2]
-        bad = replace(CPS, schedule=ImpulseSchedule(lambda k: 1.0 * k, 0.1, 0.2))
-        with pytest.raises(ValidationFailed, match=r"^schedule gap t_1 - t_0 = 1 lies outside"):
-            validate(bad, pairs=10, seed=0)
-        # the declaration holds up to t_3 only
-        late = replace(CPS, schedule=ImpulseSchedule(lambda k: 0.1 * k if k <= 3 else 0.5 + k, 0.1, 0.2))
-        with pytest.raises(ValidationFailed, match=r"^schedule gap t_4 - t_3 "):
-            validate(late, pairs=10, seed=0)
-
-    def test_true_schedule_declarations_pass(self):
-        # k * 0.1 rounds its gaps up to 8.5e-14 away from 0.1 over 1000 gaps
-        validate(replace(CPS, schedule=ImpulseSchedule.equal_gaps(0.1)), pairs=1000, seed=0)
-        # the non-uniform schedule of the simulate oracle: gaps in [0.204, 0.396]
-        non_uniform = ImpulseSchedule(lambda k: 0.3 * k + 0.1 * math.sin(k), 0.1, 0.5)
-        validate(replace(CPS, schedule=non_uniform), pairs=1000, seed=0)
-
-    def test_report_key_order(self):
-        report = validate(CPS, pairs=20, seed=3)
-        ratio_order = ["drift_x", "diffusion_x", "jump_x", "jump_x_gain",
-                       "drift_y", "diffusion_y", "jump_y", "jump_y_gain"]
-        assert list(report.max_ratio) == ratio_order
-        assert list(report.declared) == ratio_order
-        sde_report = validate(LinearSde.scalar(-1.0, 0.5), pairs=20, seed=3)
-        assert list(sde_report.max_ratio) == list(sde_report.declared) == ["drift", "diffusion"]
+            replace(CPS, jump_x=shifted(CPS.jump_x), drift_y=shifted(CPS.drift_y))

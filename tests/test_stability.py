@@ -4,12 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sidelab.errors import NotLinear, NotPositiveDefinite
+from sidelab.errors import NotLinear, NotPositiveDefinite, ValidationFailed
 from sidelab.matrix_kernels import ct_operator, vec_operator
 from sidelab.models import ImpulseSchedule, LinearSde, make_cps
 from sidelab.stability import (
     STRICT_SLACK,
     ConditionConstants,
+    _certificate,
     check_thm1,
     check_thm2,
     check_thm4,
@@ -97,8 +98,14 @@ class TestCpLyapunov:
         # P = 5e299 > 0 solves the equation, but the decay rate is 2e-300
         cert = cp_lyapunov_feasible(LinearSde.scalar(-1e-300, 0.0), 0.5)
         assert not cert.feasible and cert.p is None
-        assert cert.detail == "margin not positive"
+        assert cert.detail == "margin at or below the 1e-12 slack"
         assert 0.0 < cert.margin <= STRICT_SLACK
+
+    def test_non_positive_margin_is_named(self):
+        # form(P) = +P: the decay rate relative to P is -1
+        cert = _certificate(0.5, lambda: np.eye(2), lambda p: p)
+        assert not cert.feasible and cert.p is None
+        assert (cert.margin, cert.detail) == (-1.0, "margin not positive")
 
     def test_infeasible_above_bound(self):
         assert not cp_lyapunov_feasible(SCALAR, 0.5).feasible
@@ -303,7 +310,7 @@ class TestConditionConstants:
     )
     def test_nonlinear_rejected(self, name, bent):
         side = make_cps(LinearSde.scalar(-1.0, 0.5), 0.5)
-        bad = replace(side, **{name: bent}, lipschitz_x=10.0, lipschitz_y=10.0)
+        bad = replace(side, **{name: bent})
         with pytest.raises(NotLinear):
             quadratic_condition_constants(bad, [[1.0]], [[1.0]])
 
@@ -328,6 +335,47 @@ class TestConditionConstants:
         side = make_cps(SCALAR, 0.4)
         with pytest.raises(NotPositiveDefinite):
             quadratic_condition_constants(side, [[-1.0]], [[1.0]])
+
+
+class TestDeclaredGaps:
+    """`quadratic_condition_constants` checks the gaps whose declared bounds
+    `check_thm1` and `check_thm2` trust."""
+
+    CPS = make_cps(LinearSde(np.array([[-1.0, 0.3], [0.2, -2.0]]), (np.array([[0.4, 0.0], [0.1, 0.2]]),)), 0.25)
+
+    def constants(self, schedule):
+        return quadratic_condition_constants(replace(self.CPS, schedule=schedule), np.eye(2), np.eye(2))
+
+    def test_false_schedule_declaration_names_the_gap(self):
+        # gaps of 1.0 against a declared [0.1, 0.2]
+        with pytest.raises(ValidationFailed, match=r"^schedule gap t_1 - t_0 = 1 lies outside the declared "
+                                                   r"\[dt_under, dt_over\] = \[0.1, 0.2\]$"):
+            self.constants(ImpulseSchedule(lambda k: 1.0 * k, 0.1, 0.2))
+        # the declaration holds up to t_3 only
+        with pytest.raises(ValidationFailed, match=r"^schedule gap t_4 - t_3 "):
+            self.constants(ImpulseSchedule(lambda k: 0.1 * k if k <= 3 else 0.5 + k, 0.1, 0.2))
+        # and up to t_999, the last gap checked
+        with pytest.raises(ValidationFailed, match=r"^schedule gap t_1000 - t_999 "):
+            self.constants(ImpulseSchedule(lambda k: 0.1 * k if k < 1000 else 200.0, 0.1, 0.2))
+
+    def test_true_schedule_declarations_pass(self):
+        # k * 0.1 rounds its gaps up to 8.5e-14 away from 0.1 over 1000 gaps
+        c = self.constants(ImpulseSchedule.equal_gaps(0.1))
+        assert c.dt_under == c.dt_over == 0.1
+        # the non-uniform schedule of the simulate oracle: gaps in [0.204, 0.396]
+        c = self.constants(ImpulseSchedule(lambda k: 0.3 * k + 0.1 * math.sin(k), 0.1, 0.5))
+        assert (c.dt_under, c.dt_over) == (0.1, 0.5)
+        # a false gap past the first 1000 is not checked
+        c = self.constants(ImpulseSchedule(lambda k: 0.1 * k if k <= 1000 else 500.0, 0.1, 0.2))
+        assert (c.dt_under, c.dt_over) == (0.1, 0.2)
+
+    def test_false_gap_declaration_does_not_reach_thm1(self):
+        # declared gaps of 0.25 sit inside the Thm 1 window, whose upper end is
+        # -ln(beta_self) / alpha_self = -ln(0.78125) / 0.25 ~ 0.99; the true gap, 5, does not
+        side = replace(make_cps(LinearSde.scalar(-1.0, 0.5), 0.25),
+                       schedule=ImpulseSchedule(lambda k: 5.0 * k, 0.25, 0.25))
+        with pytest.raises(ValidationFailed, match=r"^schedule gap t_1 - t_0 = 5 "):
+            check_thm1(quadratic_condition_constants(side, [[1.0]], [[1.0]], split=4.0))
 
 
 def constants(**kw):
@@ -395,8 +443,12 @@ class TestThm4:
             assert got == want
 
     def test_explicit_split(self):
+        # alpha = -(2 lam + mu^2) = 7 and d = 1 - 0.1 (7 - 0.1 lam^2) = 0.46 at
+        # lam = -4, mu = 1; the split s = 4 gives beta_self = (1 + 1/s) d
         res = check_thm4(SCALAR, [[1.0]], 0.1, split=4.0)
-        assert res.alpha_self == pytest.approx(0.25)
+        assert (res.alpha, res.discrete_factor) == pytest.approx((7.0, 0.46), rel=1e-12)
+        assert (res.alpha_self, res.beta_self) == pytest.approx((0.25, 1.25 * 0.46), rel=1e-12)
+        assert res.stepsize_bound == pytest.approx(-math.log(1.25 * 0.46) / 0.25, rel=1e-12)
         assert res.passed
 
 
