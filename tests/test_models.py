@@ -139,6 +139,21 @@ class TestVectorFieldSde:
                 diffusion_fn=lambda x, t: (x + 2.0 * t).reshape(1, 1),
             )
 
+    @pytest.mark.parametrize("name", ["drift", "diffusion"])
+    @pytest.mark.parametrize("t_off", [0.0, 1.0])
+    def test_each_map_is_probed_at_both_times(self, name, t_off):
+        # the map leaves the origin only at t = t_off, so exactly one probe sees it
+        def off(t):
+            return 3.0 if t == t_off else 0.0
+
+        maps = {"drift_fn": lambda x, t: -x, "diffusion_fn": lambda x, t: (0.5 * x).reshape(1, 1)}
+        if name == "drift":
+            maps["drift_fn"] = lambda x, t: -x + off(t)
+        else:
+            maps["diffusion_fn"] = lambda x, t: (0.5 * x + off(t)).reshape(1, 1)
+        with pytest.raises(ValidationFailed, match=rf"^{name}\(0\) = 3 != 0: origin is not an equilibrium$"):
+            VectorFieldSde(dim=1, noise_dim=1, **maps)
+
     def test_valid_system_constructs(self):
         sde = VectorFieldSde(
             dim=2,
@@ -310,6 +325,18 @@ class TestOriginProbe:
         # `replace` constructs anew, so it probes the swapped-in map
         with pytest.raises(ValidationFailed, match=rf"^{name}\(0\) = 0.5 != 0: origin is not an equilibrium$"):
             with_map(CPS, name, shifted)
+
+    @pytest.mark.parametrize("name", EVALUATORS)
+    def test_probe_is_at_t0_and_k1(self, name):
+        # the map leaves the origin only at its time (or index) argument's
+        # probe value, t = 0 for a flow map and k = 1 for a jump map
+        probe = 1 if name.startswith("jump") else 0.0
+
+        def bent(fn):
+            return lambda *args: np.asarray(fn(*args)) + (0.5 if args[-1] == probe else 0.0)
+
+        with pytest.raises(ValidationFailed, match=rf"^{name}\(0\) = 0.5 != 0: origin is not an equilibrium$"):
+            with_map(CPS, name, bent)
 
     def test_nan_at_the_origin_fails(self):
         with pytest.raises(ValidationFailed, match=r"^jump_y\(0\) = nan != 0: origin is not an equilibrium$"):

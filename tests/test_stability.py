@@ -358,6 +358,29 @@ class TestDeclaredGaps:
         with pytest.raises(ValidationFailed, match=r"^schedule gap t_1000 - t_999 "):
             self.constants(ImpulseSchedule(lambda k: 0.1 * k if k < 1000 else 200.0, 0.1, 0.2))
 
+    @pytest.mark.parametrize(
+        "time_fn, gap",
+        [
+            (lambda k: 0.05 * k, r"t_1 - t_0 = 0\.05"),  # below dt_under
+            (lambda k: 0.1 * k if k <= 6 else 0.6 + 0.3 * (k - 6), r"t_7 - t_6 = 0\.3"),  # above dt_over
+            (lambda k: math.nan if k == 2 else 0.1 * k, r"t_2 - t_1 = nan"),
+        ],
+        ids=["below", "above", "nan"],
+    )
+    def test_gap_outside_bounds_is_named(self, time_fn, gap):
+        with pytest.raises(ValidationFailed, match=rf"^schedule gap {gap} lies outside the declared "
+                                                   r"\[dt_under, dt_over\] = \[0\.1, 0\.2\]$"):
+            self.constants(ImpulseSchedule(time_fn, 0.1, 0.2))
+
+    def test_gaps_within_the_relative_slack_pass(self):
+        # gaps 1e-7 relative outside the declared bounds pass; 1e-5 outside do not
+        inside = ImpulseSchedule(lambda k: 0.2 * (1 + 1e-7) * k, 0.1, 0.2)
+        assert self.constants(inside).dt_over == 0.2
+        inside = ImpulseSchedule(lambda k: 0.1 * (1 - 1e-7) * k, 0.1, 0.2)
+        assert self.constants(inside).dt_under == 0.1
+        with pytest.raises(ValidationFailed, match=r"^schedule gap t_1 - t_0 = 0\.200002 "):
+            self.constants(ImpulseSchedule(lambda k: 0.2 * (1 + 1e-5) * k, 0.1, 0.2))
+
     def test_true_schedule_declarations_pass(self):
         # k * 0.1 rounds its gaps up to 8.5e-14 away from 0.1 over 1000 gaps
         c = self.constants(ImpulseSchedule.equal_gaps(0.1))
