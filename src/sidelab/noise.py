@@ -125,7 +125,7 @@ def normal_blocks(seed: int, stream: int, trajectories, steps: int, width: int, 
     a raise in the caller's loop or in the map.  The map is looked up as
     `_standard_normals` at each block.
     """
-    # deferred: `scipy.linalg` loads `concurrent.futures` but not its `thread`
+    # deferred: `scipy.special` loads `concurrent.futures` but not its `thread`
     # submodule and `queue`, which add up to 1 MB to a task that draws no batch
     from concurrent.futures import ThreadPoolExecutor
 

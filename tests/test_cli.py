@@ -389,13 +389,21 @@ class TestExitCodes:
         assert done.stderr == ""
         assert "diverged: state overflowed at substep 74" in done.stdout
 
-    @pytest.mark.parametrize("task, numeric", [
-        ("simulate", "dt = 0.5\nt = 1\nsubsteps = 1000000000000\n"),
-        ("exponent", "dt = 0.05\nt = 1\ntrajectories = 1000000000000\n"),
-    ], ids=["simulate-substeps", "exponent-trajectories"])
-    def test_out_of_memory_is_an_error(self, tmp_path, task, numeric):
-        # terabytes of draws or of per-path sums; the address space is capped
-        # so that no host can grant them
+    @pytest.mark.parametrize("task, numeric, message", [
+        ("simulate", "dt = 0.5\nt = 1\nsubsteps = 1000000000000\n",
+         "key 'substeps' in [numeric]: the task would hold 12000000000018 floats (2000000000003 samples of 6), "
+         "past the cap of 8388608"),
+        ("simulate", "dt = 0.5\nt = 1000000\nsubsteps = 2\n",
+         "key 't' in [numeric]: the task would hold 36000006 floats (6000001 samples of 6), past the cap of 8388608"),
+        ("exponent", "dt = 0.05\nt = 1\ntrajectories = 1000000000000\n",
+         "key 'trajectories' in [numeric]: the task would hold 1000000000000 paths, past the cap of 8388608"),
+        ("exponent", "dt = 0.05\nt = 1000000\ntrajectories = 8\n",
+         "key 't' in [numeric]: the task would hold 20000000 steps of dt, past the cap of 4194304"),
+    ], ids=["simulate-substeps", "simulate-t", "exponent-trajectories", "exponent-t"])
+    def test_config_past_a_memory_cap_is_two(self, tmp_path, task, numeric, message):
+        # terabytes of draws or of per-path sums, or hours of steps, are
+        # refused before anything is allocated: the address space is capped
+        # so that no host could grant them
         cfg = write(
             tmp_path,
             "m.ini",
@@ -412,9 +420,51 @@ class TestExitCodes:
             capture_output=True, text=True, preexec_fn=limit,
             env={**os.environ, "PYTHONPATH": str(Path(sidelab.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"},
         )
-        assert done.returncode == 1
-        assert done.stderr.startswith("error: out of memory: Unable to allocate ")
-        assert "Traceback" not in done.stderr and done.stdout == ""
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", f"config error: {message}\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("task, numeric, cap, key", [
+        # 2 intervals of 1 + 4 substeps: 11 samples of 3 + 2 + 1 floats
+        ("simulate", "t = 1.0\nsubsteps = 4\n", ("_MAX_SAMPLE_FLOATS", 66), None),
+        ("simulate", "t = 1.0\nsubsteps = 5\n", ("_MAX_SAMPLE_FLOATS", 66), "substeps"),
+        # 6 intervals would hold 13 samples even at one substep
+        ("simulate", "t = 3.0\nsubsteps = 1\n", ("_MAX_SAMPLE_FLOATS", 66), "t"),
+        ("exponent", "t = 10.0\ntrajectories = 8\n", ("_MAX_TRAJECTORIES", 8), None),
+        ("exponent", "t = 10.0\ntrajectories = 9\n", ("_MAX_TRAJECTORIES", 8), "trajectories"),
+        ("exponent", "t = 10.0\ntrajectories = 8\n", ("_MAX_STEPS", 20), None),
+        ("exponent", "t = 10.5\ntrajectories = 8\n", ("_MAX_STEPS", 20), "t"),
+    ])
+    def test_memory_caps_admit_their_bound(self, tmp_path, capsys, monkeypatch, task, numeric, cap, key):
+        monkeypatch.setattr(cli, *cap)
+        cfg = write(
+            tmp_path,
+            "b.ini",
+            f"[system]\nkind = scalar\nlambda = -1\nmu = 0.5\n\n[task]\nname = {task}\n\n"
+            f"[numeric]\ndt = 0.5\n{numeric}\n[output]\ndir = {tmp_path / 'o'}\n",
+        )
+        code = main(["--config", cfg])
+        err = capsys.readouterr().err
+        if key is None:
+            assert code in (0, 1) and err == ""
+        else:
+            assert code == 2 and err.startswith(f"config error: key '{key}' in [numeric]: the task would hold ")
+            assert f"past the cap of {cap[1]}\n" in err
+            assert not (tmp_path / "o").exists()
+
+    def test_out_of_memory_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # a config within every cap can still meet a host that has less to give
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.00 GiB for an array with shape (134217728,) and data type float64")
+
+        monkeypatch.setattr(cli.simulate, "simulate_cps", exhausted)
+        cfg = write(tmp_path, "m.ini", SIMULATE.format(seed=0, out=tmp_path / "o"))
+        assert main(["--config", cfg]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: out of memory: Unable to allocate 1.00 GiB for an array with shape (134217728,) "
+            "and data type float64\n"
+        )
         assert not (tmp_path / "o").exists()
 
     def test_singular_operator_is_a_boundary_without_warnings(self, tmp_path):

@@ -50,24 +50,97 @@ def test_only_noise_names_the_block_caps():
     assert naming == ["noise.py"]
 
 
-def test_import_leaves_heavy_modules_unloaded():
-    # scipy.sparse.linalg costs every task about 35 ms of set-up and only the
-    # stepsize bound needs it; mpmath is not a dependency of the library;
-    # concurrent.futures.thread (with queue) adds up to 1 MB of peak resident
-    # memory to a task that draws no batch, and only `noise.normal_blocks`
-    # needs it
-    heavy = ("scipy.sparse.linalg", "mpmath", "concurrent.futures.thread")
-    code = f"import sys, sidelab; print([m for m in {heavy!r} if m in sys.modules])"
+def _fresh(code: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+    """Run `code` with `args` in a fresh interpreter that imports this sidelab."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, *flags, "-c", code, *args], env=env, capture_output=True, text=True)
+
+
+def test_import_leaves_heavy_modules_unloaded():
+    # scipy.linalg costs every task about 45 ms of set-up and 6 MB of resident
+    # memory, and only the certificates factor a matrix; scipy.sparse.linalg
+    # adds about 20 ms more and only the stepsize bound needs it; mpmath is
+    # not a dependency of the library; concurrent.futures.thread (with queue)
+    # adds up to 1 MB of peak resident memory to a task that draws no batch,
+    # and only `noise.normal_blocks` needs it
+    heavy = ("scipy.linalg", "scipy.sparse.linalg", "mpmath", "concurrent.futures.thread")
+    done = _fresh(f"import sys, sidelab; print([m for m in {heavy!r} if m in sys.modules])")
+    assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+_SCALAR = "[system]\nkind = scalar\nlambda = -1\nmu = 0.5\n\n[task]\nname = {task}\n\n[numeric]\n{numeric}\n"
+_LINEAR = "[system]\nkind = linear\nf = {f}\n{noise}\n\n[task]\nname = {task}\n\n[numeric]\n{numeric}\n"
+_NOISE = "g1 = 0.3 0.1 ; 0 0.2"
+
+
+def _configs(tmp_path, cases) -> list[str]:
+    paths = []
+    for k, (template, fields) in enumerate(cases):
+        path = tmp_path / f"c{k}.ini"
+        path.write_text(template.format(**fields) + f"\n[output]\ndir = {tmp_path / f'o{k}'}\n")
+        paths.append(str(path))
+    return paths
+
+
+def test_random_tasks_never_load_scipy_linalg(tmp_path):
+    # `simulate`, `exponent` and `converge` only step the scheme; a module
+    # that imports scipy.linalg at its top on their path fails here
+    configs = _configs(tmp_path, [
+        (_SCALAR, dict(task="simulate", numeric="dt = 0.5\nt = 2.0\nsubsteps = 4")),
+        (_LINEAR, dict(f="-1 0.5 ; 0.2 -2", noise=_NOISE, task="simulate",
+                       numeric="x0 = 1 -1\ndt = 0.5\nt = 1.0\ndriving = brownian")),
+        (_SCALAR, dict(task="exponent", numeric="dt = 0.05\nt = 1.0\ntrajectories = 8")),
+        (_SCALAR, dict(task="converge", numeric="dt = 0.125\nt = 1.0\ntrajectories = 8\nlevels = 2")),
+    ])
+    code = (
+        "import sys; from sidelab.cli import main\n"
+        "codes = [main(['--config', path]) for path in sys.argv[1:]]\n"
+        "print(codes, 'scipy.linalg' in sys.modules)"
+    )
+    done = _fresh(code, *configs)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
+    assert all((tmp_path / f"o{k}" / "report.txt").exists() for k in range(len(configs)))
+
+
+def test_certificates_import_scipy_linalg_cold_with_the_same_bytes(tmp_path, capsys):
+    # analyze and max-stepsize import scipy.linalg at their first call; in a
+    # fresh process under -W error, where a warning that escapes the filter
+    # of `lu_factors` (the singular operator) would end the run, they exit
+    # and write as they do in this process, which loads it beforehand
+    import scipy.linalg  # noqa: F401
+
+    from sidelab.cli import main
+
+    cases = [
+        (_SCALAR, dict(task="analyze", numeric="dt_bar = 0.4")),
+        (_SCALAR, dict(task="analyze", numeric="dt_bar = 2.0")),
+        (_LINEAR, dict(f="0 0 ; 0 0", noise="", task="analyze", numeric="")),
+        (_LINEAR, dict(f="-1 0.5 ; 0.2 -2", noise=_NOISE, task="max-stepsize", numeric="")),
+        (_LINEAR, dict(f="1 0 ; 0 -1", noise=_NOISE, task="max-stepsize", numeric="")),
+        (_SCALAR, dict(task="max-stepsize", numeric="")),
+    ]
+    codes = []
+    for k, path in enumerate(_configs(tmp_path, cases)):
+        warm = main(["--config", path, "--out", str(tmp_path / f"warm{k}")])
+        codes.append(warm)
+        warm_out = capsys.readouterr()
+        cold = _fresh("import sys; from sidelab.cli import main; sys.exit(main())",
+                      "--config", path, "--out", str(tmp_path / f"cold{k}"), flags=("-W", "error"))
+        assert (cold.returncode, cold.stdout, cold.stderr) == (warm, warm_out.out, warm_out.err)
+        names = sorted(p.name for p in (tmp_path / f"warm{k}").iterdir())
+        assert "report.txt" in names
+        assert sorted(p.name for p in (tmp_path / f"cold{k}").iterdir()) == names
+        for name in names:
+            assert (tmp_path / f"cold{k}" / name).read_bytes() == (tmp_path / f"warm{k}" / name).read_bytes()
+    assert codes == [0, 1, 1, 0, 1, 0]
 
 
 def test_import_starts_no_thread():
     # `noise.normal_blocks` starts its map worker per batch, never at import
-    code = "import threading; before = threading.active_count(); import sidelab; print(threading.active_count() - before)"
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    done = _fresh("import threading; before = threading.active_count(); import sidelab; print(threading.active_count() - before)")
+    assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "0"
 
 
