@@ -45,7 +45,6 @@ from .stability import (
     check_thm6,
     cp_lyapunov_feasible,
     discrete_ms_stable,
-    lyapunov_ito_feasible,
     max_stepsize,
     quadratic_condition_constants,
     scalar_max_stepsize,

@@ -11,8 +11,9 @@ brownian) is read by `simulate` only; `exponent` takes xi, its one stream,
 and exits 2 on brownian.
 Exit codes: 0 stable/feasible or simulation completed, 1 certified
 infeasible/unstable or a failed run (out of memory among them, reported as
-`error: out of memory: ...`), 2 invalid input (a `simulate` or `exponent`
-config that would hold more than a fixed cap in memory among them).  All
+`error: out of memory: ...`), 2 invalid input (a config past a fixed cap on
+what its task holds in memory among them, named by its key: `t`, `substeps`
+or `trajectories` of a timed task, `f` of `analyze` or `max-stepsize`).  All
 numeric output in reports is printed with 12 significant digits; CSV cells
 use full-precision repr so identical configs produce byte-identical
 artifacts.
@@ -24,6 +25,7 @@ import argparse
 import configparser
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,11 +41,17 @@ from .models import LinearSde
 #: the CSV row of 3n + 2 floats, the row's Python floats included (about 340
 #: bytes per sample at n = 1), and its m draws.  `exponent` holds two floats
 #: per path (about 41 bytes per path through the fits) and one moment sum per
-#: step (about 100 bytes per step with its CSV row).  A config at any cap
+#: step (about 100 bytes per step with its CSV row); `cps-demo` holds t and x
+#: per sample and writes its CSV row by row (153 MiB at the cap).  `analyze`
+#: and `max-stepsize` build their operator from terms of n(n+1)/2 x n x n
+#: floats (693 MiB at n = 90, dt_bar > 0 included).  A config at any cap
 #: peaks below 1 GB of resident memory, an exponent at both caps included.
 _MAX_SAMPLE_FLOATS = 2**23
 _MAX_TRAJECTORIES = 2**23
 _MAX_STEPS = 2**22
+_MAX_CERTIFICATE_DIM = 90
+
+_TIMED_TASKS = ("simulate", "exponent", "converge", "cps-demo")  # step on [0, t] by dt
 
 
 def _fmt(x: float) -> str:
@@ -204,7 +212,7 @@ def _require_task_keys(cfg: RunConfig) -> None:
             raise ConfigError("task 'cps-demo' needs [system] kind = controller (keys a, kp)")
         if len(cfg.x0) != 1:
             raise ConfigError(f"key 'x0' in [numeric]: task 'cps-demo' takes one value, got {len(cfg.x0)}")
-    if cfg.task in ("simulate", "exponent", "converge", "cps-demo"):
+    if cfg.task in _TIMED_TASKS:
         for key, value in (("dt", cfg.dt), ("t", cfg.horizon)):
             if value is None:
                 raise ConfigError(f"missing key '{key}' in [numeric] for task '{cfg.task}'")
@@ -228,8 +236,8 @@ def dump_config(cfg: RunConfig, path: str | Path) -> None:
         parser.write(fh)
 
 
-def emit_plot_data(series: list[tuple[str, list[str], list[list[float]]]], outdir: str | Path) -> list[Path]:
-    """Write one CSV per series (filename, header, rows); returns the paths."""
+def emit_plot_data(series: list[tuple[str, list[str], Iterable]], outdir: str | Path) -> list[Path]:
+    """Write one CSV per series (filename, header, rows read once); returns the paths."""
     if not series:
         raise ValueError("no series to emit")
     outdir = Path(outdir)
@@ -272,15 +280,16 @@ def _finest_stepsize(key: str, dt: float, divisor: int = 1, halvings: int = 0) -
     return step
 
 
-def _cap(key: str, count: int, cap: int, unit: str) -> None:
-    """ConfigError naming [numeric] `key` when a task would hold more than
-    `cap` of `unit` at once."""
+def _cap(key: str, count: int, cap: int, unit: str, section: str = "numeric") -> None:
+    """ConfigError naming `key` of [section] when a task would hold more
+    than `cap` of `unit` at once."""
     if count > cap:
-        raise ConfigError(f"key '{key}' in [numeric]: the task would hold {count} {unit}, past the cap of {cap}")
+        raise ConfigError(f"key '{key}' in [{section}]: the task would hold {count} {unit}, past the cap of {cap}")
 
 
 def _task_analyze(cfg: RunConfig, outdir: Path) -> int:
     sde = cfg.system()
+    _cap("f", sde.dim, _MAX_CERTIFICATE_DIM, "state dimensions", "system")
     cert = stability.cp_lyapunov_feasible(sde, cfg.dt_bar)
     _write_report(outdir, "certificate.txt", cert.report())
     lines = [f"task: analyze", f"dt_bar: {_fmt(cfg.dt_bar)}", cert.report()]
@@ -296,6 +305,7 @@ def _task_analyze(cfg: RunConfig, outdir: Path) -> int:
 
 def _task_max_stepsize(cfg: RunConfig, outdir: Path) -> int:
     sde = cfg.system()
+    _cap("f", sde.dim, _MAX_CERTIFICATE_DIM, "state dimensions", "system")
     bound, cert = stability.stepsize_certificate(sde)
     lines = ["task: max-stepsize"]
     if bound is None:
@@ -401,25 +411,25 @@ def _task_converge(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _task_cps_demo(cfg: RunConfig, outdir: Path) -> int:
+    samples = 1 + simulate.whole_steps(cfg.horizon, cfg.dt) * simulate._DEMO_SAMPLES
+    _cap("t", 2 * samples, _MAX_SAMPLE_FLOATS, f"floats ({samples} samples of 2)")
     try:
         demo = simulate.simulate_scalar_cps_demo(cfg.a, cfg.kp, cfg.x0[0], cfg.dt, cfg.horizon)
     except StepsizeTooLarge as exc:
         _write_report(outdir, "report.txt", f"task: cps-demo\nverdict: stepsize too large\n{exc}")
         print(f"stepsize too large: {exc}")
         return 1
-    rows = [[t, x] for t, x in zip(demo.times, demo.x)]
-    emit_plot_data([("trajectory.csv", ["t", "x_1"], rows)], outdir)
-    v = demo.verdict
+    emit_plot_data([("trajectory.csv", ["t", "x_1"], zip(demo.times, demo.x))], outdir)
     lines = [
         "task: cps-demo",
-        f"stepsize bound: {_fmt(v.stepsize_bound)}",
-        f"one-step factor: {_fmt(v.factor)}",
-        f"cyber strictly decreasing: {v.strictly_decreasing}",
-        f"first-interval decay bound: {v.decay_bound_ok}",
-        f"sign preserved: {v.same_sign}",
+        f"stepsize bound: {_fmt(demo.stepsize_bound)}",
+        f"one-step factor: {_fmt(demo.factor)}",
+        f"cyber strictly decreasing: {demo.strictly_decreasing}",
+        f"first-interval decay bound: {demo.decay_bound_ok}",
+        f"sign preserved: {demo.same_sign}",
     ]
     _report(outdir, lines)
-    return 0 if v else 1
+    return 0 if demo else 1
 
 
 _DISPATCH = {
@@ -446,7 +456,7 @@ def run(config_path: str | Path, overrides: dict | None = None) -> int:
                              ("out", "outdir", str)):
         if overrides.get(key) is not None:
             setattr(cfg, field, cast(overrides[key]))
-    if cfg.task in ("simulate", "exponent", "converge"):
+    if cfg.task in _TIMED_TASKS:
         simulate.whole_steps(cfg.horizon, cfg.dt)
     outdir = Path(cfg.outdir)
     if overrides.get("dump_config"):

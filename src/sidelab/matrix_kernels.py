@@ -183,8 +183,8 @@ def solve_gated(factors: tuple[np.ndarray, np.ndarray], lhs: Callable[[np.ndarra
     its lu_factors, mirror p into the lower triangle, then gate the residual
     lhs(P) + Q of the defining equation, which lhs evaluates by plain matrix
     products independent of the vectorized operator.  Raises
-    SingularOperator at a zero pivot or when the residual exceeds
-    DEFAULT_RTOL * ||Q||."""
+    SingularOperator at a zero pivot or unless the residual is within
+    DEFAULT_RTOL * ||Q|| (a NaN residual is not)."""
     import scipy.linalg
 
     lu = factors[0]
@@ -198,9 +198,11 @@ def solve_gated(factors: tuple[np.ndarray, np.ndarray], lhs: Callable[[np.ndarra
     p = np.empty_like(q)
     p[i, j] = tri
     p[j, i] = tri
-    res = float(np.linalg.norm(lhs(p) + q))
+    # a P out of the float range gives an inf or NaN residual, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = float(np.linalg.norm(lhs(p) + q))
     ref = max(float(np.linalg.norm(q)), np.finfo(float).tiny)
-    if res > DEFAULT_RTOL * ref:
+    if not res <= DEFAULT_RTOL * ref:
         raise SingularOperator(
             f"residual {res:.3e} exceeds {DEFAULT_RTOL:.1e} * ||Q||; "
             "operator is singular beyond tolerance (stability boundary)"

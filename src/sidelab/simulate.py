@@ -298,28 +298,26 @@ def exact_gbm(lam: float, mu: float, x0: float, times, brownian) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ScalarCpsVerdict:
-    """Checks reported by the scalar controller demo."""
-
-    strictly_decreasing: bool
-    decay_bound_ok: bool
-    same_sign: bool
-    factor: float
-    stepsize_bound: float
-
-    def __bool__(self) -> bool:
-        return self.strictly_decreasing and self.decay_bound_ok and self.same_sign
-
-
-@dataclass(frozen=True)
 class ScalarCpsDemo:
-    """Exact trajectory of the scalar controller loop plus its verdict."""
+    """Exact trajectory of the scalar controller loop and its checks.
+
+    X_k = x0 factor^k and x(t_k + s) = X_k shape(s), so each check reads the
+    one-step factor and the shape at the sample offsets, never the samples,
+    which underflow to 0 at long horizons; each holds when x0 = 0.
+    """
 
     times: np.ndarray
     x: np.ndarray
     cyber: np.ndarray  # X_0 .. X_K
     dt: float
-    verdict: ScalarCpsVerdict
+    factor: float
+    stepsize_bound: float
+    strictly_decreasing: bool  # |factor| < 1
+    decay_bound_ok: bool       # |factor| <= e^{-(k_p - a) dt}, to a relative 1e-12
+    same_sign: bool            # factor > 0 and shape > 0 at every sample offset
+
+    def __bool__(self) -> bool:
+        return self.strictly_decreasing and self.decay_bound_ok and self.same_sign
 
 
 def simulate_scalar_cps_demo(
@@ -335,7 +333,8 @@ def simulate_scalar_cps_demo(
     Integrates the piecewise-linear ODE exactly; the held state obeys
     X_{k+1} = (k_p/a - (k_p - a)/a * e^{a dt}) X_k and coincides with the
     plant state at the update times.  Requires finite a > 0, k_p > a and x0
-    (else ValueError) and dt < (1/a) ln(k_p / (k_p - a)) (else StepsizeTooLarge).
+    (else ValueError), dt < (1/a) ln(k_p / (k_p - a)) (else StepsizeTooLarge)
+    and T a whole number of steps dt (`whole_steps`, else ValueError).
     """
     if not 0 < a < math.inf:
         raise ValueError("a must be positive and finite")
@@ -352,7 +351,7 @@ def simulate_scalar_cps_demo(
         raise StepsizeTooLarge(
             f"dt={dt:.12g} is not below the admissible bound {bound:.12g}"
         )
-    n_intervals = max(1, int(math.ceil(T / dt - _TIME_RTOL)))
+    n_intervals = whole_steps(T, dt)
     factor = k_p / a - (k_p - a) / a * math.exp(a * dt)
     cyber = x0 * factor ** np.arange(n_intervals + 1)
 
@@ -362,27 +361,13 @@ def simulate_scalar_cps_demo(
     times = np.concatenate([[0.0], ((np.arange(n_intervals) * dt)[:, None] + offsets).ravel()])
     xvals = np.concatenate([[x0], (cyber[:-1, None] * shape).ravel()])
 
-    abs_cyber = np.abs(cyber)
-    if x0 == 0.0:
-        strictly_decreasing = True
-        same_sign = True
-        decay_ok = True
-    else:
-        strictly_decreasing = bool(np.all(abs_cyber[1:] < abs_cyber[:-1]))
-        sign = math.copysign(1.0, x0)
-        same_sign = bool(np.all(np.sign(cyber) == sign)) and bool(
-            np.all(np.sign(xvals[times <= dt + _TIME_RTOL]) == sign)
-        )
-        decay_ok = abs(cyber[1]) <= abs(x0) * math.exp(-(k_p - a) * dt) * (1.0 + 1e-12)
-
-    verdict = ScalarCpsVerdict(
-        strictly_decreasing=strictly_decreasing,
-        decay_bound_ok=decay_ok,
-        same_sign=same_sign,
-        factor=factor,
-        stepsize_bound=bound,
+    zero = x0 == 0.0
+    return ScalarCpsDemo(
+        times=times, x=xvals, cyber=cyber, dt=dt, factor=factor, stepsize_bound=bound,
+        strictly_decreasing=zero or abs(factor) < 1.0,
+        decay_bound_ok=zero or abs(factor) <= math.exp(-(k_p - a) * dt) * (1.0 + 1e-12),
+        same_sign=zero or (factor > 0.0 and bool((shape > 0.0).all())),
     )
-    return ScalarCpsDemo(times=times, x=xvals, cyber=cyber, dt=dt, verdict=verdict)
 
 
 def trajectory_rows(traj: HybridTrajectory) -> tuple[list[str], list[list[float]]]:

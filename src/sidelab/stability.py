@@ -112,11 +112,6 @@ def cp_lyapunov_feasible(sde: LinearSde, dt_bar: float) -> StabilityCertificate:
         lambda p: ct_form(sde.stack, p, dt_bar))
 
 
-def lyapunov_ito_feasible(sde: LinearSde) -> StabilityCertificate:
-    """Classical mean-square stability test: dt_bar = 0 case of the above."""
-    return cp_lyapunov_feasible(sde, 0.0)
-
-
 def discrete_ms_stable(sde: LinearSde, dt: float) -> StabilityCertificate:
     """Mean-square stability of the explicit one-step scheme at stepsize dt.
 

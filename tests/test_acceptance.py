@@ -28,7 +28,6 @@ from sidelab.stability import (
     check_thm6,
     cp_lyapunov_feasible,
     discrete_ms_stable,
-    lyapunov_ito_feasible,
     max_stepsize,
     scalar_max_stepsize,
 )
@@ -86,7 +85,7 @@ def test_criterion_2_equivalence_chain():
         rng = np.random.default_rng(2024)
         for _ in range(50):
             sde = seeded_stable_sde(rng)
-            assert lyapunov_ito_feasible(sde).feasible
+            assert cp_lyapunov_feasible(sde, 0.0).feasible
             bound = max_stepsize(sde)
             assert bound is not None and bound > 0.0
             dt = 0.99 * bound
@@ -98,7 +97,7 @@ def test_criterion_2_equivalence_chain():
         rng_bad = np.random.default_rng(77)
         for _ in range(10):
             sde = seeded_unstable_sde(rng_bad)
-            assert not lyapunov_ito_feasible(sde).feasible
+            assert not cp_lyapunov_feasible(sde, 0.0).feasible
             assert max_stepsize(sde) is None
             eye = np.eye(sde.dim)
             for dt in (0.05, 0.3):
@@ -154,7 +153,7 @@ def test_criterion_5_pathwise_moment_gap():
         assert abs(est.slope - (-0.4)) <= 0.1
         assert scalar_max_stepsize(0.1, 1.0) is None
         stable = LinearSde.scalar(-1.0, 0.5)
-        assert lyapunov_ito_feasible(stable).feasible
+        assert cp_lyapunov_feasible(stable, 0.0).feasible
         est_stable = as_exponent(stable, [1.0], 2000, 5.0, 1e-3, seed=5)
         assert est_stable.slope + 3.0 * est_stable.stderr < 0.0
 
@@ -189,7 +188,7 @@ def test_criterion_7_plateau_identity():
 def test_criterion_8_scalar_controller_demo():
     with criterion(8, "sampled-feedback controller demo", limit_s=1.0):
         demo = simulate_scalar_cps_demo(1.0, 2.0, 1.0, 0.5, 10.0)
-        assert demo.verdict.stepsize_bound == pytest.approx(math.log(2.0), rel=1e-12)
+        assert demo.stepsize_bound == pytest.approx(math.log(2.0), rel=1e-12)
         assert demo.cyber[1] == pytest.approx(2.0 - math.exp(0.5), rel=1e-12)
         assert len(demo.cyber) >= 21
         mags = np.abs(demo.cyber[:21])

@@ -54,6 +54,21 @@ dir = {out}
 
 STABLE = {"f": "-1 0.5 ; 0.2 -2", "noise": "g1 = 0.3 0.1 ; 0 0.2"}
 
+#: [system] blocks of the memory cap tests
+SCALAR_SYSTEM = "kind = scalar\nlambda = -1\nmu = 0.5"
+CONTROLLER_SYSTEM = "kind = controller\na = 1\nkp = 2"
+CAP_SYSTEMS = {
+    "cps-demo": CONTROLLER_SYSTEM,
+    "analyze": f"kind = linear\nf = {STABLE['f']}\n{STABLE['noise']}",
+    "max-stepsize": f"kind = linear\nf = {STABLE['f']}\n{STABLE['noise']}",
+}
+
+
+def diagonal_system(n: int) -> str:
+    """A linear system with drift -I of dimension n and no noise."""
+    rows = (" ".join("-1" if j == i else "0" for j in range(n)) for i in range(n))
+    return "kind = linear\nf = " + " ; ".join(rows)
+
 
 def run_cli(cfg):
     """Run the CLI in a fresh interpreter; returns the finished process."""
@@ -389,25 +404,33 @@ class TestExitCodes:
         assert done.stderr == ""
         assert "diverged: state overflowed at substep 74" in done.stdout
 
-    @pytest.mark.parametrize("task, numeric, message", [
-        ("simulate", "dt = 0.5\nt = 1\nsubsteps = 1000000000000\n",
+    @pytest.mark.parametrize("task, system, numeric, message", [
+        ("simulate", SCALAR_SYSTEM, "dt = 0.5\nt = 1\nsubsteps = 1000000000000\n",
          "key 'substeps' in [numeric]: the task would hold 12000000000018 floats (2000000000003 samples of 6), "
          "past the cap of 8388608"),
-        ("simulate", "dt = 0.5\nt = 1000000\nsubsteps = 2\n",
+        ("simulate", SCALAR_SYSTEM, "dt = 0.5\nt = 1000000\nsubsteps = 2\n",
          "key 't' in [numeric]: the task would hold 36000006 floats (6000001 samples of 6), past the cap of 8388608"),
-        ("exponent", "dt = 0.05\nt = 1\ntrajectories = 1000000000000\n",
+        ("exponent", SCALAR_SYSTEM, "dt = 0.05\nt = 1\ntrajectories = 1000000000000\n",
          "key 'trajectories' in [numeric]: the task would hold 1000000000000 paths, past the cap of 8388608"),
-        ("exponent", "dt = 0.05\nt = 1000000\ntrajectories = 8\n",
+        ("exponent", SCALAR_SYSTEM, "dt = 0.05\nt = 1000000\ntrajectories = 8\n",
          "key 't' in [numeric]: the task would hold 20000000 steps of dt, past the cap of 4194304"),
-    ], ids=["simulate-substeps", "simulate-t", "exponent-trajectories", "exponent-t"])
-    def test_config_past_a_memory_cap_is_two(self, tmp_path, task, numeric, message):
+        ("cps-demo", CONTROLLER_SYSTEM, "dt = 0.1\nt = 1000000000\n",
+         "key 't' in [numeric]: the task would hold 320000000002 floats (160000000001 samples of 2), "
+         "past the cap of 8388608"),
+        ("analyze", diagonal_system(91), "dt_bar = 0.1\n",
+         "key 'f' in [system]: the task would hold 91 state dimensions, past the cap of 90"),
+        ("max-stepsize", diagonal_system(91), "",
+         "key 'f' in [system]: the task would hold 91 state dimensions, past the cap of 90"),
+    ], ids=["simulate-substeps", "simulate-t", "exponent-trajectories", "exponent-t", "cps-demo-t",
+            "analyze-f", "max-stepsize-f"])
+    def test_config_past_a_memory_cap_is_two(self, tmp_path, task, system, numeric, message):
         # terabytes of draws or of per-path sums, or hours of steps, are
         # refused before anything is allocated: the address space is capped
         # so that no host could grant them
         cfg = write(
             tmp_path,
             "m.ini",
-            f"[system]\nkind = scalar\nlambda = -1\nmu = 0.5\n\n[task]\nname = {task}\n\n"
+            f"[system]\n{system}\n\n[task]\nname = {task}\n\n"
             f"[numeric]\n{numeric}\n[output]\ndir = {tmp_path / 'o'}\n",
         )
         cap = 2 << 30
@@ -433,21 +456,30 @@ class TestExitCodes:
         ("exponent", "t = 10.0\ntrajectories = 9\n", ("_MAX_TRAJECTORIES", 8), "trajectories"),
         ("exponent", "t = 10.0\ntrajectories = 8\n", ("_MAX_STEPS", 20), None),
         ("exponent", "t = 10.5\ntrajectories = 8\n", ("_MAX_STEPS", 20), "t"),
+        # 2 intervals of 16 samples and the start: 33 samples of t and x
+        ("cps-demo", "t = 1.0\n", ("_MAX_SAMPLE_FLOATS", 66), None),
+        ("cps-demo", "t = 1.5\n", ("_MAX_SAMPLE_FLOATS", 66), "t"),
+        # the 2-dimensional system of CAP_SYSTEMS
+        ("analyze", "dt_bar = 0.1\n", ("_MAX_CERTIFICATE_DIM", 2), None),
+        ("analyze", "dt_bar = 0.1\n", ("_MAX_CERTIFICATE_DIM", 1), "f"),
+        ("max-stepsize", "", ("_MAX_CERTIFICATE_DIM", 2), None),
+        ("max-stepsize", "", ("_MAX_CERTIFICATE_DIM", 1), "f"),
     ])
     def test_memory_caps_admit_their_bound(self, tmp_path, capsys, monkeypatch, task, numeric, cap, key):
         monkeypatch.setattr(cli, *cap)
         cfg = write(
             tmp_path,
             "b.ini",
-            f"[system]\nkind = scalar\nlambda = -1\nmu = 0.5\n\n[task]\nname = {task}\n\n"
+            f"[system]\n{CAP_SYSTEMS.get(task, SCALAR_SYSTEM)}\n\n[task]\nname = {task}\n\n"
             f"[numeric]\ndt = 0.5\n{numeric}\n[output]\ndir = {tmp_path / 'o'}\n",
         )
         code = main(["--config", cfg])
         err = capsys.readouterr().err
+        section = "system" if key == "f" else "numeric"
         if key is None:
             assert code in (0, 1) and err == ""
         else:
-            assert code == 2 and err.startswith(f"config error: key '{key}' in [numeric]: the task would hold ")
+            assert code == 2 and err.startswith(f"config error: key '{key}' in [{section}]: the task would hold ")
             assert f"past the cap of {cap[1]}\n" in err
             assert not (tmp_path / "o").exists()
 
@@ -473,6 +505,18 @@ class TestExitCodes:
         assert done.returncode == 1
         assert done.stderr == ""
         assert "verdict: infeasible" in done.stdout and "boundary" in done.stdout
+
+    @pytest.mark.parametrize("task, verdict", [
+        ("analyze", "detail: boundary: residual nan exceeds"),
+        ("max-stepsize", "verdict: infeasible (unstable base system)"),
+    ])
+    def test_nan_residual_is_a_boundary_without_warnings(self, tmp_path, task, verdict):
+        # the solve's P overflows, its residual is NaN, and a NaN once passed the gate
+        f = "-1e-300 0 ; 1e300 -1e-300"
+        cfg = write(tmp_path, "r.ini", LINEAR.format(f=f, noise="", task=task, out=tmp_path / "o"))
+        done = run_cli(cfg)
+        assert (done.returncode, done.stderr) == (1, "")
+        assert verdict in done.stdout
 
     def test_arnoldi_no_convergence_is_an_error(self, tmp_path, capsys, monkeypatch):
         def stalled(*args, **kwargs):
@@ -527,7 +571,7 @@ class TestExitCodes:
             tmp_path,
             "d.ini",
             "[system]\nkind = controller\na = 1\nkp = 2\n\n[task]\nname = cps-demo\n\n"
-            f"[numeric]\nx0 = 1\ndt = 0.8\nt = 5\n\n[output]\ndir = {tmp_path/'o'}\n",
+            f"[numeric]\nx0 = 1\ndt = 0.8\nt = 4\n\n[output]\ndir = {tmp_path/'o'}\n",
         )
         assert main(["--config", cfg]) == 1
 
@@ -554,6 +598,32 @@ class TestExitCodes:
         )
         assert main(["--config", cfg]) == 0
         assert (tmp_path / "o" / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("x0", ["1", "-1"])
+    def test_cps_demo_at_a_long_horizon_is_zero(self, tmp_path, capsys, x0):
+        # X_k underflows to 0 near t = 670: the checks read the one-step factor, not the samples
+        cfg = write(
+            tmp_path,
+            "d.ini",
+            f"[system]\n{CONTROLLER_SYSTEM}\n\n[task]\nname = cps-demo\n\n"
+            f"[numeric]\nx0 = {x0}\ndt = 0.1\nt = 1000\n\n[output]\ndir = {tmp_path/'o'}\n",
+        )
+        assert main(["--config", cfg]) == 0
+        out = capsys.readouterr().out
+        for check in ("cyber strictly decreasing", "first-interval decay bound", "sign preserved"):
+            assert f"\n{check}: True\n" in out
+
+    def test_cps_demo_horizon_of_no_whole_steps_is_two(self, tmp_path, capsys):
+        # 1.05 / 0.1 intervals were once rounded up, with samples past the horizon
+        cfg = write(
+            tmp_path,
+            "d.ini",
+            f"[system]\n{CONTROLLER_SYSTEM}\n\n[task]\nname = cps-demo\n\n"
+            f"[numeric]\nx0 = 1\ndt = 0.1\nt = 1.05\n\n[output]\ndir = {tmp_path/'o'}\n",
+        )
+        assert main(["--config", cfg]) == 2
+        assert capsys.readouterr().err == "invalid input: horizon t=1.05 is not a whole number of steps dt=0.1\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestArtifacts:
@@ -683,7 +753,8 @@ class TestArtifacts:
 class TestPublicNames:
     # the names `sidelab.__all__` listed before the import block became the
     # only list, less `NoisePlan`, which the library no longer builds, and
-    # less the Lipschitz spot check, deleted with the constants it checked
+    # less the Lipschitz spot check, deleted with the constants it checked,
+    # and less `lyapunov_ito_feasible`, an alias of cp_lyapunov_feasible(sde, 0.0)
     NAMES = [
         "cli", "errors", "estimate", "matrix_kernels", "models", "noise", "simulate", "stability",
         "ConvergenceStudy", "Ensemble", "ExponentEstimate", "as_exponent", "moment_exponent",
@@ -695,12 +766,12 @@ class TestPublicNames:
         "simulate_cps", "simulate_scalar_cps_demo", "simulate_side",
         "ConditionConstants", "StabilityCertificate", "check_thm1", "check_thm2", "check_thm4",
         "check_thm5", "check_thm6", "cp_lyapunov_feasible", "discrete_ms_stable",
-        "lyapunov_ito_feasible", "max_stepsize", "quadratic_condition_constants",
+        "max_stepsize", "quadratic_condition_constants",
         "scalar_max_stepsize", "stepsize_certificate",
     ]
 
     def test_package_exposes_every_public_name(self):
-        assert len(set(self.NAMES)) == 46
+        assert len(set(self.NAMES)) == 45
         assert sorted(name for name in dir(sidelab) if not name.startswith("_")) == sorted(self.NAMES)
 
     def test_star_import_exposes_them(self):

@@ -22,7 +22,7 @@ from sidelab.estimate import (
 from sidelab.models import LinearSde, VectorFieldSde, make_cps
 from sidelab.noise import NoisePlan, block_slots
 from sidelab.simulate import euler_maruyama, exact_gbm
-from sidelab.stability import discrete_ms_stable, lyapunov_ito_feasible
+from sidelab.stability import cp_lyapunov_feasible, discrete_ms_stable
 
 GBM = LinearSde.scalar(-1.0, 0.5)
 
@@ -101,7 +101,7 @@ class TestAsExponent:
         est = as_exponent(gap, [1.0], 1000, 5.0, 1e-3, seed=3)
         assert est.slope == pytest.approx(0.1 - 0.5, abs=0.1)
         # while the second moment grows: 2 lam + mu^2 > 0
-        assert lyapunov_ito_feasible(gap).feasible is False
+        assert cp_lyapunov_feasible(gap, 0.0).feasible is False
 
     def test_zero_start(self):
         est = as_exponent(GBM, [0.0], 64, 1.0, 0.01, seed=0)
@@ -110,7 +110,7 @@ class TestAsExponent:
     def test_certified_stable_is_negative_at_three_sigma(self):
         for lam, mu, seed in ((-1.0, 0.5, 4), (-2.0, 1.0, 5), (-0.8, 0.3, 6)):
             sde = LinearSde.scalar(lam, mu)
-            assert lyapunov_ito_feasible(sde).feasible
+            assert cp_lyapunov_feasible(sde, 0.0).feasible
             est = as_exponent(sde, [1.0], 400, 4.0, 2e-3, seed=seed)
             assert est.slope + 3.0 * est.stderr < 0.0
 

@@ -72,6 +72,7 @@ def test_import_leaves_heavy_modules_unloaded():
 _SCALAR = "[system]\nkind = scalar\nlambda = -1\nmu = 0.5\n\n[task]\nname = {task}\n\n[numeric]\n{numeric}\n"
 _LINEAR = "[system]\nkind = linear\nf = {f}\n{noise}\n\n[task]\nname = {task}\n\n[numeric]\n{numeric}\n"
 _NOISE = "g1 = 0.3 0.1 ; 0 0.2"
+_CONTROLLER = "[system]\nkind = controller\na = 1\nkp = 2\n\n[task]\nname = {task}\n\n[numeric]\n{numeric}\n"
 
 
 def _configs(tmp_path, cases) -> list[str]:
@@ -84,14 +85,16 @@ def _configs(tmp_path, cases) -> list[str]:
 
 
 def test_random_tasks_never_load_scipy_linalg(tmp_path):
-    # `simulate`, `exponent` and `converge` only step the scheme; a module
-    # that imports scipy.linalg at its top on their path fails here
+    # `simulate`, `exponent` and `converge` only step the scheme, and
+    # `cps-demo` evaluates a closed form; a module that imports scipy.linalg
+    # at its top on their path fails here
     configs = _configs(tmp_path, [
         (_SCALAR, dict(task="simulate", numeric="dt = 0.5\nt = 2.0\nsubsteps = 4")),
         (_LINEAR, dict(f="-1 0.5 ; 0.2 -2", noise=_NOISE, task="simulate",
                        numeric="x0 = 1 -1\ndt = 0.5\nt = 1.0\ndriving = brownian")),
         (_SCALAR, dict(task="exponent", numeric="dt = 0.05\nt = 1.0\ntrajectories = 8")),
         (_SCALAR, dict(task="converge", numeric="dt = 0.125\nt = 1.0\ntrajectories = 8\nlevels = 2")),
+        (_CONTROLLER, dict(task="cps-demo", numeric="dt = 0.5\nt = 5.0")),
     ])
     code = (
         "import sys; from sidelab.cli import main\n"
@@ -100,7 +103,7 @@ def test_random_tasks_never_load_scipy_linalg(tmp_path):
     )
     done = _fresh(code, *configs)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] False"
     assert all((tmp_path / f"o{k}" / "report.txt").exists() for k in range(len(configs)))
 
 

@@ -83,6 +83,14 @@ class TestContinuousSolver:
             p_full = full_space_solve(terms, q)
             assert np.linalg.norm(p - p_full) <= 1e-9 * np.linalg.norm(p_full)
 
+    def test_nan_residual_is_singular_without_warning(self):
+        # P holds inf, so the residual is NaN, which a `res > tol` gate let through
+        f = np.array([[-1e-300, 0.0], [1e300, -1e-300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularOperator, match="residual nan"):
+                solve_ct_lyapunov(f, [], 0.0, np.eye(2))
+
 
 class TestDiscreteSolver:
     def test_scalar_no_noise(self):

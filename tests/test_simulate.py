@@ -461,7 +461,7 @@ class TestExactGbm:
 class TestScalarCpsDemo:
     def test_admissible_bound_value(self):
         demo = simulate_scalar_cps_demo(1.0, 2.0, 1.0, 0.5, 10.0)
-        assert demo.verdict.stepsize_bound == pytest.approx(math.log(2.0), rel=1e-12)
+        assert demo.stepsize_bound == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_first_iterate_to_twelve_digits(self):
         demo = simulate_scalar_cps_demo(1.0, 2.0, 1.0, 0.5, 10.0)
@@ -469,18 +469,31 @@ class TestScalarCpsDemo:
 
     def test_decreasing_and_bounded(self):
         demo = simulate_scalar_cps_demo(1.0, 2.0, 1.0, 0.5, 10.0)
-        assert demo.verdict.strictly_decreasing
+        assert demo.strictly_decreasing
         assert abs(demo.cyber[1]) <= math.exp(-0.5)
-        assert demo.verdict.decay_bound_ok and demo.verdict.same_sign
+        assert demo.decay_bound_ok and demo.same_sign
 
     def test_zero_start_stays_zero(self):
         demo = simulate_scalar_cps_demo(1.0, 2.0, 0.0, 0.5, 5.0)
         assert np.all(demo.cyber == 0.0) and np.all(demo.x == 0.0)
-        assert bool(demo.verdict)
+        assert bool(demo)
 
     def test_stepsize_too_large(self):
         with pytest.raises(StepsizeTooLarge):
             simulate_scalar_cps_demo(1.0, 2.0, 1.0, 0.8, 5.0)
+
+    @pytest.mark.parametrize("x0", [1.0, -1.0])
+    def test_checks_hold_after_the_iterates_underflow(self, x0):
+        # |X_k| falls below the smallest float near t = 670
+        demo = simulate_scalar_cps_demo(1.0, 2.0, x0, 0.1, 1000.0)
+        assert demo.cyber[-1] == 0.0 and demo.factor == 2.0 - math.exp(0.1)
+        assert demo.strictly_decreasing and demo.decay_bound_ok and demo.same_sign
+
+    def test_horizon_is_whole_steps(self):
+        demo = simulate_scalar_cps_demo(1.0, 2.0, 1.0, 0.1, 1.0)
+        assert demo.cyber.shape == (11,) and demo.times[-1] == pytest.approx(1.0, rel=1e-15)
+        with pytest.raises(ValueError, match="not a whole number of steps"):
+            simulate_scalar_cps_demo(1.0, 2.0, 1.0, 0.1, 1.05)
 
     def test_cyber_matches_plant_at_updates(self):
         demo = simulate_scalar_cps_demo(1.0, 2.0, 1.0, 0.5, 3.0)

@@ -18,7 +18,6 @@ from sidelab.stability import (
     check_thm6,
     cp_lyapunov_feasible,
     discrete_ms_stable,
-    lyapunov_ito_feasible,
     max_stepsize,
     quadratic_condition_constants,
     scalar_max_stepsize,
@@ -76,17 +75,17 @@ def abscissa(sde, dt_bar):
 
 class TestLyapunovIto:
     def test_stable_identity_drift(self):
-        cert = lyapunov_ito_feasible(LinearSde(-np.eye(2)))
+        cert = cp_lyapunov_feasible(LinearSde(-np.eye(2)), 0.0)
         assert cert.feasible
         assert np.allclose(cert.p, 0.5 * np.eye(2), rtol=1e-12)
         assert cert.margin > 0
 
     def test_unstable_scalar(self):
-        cert = lyapunov_ito_feasible(LinearSde(np.array([[1.0]])))
+        cert = cp_lyapunov_feasible(LinearSde(np.array([[1.0]])), 0.0)
         assert not cert.feasible and cert.p is None
 
     def test_noise_boundary(self):
-        cert = lyapunov_ito_feasible(LinearSde.scalar(-1.0, math.sqrt(2.0)))
+        cert = cp_lyapunov_feasible(LinearSde.scalar(-1.0, math.sqrt(2.0)), 0.0)
         assert not cert.feasible
 
 
@@ -111,13 +110,14 @@ class TestCpLyapunov:
         assert not cp_lyapunov_feasible(SCALAR, 0.5).feasible
 
     def test_zero_reduces_to_classical(self):
+        # the classical test: the generator of E[x x'] on all n x n matrices,
+        # F (x) I + I (x) F + sum G (x) G, has its spectrum in the open left half-plane
         rng = np.random.default_rng(0)
         for _ in range(10):
             sde = random_stable_sde(rng) if rng.random() < 0.5 else random_unstable_sde(rng)
-            assert (
-                cp_lyapunov_feasible(sde, 0.0).feasible
-                == lyapunov_ito_feasible(sde).feasible
-            )
+            f, eye = sde.drift_matrix, np.eye(sde.dim)
+            gen = np.kron(f, eye) + np.kron(eye, f) + sum(np.kron(g, g) for g in sde.noise_matrices)
+            assert cp_lyapunov_feasible(sde, 0.0).feasible == (np.linalg.eigvals(gen).real.max() < 0)
 
     def test_monotone_in_dt_bar(self):
         rng = np.random.default_rng(8)
@@ -518,7 +518,7 @@ class TestEquivalenceChain:
         rng = np.random.default_rng(123)
         for _ in range(50):
             sde = random_stable_sde(rng)
-            assert lyapunov_ito_feasible(sde).feasible
+            assert cp_lyapunov_feasible(sde, 0.0).feasible
             bound = max_stepsize(sde)
             assert bound is not None and bound > 0
             for frac in (0.25, 0.5, 0.99):
@@ -542,14 +542,14 @@ class TestEquivalenceChain:
             thm6 = check_thm6(sde, cert.p, dt)
             assert thm6.passed
             assert check_thm5(sde, cert.p, dt).passed
-            assert lyapunov_ito_feasible(sde).feasible
+            assert cp_lyapunov_feasible(sde, 0.0).feasible
 
     def test_unstable_family_fails_every_link(self):
         # any P < 0 witness at any link would certify stability, a contradiction
         rng = np.random.default_rng(999)
         for _ in range(10):
             sde = random_unstable_sde(rng)
-            assert not lyapunov_ito_feasible(sde).feasible
+            assert not cp_lyapunov_feasible(sde, 0.0).feasible
             assert max_stepsize(sde) is None
             eye = np.eye(sde.dim)
             for dt in (0.01, 0.1, 0.5):
