@@ -4,16 +4,19 @@ Config files are flat INI: bracketed sections [system], [task], [numeric],
 [output], one key = value per line, matrix rows inline separated by ';'.
 [system] must name its `kind` (scalar, linear or controller) and give that
 kind's keys; every [numeric] and [output] key is optional and defaults to its
-RunConfig field.  [system], [task] and [output] reject a key they do not
-read (a linear system reads g1, g2, ... up to the first gap), so a typo
-cannot silently leave a default in place.  [numeric] `driving` (xi or
-brownian) is read by `simulate` only; `exponent` takes xi, its one stream,
-and exits 2 on brownian.
+RunConfig field.  Every section rejects a key it does not read (a linear
+system reads g1, g2, ... up to the first gap), so a typo cannot silently
+leave a default in place; [numeric] still accepts the retired `tol`, which
+no task reads.  [numeric] `driving` (xi or brownian) is read by `simulate`
+only; `exponent` takes xi, its one stream, and exits 2 on brownian.
+Each task returns its exit code and its report lines; `run` writes them to
+report.txt under a `task:` line and prints the same text, for every outcome.
 Exit codes: 0 stable/feasible or simulation completed, 1 certified
-infeasible/unstable or a failed run (out of memory among them, reported as
-`error: out of memory: ...`), 2 invalid input (a config past a fixed cap on
-what its task holds in memory among them, named by its key: `t`, `substeps`
-or `trajectories` of a timed task, `f` of `analyze` or `max-stepsize`).  All
+infeasible/unstable or a failed run (a diverged `simulate`, a `converge`
+whose error is not finite at some level, out of memory, the last reported as
+`error: out of memory: ...`), 2 invalid input (a config past a fixed cap
+among them, named by its key: `t`, `substeps` or `trajectories` of a timed
+task, `levels` of `converge`, `f` of `analyze` or `max-stepsize`).  All
 numeric output in reports is printed with 12 significant digits; CSV cells
 use full-precision repr so identical configs produce byte-identical
 artifacts.
@@ -46,6 +49,8 @@ from .models import LinearSde
 #: and `max-stepsize` build their operator from terms of n(n+1)/2 x n x n
 #: floats (693 MiB at n = 90, dt_bar > 0 included).  A config at any cap
 #: peaks below 1 GB of resident memory, an exponent at both caps included.
+#: `converge` streams its paths and steps, so its memory is bounded anyway;
+#: its caps on paths and on the steps of its finest grid bound its work.
 _MAX_SAMPLE_FLOATS = 2**23
 _MAX_TRAJECTORIES = 2**23
 _MAX_STEPS = 2**22
@@ -176,8 +181,6 @@ def load_config(path: str | Path) -> RunConfig:
     if task not in TASKS:
         raise ConfigError(f"key 'name' in [task]: unknown task {task!r}, expected one of {TASKS}")
     _reject_unread(parser["task"], {"name"}, "task")
-    if parser.has_section("output"):
-        _reject_unread(parser["output"], _NUMERIC["output"], "output")
     system = parser["system"]
     kind = _get(system, "kind", str, "system")
     if kind not in _SYSTEM:
@@ -196,6 +199,8 @@ def load_config(path: str | Path) -> RunConfig:
     _reject_unread(system, {"kind", *_SYSTEM[kind], *noise_keys}, "system")
     for name, keys in _NUMERIC.items():
         section = parser[name] if parser.has_section(name) else {}
+        # [numeric] tol is retired: older configs still set it, and no task reads it
+        _reject_unread([key for key in section if (name, key) != ("numeric", "tol")], keys, name)
         for key, (field, parse) in keys.items():
             if key in section:
                 setattr(cfg, field, _get(section, key, parse, name))
@@ -261,13 +266,6 @@ def _write_report(outdir: Path, name: str, text: str) -> None:
     (outdir / name).write_text(text + "\n")
 
 
-def _report(outdir: Path, lines: list[str]) -> None:
-    """Write report.txt and print the same text."""
-    text = "\n".join(lines)
-    _write_report(outdir, "report.txt", text)
-    print(text)
-
-
 def _finest_stepsize(key: str, dt: float, divisor: int = 1, halvings: int = 0) -> float:
     """dt / divisor / 2**halvings, a stepsize that [numeric] `key` sets;
     ConfigError naming the key unless it is a positive float."""
@@ -287,40 +285,31 @@ def _cap(key: str, count: int, cap: int, unit: str, section: str = "numeric") ->
         raise ConfigError(f"key '{key}' in [{section}]: the task would hold {count} {unit}, past the cap of {cap}")
 
 
-def _task_analyze(cfg: RunConfig, outdir: Path) -> int:
+def _task_analyze(cfg: RunConfig, outdir: Path) -> tuple[int, list[str]]:
     sde = cfg.system()
     _cap("f", sde.dim, _MAX_CERTIFICATE_DIM, "state dimensions", "system")
     cert = stability.cp_lyapunov_feasible(sde, cfg.dt_bar)
     _write_report(outdir, "certificate.txt", cert.report())
-    lines = [f"task: analyze", f"dt_bar: {_fmt(cfg.dt_bar)}", cert.report()]
+    lines = [f"dt_bar: {_fmt(cfg.dt_bar)}", cert.report()]
     if (scalar := sde.scalar_coefficients) is not None:
         bound = stability.scalar_max_stepsize(*scalar)
         lines.append(
             "scalar closed-form stepsize bound: "
             + (_fmt(bound) if bound is not None else "infeasible")
         )
-    _report(outdir, lines)
-    return 0 if cert.feasible else 1
+    return (0 if cert.feasible else 1), lines
 
 
-def _task_max_stepsize(cfg: RunConfig, outdir: Path) -> int:
+def _task_max_stepsize(cfg: RunConfig, outdir: Path) -> tuple[int, list[str]]:
     sde = cfg.system()
     _cap("f", sde.dim, _MAX_CERTIFICATE_DIM, "state dimensions", "system")
-    bound, cert = stability.stepsize_certificate(sde)
-    lines = ["task: max-stepsize"]
-    if bound is None:
-        lines.append("verdict: infeasible (unstable base system)")
-        code = 1
-    else:
-        lines.append(f"max stepsize: {_fmt(bound)}")
-        lines.append(cert.report())
-        _write_report(outdir, "certificate.txt", cert.report())
-        code = 0
-    _report(outdir, lines)
-    return code
+    bound, cert = stability.stepsize_certificate(sde)  # bound is None iff cert is infeasible
+    _write_report(outdir, "certificate.txt", cert.report())
+    bound_line = [] if bound is None else [f"max stepsize: {_fmt(bound)}"]
+    return (0 if cert.feasible else 1), [*bound_line, cert.report()]
 
 
-def _task_simulate(cfg: RunConfig, outdir: Path) -> int:
+def _task_simulate(cfg: RunConfig, outdir: Path) -> tuple[int, list[str]]:
     sde = cfg.system()
     substeps = cfg.substeps if cfg.substeps is not None else 32
     if substeps < 1:
@@ -340,23 +329,19 @@ def _task_simulate(cfg: RunConfig, outdir: Path) -> int:
             inner_substeps=substeps, impulse_driving=cfg.driving,
         )
     except NonFinite as exc:
-        _write_report(outdir, "report.txt", f"task: simulate\nverdict: diverged ({exc})")
-        print(f"diverged: {exc}")
-        return 1
+        return 1, [f"verdict: diverged ({exc})"]
     header, rows = simulate.trajectory_rows(run.hybrid)
     emit_plot_data([("trajectory.csv", header, rows)], outdir)
     final = run.cyber.states[-1]
     lines = [
-        "task: simulate",
         f"samples: {run.hybrid.samples}",
         f"impulses: {int(run.hybrid.impulse_flag.sum())}",
         "final iterate: " + " ".join(_fmt(v) for v in final),
     ]
-    _report(outdir, lines)
-    return 0
+    return 0, lines
 
 
-def _task_exponent(cfg: RunConfig, outdir: Path) -> int:
+def _task_exponent(cfg: RunConfig, outdir: Path) -> tuple[int, list[str]]:
     if cfg.driving != "xi":
         raise ConfigError(f"key 'driving' in [numeric]: task 'exponent' takes only xi, got {cfg.driving!r}")
     _cap("trajectories", cfg.trajectories, _MAX_TRAJECTORIES, "paths")
@@ -372,7 +357,6 @@ def _task_exponent(cfg: RunConfig, outdir: Path) -> int:
         outdir,
     )
     lines = [
-        "task: exponent",
         f"p: {_fmt(cfg.p)}",
         "moment exponent:",
         est.report(),
@@ -380,11 +364,10 @@ def _task_exponent(cfg: RunConfig, outdir: Path) -> int:
         pathwise.report(),
         f"diverged trajectories: {ens.diverged}",
     ]
-    _report(outdir, lines)
-    return 0 if est.slope < 0 else 1
+    return (0 if est.slope < 0 else 1), lines
 
 
-def _task_converge(cfg: RunConfig, outdir: Path) -> int:
+def _task_converge(cfg: RunConfig, outdir: Path) -> tuple[int, list[str]]:
     sde = cfg.system()
     if cfg.levels < 2:
         raise ConfigError("key 'levels' in [numeric]: converge needs at least 2 levels")
@@ -396,6 +379,11 @@ def _task_converge(cfg: RunConfig, outdir: Path) -> int:
     obs_level = observe.bit_length() - 1
     finest = _finest_stepsize("levels", cfg.dt, halvings=cfg.levels - 1)
     delta = _finest_stepsize("substeps", finest, observe)
+    _cap("trajectories", cfg.trajectories, _MAX_TRAJECTORIES, "paths")
+    # name t when even 2 levels and 2 substeps would pass the cap, levels when 2 substeps would
+    intervals = simulate.whole_steps(cfg.horizon, cfg.dt)
+    key = "t" if 4 * intervals > _MAX_STEPS else "levels" if intervals << cfg.levels > _MAX_STEPS else "substeps"
+    _cap(key, intervals << (cfg.levels - 1 + obs_level), _MAX_STEPS, "steps of its finest grid")
     study = estimate.strong_error_sup(
         sde, np.array(cfg.x0), cfg.horizon,
         range(obs_level, obs_level + cfg.levels), cfg.trajectories,
@@ -403,33 +391,31 @@ def _task_converge(cfg: RunConfig, outdir: Path) -> int:
     )
     header, rows = study.csv_rows()
     emit_plot_data([("errors.csv", header, rows)], outdir)
-    lines = ["task: converge", f"fitted order (log error vs log dt): {_fmt(study.slope)}"]
+    lines = [f"fitted order (log error vs log dt): {_fmt(study.slope)}"]
     for r in study.records:
         lines.append(f"level {r.level}: dt {_fmt(r.dt)} error {_fmt(r.error)} stderr {_fmt(r.stderr)}")
-    _report(outdir, lines)
-    return 0
+    overflowed = [r.level for r in study.records if not math.isfinite(r.error)]
+    if overflowed:
+        lines.append(f"verdict: diverged (error not finite at level {overflowed[0]})")
+    return (1 if overflowed else 0), lines
 
 
-def _task_cps_demo(cfg: RunConfig, outdir: Path) -> int:
+def _task_cps_demo(cfg: RunConfig, outdir: Path) -> tuple[int, list[str]]:
     samples = 1 + simulate.whole_steps(cfg.horizon, cfg.dt) * simulate._DEMO_SAMPLES
     _cap("t", 2 * samples, _MAX_SAMPLE_FLOATS, f"floats ({samples} samples of 2)")
     try:
         demo = simulate.simulate_scalar_cps_demo(cfg.a, cfg.kp, cfg.x0[0], cfg.dt, cfg.horizon)
     except StepsizeTooLarge as exc:
-        _write_report(outdir, "report.txt", f"task: cps-demo\nverdict: stepsize too large\n{exc}")
-        print(f"stepsize too large: {exc}")
-        return 1
+        return 1, ["verdict: stepsize too large", str(exc)]
     emit_plot_data([("trajectory.csv", ["t", "x_1"], zip(demo.times, demo.x))], outdir)
     lines = [
-        "task: cps-demo",
         f"stepsize bound: {_fmt(demo.stepsize_bound)}",
         f"one-step factor: {_fmt(demo.factor)}",
         f"cyber strictly decreasing: {demo.strictly_decreasing}",
         f"first-interval decay bound: {demo.decay_bound_ok}",
         f"sign preserved: {demo.same_sign}",
     ]
-    _report(outdir, lines)
-    return 0 if demo else 1
+    return (0 if demo else 1), lines
 
 
 _DISPATCH = {
@@ -444,7 +430,9 @@ TASKS = tuple(_DISPATCH)
 
 
 def run(config_path: str | Path, overrides: dict | None = None) -> int:
-    """Load a config, apply flag overrides, dispatch the task, write artifacts."""
+    """Load a config, apply flag overrides and dispatch the task, which writes
+    its CSVs and certificate; then write report.txt, the task's name and its
+    report lines, and print the same text.  Returns the task's exit code."""
     cfg = load_config(config_path)
     overrides = overrides or {}
     if overrides.get("task") is not None:
@@ -462,7 +450,11 @@ def run(config_path: str | Path, overrides: dict | None = None) -> int:
     if overrides.get("dump_config"):
         outdir.mkdir(parents=True, exist_ok=True)
         dump_config(cfg, outdir / "config.ini")
-    return _DISPATCH[cfg.task](cfg, outdir)
+    code, lines = _DISPATCH[cfg.task](cfg, outdir)
+    text = "\n".join([f"task: {cfg.task}", *lines])
+    _write_report(outdir, "report.txt", text)
+    print(text)
+    return code
 
 
 def main(argv=None) -> int:

@@ -155,12 +155,12 @@ def _ensemble_linear(sde: LinearSde, x0, p, trajectories, T, dt, seed) -> Ensemb
     for start in range(0, trajectories, _ENSEMBLE_BATCH):
         b = min(_ENSEMBLE_BATCH, trajectories - start)
         x = np.repeat(x0[:, None], b, axis=1)
-        nrm = np.sqrt(_sumsq(x))
-        moment_sum[0] += float(np.sum(nrm**p))
-        batch_sup = nrm**2
         norms = np.empty((block_slots(m, b), b))  # row k: the norms after step s + k + 1
         s = 0
         with np.errstate(over="ignore", invalid="ignore"):
+            nrm = np.sqrt(_sumsq(x))
+            moment_sum[0] += float(np.sum(nrm**p))
+            batch_sup = nrm**2
             for w in normal_blocks(seed, _IMPULSE_STREAM, range(start, start + b), n_steps, m, math.sqrt(dt)):
                 c = w.shape[0]
                 for k, x in enumerate(_linear_steps(sde.stack, x, dt, w)):
@@ -198,9 +198,9 @@ def _ensemble_looped(system, z0, p, trajectories, T, dt, seed, inner_substeps) -
         except NonFinite as err:
             raise NonFinite(f"trajectory {traj}: {err}", step=err.step) from err
         nrm = np.linalg.norm(states, axis=1)
-        moment_sum += nrm**p
-        sup_sq[traj] = float(np.max(nrm**2))
-        with np.errstate(divide="ignore"):
+        with np.errstate(over="ignore", divide="ignore"):
+            moment_sum += nrm**p
+            sup_sq[traj] = float(np.max(nrm**2))
             terminal_log[traj] = float(np.log(nrm[-1]))
     return Ensemble(times, trajectories, moment_sum, sup_sq, terminal_log)
 
@@ -265,7 +265,8 @@ def fit_moment_window(ens: Ensemble) -> tuple[ExponentEstimate, np.ndarray, np.n
         with np.errstate(divide="ignore"):
             return est, times, np.log(mean)
     log_mean = np.log(mean)
-    slope, stderr = _ols(times, log_mean)
+    with np.errstate(invalid="ignore"):  # an overflowed moment leaves log_mean inf, and the fit NaN
+        slope, stderr = _ols(times, log_mean)
     return ExponentEstimate(slope, (lo, hi), stderr, points), times, log_mean
 
 

@@ -19,7 +19,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PINNED = {
     "ensemble": "c7c0c9f5ed70823325eb2f989603846d5864d7a24fc458783b0f5ba8d3f138c0",
     "cps-trace": "7a3ca76277c95e1c83b69eb64d92e3a1f8089f14d7979ee8cf1de673a00880ae",
-    "certify": "7381be002d0421115a417c9ae14f3ab9ab1852328cb7312348e126a14916a13d",
+    "certify": "95633874665c37c0f145b1c3ca7c62f5621af76f53f3a201bad1c85f49e55b1f",
     "converge": "31380b443d17ba29886728f51b1c21cbdefe685aa7ae88cbeaaa5885a37b13d8",
 }
 

@@ -195,6 +195,17 @@ class TestConfigParsing:
         assert "unknown key 'format' in [output], which reads dir" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_unread_numeric_key_is_two_but_tol_loads(self, tmp_path, capsys):
+        cfg = write(tmp_path, "n.ini", "[system]\nkind = scalar\nlambda = -1\n\n[task]\nname = exponent\n\n"
+                    f"[numeric]\ndt = 0.05\nt = 1\ntrajectores = 50\n\n[output]\ndir = {tmp_path / 'o'}\n")
+        assert main(["--config", cfg]) == 2
+        assert "unknown key 'trajectores' in [numeric], which reads " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        # tol, which no task reads any more, still loads: older configs set it
+        cfg = write(tmp_path, "t.ini", Path(cfg).read_text().replace("trajectores = 50", "tol = 1e-06"))
+        assert load_config(cfg) == RunConfig(task="exponent", kind="scalar", lam=-1.0, dt=0.05, horizon=1.0,
+                                             outdir=str(tmp_path / "o"))
+
     def test_missing_kind_is_two(self, tmp_path, capsys):
         cfg = write(tmp_path, "k.ini", "[system]\nlambda = -1\n\n[task]\nname = analyze\n")
         assert main(["--config", cfg]) == 2
@@ -234,10 +245,36 @@ class TestExitCodes:
             f"[numeric]\ndt = 0.5\nt = 200\nsubsteps = 4\n\n[output]\ndir = {tmp_path / 'o'}\n",
         )
         assert main(["--config", cfg]) == 1
-        assert capsys.readouterr().out == "diverged: state overflowed at step 217\n"
-        report = (tmp_path / "o" / "report.txt").read_text()
-        assert report == "task: simulate\nverdict: diverged (state overflowed at step 217)\n"
+        report = "task: simulate\nverdict: diverged (state overflowed at step 217)\n"
+        assert capsys.readouterr().out == report
+        assert (tmp_path / "o" / "report.txt").read_text() == report
         assert not (tmp_path / "o" / "trajectory.csv").exists()
+
+    def test_converge_is_one_only_where_an_error_is_not_finite(self, tmp_path, capsys):
+        # every error is inf: an order fitted from them must not pass as convergence
+        cfg = write(
+            tmp_path,
+            "c.ini",
+            "[system]\nkind = scalar\nlambda = 200\nmu = 0.5\n\n[task]\nname = converge\n\n"
+            f"[numeric]\nx0 = 1\ndt = 0.5\nt = 8\nlevels = 2\ntrajectories = 4\n\n[output]\ndir = {tmp_path / 'o'}\n",
+        )
+        assert main(["--config", cfg]) == 1
+        report = (
+            "task: converge\n"
+            "fitted order (log error vs log dt): nan\n"
+            "level 1: dt 0.25 error inf stderr nan\n"
+            "level 2: dt 0.5 error inf stderr nan\n"
+            "verdict: diverged (error not finite at level 1)\n"
+        )
+        assert capsys.readouterr().out == report
+        assert (tmp_path / "o" / "report.txt").read_text() == report
+        # from the origin every error is exactly 0: no order can be fitted, and none is needed
+        cfg = write(tmp_path, "z.ini", Path(cfg).read_text().replace("lambda = 200", "lambda = -1")
+                    .replace("x0 = 1", "x0 = 0"))
+        assert main(["--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "fitted order (log error vs log dt): nan\n" in out and "verdict" not in out
+        assert out.count(" error 0 stderr 0\n") == 2
 
     def test_converge_with_one_level_is_two(self, tmp_path, capsys):
         cfg = write(
@@ -402,7 +439,24 @@ class TestExitCodes:
         done = run_cli(cfg)
         assert done.returncode == 1
         assert done.stderr == ""
-        assert "diverged: state overflowed at substep 74" in done.stdout
+        assert done.stdout == "task: simulate\nverdict: diverged (state overflowed at substep 74)\n"
+        assert (tmp_path / "o" / "report.txt").read_text() == done.stdout
+
+    def test_overflowing_moment_is_reported_without_warnings(self, tmp_path):
+        # |x|^1000 overflows from t = 0 on, and the fit of its inf log-mean is NaN
+        cfg = write(
+            tmp_path,
+            "p.ini",
+            f"[system]\n{SCALAR_SYSTEM}\n\n[task]\nname = exponent\n\n"
+            f"[numeric]\np = 1000\nx0 = 10\ndt = 0.05\nt = 2\ntrajectories = 8\n\n[output]\ndir = {tmp_path / 'o'}\n",
+        )
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "sidelab", "--config", cfg],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(sidelab.__file__).parents[1])},
+        )
+        assert (done.returncode, done.stderr) == (1, "")
+        assert "moment exponent:\nexponent: nan\nstderr: nan\n" in done.stdout
 
     @pytest.mark.parametrize("task, system, numeric, message", [
         ("simulate", SCALAR_SYSTEM, "dt = 0.5\nt = 1\nsubsteps = 1000000000000\n",
@@ -414,6 +468,11 @@ class TestExitCodes:
          "key 'trajectories' in [numeric]: the task would hold 1000000000000 paths, past the cap of 8388608"),
         ("exponent", SCALAR_SYSTEM, "dt = 0.05\nt = 1000000\ntrajectories = 8\n",
          "key 't' in [numeric]: the task would hold 20000000 steps of dt, past the cap of 4194304"),
+        ("converge", SCALAR_SYSTEM, "dt = 0.5\nt = 1\nlevels = 2\ntrajectories = 1000000000000\n",
+         "key 'trajectories' in [numeric]: the task would hold 1000000000000 paths, past the cap of 8388608"),
+        ("converge", SCALAR_SYSTEM, "dt = 0.5\nt = 1\nlevels = 40\ntrajectories = 8\n",
+         "key 'levels' in [numeric]: the task would hold 2199023255552 steps of its finest grid, "
+         "past the cap of 4194304"),
         ("cps-demo", CONTROLLER_SYSTEM, "dt = 0.1\nt = 1000000000\n",
          "key 't' in [numeric]: the task would hold 320000000002 floats (160000000001 samples of 2), "
          "past the cap of 8388608"),
@@ -421,7 +480,8 @@ class TestExitCodes:
          "key 'f' in [system]: the task would hold 91 state dimensions, past the cap of 90"),
         ("max-stepsize", diagonal_system(91), "",
          "key 'f' in [system]: the task would hold 91 state dimensions, past the cap of 90"),
-    ], ids=["simulate-substeps", "simulate-t", "exponent-trajectories", "exponent-t", "cps-demo-t",
+    ], ids=["simulate-substeps", "simulate-t", "exponent-trajectories", "exponent-t",
+            "converge-trajectories", "converge-levels", "cps-demo-t",
             "analyze-f", "max-stepsize-f"])
     def test_config_past_a_memory_cap_is_two(self, tmp_path, task, system, numeric, message):
         # terabytes of draws or of per-path sums, or hours of steps, are
@@ -456,6 +516,14 @@ class TestExitCodes:
         ("exponent", "t = 10.0\ntrajectories = 9\n", ("_MAX_TRAJECTORIES", 8), "trajectories"),
         ("exponent", "t = 10.0\ntrajectories = 8\n", ("_MAX_STEPS", 20), None),
         ("exponent", "t = 10.5\ntrajectories = 8\n", ("_MAX_STEPS", 20), "t"),
+        ("converge", "t = 1.0\ntrajectories = 8\nlevels = 2\n", ("_MAX_TRAJECTORIES", 8), None),
+        ("converge", "t = 1.0\ntrajectories = 9\nlevels = 2\n", ("_MAX_TRAJECTORIES", 8), "trajectories"),
+        # 2 intervals of 2 levels and 2 substeps: 8 steps on the finest grid
+        ("converge", "t = 1.0\ntrajectories = 8\nlevels = 2\n", ("_MAX_STEPS", 8), None),
+        ("converge", "t = 1.0\ntrajectories = 8\nlevels = 3\n", ("_MAX_STEPS", 8), "levels"),
+        ("converge", "t = 1.0\ntrajectories = 8\nlevels = 2\nsubsteps = 4\n", ("_MAX_STEPS", 8), "substeps"),
+        # 3 intervals would hold 12 steps even at 2 levels and 2 substeps
+        ("converge", "t = 1.5\ntrajectories = 8\nlevels = 2\n", ("_MAX_STEPS", 8), "t"),
         # 2 intervals of 16 samples and the start: 33 samples of t and x
         ("cps-demo", "t = 1.0\n", ("_MAX_SAMPLE_FLOATS", 66), None),
         ("cps-demo", "t = 1.5\n", ("_MAX_SAMPLE_FLOATS", 66), "t"),
@@ -508,7 +576,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("task, verdict", [
         ("analyze", "detail: boundary: residual nan exceeds"),
-        ("max-stepsize", "verdict: infeasible (unstable base system)"),
+        ("max-stepsize", "detail: boundary: residual nan exceeds"),
     ])
     def test_nan_residual_is_a_boundary_without_warnings(self, tmp_path, task, verdict):
         # the solve's P overflows, its residual is NaN, and a NaN once passed the gate
@@ -517,6 +585,19 @@ class TestExitCodes:
         done = run_cli(cfg)
         assert (done.returncode, done.stderr) == (1, "")
         assert verdict in done.stdout
+        assert (tmp_path / "o" / "report.txt").read_text() == done.stdout
+        assert "verdict: infeasible\n" in (tmp_path / "o" / "certificate.txt").read_text()
+
+    def test_max_stepsize_of_an_unstable_system_reports_its_certificate(self, tmp_path, capsys):
+        cfg = write(tmp_path, "u.ini", LINEAR.format(f="1 0 ; 0 -2", noise="", task="max-stepsize",
+                                                     out=tmp_path / "o"))
+        assert main(["--config", cfg]) == 1
+        certificate = (tmp_path / "o" / "certificate.txt").read_text()
+        assert certificate.startswith("verdict: infeasible\ndt_bar: 0\nmargin: ")
+        assert certificate.endswith("\ndetail: candidate P is not positive definite\n")
+        report = "task: max-stepsize\n" + certificate
+        assert capsys.readouterr().out == report
+        assert (tmp_path / "o" / "report.txt").read_text() == report
 
     def test_arnoldi_no_convergence_is_an_error(self, tmp_path, capsys, monkeypatch):
         def stalled(*args, **kwargs):
@@ -566,7 +647,7 @@ class TestExitCodes:
         assert done.stderr == ""
         assert "task: simulate" in done.stdout
 
-    def test_cps_demo_stepsize_too_large_is_one(self, tmp_path):
+    def test_cps_demo_stepsize_too_large_is_one(self, tmp_path, capsys):
         cfg = write(
             tmp_path,
             "d.ini",
@@ -574,6 +655,10 @@ class TestExitCodes:
             f"[numeric]\nx0 = 1\ndt = 0.8\nt = 4\n\n[output]\ndir = {tmp_path/'o'}\n",
         )
         assert main(["--config", cfg]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("task: cps-demo\nverdict: stepsize too large\n")
+        assert (tmp_path / "o" / "report.txt").read_text() == out
+        assert not (tmp_path / "o" / "trajectory.csv").exists()
 
     @pytest.mark.parametrize("x0", ["1 5", ""])
     def test_cps_demo_takes_one_x0(self, tmp_path, capsys, x0):

@@ -622,6 +622,18 @@ class TestDivergedTrajectories:
         assert est.slope == math.inf and math.isnan(est.stderr)
         assert est.points == 2 and est.zero_trajectories == 1
 
+    @pytest.mark.parametrize("system", [GBM, VectorFieldSde(1, 1, GBM.drift, GBM.diffusion)],
+                             ids=["linear", "vector_field"])
+    def test_overflowing_moment_is_warning_free(self, system):
+        # |x|^1000 overflows from t = 0 on while every state stays finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ens = run_ensemble(system, [10.0], 1000.0, 8, 2.0, 0.05, seed=0)
+            est, _, log_mean = fit_moment_window(ens)
+        assert ens.moment_sum[0] == math.inf and ens.diverged == 0
+        assert np.all(log_mean == math.inf)
+        assert math.isnan(est.slope) and math.isnan(est.stderr)
+
     def test_overflowing_study_is_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
