@@ -18,8 +18,8 @@ whose error is not finite at some level, out of memory, the last reported as
 among them, named by its key: `t`, `substeps` or `trajectories` of a timed
 task, `levels` of `converge`, `f` of `analyze` or `max-stepsize`).  All
 numeric output in reports is printed with 12 significant digits; CSV cells
-use full-precision repr so identical configs produce byte-identical
-artifacts.
+use full-precision repr, so identical configs produce byte-identical
+artifacts, and are written once per run of equal cells in a column.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import argparse
 import configparser
 import math
 import sys
-from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,12 +39,13 @@ from .models import LinearSde
 
 
 #: Caps on what a task holds at once, so that memory stays bounded for any
-#: config the CLI accepts.  `simulate` holds every sample of its trajectory:
-#: the CSV row of 3n + 2 floats, the row's Python floats included (about 340
-#: bytes per sample at n = 1), and its m draws.  `exponent` holds two floats
-#: per path (about 41 bytes per path through the fits) and one moment sum per
-#: step (about 100 bytes per step with its CSV row); `cps-demo` holds t and x
-#: per sample and writes its CSV row by row (153 MiB at the cap).  `analyze`
+#: config the CLI accepts (peaks are VmHWM of a fresh CLI process).
+#: `simulate` holds every sample of its trajectory, 3n + 2 floats and m draws
+#: each: at the cap a scalar system peaks at 125 MiB with 1 substep and at
+#: 111 MiB with 32.  `cps-demo` holds t and x per sample (153 MiB at the
+#: cap); both write their CSV `_CSV_BLOCK` rows at a time.  `exponent` holds
+#: two floats per path (about 41 bytes per path through the fits) and one
+#: moment sum per step (188 MiB at the step cap with 2 paths).  `analyze`
 #: and `max-stepsize` build their operator from terms of n(n+1)/2 x n x n
 #: floats (693 MiB at n = 90, dt_bar > 0 included).  A config at any cap
 #: peaks below 1 GB of resident memory, an exponent at both caps included.
@@ -241,20 +241,41 @@ def dump_config(cfg: RunConfig, path: str | Path) -> None:
         parser.write(fh)
 
 
-def emit_plot_data(series: list[tuple[str, list[str], Iterable]], outdir: str | Path) -> list[Path]:
-    """Write one CSV per series (filename, header, rows read once); returns the paths."""
+#: Rows of every column that the CSV writer formats at once.
+_CSV_BLOCK = 4096
+
+
+def _cells(column) -> list[str]:
+    """repr of each float of a 1-d block, called once per run of cells with
+    equal bits (so -0.0 stays apart from 0.0, and NaNs of other bits apart)."""
+    values = np.asarray(column, dtype=np.float64)
+    bits = values.view(np.uint64)
+    starts = np.ones(bits.shape, dtype=bool)
+    starts[1:] = bits[1:] != bits[:-1]
+    reprs = np.array(list(map(repr, values[starts].tolist())), dtype=object)
+    return reprs[np.cumsum(starts) - 1].tolist()
+
+
+def emit_plot_data(series: list[tuple[str, list[str], list]], outdir: str | Path) -> list[Path]:
+    """Write one CSV per series (filename, header, one 1-d column of floats
+    per header name); returns the paths.  Each cell is the repr of its float,
+    formatted once per run of equal cells in a block of `_CSV_BLOCK` rows."""
     if not series:
         raise ValueError("no series to emit")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for filename, header, rows in series:
+    for filename, header, columns in series:
+        rows = len(columns[0]) if columns else 0
+        if len(columns) != len(header) or any(len(c) != rows for c in columns):
+            raise ValueError(f"{filename}: {len(header)} header names need as many columns of one length")
         path = outdir / filename
         try:
             with open(path, "w") as fh:
                 fh.write(",".join(header) + "\n")
-                for row in rows:
-                    fh.write(",".join(repr(float(v)) for v in row) + "\n")
+                for start in range(0, rows, _CSV_BLOCK):
+                    cells = [_cells(c[start:start + _CSV_BLOCK]) for c in columns]
+                    fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
         except OSError as exc:
             raise ToolkitError(f"cannot write {path}: {exc}") from exc
         paths.append(path)
@@ -289,8 +310,8 @@ def _task_analyze(cfg: RunConfig, outdir: Path) -> tuple[int, list[str]]:
     sde = cfg.system()
     _cap("f", sde.dim, _MAX_CERTIFICATE_DIM, "state dimensions", "system")
     cert = stability.cp_lyapunov_feasible(sde, cfg.dt_bar)
-    _write_report(outdir, "certificate.txt", cert.report())
-    lines = [f"dt_bar: {_fmt(cfg.dt_bar)}", cert.report()]
+    _write_report(outdir, "certificate.txt", text := cert.report())
+    lines = [f"dt_bar: {_fmt(cfg.dt_bar)}", text]
     if (scalar := sde.scalar_coefficients) is not None:
         bound = stability.scalar_max_stepsize(*scalar)
         lines.append(
@@ -304,9 +325,9 @@ def _task_max_stepsize(cfg: RunConfig, outdir: Path) -> tuple[int, list[str]]:
     sde = cfg.system()
     _cap("f", sde.dim, _MAX_CERTIFICATE_DIM, "state dimensions", "system")
     bound, cert = stability.stepsize_certificate(sde)  # bound is None iff cert is infeasible
-    _write_report(outdir, "certificate.txt", cert.report())
+    _write_report(outdir, "certificate.txt", text := cert.report())
     bound_line = [] if bound is None else [f"max stepsize: {_fmt(bound)}"]
-    return (0 if cert.feasible else 1), [*bound_line, cert.report()]
+    return (0 if cert.feasible else 1), [*bound_line, text]
 
 
 def _task_simulate(cfg: RunConfig, outdir: Path) -> tuple[int, list[str]]:
@@ -330,8 +351,8 @@ def _task_simulate(cfg: RunConfig, outdir: Path) -> tuple[int, list[str]]:
         )
     except NonFinite as exc:
         return 1, [f"verdict: diverged ({exc})"]
-    header, rows = simulate.trajectory_rows(run.hybrid)
-    emit_plot_data([("trajectory.csv", header, rows)], outdir)
+    header, columns = simulate.trajectory_rows(run.hybrid)
+    emit_plot_data([("trajectory.csv", header, columns)], outdir)
     final = run.cyber.states[-1]
     lines = [
         f"samples: {run.hybrid.samples}",
@@ -352,10 +373,7 @@ def _task_exponent(cfg: RunConfig, outdir: Path) -> tuple[int, list[str]]:
     )
     est, times, log_mean = estimate.fit_moment_window(ens)
     pathwise = estimate.fit_pathwise(ens)
-    emit_plot_data(
-        [("exponent_fit.csv", ["t", "log_mean_moment"], [[t, v] for t, v in zip(times, log_mean)])],
-        outdir,
-    )
+    emit_plot_data([("exponent_fit.csv", ["t", "log_mean_moment"], [times, log_mean])], outdir)
     lines = [
         f"p: {_fmt(cfg.p)}",
         "moment exponent:",
@@ -389,8 +407,8 @@ def _task_converge(cfg: RunConfig, outdir: Path) -> tuple[int, list[str]]:
         range(obs_level, obs_level + cfg.levels), cfg.trajectories,
         delta=delta, seed=cfg.seed,
     )
-    header, rows = study.csv_rows()
-    emit_plot_data([("errors.csv", header, rows)], outdir)
+    header, columns = study.csv_rows()
+    emit_plot_data([("errors.csv", header, columns)], outdir)
     lines = [f"fitted order (log error vs log dt): {_fmt(study.slope)}"]
     for r in study.records:
         lines.append(f"level {r.level}: dt {_fmt(r.dt)} error {_fmt(r.error)} stderr {_fmt(r.stderr)}")
@@ -407,7 +425,7 @@ def _task_cps_demo(cfg: RunConfig, outdir: Path) -> tuple[int, list[str]]:
         demo = simulate.simulate_scalar_cps_demo(cfg.a, cfg.kp, cfg.x0[0], cfg.dt, cfg.horizon)
     except StepsizeTooLarge as exc:
         return 1, ["verdict: stepsize too large", str(exc)]
-    emit_plot_data([("trajectory.csv", ["t", "x_1"], zip(demo.times, demo.x))], outdir)
+    emit_plot_data([("trajectory.csv", ["t", "x_1"], [demo.times, demo.x])], outdir)
     lines = [
         f"stepsize bound: {_fmt(demo.stepsize_bound)}",
         f"one-step factor: {_fmt(demo.factor)}",

@@ -330,10 +330,10 @@ class ConvergenceStudy:
     records: tuple[LevelError, ...]
     slope: float
 
-    def csv_rows(self) -> tuple[list[str], list[list[float]]]:
+    def csv_rows(self) -> tuple[list[str], list[np.ndarray]]:
+        """Header and columns of errors.csv: one column per LevelError field."""
         header = ["level", "dt", "error", "stderr"]
-        rows = [[r.level, r.dt, r.error, r.stderr] for r in self.records]
-        return header, rows
+        return header, [np.array([getattr(r, name) for r in self.records]) for name in header]
 
 
 def _em_chunk(stack, x, dt, w) -> tuple[np.ndarray, np.ndarray]:

@@ -294,6 +294,8 @@ def exact_gbm(lam: float, mu: float, x0: float, times, brownian) -> np.ndarray:
     """
     t = np.asarray(times, dtype=float)
     b = np.asarray(brownian, dtype=float)
+    if x0 == 0.0:  # 0, also where the exponential overflows (0 * inf is NaN)
+        return np.zeros(np.broadcast_shapes(t.shape, b.shape))
     return x0 * np.exp((lam - 0.5 * mu * mu) * t + mu * b)
 
 
@@ -370,8 +372,8 @@ def simulate_scalar_cps_demo(
     )
 
 
-def trajectory_rows(traj: HybridTrajectory) -> tuple[list[str], list[list[float]]]:
-    """Header and rows of the trajectory CSV schema.
+def trajectory_rows(traj: HybridTrajectory) -> tuple[list[str], list[np.ndarray]]:
+    """Header and columns of the trajectory CSV schema.
 
     Columns: t, x_1..x_n, y_1..y_q, X_1..X_n (only when q == n, as x - y),
     impulse_flag.  One row per sample; impulse times appear twice.
@@ -383,6 +385,5 @@ def trajectory_rows(traj: HybridTrajectory) -> tuple[list[str], list[list[float]
     if with_view:
         header += [f"X_{i+1}" for i in range(n)]
     header.append("impulse_flag")
-    view = [traj.x - traj.y] if with_view else []
-    columns = [traj.times[:, None], traj.x, traj.y, *view, traj.impulse_flag[:, None]]
-    return header, np.hstack(columns).tolist()
+    view = (traj.x - traj.y).T if with_view else ()
+    return header, [traj.times, *traj.x.T, *traj.y.T, *view, traj.impulse_flag]

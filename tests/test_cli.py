@@ -276,6 +276,19 @@ class TestExitCodes:
         assert "fitted order (log error vs log dt): nan\n" in out and "verdict" not in out
         assert out.count(" error 0 stderr 0\n") == 2
 
+    def test_converge_from_the_origin_is_zero_where_the_exponential_overflows(self, tmp_path, capsys):
+        # exp((lambda - mu^2/2) t) overflows by t = 8, but every path from x0 = 0 stays 0
+        numeric = "x0 = {x0}\ndt = 0.5\nt = 8\nlevels = 2\ntrajectories = 4\nseed = 1"
+        text = ("[system]\nkind = scalar\nlambda = 200\nmu = 0.5\n\n[task]\nname = converge\n\n"
+                f"[numeric]\n{numeric}\n\n[output]\ndir = {tmp_path / 'o'}\n")
+        assert main(["--config", write(tmp_path, "z.ini", text.format(x0=0))]) == 0
+        out = capsys.readouterr().out
+        assert out.count(" error 0 stderr 0\n") == 2 and "verdict" not in out
+        assert (tmp_path / "o" / "errors.csv").read_text().endswith("\n1.0,0.25,0.0,0.0\n2.0,0.5,0.0,0.0\n")
+        assert main(["--config", write(tmp_path, "one.ini", text.format(x0=1))]) == 1
+        out = capsys.readouterr().out
+        assert out.count(" error inf ") == 2 and "verdict: diverged (error not finite at level 1)\n" in out
+
     def test_converge_with_one_level_is_two(self, tmp_path, capsys):
         cfg = write(
             tmp_path,
@@ -869,12 +882,66 @@ class TestPublicNames:
         assert cli.TASKS == ("simulate", "analyze", "max-stepsize", "exponent", "converge", "cps-demo")
 
 
+def row_wise_csv(header, columns) -> str:
+    """The bytes of the row-wise writer that the column writer replaced."""
+    lines = [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
+def _bits(*words):
+    return np.array(words, dtype=np.uint64).view(np.float64)
+
+
+def _random_runs(seed, rows=3 * 4096 + 5):
+    """`rows` cells in runs of 1 to 600 drawn from special and ordinary floats."""
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, 0.1, 1 / 3],
+                           _bits(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001),
+                           rng.normal(size=8)])
+    runs = rng.integers(1, 600, size=40)
+    return np.resize(np.repeat(rng.choice(pool, size=40), runs), rows)
+
+
+EMIT_CASES = {
+    "runs": [np.repeat([1.5, 0.1, 1 / 3, 1.5], [3, 1, 5, 2])],
+    "signed_zeros": [np.array([0.0, -0.0, -0.0, 0.0, -0.0])],
+    "nans": [np.concatenate([[np.nan, -np.nan, -np.nan],
+                             _bits(0x7FF8000000000001, 0x7FF8000000000001, 0xFFF0000000000001)])],
+    "inf_and_subnormal": [np.array([np.inf, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                    2.2250738585072014e-308, 1.7976931348623157e308])],
+    "across_blocks": [np.repeat([0.25, -1e-300, 7.0], [4095, 2, 4100]), _random_runs(1, 8197)],
+    "random_runs": [_random_runs(2), _random_runs(3)],
+    "header_only": [np.empty(0), np.empty(0)],
+    "one_row": [np.array([2.5]), np.array([-0.0])],
+    "flag_and_level": [np.array([0, 1, 1, 0], dtype=np.uint8), np.array([3, 3, 4, 2**53 + 1]),
+                       np.array([0.5, 0.5, 0.25, 0.125])],
+}
+
+
 class TestEmitPlotData:
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_plot_data([], tmp_path)
 
     def test_writes_header_and_rows(self, tmp_path):
-        paths = emit_plot_data([("s.csv", ["a", "b"], [[1.0, 2.0], [3.0, 4.0]])], tmp_path)
-        text = paths[0].read_text().splitlines()
-        assert text[0] == "a,b" and len(text) == 3
+        paths = emit_plot_data([("s.csv", ["a", "b"], [np.array([1.0, 3.0]), np.array([2.0, 4.0])])], tmp_path)
+        assert paths[0].read_text() == "a,b\n1.0,2.0\n3.0,4.0\n"
+
+    @pytest.mark.parametrize("block", [1, 3, 4096])
+    @pytest.mark.parametrize("case", EMIT_CASES)
+    def test_bytes_match_the_row_wise_writer(self, tmp_path, monkeypatch, case, block):
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+        columns = EMIT_CASES[case]
+        assert len({len(c) for c in columns}) == 1
+        header = [f"c{i}" for i in range(len(columns))]
+        (path,) = emit_plot_data([(f"{case}.csv", header, columns)], tmp_path)
+        assert path.read_bytes() == row_wise_csv(header, columns).encode()
+
+    @pytest.mark.parametrize("header, columns", [
+        (["a", "b"], [np.zeros(3)]),
+        (["a"], [np.zeros(3), np.zeros(3)]),
+        (["a", "b"], [np.zeros(3), np.zeros(2)]),
+    ])
+    def test_columns_must_match_the_header(self, tmp_path, header, columns):
+        with pytest.raises(ValueError, match="header names need as many columns of one length"):
+            emit_plot_data([("bad.csv", header, columns)], tmp_path)

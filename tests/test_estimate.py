@@ -236,9 +236,11 @@ class TestStrongError:
 
     def test_csv_rows(self):
         study = strong_error_sup(GBM, [1.0], 1.0, range(1, 5), 50, delta=2.0**-8, seed=5)
-        header, rows = study.csv_rows()
+        header, columns = study.csv_rows()
         assert header == ["level", "dt", "error", "stderr"]
-        assert len(rows) == 4
+        assert len(columns) == 4 and all(c.shape == (4,) for c in columns)
+        for c, name in zip(columns, header):
+            assert c.tolist() == [getattr(r, name) for r in study.records]
 
 
 # ------------------------------------------------------- row-major oracles

@@ -457,6 +457,16 @@ class TestExactGbm:
         assert col.shape == grid.shape == (513, 7)
         assert col.tobytes() == grid.tobytes()
 
+    def test_origin_is_zero_where_the_exponential_overflows(self):
+        # exp(200 * 8) is inf, and 0 * inf would be NaN
+        times = np.array([0.0, 4.0, 8.0])[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = exact_gbm(200.0, 0.5, 0.0, times, np.zeros((3, 4)))
+        assert vals.shape == (3, 4) and np.all(vals == 0.0)
+        with np.errstate(over="ignore"):
+            assert np.isinf(exact_gbm(200.0, 0.5, 1.0, times, np.zeros((3, 4)))[2]).all()
+
 
 class TestScalarCpsDemo:
     def test_admissible_bound_value(self):
@@ -508,14 +518,22 @@ class TestTrajectoryRows:
     def test_header_and_counts(self):
         sde = LinearSde.scalar(-1.0, 0.5)
         run = simulate_cps(sde, [1.0], 0.5, 2.0, seed=0, inner_substeps=4)
-        header, rows = trajectory_rows(run.hybrid)
+        header, columns = trajectory_rows(run.hybrid)
         assert header == ["t", "x_1", "y_1", "X_1", "impulse_flag"]
-        assert len(rows) == run.hybrid.samples == 4 * 4 + 4 + 1
-        flags = [r[-1] for r in rows]
-        assert sum(flags) == 4
-        assert all(type(v) is float for r in rows for v in r)
-        view = np.array([r[3] for r in rows])
-        assert np.array_equal(view, run.hybrid.x[:, 0] - run.hybrid.y[:, 0])
+        assert len(columns) == len(header)
+        assert all(c.shape == (run.hybrid.samples,) for c in columns)
+        assert run.hybrid.samples == 4 * 4 + 4 + 1
+        assert columns[-1].sum() == 4
+        assert np.array_equal(columns[3], run.hybrid.x[:, 0] - run.hybrid.y[:, 0])
+
+    def test_columns_hold_the_rows_of_the_stacked_schema(self):
+        # the stacked (samples, columns) table is the reference
+        sde = LinearSde(np.array([[-1.0, 0.5], [0.2, -2.0]]), (np.array([[0.3, 0.1], [0.0, 0.2]]),))
+        traj = simulate_cps(sde, [1.0, -0.5], 0.25, 1.0, seed=4, inner_substeps=3).hybrid
+        header, columns = trajectory_rows(traj)
+        rows = np.hstack([traj.times[:, None], traj.x, traj.y, traj.x - traj.y, traj.impulse_flag[:, None]])
+        assert len(header) == len(columns) == rows.shape[1] == 8
+        assert np.column_stack(columns).tobytes() == rows.tobytes()
 
 
 GBM = LinearSde.scalar(-1.0, 0.5)
